@@ -4,11 +4,13 @@
 //! crate uses: typed identifiers ([`ids`]), a fast non-cryptographic hasher
 //! ([`hash`]), a deterministic per-thread RNG ([`rng`]), run statistics and
 //! the execution/locking/waiting phase timers behind Figure 10
-//! ([`stats`]), a bounded spin-then-yield backoff ([`backoff`]), and
+//! ([`stats`]), a bounded spin-then-yield backoff ([`backoff`]), the
+//! park/unpark event wait that replaces sleep-polling ([`doorbell`]), and
 //! best-effort thread pinning ([`affinity`]).
 
 pub mod affinity;
 pub mod backoff;
+pub mod doorbell;
 pub mod failpoint;
 pub mod hash;
 pub mod ids;
@@ -20,6 +22,7 @@ pub mod stats;
 pub mod tempdir;
 
 pub use backoff::Backoff;
+pub use doorbell::Doorbell;
 pub use failpoint::{FailAction, FailpointRegistry};
 pub use hash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{CcId, ExecId, Key, LockMode, PartitionId, ThreadId, TxnId};

@@ -28,7 +28,7 @@ use std::time::Instant;
 use orthrus_common::affinity::pin_to_core;
 use orthrus_common::runtime::{timed_run, RunCtl, RunParams};
 use orthrus_common::sim;
-use orthrus_common::{Backoff, RunStats, ThreadStats};
+use orthrus_common::{Backoff, Doorbell, RunStats, ThreadStats};
 use orthrus_durability::checkpoint::{run_checkpointer, write_initial_checkpoint};
 use orthrus_durability::{run_sync_coordinator, CommandLog, ReplayReport};
 use orthrus_spsc::{channel_labeled, Consumer, FanIn, Producer};
@@ -358,6 +358,7 @@ impl OrthrusEngine {
         // latch-free fast path.
         let completion_capacity =
             2 * (cfg.ingest_capacity + cfg.admission.max_queued_window() + cfg.max_inflight);
+        let completion_bell = Arc::new(Doorbell::new());
         for (ex, ep) in fabric.exec.into_iter().enumerate() {
             let (submit_tx, submit_rx) =
                 channel_labeled::<Submission>(cfg.ingest_capacity, "ingest");
@@ -370,6 +371,7 @@ impl OrthrusEngine {
             let ctl = Arc::clone(&ctl);
             let active = Arc::clone(&active_execs);
             let log = self.log.clone();
+            let bell = Arc::clone(&completion_bell);
             let name = format!("{}exec{ex}", cfg.sim_prefix);
             worker_names.push(name.clone());
             workers.push(std::thread::spawn(move || {
@@ -384,7 +386,7 @@ impl OrthrusEngine {
                     cfg.ollp_noise_pct,
                 );
                 crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, admit)
-                    .with_completions(done_tx)
+                    .with_completions(done_tx, bell)
                     .with_log(log)
                     .run(&ctl, &active)
             }));
@@ -394,6 +396,7 @@ impl OrthrusEngine {
             ctl,
             submit: Arc::new(SubmitShared::new(ingest)),
             completions,
+            completion_bell,
             stash: Vec::new(),
             workers,
             worker_names,
@@ -640,6 +643,9 @@ pub struct EngineHandle {
     ctl: Arc<RunCtl>,
     submit: Arc<SubmitShared>,
     completions: Vec<Consumer<Completion>>,
+    /// Rung by execution threads after publishing completions; see
+    /// [`Self::wait_completions`].
+    completion_bell: Arc<Doorbell>,
     /// Completions drained internally (e.g. while unblocking workers
     /// during shutdown) but not yet handed to the client.
     stash: Vec<Completion>,
@@ -702,6 +708,25 @@ impl EngineHandle {
             n += ring.pop_batch(out);
         }
         n
+    }
+
+    /// Park until a completion is ready to drain, `or()` holds, or
+    /// `timeout` passes — the event wait for a drainer with nothing else
+    /// to do (a pump thread), in place of sleep-polling
+    /// [`Self::drain_completions`]. Returns whether either condition
+    /// held. Execution threads ring for completions; whoever makes
+    /// `or()` true must `unpark` the waiting thread itself. One thread
+    /// waits at a time. Under the sim scheduler an enrolled caller never
+    /// blocks: the wait is one park step (see [`Doorbell::wait`]).
+    pub fn wait_completions(
+        &self,
+        timeout: std::time::Duration,
+        mut or: impl FnMut() -> bool,
+    ) -> bool {
+        let ready =
+            || !self.stash.is_empty() || self.completions.iter().any(|r| !r.is_empty()) || or();
+        self.completion_bell
+            .wait_until(ready, Some(Instant::now() + timeout))
     }
 
     /// Shut down: fence out new submissions, drain every accepted ticket

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use orthrus_common::runtime::RunCtl;
-use orthrus_common::{Backoff, Phase, PhaseTimer, ThreadStats};
+use orthrus_common::{Backoff, Doorbell, Phase, PhaseTimer, ThreadStats};
 use orthrus_durability::{CommandLog, LoggedCommit};
 use orthrus_spsc::{FanIn, Producer};
 use orthrus_txn::{execute_planned, AbortKind, AccessSet, Database};
@@ -60,6 +60,15 @@ struct Inflight {
     retries: Vec<Admitted>,
 }
 
+/// The service-mode completion path: this thread's ring to the drainer
+/// and the doorbell a drainer with nothing to do parks on.
+struct CompletionSink {
+    ring: Producer<Completion>,
+    bell: Arc<Doorbell>,
+    /// Completions were published since the bell was last rung.
+    unrung: bool,
+}
+
 /// One execution thread's state and endpoints.
 pub struct ExecThread<'a, S: TxnSource> {
     exec_id: u16,
@@ -76,7 +85,7 @@ pub struct ExecThread<'a, S: TxnSource> {
     /// Completion ring back to the client side (service mode): every
     /// ticketed commit reports its submit→commit latency here. `None` in
     /// closed-loop (synthetic) runs.
-    completions: Option<Producer<Completion>>,
+    completions: Option<CompletionSink>,
     /// The engine's command log (durability on): one record per fused
     /// run, appended **while the run's locks are still held** — see
     /// [`Self::on_response`] for the ordering contract. `None` when
@@ -174,9 +183,14 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     }
 
     /// Attach the completion ring (service mode): ticketed commits are
-    /// reported back to the client through it.
-    pub fn with_completions(mut self, ring: Producer<Completion>) -> Self {
-        self.completions = Some(ring);
+    /// reported back to the client through it, and `bell` is rung after
+    /// each run's completions are published.
+    pub fn with_completions(mut self, ring: Producer<Completion>, bell: Arc<Doorbell>) -> Self {
+        self.completions = Some(CompletionSink {
+            ring,
+            bell,
+            unrung: false,
+        });
         self
     }
 
@@ -249,23 +263,39 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// [`Self::completion_overflow`]).
     #[inline]
     fn deliver_completion(&mut self, completion: Completion) {
-        let Some(ring) = self.completions.as_mut() else {
+        let Some(sink) = self.completions.as_mut() else {
             return;
         };
-        if !self.completion_overflow.is_empty() || ring.try_push(completion).is_err() {
+        if !self.completion_overflow.is_empty() || sink.ring.try_push(completion).is_err() {
             self.completion_overflow.push(completion);
+        } else {
+            sink.unrung = true;
         }
     }
 
     /// Re-flush parked completions into the ring as the client drains
     /// (one slice publish per attempt; cheap no-op when nothing parked).
     fn flush_completions(&mut self) {
-        let Some(ring) = self.completions.as_mut() else {
+        let Some(sink) = self.completions.as_mut() else {
             return;
         };
         while !self.completion_overflow.is_empty() {
-            if ring.try_push_slice(&mut self.completion_overflow) == 0 {
+            if sink.ring.try_push_slice(&mut self.completion_overflow) == 0 {
                 break;
+            }
+            sink.unrung = true;
+        }
+    }
+
+    /// Wake the drainer if completions were published since the last
+    /// ring. When nobody is parked — every in-process driver polls —
+    /// this costs one fence and one flag load per quantum.
+    #[inline]
+    fn ring_drainer(&mut self) {
+        if let Some(sink) = self.completions.as_mut() {
+            if sink.unrung {
+                sink.unrung = false;
+                sink.bell.ring();
             }
         }
     }
@@ -370,21 +400,25 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             // landed since the last quantum become client-visible now.
             progress |= self.release_durable() > 0;
             self.flush_completions();
-            if stopped
+            // Parked completions hold the thread alive until the
+            // shutdown drain makes room — every ticket is delivered.
+            let finished = stopped
                 && self.inflight == 0
                 && !(self.admit.drain_on_stop() && self.admit.has_backlog())
                 && self.completion_overflow.is_empty()
-                && self.pending_durable.is_empty()
-            {
-                // The last commits' releases may still be staged. Parked
-                // completions hold the thread alive until the shutdown
-                // drain makes room — every ticket is delivered.
-                self.flush_sends();
+                && self.pending_durable.is_empty();
+            // Publish the quantum's sends before polling again, parking
+            // or exiting: responses can only arrive for flushed requests
+            // (and the last commits' releases may still be staged).
+            self.flush_sends();
+            // Once per quantum, after the CC threads have their messages
+            // (a wake-up is a syscall; locks should not wait behind it):
+            // under load one ring covers every run the quantum
+            // committed, under a trickle the quantum is one run long.
+            self.ring_drainer();
+            if finished {
                 break;
             }
-            // Publish the quantum's sends before polling again or parking:
-            // responses can only arrive for flushed requests.
-            self.flush_sends();
             if progress {
                 backoff.reset();
             } else {

@@ -8,14 +8,17 @@
 //! front-end has many connections, each owed exactly the completions
 //! for its own submissions. The [`CompletionHub`] is that router:
 //!
-//! - submission tags each ticket with its owner in the [`OwnerTable`]
-//!   (a sharded ticket → client map written under the ingest-lane lock
-//!   *before* the ring push, so a completion — which happens-after the
-//!   push — always finds its owner);
+//! - submission tags each ticket with its owner — client id plus the
+//!   client's own tag for it, e.g. a wire request id — in the
+//!   [`OwnerTable`] (a sharded ticket → owner map written under the
+//!   ingest-lane lock *before* the ring push, so a completion — which
+//!   happens-after the push — always finds its owner, and the receiver
+//!   needs no ticket → request map of its own);
 //! - one pump thread drains the engine and calls [`CompletionHub::route`],
-//!   which moves each completion to its owner's bounded SPSC ring
-//!   ([`ClientRx`]), spilling to a per-client overflow queue when the
-//!   client lags (never lost, never blocking the pump);
+//!   which moves each client's share of the batch to its bounded SPSC
+//!   ring ([`ClientRx`]) as one slice, spilling to a per-client overflow
+//!   queue when the client lags (never lost, never blocking the pump),
+//!   and rings the client's doorbell once;
 //! - a disconnected client's leftovers are counted as *orphaned*, so
 //!   ticket conservation stays provable per connection even through
 //!   abrupt disconnects: `routed + orphaned + unowned` = completions
@@ -25,22 +28,38 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use orthrus_common::Doorbell;
 use orthrus_spsc::{channel_labeled, Consumer, Producer};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::session::Session;
 use crate::source::Completion;
 
-/// Number of shards in the ticket → owner map. Submitters and the pump
-/// thread contend only when their tickets collide modulo this.
-const OWNER_SHARDS: usize = 16;
+/// Number of shards in the ticket → owner map.
+const OWNER_SHARDS: u64 = 16;
+/// Consecutive tickets per shard stripe. Batch submission mints a run
+/// of consecutive tickets and completions come back roughly in ticket
+/// order, so striping lets both sides cover a whole run with one or two
+/// shard locks ([`OwnerCursor`]) instead of one per ticket, while
+/// submitters and the pump — a window apart in ticket space — still
+/// mostly land on different shards.
+const OWNER_STRIPE: u64 = 16;
 
-/// Sharded ticket → client-id map. Entries are inserted at submission
+/// Who is owed a ticket's completion, and the tag they attached to it
+/// at submission (a wire front-end's request id), handed back verbatim
+/// in [`Routed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Owner {
+    pub(crate) client: u32,
+    pub(crate) tag: u64,
+}
+
+/// Sharded ticket → [`Owner`] map. Entries are inserted at submission
 /// (under the ingest-lane lock, before the ring push) and removed by the
 /// routing pump, so the table's steady-state size is the in-flight
 /// window, not the run length.
 pub(crate) struct OwnerTable {
-    shards: Vec<Mutex<HashMap<u64, u32>>>,
+    shards: Vec<Mutex<HashMap<u64, Owner>>>,
 }
 
 impl OwnerTable {
@@ -52,34 +71,70 @@ impl OwnerTable {
         }
     }
 
-    #[inline]
-    fn shard(&self, ticket: u64) -> &Mutex<HashMap<u64, u32>> {
-        &self.shards[(ticket % OWNER_SHARDS as u64) as usize]
+    /// A cursor for touching a run of tickets; see [`OwnerCursor`].
+    pub(crate) fn cursor(&self) -> OwnerCursor<'_> {
+        OwnerCursor {
+            table: self,
+            held: None,
+        }
+    }
+}
+
+/// Holds at most one shard lock and keeps it across neighbouring
+/// tickets. Must be dropped before any ring push: a push is a sim
+/// schedule point, and no hook may be reached with a lock held.
+pub(crate) struct OwnerCursor<'a> {
+    table: &'a OwnerTable,
+    held: Option<(usize, MutexGuard<'a, HashMap<u64, Owner>>)>,
+}
+
+impl OwnerCursor<'_> {
+    fn shard(&mut self, ticket: u64) -> &mut HashMap<u64, Owner> {
+        let idx = (ticket / OWNER_STRIPE % OWNER_SHARDS) as usize;
+        if self.held.as_ref().is_none_or(|(held, _)| *held != idx) {
+            // Release before acquiring: never two shard locks at once.
+            self.held = None;
+            self.held = Some((idx, self.table.shards[idx].lock()));
+        }
+        &mut self.held.as_mut().expect("just locked").1
     }
 
     #[inline]
-    pub(crate) fn insert(&self, ticket: u64, owner: u32) {
-        self.shard(ticket).lock().insert(ticket, owner);
+    pub(crate) fn insert(&mut self, ticket: u64, owner: Owner) {
+        self.shard(ticket).insert(ticket, owner);
     }
 
+    /// Remove and return a completed ticket's owner (routing consumes
+    /// the entry — each ticket completes exactly once).
     #[inline]
-    pub(crate) fn take(&self, ticket: u64) -> Option<u32> {
-        self.shard(ticket).lock().remove(&ticket)
+    pub(crate) fn take(&mut self, ticket: u64) -> Option<Owner> {
+        self.shard(ticket).remove(&ticket)
     }
+}
+
+/// One completion as its owner receives it: the engine's [`Completion`]
+/// plus the tag the owner attached at submission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Routed {
+    pub tag: u64,
+    pub completion: Completion,
 }
 
 /// Engine-side slot for one registered client.
 struct Slot {
-    ring: Producer<Completion>,
-    overflow: Arc<Mutex<VecDeque<Completion>>>,
+    ring: Producer<Routed>,
+    overflow: Arc<Mutex<VecDeque<Routed>>>,
+    bell: Arc<Doorbell>,
 }
 
-/// The client's receive half: a bounded completion ring plus the shared
-/// overflow queue the pump spills into when the ring is full.
+/// The client's receive half: a bounded completion ring, the shared
+/// overflow queue the pump spills into when the ring is full, and the
+/// doorbell the pump rings after routing to this client.
 pub struct ClientRx {
     id: u32,
-    ring: Consumer<Completion>,
-    overflow: Arc<Mutex<VecDeque<Completion>>>,
+    ring: Consumer<Routed>,
+    overflow: Arc<Mutex<VecDeque<Routed>>>,
+    bell: Arc<Doorbell>,
 }
 
 impl ClientRx {
@@ -91,35 +146,54 @@ impl ClientRx {
 
     /// Move up to `max` completions into `out` (ring first — the fast
     /// path — then any overflow spill); returns how many.
-    pub fn drain_into(&mut self, out: &mut Vec<Completion>, max: usize) -> usize {
+    pub fn drain_into(&mut self, out: &mut Vec<Routed>, max: usize) -> usize {
         let mut n = self.ring.drain_into(out, max);
         if n < max {
             let mut spill = self.overflow.lock();
-            while n < max {
-                match spill.pop_front() {
-                    Some(c) => {
-                        out.push(c);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
+            let k = spill.len().min(max - n);
+            out.extend(spill.drain(..k));
+            n += k;
         }
         n
+    }
+
+    /// Whether nothing is waiting to be drained.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty() && self.overflow.lock().is_empty()
+    }
+
+    /// Rung by [`CompletionHub::route`] once per call that delivered to
+    /// this client. Wait on it with a predicate that includes
+    /// `!self.is_empty()`; ring it yourself to wake the waiter for any
+    /// other reason (shutdown, a peer thread's state change).
+    pub fn doorbell(&self) -> &Arc<Doorbell> {
+        &self.bell
     }
 }
 
 /// Routes drained completions to per-client rings. One instance per
-/// engine; [`route`](Self::route) is called from a single pump thread,
-/// registration and deregistration from any thread.
+/// engine; registration and deregistration from any thread.
 pub struct CompletionHub {
     session: Session,
-    slots: Mutex<HashMap<u32, Slot>>,
+    /// Held for a whole [`route`](Self::route) call, which also
+    /// serializes pumps — the per-client SPSC rings require it.
+    slots: Mutex<Slots>,
     next_id: AtomicU32,
     partition: usize,
     routed: AtomicU64,
     orphaned: AtomicU64,
     unowned: AtomicU64,
+}
+
+#[derive(Default)]
+struct Slots {
+    by_client: HashMap<u32, Slot>,
+    /// `route`'s scratch: the batch's owned completions, grouped by
+    /// client.
+    owned: Vec<(u32, Routed)>,
+    /// `route`'s scratch: one client's group, staged for
+    /// `try_push_slice`.
+    stage: Vec<Routed>,
 }
 
 impl CompletionHub {
@@ -137,7 +211,7 @@ impl CompletionHub {
     pub fn with_partition(session: Session, partition: usize) -> Self {
         CompletionHub {
             session,
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::default(),
             next_id: AtomicU32::new(0),
             partition,
             routed: AtomicU64::new(0),
@@ -152,17 +226,20 @@ impl CompletionHub {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (p, c) = channel_labeled(capacity, "client-completion");
         let overflow = Arc::new(Mutex::new(VecDeque::new()));
-        self.slots.lock().insert(
+        let bell = Arc::new(Doorbell::new());
+        self.slots.lock().by_client.insert(
             id,
             Slot {
                 ring: p,
                 overflow: Arc::clone(&overflow),
+                bell: Arc::clone(&bell),
             },
         );
         ClientRx {
             id,
             ring: c,
             overflow,
+            bell,
         }
     }
 
@@ -170,34 +247,47 @@ impl CompletionHub {
     /// are counted as orphaned when they arrive — the abrupt-disconnect
     /// path; conservation accounting stays intact.
     pub fn unregister(&self, id: u32) {
-        self.slots.lock().remove(&id);
+        self.slots.lock().by_client.remove(&id);
     }
 
-    /// Route a drained batch. Single-pump: callers must serialize.
+    /// Route a drained batch: resolve every owner first, group by
+    /// client, then per touched client one slice push (spilling what the
+    /// ring refuses — the client is lagging; never block the pump) and
+    /// one doorbell ring.
     pub fn route(&self, completions: &[Completion]) {
         if completions.is_empty() {
             return;
         }
         let mut slots = self.slots.lock();
-        let (mut routed, mut orphaned, mut unowned) = (0u64, 0u64, 0u64);
-        for &c in completions {
-            match self.session.take_owner(c.ticket) {
-                None => unowned += 1,
-                Some(owner) => match slots.get_mut(&owner) {
-                    None => orphaned += 1,
-                    Some(slot) => {
-                        routed += 1;
-                        if let Err(c) = slot.ring.try_push(c) {
-                            // Client lagging: spill, never block the pump.
-                            slot.overflow.lock().push_back(c);
-                        }
-                    }
-                },
-            }
-        }
-        self.routed.fetch_add(routed, Ordering::Relaxed);
-        self.orphaned.fetch_add(orphaned, Ordering::Relaxed);
+        let Slots {
+            by_client,
+            owned,
+            stage,
+        } = &mut *slots;
+        self.session.take_owners(completions, owned);
+        let unowned = (completions.len() - owned.len()) as u64;
+        // Stable: a client's completions keep their drain order.
+        owned.sort_by_key(|(client, _)| *client);
+
         self.unowned.fetch_add(unowned, Ordering::Relaxed);
+        for group in owned.chunk_by(|a, b| a.0 == b.0) {
+            let n = group.len() as u64;
+            let Some(slot) = by_client.get_mut(&group[0].0) else {
+                self.orphaned.fetch_add(n, Ordering::Relaxed);
+                continue;
+            };
+            // Ledger first: a client woken by the ring below can answer
+            // its peer before this thread runs again, and whoever then
+            // reads the ledger must find these completions in it.
+            self.routed.fetch_add(n, Ordering::Relaxed);
+            stage.extend(group.iter().map(|(_, r)| *r));
+            slot.ring.try_push_slice(stage);
+            if !stage.is_empty() {
+                slot.overflow.lock().extend(stage.drain(..));
+            }
+            slot.bell.ring();
+        }
+        owned.clear();
     }
 
     /// Completions delivered to a registered client (ring or overflow).
@@ -286,8 +376,8 @@ mod tests {
             b.drain_into(&mut got_b, usize::MAX);
             std::thread::yield_now();
         }
-        let mut got_a: Vec<_> = got_a.iter().map(|c| c.ticket).collect();
-        let mut got_b: Vec<_> = got_b.iter().map(|c| c.ticket).collect();
+        let mut got_a: Vec<_> = got_a.iter().map(|r| r.completion.ticket).collect();
+        let mut got_b: Vec<_> = got_b.iter().map(|r| r.completion.ticket).collect();
         got_a.sort();
         got_b.sort();
         want_a.sort();
@@ -370,9 +460,76 @@ mod tests {
         }
         let mut got = Vec::new();
         assert_eq!(rx.drain_into(&mut got, usize::MAX), n as usize);
-        let mut tickets: Vec<_> = got.iter().map(|c| c.ticket.0).collect();
+        let mut tickets: Vec<_> = got.iter().map(|r| r.completion.ticket.0).collect();
         tickets.sort_unstable();
         assert_eq!(tickets, (0..n).collect::<Vec<_>>());
+        handle.shutdown();
+    }
+
+    /// One route call touching 3 of 4 clients rings exactly 3 doorbells:
+    /// each touched client is woken once, with its whole share already
+    /// in its ring, and the untouched client stays parked.
+    #[test]
+    fn a_route_call_rings_each_touched_client_once() {
+        use std::sync::atomic::AtomicBool;
+
+        let _guard = crate::test_serial();
+        let mut handle = tiny_engine();
+        let session = handle.session();
+        let hub = CompletionHub::new(session.clone());
+        let rxs: Vec<ClientRx> = (0..4).map(|_| hub.register(64)).collect();
+        // Clients 0..3 get 5 tickets each, tagged; client 3 gets none.
+        const PER_CLIENT: usize = 5;
+        for (c, rx) in rxs[..3].iter().enumerate() {
+            let batch = (0..PER_CLIENT as u64)
+                .map(|i| (c as u64 * 100 + i, rmw(c as u64 * 8 + i)))
+                .collect();
+            let out = session.try_submit_batch(batch, Some(rx.id()));
+            assert_eq!(out.accepted.len(), PER_CLIENT);
+        }
+        // Collect all 15 completions first so they go through *one*
+        // route call.
+        let mut drained = Vec::new();
+        while drained.len() < 3 * PER_CLIENT {
+            handle.drain_completions(&mut drained);
+            std::thread::yield_now();
+        }
+
+        // Each client parks once and reports what that one wake-up
+        // brought. Only the test may release the untouched client.
+        let release = Arc::new(AtomicBool::new(false));
+        let idle_bell = Arc::clone(rxs[3].doorbell());
+        let waiters: Vec<_> = rxs
+            .into_iter()
+            .map(|mut rx| {
+                let release = Arc::clone(&release);
+                std::thread::spawn(move || {
+                    let bell = Arc::clone(rx.doorbell());
+                    bell.wait(|| !rx.is_empty() || release.load(Ordering::Acquire));
+                    let mut got = Vec::new();
+                    rx.drain_into(&mut got, usize::MAX);
+                    got.iter().map(|r| r.tag).collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        hub.route(&drained);
+        assert_eq!(hub.routed(), (3 * PER_CLIENT) as u64);
+        assert_eq!(
+            hub.routed() + hub.orphaned() + hub.unowned(),
+            drained.len() as u64
+        );
+        let mut waiters = waiters.into_iter();
+        for (c, w) in waiters.by_ref().take(3).enumerate() {
+            let mut tags = w.join().expect("waiter");
+            tags.sort_unstable();
+            let want: Vec<u64> = (0..PER_CLIENT as u64).map(|i| c as u64 * 100 + i).collect();
+            assert_eq!(tags, want, "client {c}: one ring, its whole share");
+        }
+        let idle = waiters.next().expect("fourth client");
+        assert!(!idle.is_finished(), "an untouched client is not rung");
+        release.store(true, Ordering::Release);
+        idle_bell.ring();
+        assert_eq!(idle.join().expect("idle waiter"), Vec::<u64>::new());
         handle.shutdown();
     }
 }

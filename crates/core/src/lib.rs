@@ -130,7 +130,7 @@ mod proptests;
 pub use admit::{AdaptiveController, AdmissionPolicy, Admitted, Admitter};
 pub use config::{CcAssignment, CcMode, OrthrusConfig};
 pub use engine::{EngineError, EngineHandle, OrthrusEngine};
-pub use hub::{ClientRx, CompletionHub};
+pub use hub::{ClientRx, CompletionHub, Routed};
 pub use orthrus_durability::{DurabilityMode, ReplayReport, SyncInterval};
 pub use plan::LockPlan;
 pub use rebalance::{balanced_assignment, LoadHistogram};

@@ -35,8 +35,8 @@ use orthrus_spsc::Producer;
 use orthrus_txn::Program;
 use parking_lot::Mutex;
 
-use crate::hub::OwnerTable;
-use crate::source::{Submission, Ticket};
+use crate::hub::{Owner, OwnerTable, Routed};
+use crate::source::{Completion, Submission, Ticket};
 
 /// Acquire a lane's producer lock without OS-blocking: under the
 /// deterministic sim scheduler another enrolled submitter may be parked
@@ -93,9 +93,9 @@ impl std::fmt::Display for TrySubmitError {
 pub struct BatchSubmit {
     /// `(input index, ticket)` for each accepted program.
     pub accepted: Vec<(usize, Ticket)>,
-    /// `(input index, program)` for each program refused by a full lane
-    /// — or by shutdown, in which case `shutdown` is set.
-    pub rejected: Vec<(usize, Program)>,
+    /// `(input index, (tag, program))` for each entry refused by a full
+    /// lane — or by shutdown, in which case `shutdown` is set.
+    pub rejected: Vec<(usize, (u64, Program))>,
     /// Whether any rejection was due to the engine shutting down (a
     /// terminal condition, unlike ring-full backpressure).
     pub shutdown: bool,
@@ -113,9 +113,10 @@ pub(crate) struct SubmitShared {
     /// checked against.
     next_ticket: AtomicU64,
     round_robin: AtomicUsize,
-    /// Ticket → client-id tags for completion fan-out
-    /// ([`crate::hub::CompletionHub`]). Written under the lane lock
-    /// *before* the ring push, so routing always finds the owner.
+    /// Ticket → owner (client id + the client's tag) entries for
+    /// completion fan-out ([`crate::hub::CompletionHub`]). Written under
+    /// the lane lock *before* the ring push, so routing always finds the
+    /// owner — and finds the tag, however early the completion lands.
     owners: OwnerTable,
 }
 
@@ -176,15 +177,22 @@ impl Session {
 
     /// [`Self::try_submit`], tagging the ticket with a client id from
     /// [`crate::hub::CompletionHub::register`] so the hub can route the
-    /// completion back to that client.
+    /// completion back to that client (with tag 0 — a single-submission
+    /// caller already holds the ticket).
     pub fn try_submit_owned(&self, program: Program, owner: u32) -> Result<Ticket, TrySubmitError> {
-        self.try_submit_inner(program, Some(owner))
+        self.try_submit_inner(
+            program,
+            Some(Owner {
+                client: owner,
+                tag: 0,
+            }),
+        )
     }
 
     fn try_submit_inner(
         &self,
         program: Program,
-        owner: Option<u32>,
+        owner: Option<Owner>,
     ) -> Result<Ticket, TrySubmitError> {
         let shared = &self.shared;
         let lane = match program.routing_key() {
@@ -205,7 +213,7 @@ impl Session {
         if let Some(owner) = owner {
             // Before the push: the completion happens-after the push, so
             // the router can never see an ownerless owned ticket.
-            shared.owners.insert(ticket.0, owner);
+            shared.owners.cursor().insert(ticket.0, owner);
         }
         producer
             .try_push(Submission {
@@ -228,7 +236,17 @@ impl Session {
     /// programs that hit a full lane are handed back in `rejected` for
     /// the caller to retry — that hand-back is the backpressure signal a
     /// connection maps onto TCP flow control.
-    pub fn try_submit_batch(&self, programs: Vec<Program>, owner: Option<u32>) -> BatchSubmit {
+    ///
+    /// Each program travels with a caller-chosen tag (a wire request
+    /// id). With an `owner`, the tag is recorded beside the client id
+    /// under the lane lock and comes back in the [`Routed`] completion,
+    /// so the receiver never has to map tickets back to requests — a
+    /// completion may reach it before this call has even returned.
+    pub fn try_submit_batch(
+        &self,
+        programs: Vec<(u64, Program)>,
+        owner: Option<u32>,
+    ) -> BatchSubmit {
         let shared = &self.shared;
         let n_lanes = shared.lanes.len();
         let mut out = BatchSubmit {
@@ -239,10 +257,10 @@ impl Session {
         if programs.is_empty() {
             return out;
         }
-        let mut slots: Vec<Option<Program>> = programs.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<(u64, Program)>> = programs.into_iter().map(Some).collect();
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n_lanes];
         for (i, slot) in slots.iter().enumerate() {
-            let p = slot.as_ref().expect("just wrapped");
+            let (_, p) = slot.as_ref().expect("just wrapped");
             let lane = match p.routing_key() {
                 Some(key) => (fx_hash_u64(key) % n_lanes as u64) as usize,
                 None => shared.round_robin.fetch_add(1, Ordering::Relaxed) % n_lanes,
@@ -269,18 +287,23 @@ impl Session {
             if k > 0 {
                 let base = shared.next_ticket.fetch_add(k as u64, Ordering::AcqRel);
                 let now = Instant::now();
+                // Consecutive tickets: the cursor covers the run with
+                // one or two shard locks, released before the push.
+                let mut owners = shared.owners.cursor();
                 for (j, &i) in bucket[..k].iter().enumerate() {
                     let ticket = Ticket(base + j as u64);
-                    if let Some(owner) = owner {
-                        shared.owners.insert(ticket.0, owner);
+                    let (tag, program) = slots[i].take().expect("unconsumed");
+                    if let Some(client) = owner {
+                        owners.insert(ticket.0, Owner { client, tag });
                     }
                     stage.push(Submission {
                         ticket,
-                        program: slots[i].take().expect("unconsumed"),
+                        program,
                         submitted: now,
                     });
                     out.accepted.push((i, ticket));
                 }
+                drop(owners);
                 let pushed = producer.try_push_slice(&mut stage);
                 assert_eq!(
                     pushed, k,
@@ -295,10 +318,17 @@ impl Session {
         out
     }
 
-    /// Remove and return the owner tag of a completed ticket (routing
-    /// consumes the tag — each ticket completes exactly once).
-    pub(crate) fn take_owner(&self, ticket: Ticket) -> Option<u32> {
-        self.shared.owners.take(ticket.0)
+    /// Resolve a drained batch against the owner table: every owned
+    /// completion is appended to `out` as `(client, Routed)` in batch
+    /// order and its entry consumed (each ticket completes exactly
+    /// once); un-owned tickets are skipped.
+    pub(crate) fn take_owners(&self, completions: &[Completion], out: &mut Vec<(u32, Routed)>) {
+        let mut owners = self.shared.owners.cursor();
+        for &completion in completions {
+            if let Some(Owner { client, tag }) = owners.take(completion.ticket.0) {
+                out.push((client, Routed { tag, completion }));
+            }
+        }
     }
 
     /// Submit, backing off while the destination ring is full (the
@@ -362,6 +392,11 @@ mod tests {
 
     fn rmw(key: u64) -> Program {
         Program::Rmw { keys: vec![key] }
+    }
+
+    /// Tag each program with `100 + its index`.
+    fn tagged(programs: Vec<Program>) -> Vec<(u64, Program)> {
+        (100..).zip(programs).collect()
     }
 
     #[test]
@@ -487,7 +522,7 @@ mod tests {
         let session = Session::new(Arc::clone(&s));
         // Hot keys pin lanes; hintless programs round-robin.
         let batch = vec![rmw(1), rmw(2), rmw(1), Program::Rmw { keys: vec![] }];
-        let out = session.try_submit_batch(batch, Some(9));
+        let out = session.try_submit_batch(tagged(batch), Some(9));
         assert!(!out.shutdown);
         assert!(out.rejected.is_empty());
         assert_eq!(out.accepted.len(), 4);
@@ -515,12 +550,13 @@ mod tests {
         let (s, _consumers) = shared(1, 4);
         let session = Session::new(Arc::clone(&s));
         let batch: Vec<Program> = (0..7).map(rmw).collect();
-        let out = session.try_submit_batch(batch, None);
+        let out = session.try_submit_batch(tagged(batch), None);
         assert!(!out.shutdown);
         assert_eq!(out.accepted.len(), 4);
         assert_eq!(out.rejected.len(), 3);
         assert_eq!(s.accepted(), 4, "rejected programs must not mint tickets");
-        for (i, p) in &out.rejected {
+        for (i, (tag, p)) in &out.rejected {
+            assert_eq!(*tag, 100 + *i as u64, "hand-back must preserve the tag");
             assert_eq!(*p, rmw(*i as u64), "hand-back must preserve the program");
         }
     }
@@ -530,7 +566,7 @@ mod tests {
         let (s, _consumers) = shared(2, 8);
         let session = Session::new(Arc::clone(&s));
         s.close();
-        let out = session.try_submit_batch(vec![rmw(1), rmw(2)], Some(3));
+        let out = session.try_submit_batch(tagged(vec![rmw(1), rmw(2)]), Some(3));
         assert!(out.shutdown);
         assert_eq!(out.accepted.len(), 0);
         assert_eq!(out.rejected.len(), 2);
@@ -539,13 +575,33 @@ mod tests {
 
     #[test]
     fn owned_submissions_tag_the_owner_table() {
-        let (s, _consumers) = shared(1, 8);
+        let (s, _consumers) = shared(1, 64);
         let session = Session::new(Arc::clone(&s));
+        let done = |ticket| Completion {
+            ticket,
+            latency_ns: 1,
+        };
         let t = session.try_submit_owned(rmw(1), 42).unwrap();
-        assert_eq!(session.take_owner(t), Some(42));
-        assert_eq!(session.take_owner(t), None, "routing consumes the tag");
         let t2 = session.try_submit(rmw(2)).unwrap();
-        assert_eq!(session.take_owner(t2), None, "un-owned stays untagged");
+        // A batch long enough to cross an owner-table stripe boundary.
+        let batch: Vec<Program> = (0..40).map(rmw).collect();
+        let out = session.try_submit_batch(tagged(batch), Some(7));
+        assert_eq!(out.accepted.len(), 40);
+
+        let mut all = vec![done(t), done(t2)];
+        all.extend(out.accepted.iter().map(|&(_, t)| done(t)));
+        let mut owned = Vec::new();
+        session.take_owners(&all, &mut owned);
+        assert_eq!(owned.len(), 41, "the un-owned ticket stays untagged");
+        assert_eq!((owned[0].0, owned[0].1.tag), (42, 0));
+        for (&(i, ticket), (client, routed)) in out.accepted.iter().zip(&owned[1..]) {
+            assert_eq!(*client, 7);
+            assert_eq!(routed.tag, 100 + i as u64, "the tag rides the ticket");
+            assert_eq!(routed.completion.ticket, ticket);
+        }
+        owned.clear();
+        session.take_owners(&all, &mut owned);
+        assert!(owned.is_empty(), "routing consumes the entries");
     }
 
     #[test]

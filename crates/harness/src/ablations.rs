@@ -545,7 +545,7 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
 }
 
 /// A11: the **TCP front door** (`orthrus-net`) vs the in-process
-/// session, and the adaptive wire batcher's response to offered load.
+/// session, and how response frames fill as offered load rises.
 /// The same contention crucible as A8 (scrambled-Zipf θ = 0.9, 10 RMW,
 /// conflict-batched admission, 1 CC / 2 exec) runs three ways:
 ///
@@ -555,18 +555,17 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
 ///   with a fixed in-flight window each: how much of that capacity
 ///   survives real framing, syscalls, and completion fan-out (the
 ///   acceptance floor is 80%);
-/// - **TCP open loop** at 0.5× and 1.3× of capacity — where the batch
-///   series earns its keep: mean completions per response frame must
-///   *shift* with offered load (small frames when underloaded for
-///   latency, large when saturated for throughput), because the flush
-///   setpoint walks the power-of-two ladder on flush-occupancy
-///   evidence instead of sitting on a hand-tuned constant.
+/// - **TCP open loop** at 0.5× and 1.3× of capacity — the batch
+///   series: mean completions per response frame. Nothing steers it; a
+///   writer flushes whenever its completion ring runs dry, so a frame
+///   holds what accumulated while the previous `write` was in progress
+///   (see EXPERIMENTS.md §Network for how far that grows with load).
 pub fn abl11_net(bc: &BenchConfig) -> FigureResult {
     use crate::netbench::{run_net_load, NetLoadConfig};
 
     let mut fig = FigureResult::new(
         "abl11",
-        "TCP front door: delivered throughput + adaptive wire batching (1 CC / 2 exec)".to_string(),
+        "TCP front door: delivered throughput + frame occupancy (1 CC / 2 exec)".to_string(),
         "offered_fraction_of_capacity (0 = closed loop)",
         "txns/sec (batch series: completions/frame, txns/read-syscall)",
     );

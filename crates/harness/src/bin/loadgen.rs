@@ -47,6 +47,8 @@ fn main() {
         "latency_p99_us {:.1}",
         r.latency.quantile_ns(0.99) as f64 / 1000.0
     );
+    println!("rtt_p50_us {:.1}", r.rtt.quantile_ns(0.50) as f64 / 1000.0);
+    println!("rtt_p99_us {:.1}", r.rtt.quantile_ns(0.99) as f64 / 1000.0);
     println!("wire_rx_batch_mean {:.2}", r.rx_batch_mean());
     println!("wire_tx_batch_mean {:.2}", r.tx_batch_mean());
     println!("txns_per_read_syscall {:.2}", r.txns_per_read_call());

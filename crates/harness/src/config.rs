@@ -92,8 +92,6 @@ pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
 /// [`orthrus_net::NetConfig::default`]):
 ///
 /// - `ORTHRUS_NET_ADDR` — listen address (`127.0.0.1:0` = ephemeral);
-/// - `ORTHRUS_NET_BATCH_MIN` / `ORTHRUS_NET_BATCH_MAX` — adaptive wire
-///   batcher ladder bounds;
 /// - `ORTHRUS_NET_RING` — per-connection completion-ring capacity;
 /// - `ORTHRUS_NET_READBUF` — socket read buffer bytes;
 /// - `ORTHRUS_NET_BACKPRESSURE` — parked-request cap before a
@@ -108,9 +106,6 @@ pub fn net_config_from_env() -> orthrus_net::NetConfig {
             .parse()
             .unwrap_or_else(|e| panic!("ORTHRUS_NET_ADDR={addr:?} is not a socket address: {e}"));
     }
-    cfg.batch_min = env_u64("ORTHRUS_NET_BATCH_MIN", cfg.batch_min as u64).max(1) as usize;
-    cfg.batch_max =
-        env_u64("ORTHRUS_NET_BATCH_MAX", cfg.batch_max as u64).max(cfg.batch_min as u64) as usize;
     cfg.client_ring = env_u64("ORTHRUS_NET_RING", cfg.client_ring as u64).max(2) as usize;
     cfg.read_buf = env_u64("ORTHRUS_NET_READBUF", cfg.read_buf as u64).max(512) as usize;
     cfg.backpressure_cap =
@@ -341,8 +336,6 @@ mod tests {
         malformed_partitions_panics: "ORTHRUS_PARTITIONS" => BenchConfig::from_env();
         malformed_xpart_fraction_panics: "ORTHRUS_XPART_FRACTION" => BenchConfig::from_env();
         malformed_net_addr_panics: "ORTHRUS_NET_ADDR" => net_config_from_env();
-        malformed_net_batch_min_panics: "ORTHRUS_NET_BATCH_MIN" => net_config_from_env();
-        malformed_net_batch_max_panics: "ORTHRUS_NET_BATCH_MAX" => net_config_from_env();
         malformed_net_ring_panics: "ORTHRUS_NET_RING" => net_config_from_env();
         malformed_net_readbuf_panics: "ORTHRUS_NET_READBUF" => net_config_from_env();
         malformed_net_backpressure_panics: "ORTHRUS_NET_BACKPRESSURE" => net_config_from_env();
@@ -360,6 +353,9 @@ mod tests {
 
     #[test]
     fn thread_sweep_respects_cap() {
+        // `test_quick` reads the environment the malformed-knob tests
+        // above scribble on.
+        let _serial = crate::test_serial();
         let mut bc = BenchConfig::test_quick();
         bc.max_threads = 0;
         assert_eq!(bc.thread_sweep(), vec![10, 20, 40, 60, 80]);

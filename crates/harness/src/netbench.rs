@@ -26,9 +26,8 @@ use orthrus_workload::{MicroSpec, Spec};
 
 use crate::config::BenchConfig;
 
-/// Requests per request frame from the load generator. The *server's*
-/// response batching is what adapts; the client just offers reasonably
-/// framed input.
+/// Requests per request frame from the load generator: reasonably
+/// framed input, so the server's read side is not what is measured.
 const SEND_CHUNK: usize = 128;
 
 /// Shape of one load-generation run.
@@ -76,6 +75,9 @@ pub struct NetLoadReport {
     /// completion (the wire adds client RTT on top; this is the
     /// server-side component).
     pub latency: LatencyHistogram,
+    /// Client-side round trip of the same completions: `send_batch`
+    /// call → the `poll_responses` return that carried the response.
+    pub rtt: LatencyHistogram,
     /// Merged server-side connection stats (syscalls, frames, batches).
     pub net: ThreadStats,
     /// Hub conservation counters at shutdown.
@@ -97,8 +99,8 @@ impl NetLoadReport {
         ratio(self.net.net_rx_txns, self.net.net_rx_frames)
     }
 
-    /// Mean completions per outbound response frame — the adaptive
-    /// batching headline number.
+    /// Mean completions per outbound response frame (what had
+    /// accumulated each time a connection's writer ran dry).
     pub fn tx_batch_mean(&self) -> f64 {
         ratio(self.net.net_tx_completions, self.net.net_tx_frames)
     }
@@ -155,10 +157,12 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
 
     let mut delivered = 0u64;
     let mut latency = LatencyHistogram::new();
+    let mut rtt = LatencyHistogram::new();
     for c in clients {
-        let (d, h) = c.join().expect("loadgen client panicked");
+        let (d, h, r) = c.join().expect("loadgen client panicked");
         delivered += d;
         latency.merge(&h);
+        rtt.merge(&r);
     }
 
     let routed = server.hub().routed();
@@ -170,6 +174,7 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
         delivered,
         measure: bc.measure,
         latency,
+        rtt,
         net,
         routed,
         orphaned,
@@ -179,7 +184,8 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
 }
 
 /// One connection's drive loop. Returns (completions delivered in the
-/// measurement window, their engine-latency histogram).
+/// measurement window, their engine-latency histogram, their
+/// client-side round-trip histogram).
 fn client_loop(
     addr: SocketAddr,
     spec: &MicroSpec,
@@ -187,7 +193,7 @@ fn client_loop(
     conn_idx: usize,
     inflight: usize,
     rate: f64,
-) -> (u64, LatencyHistogram) {
+) -> (u64, LatencyHistogram, LatencyHistogram) {
     let mut client = NetClient::connect(addr).expect("connect loadgen client");
     // Decorrelate each connection's stream from the others and from any
     // engine-side streams (exec threads use low thread ids).
@@ -197,6 +203,9 @@ fn client_loop(
     let mut sent = 0u64;
     let mut delivered = 0u64;
     let mut hist = LatencyHistogram::new();
+    let mut rtt = LatencyHistogram::new();
+    // Send time by request id (ids are dense per connection).
+    let mut sent_at: Vec<Instant> = Vec::new();
 
     let t0 = Instant::now();
     let measure_from = bc.warmup;
@@ -234,6 +243,7 @@ fn client_loop(
                 .min(inflight - in_flight)
                 .min(usize::try_from(target - sent).unwrap_or(usize::MAX));
             let batch: Vec<_> = (0..n).map(|_| gen.next_program()).collect();
+            sent_at.resize(sent_at.len() + n, Instant::now());
             client.send_batch(batch).expect("send");
             in_flight += n;
             sent += n as u64;
@@ -241,17 +251,28 @@ fn client_loop(
                 break;
             }
         }
+        if rate > 0.0 && in_flight == 0 {
+            // Open loop with nothing owed: wait for the schedule, not
+            // for the socket — an idle `poll_responses` returns on the
+            // client's read timeout (8 ms after tick rounding), which
+            // would turn a steady offered rate into 8 ms bursts.
+            let due = Duration::from_secs_f64((sent + 1) as f64 / rate);
+            std::thread::sleep(due.saturating_sub(t0.elapsed()));
+            continue;
+        }
         got.clear();
         match client.poll_responses(&mut got) {
             Ok(_) => {}
             Err(e) => panic!("server dropped a live load connection: {e}"),
         }
-        let now = t0.elapsed();
+        let arrived = Instant::now();
+        let now = arrived - t0;
         for m in &got {
             in_flight -= 1;
             if now >= measure_from && now < end {
                 delivered += 1;
                 hist.record(m.latency_ns);
+                rtt.record((arrived - sent_at[m.req_id as usize]).as_nanos() as u64);
             }
         }
     }
@@ -266,5 +287,5 @@ fn client_loop(
             Err(_) => break,
         }
     }
-    (delivered, hist)
+    (delivered, hist, rtt)
 }

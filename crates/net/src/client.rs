@@ -1,11 +1,12 @@
 //! A minimal blocking client for the ORTHRUS wire protocol.
 //!
 //! This is the counterpart the load generator and the tests drive; it
-//! is deliberately simple — blocking socket, small read timeout — so
-//! client-side behaviour never confounds server-side measurements. It
+//! is deliberately simple — one blocking socket, whose read timeout
+//! only bounds how long an *idle* poll sits (see
+//! [`NetClient::poll_responses`]) — so client-side behaviour never
+//! confounds server-side measurements. It
 //! still speaks the batched protocol: [`send_batch`] encodes any number
-//! of programs into **one** request frame and one `write` syscall, the
-//! client-side half of adaptive wire batching.
+//! of programs into **one** request frame and one `write` syscall.
 //!
 //! [`send_batch`]: NetClient::send_batch
 
@@ -27,9 +28,11 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connect with `TCP_NODELAY` and a short read timeout (so
+    /// Connect with `TCP_NODELAY` and a read timeout (so
     /// [`poll_responses`](Self::poll_responses) returns instead of
-    /// hanging when the server has nothing to say).
+    /// hanging when the server has nothing to say). The timeout asks
+    /// for 1 ms; the kernel rounds `SO_RCVTIMEO` up to scheduler ticks,
+    /// so expect one to two ticks — 8 ms measured at HZ=250.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -76,6 +79,14 @@ impl NetClient {
     /// Pull whatever responses are available right now into `out`;
     /// returns how many arrived (0 on read timeout). Server-initiated
     /// close surfaces as `UnexpectedEof`.
+    ///
+    /// A response wakes the blocked read the moment its bytes arrive:
+    /// the timeout is never on the response path. It is an idle wait
+    /// only, and a coarse one — a `0` return comes after the
+    /// tick-rounded timeout (8 ms at HZ=250, see
+    /// [`connect`](Self::connect)), not after 1 ms. A caller with its
+    /// own schedule to keep (an open-loop sender with nothing in
+    /// flight) should sleep on that schedule instead of polling.
     pub fn poll_responses(&mut self, out: &mut Vec<CompletionMsg>) -> std::io::Result<usize> {
         let n = self.pop_decoded(out)?;
         if n > 0 {

@@ -12,14 +12,15 @@
 //!   completion messages outbound, with a desync-free decoder that
 //!   skips damaged-but-framed input and only gives up when the stream
 //!   itself is unrecoverable.
-//! - [`batch`] — **adaptive wire batching**: the per-connection flush
-//!   setpoint walks the shared power-of-two ladder on flush-occupancy
-//!   evidence, so batch size tracks offered load instead of being a
-//!   hand-tuned constant.
-//! - [`server`] — the listener/connection threads: engine ring-full
-//!   backpressure is mapped onto TCP flow control (stop reading → the
-//!   window closes), and every accepted ticket is conserved per
-//!   connection even through abrupt disconnects.
+//! - [`server`] — the listener/pump thread plus a reader and a writer
+//!   thread per connection, every wait an event wait (blocking `read`,
+//!   doorbell park) so no timer sits on the request → response path.
+//!   Wire batching needs no controller: a writer flushes whenever its
+//!   completion ring runs dry, so frames are single under a trickle and
+//!   grow under load (completions accumulate while a `write` is in
+//!   progress). Engine ring-full backpressure is mapped onto TCP flow
+//!   control (stop reading → the window closes), and every accepted
+//!   ticket is conserved per connection even through abrupt disconnects.
 //! - [`client`] — a deliberately boring blocking client for load
 //!   generation and tests.
 //!
@@ -33,12 +34,10 @@
 //! `orthrus-part` deployment. The codec carries all of those variants
 //! verbatim (see `codec::tests::partition_layer_programs_roundtrip`).
 
-pub mod batch;
 pub mod client;
 pub mod codec;
 pub mod server;
 
-pub use batch::AdaptiveBatcher;
 pub use client::NetClient;
 pub use codec::{CompletionMsg, Frame, FrameDecoder, WireError};
 pub use server::{NetConfig, NetServer, FP_NET_READ};

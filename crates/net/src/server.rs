@@ -1,82 +1,126 @@
-//! The TCP front door: listener + per-connection loops over the engine.
+//! The TCP front door: listener, pump, and two single-purpose threads
+//! per connection over the engine.
 //!
-//! Thread layout mirrors the engine's single-drainer invariant:
+//! The paper's first design flaw is the multi-purpose thread, and every
+//! thread here has one job and one thing it blocks on:
 //!
-//! - **`netlisten`** owns the [`EngineHandle`]. It accepts connections
-//!   (non-blocking) and is the *single pump*: it drains the engine's
-//!   completion rings and [`CompletionHub::route`]s each completion to
-//!   the owning connection's [`ClientRx`] ring.
-//! - **`netconn{i}`** (one per accepted connection, numbered in accept
-//!   order) runs the connection state machine: decode request frames,
-//!   submit through a cloned [`Session`] with
-//!   [`Session::try_submit_batch`] — one session push per wire batch —
-//!   drain its own `ClientRx`, and flush response frames, one write
-//!   syscall per flush, sized by the [`AdaptiveBatcher`].
+//! - **`netlisten`** owns the [`EngineHandle`]. It is the *single pump*:
+//!   it drains the engine's completion rings and
+//!   [`CompletionHub::route`]s each batch to the owning connections'
+//!   [`ClientRx`] rings. With nothing to drain it parks on the engine's
+//!   completion doorbell ([`EngineHandle::wait_completions`]), which the
+//!   execution threads ring after publishing; the wait is bounded by
+//!   `ACCEPT_POLL` only because the same thread polls a non-blocking
+//!   `accept`.
+//! - **`netconn{i}`** (the *reader*, numbered in accept order) blocks in
+//!   `read` with no timeout — the kernel wakes it the moment request
+//!   bytes arrive — decodes request frames and submits each read's
+//!   worth through a cloned [`Session`] with
+//!   [`Session::try_submit_batch`], request ids riding along as tags.
+//! - **`netconn{i}w`** (the *writer*) parks on its `ClientRx` doorbell,
+//!   which `route` rings once per call that delivered to it; it drains
+//!   the ring **until dry**, encodes one response frame per `batch_max`
+//!   chunk, and hands the lot to one `write`. Flush-on-dry is the whole
+//!   batching policy: under a trickle every response leaves at once, and
+//!   under load frames grow by themselves because completions accumulate
+//!   while the writer is inside `write`.
 //!
-//! Backpressure is end-to-end: when the engine's ingest rings reject a
-//! batch, the rejected programs park in a bounded per-connection queue
-//! and the connection **stops reading its socket** until they drain.
+//! No timer sits between a request's bytes arriving and its response
+//! entering `write` while the engine takes the request. (A socket read
+//! *timeout* would: `SO_RCVTIMEO` is rounded up to scheduler ticks, so a
+//! nominal 1 ms timeout measured 8 ms on a HZ=250 host — which used to
+//! be this server's round trip.) The writer can see a completion before
+//! the reader's submit call has even returned, so the request id travels
+//! in the hub's owner table beside the client id rather than in a
+//! per-connection map; the two halves share only counters (`Link`).
+//!
+//! Backpressure is end-to-end: when the engine's ingest rings reject
+//! part of a batch, the rejected requests stay parked in the reader and
+//! it **stops reading its socket** until they are accepted — a reader
+//! blocked in a timeout-less `read` could not retry them. It retries
+//! when one of its own completions comes back (the engine made room)
+//! or, failing that, every `ROOM_POLL`: the one timed wait a request
+//! can meet, and only while the engine is full. Frames already read are
+//! decoded only while fewer than `backpressure_cap` requests are parked,
+//! so the parked queue stays bounded however much one read brought in.
 //! The kernel's receive buffer fills, the TCP window closes, and the
 //! client's `write` blocks — ring-full pressure mapped onto TCP flow
 //! control with no RST and no unbounded server-side buffering.
 //!
-//! Both thread kinds enroll in the deterministic-simulation seam under
-//! their thread names, so `orthrus-sim` can interleave them with the
-//! engine's CC/exec threads. Socket readiness itself is OS timing the
-//! scheduler cannot capture, so net sim runs assert *convergence and
-//! conservation* (every accepted ticket answered or accounted), not
-//! trace-hash bit-identity like the in-process corpus.
+//! Every thread enrolls in the deterministic-simulation seam under its
+//! thread name, so `orthrus-sim` can interleave `netlisten` with the
+//! engine's CC/exec threads (an enrolled thread's doorbell wait is a
+//! sim park step, never an OS block). Socket readiness itself is OS
+//! timing the scheduler cannot capture, so net sim runs assert
+//! *convergence and conservation* (every accepted ticket answered or
+//! accounted), not trace-hash bit-identity like the in-process corpus.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use orthrus_common::failpoint::{global as failpoints, FailAction};
-use orthrus_common::{sim, Backoff, ThreadStats};
-use orthrus_core::{ClientRx, Completion, CompletionHub, EngineHandle, Session};
+use orthrus_common::{sim, Doorbell, ThreadStats};
+use orthrus_core::{ClientRx, Completion, CompletionHub, EngineHandle, Routed, Session};
 use orthrus_txn::Program;
 
-use crate::batch::AdaptiveBatcher;
 use crate::codec::{encode_response, CompletionMsg, Frame, FrameDecoder, WireError};
 
-/// Failpoint hit on every socket read in the connection loop.
+/// Failpoint hit on every socket read in the connection's reader.
 /// `Err` injects an I/O error (connection teardown path); `Torn(keep)`
 /// delivers only the first `keep` bytes of the read — the stream then
 /// desyncs and the decoder's fatal-desync path closes the connection.
 pub const FP_NET_READ: &str = "net.read";
 
 /// How long a closing connection waits for in-flight tickets to
-/// complete before giving up and orphaning them.
+/// complete (and a stalled peer to take its responses) before giving up
+/// and orphaning them.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Max parked programs re-offered to the engine per loop iteration
-/// (see the retry step in [`ConnState::run`]).
+/// Max parked requests re-offered to the engine per attempt (see
+/// [`Reader::offer`]).
 const RETRY_CHUNK: usize = 64;
 
-/// Front-end tuning. Every field has an `ORTHRUS_NET_*` knob in the
-/// harness (see `orthrus-harness::config`).
+/// How often the listener polls `accept`, and so the upper bound on one
+/// listener park: how stale a connection attempt (or a stop request)
+/// can get. Not on the response path — a completion wakes the listener
+/// at once.
+const ACCEPT_POLL: Duration = Duration::from_millis(1);
+
+/// How long a reader whose requests the engine refused waits before
+/// offering them again when none of its own completions comes back
+/// first. On the path of a request only while the engine is full.
+const ROOM_POLL: Duration = Duration::from_micros(200);
+
+/// Socket write timeout: how long a peer that stopped reading can pin
+/// its writer inside one `write` before the writer looks up to see
+/// whether the connection is closing.
+const WRITE_STALL: Duration = Duration::from_millis(50);
+
+/// Front-end tuning. The harness reads `addr`, `client_ring`, `read_buf`
+/// and `backpressure_cap` from `ORTHRUS_NET_*` (see
+/// `orthrus-harness::config`).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Listen address; port 0 picks an ephemeral port (see
     /// [`NetServer::addr`]).
     pub addr: SocketAddr,
-    /// Adaptive batcher floor (frames flush at least this full, or on
-    /// idle).
-    pub batch_min: usize,
-    /// Adaptive batcher ceiling.
+    /// Most completions one response frame carries; a bigger drain is
+    /// split into several frames (still one `write`).
     pub batch_max: usize,
     /// Per-connection completion-ring capacity (rounded up to a power
     /// of two by the hub).
     pub client_ring: usize,
     /// Socket read buffer size per connection.
     pub read_buf: usize,
-    /// Max decoded-but-unsubmitted programs a connection holds before
-    /// it stops reading its socket (the ring-full → TCP flow-control
-    /// mapping).
+    /// Max decoded-but-unsubmitted requests a connection holds (give or
+    /// take one frame): at the cap the reader neither reads its socket
+    /// nor decodes what it has already read until the engine accepts
+    /// some (the ring-full → TCP flow-control mapping).
     pub backpressure_cap: usize,
 }
 
@@ -84,7 +128,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             addr: "127.0.0.1:0".parse().expect("static addr"),
-            batch_min: 1,
             batch_max: 256,
             client_ring: 1024,
             read_buf: 64 * 1024,
@@ -168,8 +211,8 @@ impl NetServer {
     /// network-side [`ThreadStats`]. Does **not** shut the engine down —
     /// that stays the caller's call.
     pub fn shutdown(mut self) -> (EngineHandle, ThreadStats) {
-        self.stop.store(true, Ordering::SeqCst);
         let jh = self.listener.take().expect("shutdown is once");
+        request_stop(&self.stop, &jh);
         jh.join().expect("netlisten panicked")
     }
 }
@@ -177,10 +220,17 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         if let Some(jh) = self.listener.take() {
-            self.stop.store(true, Ordering::SeqCst);
+            request_stop(&self.stop, &jh);
             let _ = jh.join();
         }
     }
+}
+
+/// Raise the stop flag and nudge the listener out of its park (the flag
+/// is part of its wait predicate, so a bare `unpark` is enough).
+fn request_stop<T>(stop: &AtomicBool, listener: &JoinHandle<T>) {
+    stop.store(true, Ordering::SeqCst);
+    listener.thread().unpark();
 }
 
 /// Accept + pump loop; owns the engine handle for its whole life.
@@ -194,41 +244,68 @@ fn listen_loop(
 ) -> (EngineHandle, ThreadStats) {
     let _sim = sim::enroll("netlisten");
     let conn_stats: Arc<parking_lot::Mutex<ThreadStats>> = Arc::default();
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    // Each live connection's reader thread and its socket, kept so a
+    // stop request can end the reader's timeout-less `read`.
+    let mut conns: Vec<(JoinHandle<()>, Arc<TcpStream>)> = Vec::new();
+    // Connections still running; the last one out nudges this thread,
+    // so a stop request waits for them on an event, not on a poll.
+    let live = Arc::new(AtomicUsize::new(0));
+    let me = std::thread::current();
     let mut next_conn = 0usize;
     let mut drained: Vec<Completion> = Vec::new();
-    let mut backoff = Backoff::new();
+    let mut stopping = false;
+    // `accept` is a syscall and this loop turns once per completion
+    // batch: poll it on its own clock, not on every turn.
+    let mut next_accept = Instant::now();
 
     loop {
         let mut progress = false;
 
-        if !stop.load(Ordering::Relaxed) {
+        if stop.load(Ordering::Relaxed) {
+            if !stopping {
+                stopping = true;
+                // Readers are blocked in `read` with no timeout: end it
+                // for them (EOF). Each then runs its close protocol.
+                for (_, stream) in &conns {
+                    let _ = stream.shutdown(Shutdown::Read);
+                }
+            }
+        } else if Instant::now() >= next_accept {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     progress = true;
+                    // Finished connections go, and their sockets' fds
+                    // with them.
+                    conns.retain(|(reader, _)| !reader.is_finished());
                     let name = format!("netconn{next_conn}");
                     next_conn += 1;
+                    let stream = Arc::new(stream);
+                    let conn = Conn {
+                        stream: Arc::clone(&stream),
+                        session: session.clone(),
+                        hub: Arc::clone(&hub),
+                        stop: Arc::clone(&stop),
+                        cfg: cfg.clone(),
+                    };
                     let rx = hub.register(cfg.client_ring);
-                    let conn = ConnState::new(stream, session.clone(), rx, &cfg);
-                    let hub = Arc::clone(&hub);
-                    let stop = Arc::clone(&stop);
                     let stats = Arc::clone(&conn_stats);
+                    live.fetch_add(1, Ordering::Relaxed);
+                    let leave = Leave(Arc::clone(&live), me.clone());
                     let jh = std::thread::Builder::new()
                         .name(name.clone())
                         .spawn(move || {
+                            let _leave = leave;
                             let _sim = sim::enroll(&name);
-                            let local = conn.run(&stop, &hub);
+                            let local = conn.serve(rx, &name);
                             stats.lock().merge(&local);
                         })
                         .expect("spawn netconn");
-                    conns.push(jh);
+                    conns.push((jh, stream));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure (EMFILE and friends):
-                    // back off and keep serving existing connections.
-                }
+                // Nobody waiting — or a transient failure (EMFILE and
+                // friends): keep serving existing connections.
+                Err(_) => next_accept = Instant::now() + ACCEPT_POLL,
             }
         }
 
@@ -238,27 +315,21 @@ fn listen_loop(
             progress = true;
         }
 
-        if stop.load(Ordering::Relaxed) && conns.iter().all(|jh| jh.is_finished()) {
+        let all_gone = || live.load(Ordering::Acquire) == 0;
+        if stopping && all_gone() {
             break;
         }
-        if progress {
-            backoff.reset();
-        } else if backoff.is_yielding() {
-            // Idle means no completions and no connection attempts — a
-            // socket-timescale lull. Yield-looping here would starve the
-            // engine threads on an oversubscribed host (every wire
-            // thread burning its quantum re-checking empty rings), so
-            // sleep once the spin budget is spent. Unreachable when the
-            // sim scheduler has this thread enrolled: `snooze` parks
-            // via the sim seam without advancing the backoff step.
-            std::thread::sleep(Duration::from_micros(100));
-        } else {
-            backoff.snooze();
+        if !progress {
+            // Besides completions (and, on the clock, connections): a
+            // stop request, then the last connection leaving.
+            handle.wait_completions(ACCEPT_POLL, || {
+                stop.load(Ordering::Relaxed) && (!stopping || all_gone())
+            });
         }
     }
 
-    for jh in conns {
-        let _ = jh.join();
+    for (reader, _) in conns {
+        let _ = reader.join();
     }
     // Final pump: route anything the last connections left behind so the
     // hub's conservation counters (orphaned) balance.
@@ -270,298 +341,385 @@ fn listen_loop(
     (handle, stats)
 }
 
-/// Everything one connection thread owns.
-struct ConnState {
-    stream: TcpStream,
+/// Dropped as a connection thread exits (unwinding included): one fewer
+/// live connection, and a nudge for the listener that may be waiting
+/// for the last.
+struct Leave(Arc<AtomicUsize>, std::thread::Thread);
+
+impl Drop for Leave {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+        self.1.unpark();
+    }
+}
+
+/// What a connection's two halves share: counters and one doorbell.
+#[derive(Default)]
+struct Link {
+    /// Tickets the engine accepted from this connection. Bumped by the
+    /// reader only; final once `reader_done` is set.
+    accepted: AtomicU64,
+    /// Completions the writer has taken off the hub.
+    answered: AtomicU64,
+    /// The reader has left its loop: no further ticket will be accepted
+    /// and the connection is closing.
+    reader_done: AtomicBool,
+    /// The socket is gone (peer closed, I/O error, wire desync):
+    /// responses have nowhere to go.
+    dead: AtomicBool,
+    /// Rung by the writer whenever `answered` moves — the reader's
+    /// "the engine made room" event while requests are parked.
+    space: Doorbell,
+}
+
+/// One accepted connection, before it splits into its two halves.
+struct Conn {
+    stream: Arc<TcpStream>,
     session: Session,
-    rx: ClientRx,
-    batcher: AdaptiveBatcher,
+    hub: Arc<CompletionHub>,
+    stop: Arc<AtomicBool>,
+    cfg: NetConfig,
+}
+
+impl Conn {
+    /// Run the connection on the calling thread (which becomes the
+    /// reader, `name`) plus a spawned writer (`{name}w`). Returns both
+    /// halves' stats, merged.
+    fn serve(self, rx: ClientRx, name: &str) -> ThreadStats {
+        let _ = self.stream.set_nodelay(true);
+        let _ = self.stream.set_write_timeout(Some(WRITE_STALL));
+        let link = Arc::new(Link::default());
+        let client_id = rx.id();
+        let writer_bell = Arc::clone(rx.doorbell());
+        let writer = Writer {
+            stream: Arc::clone(&self.stream),
+            rx,
+            link: Arc::clone(&link),
+            stop: Arc::clone(&self.stop),
+            batch_max: self.cfg.batch_max.max(1),
+            outbox: Vec::new(),
+            wbuf: Vec::new(),
+            closing_since: None,
+            stats: ThreadStats::default(),
+        };
+        let writer = {
+            let name = format!("{name}w");
+            std::thread::Builder::new()
+                .name(name.clone())
+                .spawn(move || {
+                    let _sim = sim::enroll(&name);
+                    writer.run()
+                })
+                .expect("spawn netconn writer")
+        };
+
+        let mut reader = Reader {
+            stream: &self.stream,
+            session: &self.session,
+            client_id,
+            link: &link,
+            stop: &self.stop,
+            decoder: FrameDecoder::new(),
+            pending: VecDeque::new(),
+            backpressure_cap: self.cfg.backpressure_cap.max(1),
+            rdbuf: vec![0u8; self.cfg.read_buf.max(512)],
+            stats: ThreadStats::default(),
+        };
+        reader.run();
+        let mut stats = reader.stats;
+        stats.net_bad_frames += reader.decoder.bad_frames();
+
+        link.reader_done.store(true, Ordering::Release);
+        writer_bell.ring();
+        if let Ok(w) = writer.join() {
+            stats.merge(&w);
+        }
+        // Unregister only now: completions for tickets still in flight
+        // (dead socket, or the drain deadline passed) will be counted as
+        // orphaned by the pump, keeping per-connection conservation
+        // auditable.
+        self.hub.unregister(client_id);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        stats
+    }
+}
+
+/// The reading half: socket → decoder → engine.
+struct Reader<'a> {
+    stream: &'a TcpStream,
+    session: &'a Session,
+    client_id: u32,
+    link: &'a Link,
+    stop: &'a AtomicBool,
     decoder: FrameDecoder,
     /// Decoded but not yet accepted by the engine (ring-full
-    /// backpressure parks requests here; bounded by `backpressure_cap`,
-    /// beyond which the socket goes unread).
+    /// backpressure parks requests here, and the socket goes unread
+    /// until they are gone). Refilled from the decoder only while
+    /// shorter than `backpressure_cap`.
     pending: VecDeque<(u64, Program)>,
-    /// Accepted tickets awaiting completion, mapped back to the
-    /// client's request ids.
-    inflight: HashMap<u64, u64>,
-    /// Completions translated to wire messages, awaiting a flush.
-    outbox: Vec<CompletionMsg>,
-    /// Encoded frames awaiting (possibly partial) socket writes.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    rdbuf: Vec<u8>,
     backpressure_cap: usize,
+    rdbuf: Vec<u8>,
     stats: ThreadStats,
 }
 
-impl ConnState {
-    fn new(stream: TcpStream, session: Session, rx: ClientRx, cfg: &NetConfig) -> Self {
-        let _ = stream.set_nodelay(true);
-        // Blocking socket with a short read timeout: the kernel wakes
-        // this thread the moment request bytes arrive (instead of the
-        // thread polling a non-blocking fd on a sleep cadence), and a
-        // timed-out read doubles as the idle wait. The write timeout
-        // bounds how long a stalled peer can pin the thread mid-flush;
-        // the partial-write buffer keeps the tail for the next pass.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(50)));
-        ConnState {
-            stream,
-            session,
-            rx,
-            batcher: AdaptiveBatcher::new(cfg.batch_min, cfg.batch_max),
-            decoder: FrameDecoder::new(),
-            pending: VecDeque::new(),
-            inflight: HashMap::new(),
-            outbox: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            rdbuf: vec![0u8; cfg.read_buf.max(512)],
-            backpressure_cap: cfg.backpressure_cap.max(1),
-            stats: ThreadStats::default(),
-        }
+impl Reader<'_> {
+    fn closing(&self) -> bool {
+        self.link.dead.load(Ordering::Acquire) || self.stop.load(Ordering::Relaxed)
     }
 
-    /// The connection state machine. Returns this connection's stats.
-    fn run(mut self, stop: &AtomicBool, hub: &CompletionHub) -> ThreadStats {
-        let client_id = self.rx.id();
-        let mut backoff = Backoff::new();
-        let mut comp: Vec<Completion> = Vec::new();
-        // Set on peer close, fatal I/O error, or wire desync: stop
-        // reading, flush what we can, exit.
-        let mut dead = false;
-        // Set when the engine refuses new work (shutdown): requests
-        // still parked in `pending` will never be answered; drop them
-        // and let the closing socket tell the client.
-        let mut engine_closed = false;
+    fn run(&mut self) {
         let mut closing_since: Option<Instant> = None;
-
         loop {
-            let mut progress = false;
-
-            // 1. Retry backpressured work first: FIFO per connection.
-            // Offer only the head of the queue — the engine can accept
-            // at most a ring's worth anyway, and re-offering thousands
-            // of parked programs per iteration (unzip, per-lane
-            // attempts, re-queue) burns the submission path's CPU in
-            // proportion to the backlog instead of the acceptance.
-            // A dead socket still drains its pending queue: work that
-            // made it off the wire before the disconnect is owed a
-            // ticket (its completions will be orphaned, not lost).
-            if !engine_closed && !self.pending.is_empty() {
-                let chunk = self.pending.len().min(RETRY_CHUNK);
-                let (ids, programs): (Vec<u64>, Vec<Program>) = self.pending.drain(..chunk).unzip();
-                let out = self.session.try_submit_batch(programs, Some(client_id));
-                engine_closed = out.shutdown;
-                progress |= !out.accepted.is_empty();
-                for (idx, ticket) in out.accepted {
-                    self.inflight.insert(ticket.0, ids[idx]);
+            // Decode before looking at `dead`: this is where a desynced
+            // stream is discovered.
+            self.decode();
+            let closing = self.closing();
+            if self.pending.is_empty() {
+                // A stop request ends the connection between reads:
+                // everything already off the wire has been submitted.
+                if closing {
+                    return;
                 }
-                let mut rejected = out.rejected;
-                rejected.sort_by_key(|(idx, _)| *idx);
-                // Back to the *front* (reversed, preserving order): the
-                // unoffered tail is still parked behind this chunk.
-                for (idx, program) in rejected.into_iter().rev() {
-                    self.pending.push_front((ids[idx], program));
-                }
+                self.read_socket();
+                continue;
             }
-
-            // 2. Read the socket — but only while not backpressured:
-            // parked work closes the TCP window instead of growing an
-            // unbounded queue. The read blocks up to its 1 ms timeout,
-            // so a quiet socket doubles as this iteration's idle wait.
-            let mut waited = false;
-            let closing = dead || engine_closed || stop.load(Ordering::Relaxed);
-            if !closing && self.pending.len() < self.backpressure_cap {
-                match self.read_socket() {
-                    ReadOutcome::Bytes(n) => {
-                        self.stats.net_read_calls += 1;
-                        self.decoder.feed(&self.rdbuf[..n]);
-                        progress = true;
-                    }
-                    ReadOutcome::WouldBlock => waited = true,
-                    ReadOutcome::Closed => dead = true,
-                }
-                loop {
-                    match self.decoder.next_frame() {
-                        Ok(Some(Frame::Request(reqs))) => {
-                            self.stats.net_rx_frames += 1;
-                            self.stats.net_rx_txns += reqs.len() as u64;
-                            self.stats.net_rx_batch.record(reqs.len() as u64);
-                            self.pending.extend(reqs);
-                        }
-                        Ok(Some(Frame::Response(_))) => {
-                            // Clients don't send responses; treat as a
-                            // malformed-but-framed message and move on.
-                            self.stats.net_bad_frames += 1;
-                        }
-                        Ok(None) => break,
-                        Err(WireError::Desync(_)) => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // 3. Drain completions for our tickets into the outbox.
-            comp.clear();
-            let n = self.rx.drain_into(&mut comp, 4096);
-            if n > 0 {
-                progress = true;
-                for c in &comp {
-                    // Owner tags are inserted before the ring push, and
-                    // `inflight` before this thread's next drain, so a
-                    // routed completion always resolves.
-                    if let Some(req_id) = self.inflight.remove(&c.ticket.0) {
-                        self.outbox.push(CompletionMsg {
-                            req_id,
-                            latency_ns: c.latency_ns,
-                        });
-                    }
-                }
-            }
-
-            // 4. Flush when the outbox reaches the adaptive setpoint, or
-            // when the connection went idle (don't sit on latency). A
-            // dead socket skips the flush — the drained completions are
-            // already accounted (routed) and the writes can only fail.
-            if !dead
-                && !self.outbox.is_empty()
-                && (self.outbox.len() >= self.batcher.size() || !progress)
-            {
-                self.flush_outbox();
-                progress = true;
-            }
-
-            // 5. Push queued bytes out; partial writes keep their tail.
-            if !dead && self.wpos < self.wbuf.len() {
-                match self.stream.write(&self.wbuf[self.wpos..]) {
-                    Ok(0) => dead = true,
-                    Ok(n) => {
-                        self.stats.net_write_calls += 1;
-                        self.wpos += n;
-                        if self.wpos == self.wbuf.len() {
-                            self.wbuf.clear();
-                            self.wpos = 0;
-                        }
-                        progress = true;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => dead = true,
-                }
-            }
-
-            // 6. Exit policy. A dead socket exits as soon as every
-            // request received before the disconnect has been handed to
-            // the engine (replies have nowhere to go, but accepted work
-            // must be accounted — the hub orphans those completions); a
-            // graceful close waits — bounded — for in-flight tickets so
-            // the client gets its answers.
-            if dead && self.pending.is_empty() {
-                break;
-            }
-            let closing = engine_closed || stop.load(Ordering::Relaxed);
-            if closing {
-                let deadline_passed = match closing_since {
-                    None => {
-                        closing_since = Some(Instant::now());
-                        false
-                    }
-                    Some(t) => t.elapsed() > DRAIN_DEADLINE,
-                };
-                let drained = self.pending.is_empty()
-                    && self.inflight.is_empty()
-                    && self.outbox.is_empty()
-                    && self.wpos >= self.wbuf.len();
-                if drained || deadline_passed {
-                    break;
-                }
-                if engine_closed && !self.pending.is_empty() {
-                    // These can never be accepted; the closed socket is
-                    // the client's (only) signal.
+            // Parked work goes first, FIFO per connection. A dead or
+            // stopping connection still submits it: work that made it
+            // off the wire is owed a ticket (whose completion is
+            // answered if the socket lives, orphaned if not).
+            match self.offer() {
+                Offer::EngineClosed => {
+                    // These can never be accepted; the closing socket
+                    // is the client's (only) signal.
                     self.pending.clear();
+                    return;
+                }
+                Offer::Accepted => {}
+                Offer::Full => {
+                    let now = Instant::now();
+                    let give_up =
+                        closing.then(|| *closing_since.get_or_insert(now) + DRAIN_DEADLINE);
+                    if give_up.is_some_and(|at| now >= at) {
+                        return;
+                    }
+                    // Wait for the engine to make room. One of our own
+                    // tickets coming back is the usual event; the poll
+                    // covers rings full of other connections' work
+                    // (nothing of ours will signal) and a writer stuck
+                    // behind a peer that stopped reading.
+                    let answered = self.link.answered.load(Ordering::Acquire);
+                    self.link.space.wait_until(
+                        || {
+                            self.link.answered.load(Ordering::Acquire) != answered
+                                || self.closing() != closing
+                        },
+                        Some(give_up.map_or(now + ROOM_POLL, |at| at.min(now + ROOM_POLL))),
+                    );
                 }
             }
-
-            if progress {
-                backoff.reset();
-            } else if !waited {
-                // Idle, and the socket read didn't block this iteration
-                // (backpressured or closing). Sleep rather than
-                // yield-loop once the spin budget is spent — with many
-                // idle connections on few cores, spinning wire threads
-                // otherwise steal the quantum from the CC/exec threads
-                // doing the actual work (measured: 8 idle loopback
-                // connections cost >2× throughput on one core).
-                if backoff.is_yielding() {
-                    std::thread::sleep(Duration::from_micros(100));
-                } else {
-                    backoff.snooze();
-                }
-            }
-        }
-
-        // Unregister *before* returning: completions for tickets still
-        // in flight will be counted as orphaned by the pump, keeping
-        // per-connection conservation auditable.
-        self.stats.net_bad_frames += self.decoder.bad_frames();
-        hub.unregister(client_id);
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        self.stats
-    }
-
-    fn read_socket(&mut self) -> ReadOutcome {
-        match self.stream.read(&mut self.rdbuf) {
-            Ok(0) => ReadOutcome::Closed,
-            Ok(mut n) => {
-                match failpoints().hit(FP_NET_READ) {
-                    Some(FailAction::Err) => return ReadOutcome::Closed,
-                    Some(FailAction::Torn(keep)) => n = n.min(keep as usize),
-                    Some(FailAction::Maybe(_)) | None => {}
-                }
-                if n == 0 {
-                    ReadOutcome::WouldBlock
-                } else {
-                    ReadOutcome::Bytes(n)
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                ReadOutcome::WouldBlock
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => ReadOutcome::WouldBlock,
-            Err(_) => ReadOutcome::Closed,
         }
     }
 
-    /// Encode the whole outbox as response frames (chunked at the
-    /// batcher ceiling) and hand the bytes to the write buffer. One
-    /// flush = one frame per chunk, observed by the batcher.
-    fn flush_outbox(&mut self) {
-        // Compact the already-sent prefix so wbuf doesn't grow forever.
-        if self.wpos > 0 {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
+    /// Offer the head of the parked queue to the engine. Only the head:
+    /// the engine can accept at most a ring's worth anyway, and
+    /// re-offering a whole backlog per attempt (per-lane bucketing,
+    /// re-queueing) would cost CPU in proportion to the backlog instead
+    /// of the acceptance.
+    fn offer(&mut self) -> Offer {
+        let chunk = self.pending.len().min(RETRY_CHUNK);
+        let batch: Vec<(u64, Program)> = self.pending.drain(..chunk).collect();
+        let out = self.session.try_submit_batch(batch, Some(self.client_id));
+        self.link
+            .accepted
+            .fetch_add(out.accepted.len() as u64, Ordering::Release);
+        let mut rejected = out.rejected;
+        rejected.sort_by_key(|(idx, _)| *idx);
+        // Back to the *front* (reversed, preserving order): the
+        // unoffered tail is still parked behind this chunk.
+        for (_, req) in rejected.into_iter().rev() {
+            self.pending.push_front(req);
         }
-        let cap = self.batcher.size().max(1);
-        for chunk in self.outbox.chunks(cap) {
-            encode_response(chunk, &mut self.wbuf);
+        if out.shutdown {
+            Offer::EngineClosed
+        } else if out.accepted.is_empty() {
+            Offer::Full
+        } else {
+            Offer::Accepted
+        }
+    }
+
+    /// One blocking `read` (no timeout: bytes, EOF, or the listener's
+    /// `shutdown(Read)` end it), fed to the decoder.
+    fn read_socket(&mut self) {
+        let mut n = match self.stream.read(&mut self.rdbuf) {
+            // EOF after a stop request is the listener ending our read:
+            // a graceful close, the socket still takes responses.
+            Ok(0) if self.stop.load(Ordering::Relaxed) => return,
+            Ok(0) => return self.die(),
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => return,
+            Err(_) => return self.die(),
+        };
+        match failpoints().hit(FP_NET_READ) {
+            Some(FailAction::Err) => return self.die(),
+            Some(FailAction::Torn(keep)) => n = n.min(keep as usize),
+            Some(FailAction::Maybe(_)) | None => {}
+        }
+        self.stats.net_read_calls += 1;
+        self.decoder.feed(&self.rdbuf[..n]);
+    }
+
+    /// Decode buffered frames into `pending`, up to the backpressure
+    /// cap: what does not fit stays as bytes in the decoder.
+    fn decode(&mut self) {
+        while self.pending.len() < self.backpressure_cap {
+            match self.decoder.next_frame() {
+                Ok(Some(Frame::Request(reqs))) => {
+                    self.stats.net_rx_frames += 1;
+                    self.stats.net_rx_txns += reqs.len() as u64;
+                    self.stats.net_rx_batch.record(reqs.len() as u64);
+                    self.pending.extend(reqs);
+                }
+                Ok(Some(Frame::Response(_))) => {
+                    // Clients don't send responses; treat as a
+                    // malformed-but-framed message and move on.
+                    self.stats.net_bad_frames += 1;
+                }
+                Ok(None) => return,
+                Err(WireError::Desync(_)) => return self.die(),
+            }
+        }
+    }
+
+    fn die(&mut self) {
+        self.link.dead.store(true, Ordering::Release);
+    }
+}
+
+enum Offer {
+    /// The engine took at least one request.
+    Accepted,
+    /// Every destination ring was full.
+    Full,
+    /// The engine is shutting down and will never take the rest.
+    EngineClosed,
+}
+
+/// The writing half: hub ring → response frames → socket.
+struct Writer {
+    stream: Arc<TcpStream>,
+    rx: ClientRx,
+    link: Arc<Link>,
+    stop: Arc<AtomicBool>,
+    batch_max: usize,
+    /// One frame's completions, translated to wire messages.
+    outbox: Vec<CompletionMsg>,
+    wbuf: Vec<u8>,
+    /// When this half first saw the connection closing.
+    closing_since: Option<Instant>,
+    stats: ThreadStats,
+}
+
+impl Writer {
+    fn run(mut self) -> ThreadStats {
+        let bell = Arc::clone(self.rx.doorbell());
+        let mut comp: Vec<Routed> = Vec::new();
+        let mut answered = 0u64;
+        loop {
+            // Read before draining: if the reader was done by now,
+            // `accepted` is final and a dry ring below means what it
+            // says.
+            let reader_done = self.link.reader_done.load(Ordering::Acquire);
+
+            // Until dry: whatever accumulated while the last `write`
+            // was in progress leaves in this one.
+            comp.clear();
+            while self.rx.drain_into(&mut comp, usize::MAX) > 0 {}
+            if !comp.is_empty() {
+                answered += comp.len() as u64;
+                self.link.answered.store(answered, Ordering::Release);
+                self.link.space.ring();
+                // A dead socket skips the send — the drained completions
+                // are already accounted (routed) and writes can only
+                // fail.
+                if !self.link.dead.load(Ordering::Acquire) {
+                    self.send(&comp);
+                }
+                continue;
+            }
+
+            if !reader_done {
+                let (rx, link) = (&self.rx, &self.link);
+                bell.wait(|| !rx.is_empty() || link.reader_done.load(Ordering::Acquire));
+                continue;
+            }
+            // Closing. A dead socket exits at once; a graceful close
+            // waits — bounded — for in-flight tickets so the client gets
+            // its answers.
+            let deadline = self.close_deadline();
+            if self.link.dead.load(Ordering::Acquire)
+                || answered == self.link.accepted.load(Ordering::Acquire)
+                || deadline.is_none_or(|d| Instant::now() >= d)
+            {
+                return self.stats;
+            }
+            let rx = &self.rx;
+            bell.wait_until(|| !rx.is_empty(), deadline);
+        }
+    }
+
+    /// `None` while the connection is open; once the server is stopping
+    /// or the reader is done, when this half's patience with the close
+    /// runs out.
+    fn close_deadline(&mut self) -> Option<Instant> {
+        if !self.stop.load(Ordering::Relaxed) && !self.link.reader_done.load(Ordering::Acquire) {
+            return None;
+        }
+        Some(*self.closing_since.get_or_insert_with(Instant::now) + DRAIN_DEADLINE)
+    }
+
+    /// Encode `comp` as response frames (one per `batch_max` chunk) and
+    /// push the bytes out, normally with one `write`.
+    fn send(&mut self, comp: &[Routed]) {
+        self.wbuf.clear();
+        for chunk in comp.chunks(self.batch_max) {
+            self.outbox.clear();
+            self.outbox.extend(chunk.iter().map(|r| CompletionMsg {
+                req_id: r.tag,
+                latency_ns: r.completion.latency_ns,
+            }));
+            encode_response(&self.outbox, &mut self.wbuf);
             self.stats.net_tx_frames += 1;
             self.stats.net_tx_completions += chunk.len() as u64;
             self.stats.net_tx_batch.record(chunk.len() as u64);
         }
-        // Steer on total flush occupancy: what mattered was how much
-        // work accumulated between flushes, not the per-frame chunking.
-        self.batcher.observe(self.outbox.len());
-        self.outbox.clear();
+        let mut sent = 0;
+        while sent < self.wbuf.len() {
+            match (&*self.stream).write(&self.wbuf[sent..]) {
+                Ok(0) => return self.die(),
+                Ok(n) => {
+                    self.stats.net_write_calls += 1;
+                    sent += n;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // The peer is not reading (blocking sockets report a
+                // write timeout as either kind). Keep the tail and keep
+                // trying — unless the connection is closing and has run
+                // out of patience.
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    if self.close_deadline().is_some_and(|d| Instant::now() >= d) {
+                        return self.die();
+                    }
+                }
+                Err(_) => return self.die(),
+            }
+        }
     }
-}
 
-enum ReadOutcome {
-    Bytes(usize),
-    WouldBlock,
-    Closed,
+    /// The socket failed under a write: mark it and shut it down, which
+    /// also ends the reader's blocking `read`.
+    fn die(&mut self) {
+        self.link.dead.store(true, Ordering::Release);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }

@@ -68,8 +68,8 @@ use std::time::Instant;
 
 use orthrus_common::RunStats;
 use orthrus_core::{
-    ClientRx, Completion, CompletionHub, EngineHandle, OrthrusConfig, OrthrusEngine, Session,
-    Ticket, TrySubmitError,
+    ClientRx, Completion, CompletionHub, EngineHandle, OrthrusConfig, OrthrusEngine, Routed,
+    Session, Ticket, TrySubmitError,
 };
 use orthrus_durability::ReplayReport;
 use orthrus_txn::{Database, Program};
@@ -438,7 +438,7 @@ struct Sequencer {
 impl Sequencer {
     fn run(mut self) -> Result<RunStats, String> {
         let mut drained: Vec<Completion> = Vec::new();
-        let mut got: Vec<Completion> = Vec::new();
+        let mut got: Vec<Routed> = Vec::new();
         let mut swept = false;
         let mut idle_rounds = 0u32;
         loop {
@@ -537,7 +537,7 @@ impl Sequencer {
     /// Drain engine rings → hubs → our per-partition receivers, and
     /// translate/observe everything received. Returns whether anything
     /// moved.
-    fn pump(&mut self, drained: &mut Vec<Completion>, got: &mut Vec<Completion>) -> bool {
+    fn pump(&mut self, drained: &mut Vec<Completion>, got: &mut Vec<Routed>) -> bool {
         let mut progress = false;
         for i in 0..self.handles.len() {
             drained.clear();
@@ -547,7 +547,7 @@ impl Sequencer {
             got.clear();
             self.rxs[i].drain_into(got, usize::MAX);
             for j in 0..got.len() {
-                let c = got[j];
+                let c = got[j].completion;
                 progress = true;
                 self.observe(i, c);
             }
@@ -584,7 +584,7 @@ impl Sequencer {
         &mut self,
         batch: Vec<XpEntry>,
         drained: &mut Vec<Completion>,
-        got: &mut Vec<Completion>,
+        got: &mut Vec<Routed>,
     ) {
         self.epoch += 1;
         let n = self.handles.len();

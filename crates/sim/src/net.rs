@@ -18,10 +18,12 @@
 //! - **Semantics** — the final counter table equals the submitted
 //!   Rmw model, i.e. serializability survives the wire.
 //!
-//! Enrollment: the barrier covers the engine workers plus `netlisten`.
-//! `netconn{i}` threads *do* call [`orthrus_common::sim::enroll`] but
-//! their names are unknown to the scheduler, so enrollment no-ops and
-//! they free-run; the scheduler records them in
+//! Enrollment: the barrier covers the engine workers plus `netlisten`
+//! (whose doorbell wait is a sim park step — an enrolled thread never
+//! OS-blocks). The per-connection `netconn{i}` readers and `netconn{i}w`
+//! writers *do* call [`orthrus_common::sim::enroll`] but their names are
+//! unknown to the scheduler, so enrollment no-ops and they free-run,
+//! really parking on their doorbells; the scheduler records them in
 //! `unknown_registrations`, which we filter — any unknown participant
 //! *not* named `netconn*` is a violation (a thread the barrier should
 //! have covered).
@@ -48,8 +50,8 @@ const N_RECORDS: u64 = 32;
 const RECV_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Net-sim configuration, derived from a seed like [`crate::SimConfig`]
-/// but over the front-door-relevant knobs: connection count, wire batch
-/// ladder bounds, and tiny rings so backpressure actually engages.
+/// but over the front-door-relevant knobs: connection count, frame-size
+/// cap, and tiny rings so backpressure actually engages.
 #[derive(Debug, Clone)]
 pub struct NetSimConfig {
     pub seed: u64,
@@ -86,7 +88,6 @@ impl NetSimConfig {
             },
         };
         let net = NetConfig {
-            batch_min: 1,
             batch_max: [4, 8, 16][rng.next_below(3) as usize],
             client_ring: 8,
             backpressure_cap: [4, 16][rng.next_below(2) as usize],
@@ -182,8 +183,8 @@ pub fn run_net_sim(cfg: &NetSimConfig) -> NetSimOutcome {
         };
         let mut sent_ids: Vec<u64> = Vec::new();
         let mut responses = Vec::new();
-        // Several wire batches per connection so the adaptive batcher
-        // and the pending-retry path both run.
+        // Several wire batches per connection so frame chunking and the
+        // parked-request retry path both run.
         let mut remaining = cfg.txns_per_conn;
         while remaining > 0 {
             let n = remaining.min(5);

@@ -4,9 +4,9 @@
 //! The in-process quickstart (`examples/quickstart.rs`) clones a
 //! `Session` and submits directly. This one goes through the wire: a
 //! `NetServer` owns the engine, clients speak the length-prefixed,
-//! CRC'd frame protocol, and the server's adaptive batcher decides how
-//! many transactions ride each read syscall and how many completions
-//! ride each write.
+//! CRC'd frame protocol, each read syscall carries however many
+//! requests the client framed, and each write carries whatever
+//! completions had accumulated when the connection's writer looked.
 //!
 //! Run: `cargo run --release --example tcp_quickstart`
 

@@ -1,10 +1,14 @@
 //! End-to-end tests for the TCP front door (`orthrus-net`): loopback
 //! round trips, per-connection ticket conservation, ring-full → TCP
-//! flow-control backpressure, abrupt disconnects, and torn reads.
+//! flow-control backpressure, abrupt disconnects, torn reads, response
+//! promptness (no timer, no held responses), and shutdown.
 
 mod common;
 
 use std::collections::HashSet;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -264,6 +268,245 @@ fn corrupt_crc_frame_is_skipped_without_desync() {
     let (mut handle, stats) = server.shutdown();
     assert_eq!(stats.net_bad_frames, 1, "the skip must be counted");
     assert_eq!(stats.net_rx_txns, 1);
+    handle.shutdown();
+}
+
+/// Responses are never held for company. The old connection loop kept a
+/// response back until a steered batch size had piled up — and a steady
+/// trickle never let it see the idle moment that forced a flush — so
+/// once a few deep bursts had walked the setpoint up, each trickled
+/// response waited for dozens of others (64 × 2 ms at one request per
+/// 2 ms). Now a writer flushes whenever its ring runs dry.
+///
+/// The client here is open-loop on purpose (one thread sends on a
+/// clock, another timestamps arrivals): a client that waits for each
+/// response before sending the next would hand the old server its idle
+/// moment.
+#[test]
+fn a_trickle_after_a_burst_is_answered_one_by_one() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+
+    // Warm-up: 256-deep bursts, each awaited in full — what a closed-
+    // loop client's first second looks like.
+    const BURST: u64 = 16 * 256;
+    const TRICKLE: u64 = 200;
+    const GAP: Duration = Duration::from_millis(2);
+    const LIMIT: Duration = Duration::from_millis(20);
+
+    let mut tx = TcpStream::connect(server.addr()).expect("connect");
+    tx.set_nodelay(true).expect("nodelay");
+    let mut rx = tx.try_clone().expect("clone");
+    // Arrival times by request id, from a thread that only reads.
+    let (arrived_tx, arrived) = mpsc::channel::<(u64, Instant)>();
+    let receiver = std::thread::spawn(move || {
+        let mut decoder = FrameDecoder::new();
+        let mut buf = vec![0u8; 16 * 1024];
+        let mut seen = 0;
+        while seen < BURST + TRICKLE {
+            let n = rx.read(&mut buf).expect("read");
+            assert!(n > 0, "server closed early");
+            let now = Instant::now();
+            decoder.feed(&buf[..n]);
+            while let Some(frame) = decoder.next_frame().expect("clean stream") {
+                let codec::Frame::Response(msgs) = frame else {
+                    panic!("server sent a request frame");
+                };
+                for m in msgs {
+                    seen += 1;
+                    arrived_tx.send((m.req_id, now)).expect("test thread alive");
+                }
+            }
+        }
+    });
+
+    let mut wire = Vec::new();
+    for base in (0..BURST).step_by(256) {
+        let burst: Vec<(u64, Program)> = (base..base + 256).map(|i| (i, rmw(i % 64))).collect();
+        wire.clear();
+        codec::encode_request(&burst, &mut wire);
+        tx.write_all(&wire).expect("send burst");
+        for _ in 0..256 {
+            arrived.recv_timeout(DEADLINE).expect("burst answered");
+        }
+    }
+
+    let mut sent_at = Vec::with_capacity(TRICKLE as usize);
+    let start = Instant::now();
+    for i in 0..TRICKLE {
+        let due = start + GAP * i as u32;
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        wire.clear();
+        codec::encode_request(&[(BURST + i, rmw(i % 64))], &mut wire);
+        sent_at.push(Instant::now());
+        tx.write_all(&wire).expect("send");
+    }
+    let mut late = Vec::new();
+    for _ in 0..TRICKLE {
+        let (id, at) = arrived.recv_timeout(DEADLINE).expect("trickle answered");
+        let took = at.saturating_duration_since(sent_at[(id - BURST) as usize]);
+        if took > LIMIT {
+            late.push((id, took));
+        }
+    }
+    receiver.join().expect("receiver");
+    // Not "none": this host deschedules a thread for tens of
+    // milliseconds now and then. Held responses make *every* one late.
+    assert!(
+        late.len() <= TRICKLE as usize / 50,
+        "{} of {TRICKLE} trickled responses took over {LIMIT:?}: {late:?}",
+        late.len()
+    );
+
+    let (mut handle, stats) = server.shutdown();
+    assert!(
+        stats.net_tx_frames >= TRICKLE,
+        "each trickled response leaves in its own frame ({} frames)",
+        stats.net_tx_frames
+    );
+    handle.shutdown();
+}
+
+/// A lone request on a fresh connection is answered at once: nothing on
+/// its path waits for a timer. (A socket read timeout did: nominally
+/// 1 ms, 8 ms after rounding to scheduler ticks, and the only thing
+/// that ever let the old connection loop look at its completions.)
+#[test]
+fn a_lone_request_on_a_cold_connection_is_answered_promptly() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+    // Best of a few fresh connections: one deschedule of this thread
+    // must not fail the test, and a timer on the path would slow all.
+    let best = (0..5)
+        .map(|i| {
+            let mut client = NetClient::connect(server.addr()).expect("connect");
+            let mut got = Vec::new();
+            let t0 = Instant::now();
+            client.send_batch(vec![rmw(i)]).expect("send");
+            client.recv_exact(1, DEADLINE, &mut got).expect("answered");
+            t0.elapsed()
+        })
+        .min()
+        .expect("five tries");
+    assert!(
+        best < Duration::from_millis(5),
+        "a lone request took {best:?} at best"
+    );
+    let (mut handle, _) = server.shutdown();
+    handle.shutdown();
+}
+
+/// Readers block in `read` with no timeout, so shutdown has to end that
+/// read for them: two idle, still-open connections must not hold it up.
+#[test]
+fn shutdown_does_not_wait_for_idle_open_connections() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+    let mut clients: Vec<NetClient> = (0..2)
+        .map(|_| NetClient::connect(server.addr()).expect("connect"))
+        .collect();
+    // One round trip each: both connections are accepted and their
+    // readers are parked in `read` by the time shutdown starts.
+    for c in &mut clients {
+        c.send_batch(vec![rmw(1)]).expect("send");
+        c.recv_exact(1, DEADLINE, &mut Vec::new())
+            .expect("answered");
+    }
+    let t0 = Instant::now();
+    let (mut handle, stats) = server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "shutdown took {took:?} with two idle connections open"
+    );
+    assert_eq!(stats.net_tx_completions, 2);
+    // The server closed on them; they were not merely abandoned.
+    for c in &mut clients {
+        let err = c
+            .recv_exact(1, DEADLINE, &mut Vec::new())
+            .expect_err("closed connection");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    }
+    handle.shutdown();
+}
+
+/// Shutdown with work in flight: every ticket the engine accepted is
+/// answered on the wire before the connection closes.
+#[test]
+fn shutdown_delivers_every_inflight_response_before_closing() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+    let session = server.session();
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+
+    // A thousand requests and not one response read: whatever has not
+    // completed when shutdown starts is in flight, and nothing the
+    // server already wrote has been acknowledged by the application.
+    const N: u64 = 1000;
+    for b in 0..N / 100 {
+        let programs = (0..100).map(|i| rmw((b * 100 + i) % 64)).collect();
+        client.send_batch(programs).expect("send");
+    }
+    let deadline = Instant::now() + DEADLINE;
+    while session.accepted() < N {
+        assert!(Instant::now() < deadline, "server never read the flood");
+        std::thread::yield_now();
+    }
+    let (mut handle, stats) = server.shutdown();
+    assert_eq!(stats.net_rx_txns, N);
+    assert_eq!(
+        stats.net_tx_completions, N,
+        "every accepted ticket written before the close"
+    );
+
+    let mut got = Vec::new();
+    client
+        .recv_exact(N as usize, DEADLINE, &mut got)
+        .expect("all responses readable after shutdown");
+    let ids: HashSet<u64> = got.iter().map(|m| m.req_id).collect();
+    assert_eq!(ids, (0..N).collect::<HashSet<u64>>(), "one response each");
+    let err = client.poll_responses(&mut got).expect_err("then the close");
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    handle.shutdown();
+}
+
+/// A peer that floods requests and never reads a response pins the
+/// writer behind a full socket. Shutdown must still come back once the
+/// close-drain deadline (5 s) has run out: neither half may wait on the
+/// other for an event that only a reading peer could cause.
+#[test]
+fn shutdown_outlasts_a_flooding_peer_that_never_reads() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(8), NetConfig::default()).expect("bind loopback");
+    let session = server.session();
+
+    // Enough unread responses to pin the writer: a response is 16 bytes
+    // on the wire, and here a never-reading loopback peer soaks up
+    // 4–10 MB (both socket buffers, autotuned) before `write` stalls.
+    const FLOOD: u64 = 600_000;
+    let mut peer = TcpStream::connect(server.addr()).expect("connect");
+    let flooder = std::thread::spawn(move || {
+        let burst: Vec<(u64, Program)> = (0..256).map(|i| (i, rmw(i % 64))).collect();
+        let mut wire = Vec::new();
+        codec::encode_request(&burst, &mut wire);
+        // Until the server closes on us.
+        while peer.write_all(&wire).is_ok() {}
+    });
+    let deadline = Instant::now() + DEADLINE;
+    while session.accepted() < FLOOD {
+        assert!(Instant::now() < deadline, "server stopped taking the flood");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let t0 = Instant::now();
+    let (mut handle, stats) = server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(7),
+        "shutdown took {took:?} behind a peer that never reads"
+    );
+    assert!(stats.net_rx_txns >= FLOOD);
+    flooder.join().expect("flooder");
     handle.shutdown();
 }
 
