@@ -2,7 +2,7 @@
 //!
 //! "Partitioned-store associates a coarse-grain partition-level spinlock
 //! with each worker" (Section 4.3). Test-and-test-and-set with the shared
-//! bounded-spin-then-yield backoff (pure spinning would livelock on an
+//! yield-first backoff (pure spinning would livelock on an
 //! oversubscribed host; DESIGN.md substitution #1).
 
 use std::sync::atomic::{AtomicBool, Ordering};

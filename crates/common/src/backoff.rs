@@ -1,61 +1,70 @@
-//! Bounded spin-then-yield backoff.
+//! Yield-first backoff: the one wait policy of every poll loop.
 //!
-//! The paper's prototype busy-spins (it owns all 80 cores). On an
-//! oversubscribed host, pure spinning livelocks: a waiter can burn its
-//! whole quantum while the lock holder sits runnable but descheduled.
-//! Every wait loop in this reproduction therefore spins a short bounded
-//! burst (cheap when the event is imminent, the common uncontended case)
-//! and then yields to the scheduler. See DESIGN.md substitution #1.
+//! The paper's prototype busy-spins (it owns all 80 cores, one pinned
+//! thread each). This reproduction pins with `core % nproc`, so threads
+//! share cores on any smaller host, and a waiter that pause-spins does
+//! so on the very core its producer needs. A fruitless poll therefore
+//! yields at once: on a core the thread has to itself `sched_yield`
+//! returns immediately and the loop stays a sub-microsecond poll, on a
+//! shared core it hands the CPU to whoever is runnable. A thread with a
+//! [`Doorbell`] on its inbox goes one step further and parks once it has
+//! polled for [`IDLE_BEFORE_PARK`] with nothing to do. See DESIGN.md
+//! substitution #1.
 
-use std::hint;
 use std::thread;
+use std::time::Instant;
 
-/// Number of `spin_loop` hints per step before escalating.
-const SPINS_PER_STEP: u32 = 1 << 6;
-/// Steps of pure spinning before the backoff starts yielding.
-const SPIN_STEPS: u32 = 4;
+use crate::doorbell::{Doorbell, IDLE_BEFORE_PARK};
+use crate::sim;
 
-/// Exponential spin followed by `yield_now`. Reset per wait episode.
+/// One wait episode of a poll loop. Reset after making progress.
 #[derive(Debug, Default)]
 pub struct Backoff {
-    step: u32,
+    /// The episode's first fruitless [`snooze_on`](Self::snooze_on).
+    idle_since: Option<Instant>,
 }
 
 impl Backoff {
     #[inline]
     pub fn new() -> Self {
-        Backoff { step: 0 }
+        Backoff::default()
     }
 
-    /// One backoff step: spin while young, yield once mature. Under a
-    /// sim scheduler the park hook replaces the spin entirely — yielding
-    /// the virtual-time token is the simulated analogue of waiting.
+    /// One fruitless poll: give the core away. Under a sim scheduler the
+    /// park hook replaces the yield — handing over the virtual-time
+    /// token is the simulated analogue of waiting.
     #[inline]
     pub fn snooze(&mut self) {
-        if crate::sim::on_park() {
-            return;
-        }
-        if self.step < SPIN_STEPS {
-            for _ in 0..(SPINS_PER_STEP << self.step) {
-                hint::spin_loop();
-            }
-            self.step += 1;
-        } else {
+        if !sim::on_park() {
             thread::yield_now();
         }
     }
 
-    /// Whether the backoff has escalated to yielding (useful for callers
-    /// that want to switch to heavier-weight waiting).
+    /// [`snooze`](Self::snooze) for a thread whose producers ring `bell`
+    /// after publishing: yield like any other waiter, but once the
+    /// episode has lasted [`IDLE_BEFORE_PARK`], park until `ready()`
+    /// holds. `ready` must cover everything the caller's next poll could
+    /// act on. Under a sim scheduler this is the same single park step
+    /// as `snooze`.
     #[inline]
-    pub fn is_yielding(&self) -> bool {
-        self.step >= SPIN_STEPS
+    pub fn snooze_on(&mut self, bell: &Doorbell, ready: impl FnMut() -> bool) {
+        if sim::on_park() {
+            return;
+        }
+        let now = Instant::now();
+        if now.duration_since(*self.idle_since.get_or_insert(now)) < IDLE_BEFORE_PARK {
+            thread::yield_now();
+        } else {
+            bell.park_until(ready, None);
+            // Woken for a reason: poll for a while again before parking.
+            self.idle_since = None;
+        }
     }
 
     /// Restart the episode (call after making progress).
     #[inline]
     pub fn reset(&mut self) {
-        self.step = 0;
+        self.idle_since = None;
     }
 }
 
@@ -64,24 +73,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escalates_to_yielding() {
+    fn a_young_episode_never_blocks_and_reset_keeps_it_young() {
+        let bell = Doorbell::new();
         let mut b = Backoff::new();
-        assert!(!b.is_yielding());
-        for _ in 0..SPIN_STEPS {
-            b.snooze();
-        }
-        assert!(b.is_yielding());
-        b.snooze(); // yielding steps must not panic
-        assert!(b.is_yielding());
-    }
-
-    #[test]
-    fn reset_restarts_episode() {
-        let mut b = Backoff::new();
-        for _ in 0..10 {
-            b.snooze();
-        }
+        // Nobody ever rings: a park here would hang the test.
+        b.snooze_on(&bell, || false);
+        thread::sleep(2 * IDLE_BEFORE_PARK);
         b.reset();
-        assert!(!b.is_yielding());
+        b.snooze_on(&bell, || false);
     }
 }

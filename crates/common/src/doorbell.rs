@@ -27,7 +27,7 @@
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread::{self, Thread};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::sim;
 
@@ -37,11 +37,19 @@ use crate::sim;
 /// that saves a futex round trip when the event is about to land. On a
 /// busy core it hands the CPU to whoever is runnable — often the very
 /// producer being waited for — instead of burning it: with more wire
-/// threads than cores, spending [`Backoff`](crate::Backoff)'s 15 µs
-/// `spin_loop` budget here instead cost the 8-connection TCP front door
-/// 40 % of its throughput (measured on 2 cores; the 2-connection case
-/// was indifferent between the two, and both beat parking at once).
+/// threads than cores, pause-spinning here for 15 µs instead cost the
+/// 8-connection TCP front door 40 % of its throughput (measured on 2
+/// cores; the 2-connection case was indifferent between the two, and
+/// both beat parking at once).
 const YIELDS_BEFORE_PARK: u32 = 8;
+
+/// How long a poll loop that owns an inbox doorbell keeps yield-polling
+/// with nothing to do before [`Backoff::snooze_on`](crate::Backoff::snooze_on)
+/// parks it. Longer than any gap a loaded engine shows — a 4 000/s open
+/// loop leaves 250 µs between requests, and none of them should pay a
+/// futex wake inside the engine — and short enough that an engine nobody
+/// talks to is off its cores after a millisecond.
+pub(crate) const IDLE_BEFORE_PARK: Duration = Duration::from_millis(1);
 
 #[derive(Debug, Default)]
 pub struct Doorbell {
@@ -106,6 +114,18 @@ impl Doorbell {
             }
             thread::yield_now();
         }
+        self.park_until(ready, deadline)
+    }
+
+    /// The park itself, with no polling first: for [`wait_until`](Self::wait_until)
+    /// and for a loop that has done its own polling
+    /// ([`Backoff::snooze_on`](crate::Backoff::snooze_on)). The caller
+    /// has already passed the sim seam.
+    pub(crate) fn park_until(
+        &self,
+        mut ready: impl FnMut() -> bool,
+        deadline: Option<Instant>,
+    ) -> bool {
         *self.waiter.lock().unwrap_or_else(|e| e.into_inner()) = Some(thread::current());
         let ready = loop {
             self.parked.store(true, Ordering::SeqCst);
@@ -192,9 +212,7 @@ mod tests {
     /// Lost-wakeup check: two threads hand a turn counter back and
     /// forth, each waiting on its own doorbell. One lost wake-up hangs
     /// the test.
-    #[test]
-    fn a_million_handoffs_lose_no_wakeup() {
-        const HANDOFFS: u64 = 1_000_000;
+    fn handoffs(n: u64, wait: fn(&Doorbell, &AtomicU64, u64)) {
         let turn = Arc::new(AtomicU64::new(0));
         let bells = Arc::new([Doorbell::new(), Doorbell::new()]);
         let player = |me: u64| {
@@ -202,8 +220,8 @@ mod tests {
             move || {
                 // Player 0 moves on even turns, player 1 on odd ones.
                 let mut next = me;
-                while next < HANDOFFS {
-                    bells[me as usize].wait(|| turn.load(Ordering::Acquire) == next);
+                while next < n {
+                    wait(&bells[me as usize], &turn, next);
                     turn.store(next + 1, Ordering::Release);
                     bells[1 - me as usize].ring();
                     next += 2;
@@ -214,6 +232,51 @@ mod tests {
         let b = thread::spawn(player(1));
         a.join().expect("player 0");
         b.join().expect("player 1");
-        assert_eq!(turn.load(Ordering::Acquire), HANDOFFS);
+        assert_eq!(turn.load(Ordering::Acquire), n);
+    }
+
+    #[test]
+    fn a_million_handoffs_lose_no_wakeup() {
+        handoffs(1_000_000, |bell, turn, next| {
+            bell.wait(|| turn.load(Ordering::Acquire) == next);
+        });
+    }
+
+    /// The same through the idle-park entry point, which arms without
+    /// polling first: every handoff is a real park/unpark race.
+    #[test]
+    fn parking_at_once_loses_no_wakeup_either() {
+        handoffs(200_000, |bell, turn, next| {
+            bell.park_until(|| turn.load(Ordering::Acquire) == next, None);
+        });
+    }
+
+    /// A poll loop left alone parks on its bell, and a ring brings it
+    /// back: the ringer moves only once it has seen the loop parked.
+    #[test]
+    fn an_idle_poll_loop_parks_and_a_ring_wakes_it() {
+        let bell = Arc::new(Doorbell::new());
+        let flag = Arc::new(AtomicBool::new(false));
+        let t0 = Instant::now();
+        let poller = {
+            let (bell, flag) = (Arc::clone(&bell), Arc::clone(&flag));
+            thread::spawn(move || {
+                let mut backoff = crate::Backoff::new();
+                while !flag.load(Ordering::Acquire) {
+                    backoff.snooze_on(&bell, || flag.load(Ordering::Acquire));
+                }
+            })
+        };
+        while !bell.parked.load(Ordering::SeqCst) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "an idle loop must park"
+            );
+            thread::yield_now();
+        }
+        assert!(t0.elapsed() >= IDLE_BEFORE_PARK, "parked before its time");
+        flag.store(true, Ordering::Release);
+        bell.ring();
+        poller.join().expect("poller");
     }
 }

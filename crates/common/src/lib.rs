@@ -4,8 +4,8 @@
 //! crate uses: typed identifiers ([`ids`]), a fast non-cryptographic hasher
 //! ([`hash`]), a deterministic per-thread RNG ([`rng`]), run statistics and
 //! the execution/locking/waiting phase timers behind Figure 10
-//! ([`stats`]), a bounded spin-then-yield backoff ([`backoff`]), the
-//! park/unpark event wait that replaces sleep-polling ([`doorbell`]), and
+//! ([`stats`]), the yield-first wait policy of every poll loop
+//! ([`backoff`]), the park/unpark event wait behind it ([`doorbell`]), and
 //! best-effort thread pinning ([`affinity`]).
 
 pub mod affinity;
@@ -29,5 +29,5 @@ pub use ids::{CcId, ExecId, Key, LockMode, PartitionId, ThreadId, TxnId};
 pub use latency::LatencyHistogram;
 pub use rng::XorShift64;
 pub use runtime::{timed_run, RunCtl, RunParams};
-pub use stats::{HubBreakdown, Phase, PhaseBreakdown, PhaseTimer, RunStats, ThreadStats};
+pub use stats::{CcUtil, HubBreakdown, Phase, PhaseBreakdown, PhaseTimer, RunStats, ThreadStats};
 pub use tempdir::TempDir;

@@ -117,7 +117,8 @@ impl RunParams {
 ///
 /// `counted` limits which worker indexes contribute to
 /// [`RunStats::threads`] (ORTHRUS counts only execution threads there);
-/// all returned stats are merged regardless.
+/// the others' stats join the totals through
+/// [`RunStats::with_cc_threads`].
 pub fn timed_run<F>(
     n_workers: usize,
     warmup: Duration,
@@ -130,6 +131,7 @@ where
 {
     let ctl = RunCtl::new();
     let mut per_thread: Vec<ThreadStats> = Vec::new();
+    let mut uncounted: Vec<ThreadStats> = Vec::new();
     let mut elapsed = Duration::ZERO;
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_workers);
@@ -152,18 +154,12 @@ where
             if counted(i) {
                 per_thread.push(stats);
             } else {
-                // Merge uncounted workers into the last counted slot so no
-                // signal is lost, without inflating the thread count.
-                if let Some(last) = per_thread.last_mut() {
-                    last.merge(&stats);
-                } else {
-                    per_thread.push(stats);
-                }
+                uncounted.push(stats);
             }
         }
     })
     .expect("engine thread panicked");
-    RunStats::collect(&per_thread, elapsed)
+    RunStats::collect(&per_thread, elapsed).with_cc_threads(&uncounted)
 }
 
 #[cfg(test)]

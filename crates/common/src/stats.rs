@@ -43,6 +43,11 @@ pub struct ThreadStats {
     pub execution_ns: u64,
     pub locking_ns: u64,
     pub waiting_ns: u64,
+    /// ORTHRUS CC threads only: wall time spent handling requests, and
+    /// spent with none to handle (yielding or parked). Kept apart from
+    /// the three buckets above, which describe execution threads.
+    pub cc_busy_ns: u64,
+    pub cc_idle_ns: u64,
     /// Messages sent (ORTHRUS only; validates the Ncc+1 analysis of
     /// Section 3.3).
     pub messages_sent: u64,
@@ -128,6 +133,8 @@ impl ThreadStats {
         self.execution_ns += other.execution_ns;
         self.locking_ns += other.locking_ns;
         self.waiting_ns += other.waiting_ns;
+        self.cc_busy_ns += other.cc_busy_ns;
+        self.cc_idle_ns += other.cc_idle_ns;
         self.messages_sent += other.messages_sent;
         self.lock_waits += other.lock_waits;
         self.admission_switches += other.admission_switches;
@@ -236,6 +243,22 @@ impl HubBreakdown {
     }
 }
 
+/// One CC thread's wall time over the window, split into handling
+/// requests and having none to handle — Section 3.3's over- and
+/// under-utilised CC threads as a number.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CcUtil {
+    pub busy_ns: u64,
+    pub idle_ns: u64,
+}
+
+impl CcUtil {
+    /// Percent of the thread's time spent handling requests.
+    pub fn busy_pct(&self) -> f64 {
+        100.0 * self.busy_ns as f64 / ((self.busy_ns + self.idle_ns) as f64).max(1.0)
+    }
+}
+
 /// Aggregated results of a timed run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
@@ -256,6 +279,10 @@ pub struct RunStats {
     /// under `orthrus-part`, a single labeled entry when a lone
     /// `CompletionHub` reports through [`RunStats::with_hub`].
     pub hub: Vec<HubBreakdown>,
+    /// One entry per ORTHRUS CC thread, in thread order (every
+    /// partition's, concatenated, under `orthrus-part`). Empty for the
+    /// baselines.
+    pub cc: Vec<CcUtil>,
 }
 
 impl RunStats {
@@ -271,7 +298,22 @@ impl RunStats {
             threads: per_thread.len(),
             per_thread_latency: per_thread.iter().map(|t| t.latency.clone()).collect(),
             hub: Vec::new(),
+            cc: Vec::new(),
         }
+    }
+
+    /// Fold in the threads that did not run transactions themselves
+    /// (ORTHRUS CC threads): their counters join the totals without
+    /// counting as workers, and each one's utilisation is kept.
+    pub fn with_cc_threads(mut self, cc_threads: &[ThreadStats]) -> Self {
+        for t in cc_threads {
+            self.totals.merge(t);
+            self.cc.push(CcUtil {
+                busy_ns: t.cc_busy_ns,
+                idle_ns: t.cc_idle_ns,
+            });
+        }
+        self
     }
 
     /// Attach a completion-routing breakdown entry (builder-style; used
@@ -292,6 +334,7 @@ impl RunStats {
         self.threads += other.threads;
         self.per_thread_latency.extend(other.per_thread_latency);
         self.hub.extend(other.hub);
+        self.cc.extend(other.cc);
     }
 
     /// Committed transactions per second.
@@ -403,6 +446,8 @@ mod tests {
             execution_ns: 100,
             locking_ns: 200,
             waiting_ns: 300,
+            cc_busy_ns: 30,
+            cc_idle_ns: 70,
             messages_sent: 5,
             lock_waits: 7,
             admission_switches: 2,
@@ -429,6 +474,7 @@ mod tests {
         assert_eq!(b.committed, 20);
         assert_eq!(b.aborts(), 12);
         assert_eq!(b.waiting_ns, 600);
+        assert_eq!((b.cc_busy_ns, b.cc_idle_ns), (60, 140));
         assert_eq!(b.messages_sent, 10);
         assert_eq!(b.lock_waits, 14);
         assert_eq!(b.admission_switches, 4);
@@ -588,6 +634,28 @@ mod tests {
         assert_eq!(a.hub.len(), 2);
         assert_eq!(a.hub[0].total(), 10);
         assert_eq!(a.hub[1].partition, 1);
+    }
+
+    #[test]
+    fn cc_threads_join_the_totals_but_not_the_worker_count() {
+        let exec = ThreadStats {
+            committed: 7,
+            ..Default::default()
+        };
+        let cc = |busy, idle| ThreadStats {
+            messages_sent: 3,
+            cc_busy_ns: busy,
+            cc_idle_ns: idle,
+            ..Default::default()
+        };
+        let rs = RunStats::collect(&[exec], Duration::from_secs(1))
+            .with_cc_threads(&[cc(25, 75), cc(0, 0)]);
+        assert_eq!(rs.threads, 1);
+        assert_eq!(rs.per_thread_latency.len(), 1);
+        assert_eq!(rs.totals.messages_sent, 6);
+        assert_eq!(rs.cc.len(), 2);
+        assert!((rs.cc[0].busy_pct() - 25.0).abs() < 1e-9);
+        assert_eq!(rs.cc[1].busy_pct(), 0.0, "a thread that never ran");
     }
 
     #[test]

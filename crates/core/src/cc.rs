@@ -9,6 +9,7 @@
 //! machine (unit-testable single-threadedly); the engine drives it from
 //! the message loop.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -62,25 +63,43 @@ impl CcEntry {
 }
 
 /// The lock state owned by one CC thread.
+///
+/// The table holds exactly the keys somebody holds or waits for: an
+/// entry leaves when its last holder releases and comes back, buffers
+/// and all, from `spare` on the next acquire. Its size therefore follows
+/// the number of transactions in flight, not the number of keys ever
+/// locked, and it stays in cache however large the database is — with
+/// entries kept forever, a uniform workload over 200 000 keys paid a
+/// cache miss or two per lock operation, and the engine's throughput
+/// followed the host's memory latency from one run to the next
+/// (EXPERIMENTS.md, "Wait policy").
 pub struct CcState {
     id: u32,
     table: FxHashMap<Key, CcEntry>,
+    /// Emptied entries, most recently used last.
+    spare: Vec<CcEntry>,
     pending: Vec<Option<Pending>>,
     free: Vec<u32>,
 }
 
 impl CcState {
     /// Create the state for CC thread `id`, pre-sizing for `capacity`
-    /// distinct keys.
+    /// keys locked at the same time.
     pub fn new(id: u32, capacity: usize) -> Self {
         let mut table = FxHashMap::default();
         table.reserve(capacity);
         CcState {
             id,
             table,
+            spare: Vec::new(),
             pending: Vec::new(),
             free: Vec::new(),
         }
+    }
+
+    /// Number of keys held or waited for (tests).
+    pub fn locked_keys(&self) -> usize {
+        self.table.len()
     }
 
     /// This CC thread's id.
@@ -151,7 +170,11 @@ impl CcState {
         // Pass 2: grant or enqueue.
         let packed = token.pack();
         for &(key, mode) in plan.span_entries(span_idx as usize) {
-            let entry = self.table.entry(key).or_default();
+            let spare = &mut self.spare;
+            let entry = self
+                .table
+                .entry(key)
+                .or_insert_with(|| spare.pop().unwrap_or_default());
             debug_assert!(
                 !entry.holders.iter().any(|&(t, _)| t == packed),
                 "token {packed:#x} re-acquiring key {key:#x}"
@@ -187,10 +210,10 @@ impl CcState {
         // within one release step is not semantically meaningful.
         let mut done: Vec<Pending> = Vec::new();
         for &(key, _) in plan.span_entries(span_idx as usize) {
-            let entry = self
-                .table
-                .get_mut(&key)
-                .expect("release of never-acquired key");
+            let Entry::Occupied(mut slot) = self.table.entry(key) else {
+                panic!("release of never-acquired key");
+            };
+            let entry = slot.get_mut();
             let before = entry.holders.len();
             entry.holders.retain(|&(t, _)| t != packed);
             debug_assert_eq!(before, entry.holders.len() + 1, "unheld release");
@@ -213,7 +236,10 @@ impl CcState {
                     self.free.push(w.pending_idx);
                 }
             }
-            // Entries are left in the map when empty (capacity reuse).
+            if entry.holders.is_empty() {
+                debug_assert!(entry.waiters.is_empty(), "free lock with a queue");
+                self.spare.push(slot.remove());
+            }
         }
         for p in done {
             self.complete(p.token, &p.plan, p.span_idx, p.forward, p.waiters, out);
@@ -333,6 +359,33 @@ mod tests {
                 }
             }
         ));
+        assert_eq!(cc.pending_count(), 0);
+    }
+
+    /// The table is as large as what is locked, not as what ever was: a
+    /// key leaves with its last holder, stays while a waiter inherits it,
+    /// and a sweep over many keys leaves nothing behind.
+    #[test]
+    fn the_table_holds_only_keys_somebody_holds_or_waits_for() {
+        let mut cc = CcState::new(0, 64);
+        let mut out = Vec::new();
+        let first = plan_on_cc0(&[(1, LockMode::Exclusive), (2, LockMode::Shared)]);
+        let second = plan_on_cc0(&[(2, LockMode::Exclusive)]);
+        cc.handle(acquire(tok(0, 0), &first, 0), &mut out);
+        cc.handle(acquire(tok(0, 1), &second, 0), &mut out);
+        assert_eq!(cc.locked_keys(), 2);
+        // Key 1 is free; key 2 passes to its waiter.
+        cc.handle(release(tok(0, 0), &first, 0), &mut out);
+        assert_eq!(cc.locked_keys(), 1);
+        assert_eq!(cc.holders_of(2), vec![tok(0, 1).pack()]);
+        cc.handle(release(tok(0, 1), &second, 0), &mut out);
+        assert_eq!(cc.locked_keys(), 0);
+        for k in 0..10_000 {
+            let plan = plan_on_cc0(&[(k, LockMode::Exclusive)]);
+            cc.handle(acquire(tok(0, 2), &plan, 0), &mut out);
+            cc.handle(release(tok(0, 2), &plan, 0), &mut out);
+        }
+        assert_eq!(cc.locked_keys(), 0);
         assert_eq!(cc.pending_count(), 0);
     }
 

@@ -28,7 +28,7 @@ use std::time::Instant;
 use orthrus_common::affinity::pin_to_core;
 use orthrus_common::runtime::{timed_run, RunCtl, RunParams};
 use orthrus_common::sim;
-use orthrus_common::{Backoff, Doorbell, RunStats, ThreadStats};
+use orthrus_common::{Backoff, Doorbell, Phase, PhaseTimer, RunStats, ThreadStats};
 use orthrus_durability::checkpoint::{run_checkpointer, write_initial_checkpoint};
 use orthrus_durability::{run_sync_coordinator, CommandLog, ReplayReport};
 use orthrus_spsc::{channel_labeled, Consumer, FanIn, Producer};
@@ -92,11 +92,67 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
+/// One doorbell per engine thread, on that thread's inbox (a CC
+/// thread's request fan-in; an execution thread's grant fan-in and
+/// ingest ring). Whoever publishes into an inbox rings its bell after
+/// the publish; the owner parks on it once it has been idle for a while
+/// (see [`Backoff::snooze_on`]). While nobody is parked a ring is one
+/// fence and one load.
+#[derive(Clone)]
+pub(crate) struct Bells {
+    pub(crate) cc: Arc<[Doorbell]>,
+    pub(crate) exec: Arc<[Doorbell]>,
+}
+
+impl Bells {
+    fn new(n_cc: usize, n_exec: usize) -> Self {
+        Bells {
+            cc: (0..n_cc).map(|_| Doorbell::new()).collect(),
+            exec: (0..n_exec).map(|_| Doorbell::new()).collect(),
+        }
+    }
+
+    /// Wake every engine thread: something all of their wait predicates
+    /// read just changed (a [`RunCtl`] flag, `active_execs`).
+    pub(crate) fn ring_all(&self) {
+        self.cc
+            .iter()
+            .chain(self.exec.iter())
+            .for_each(Doorbell::ring);
+    }
+}
+
+/// Publish all of `buf` into `ring`, ringing the consumer's `bell` after
+/// every partial publish: a consumer that parked on an empty ring must
+/// hear about the messages that then fill it, or the producer waits for
+/// room forever. Once `dead()` holds the consumer is never going to
+/// drain again and the remainder is discarded.
+pub(crate) fn publish<T>(
+    ring: &mut Producer<T>,
+    buf: &mut Vec<T>,
+    bell: &Doorbell,
+    dead: impl Fn() -> bool,
+) {
+    let mut backoff = Backoff::new();
+    while !buf.is_empty() {
+        if ring.try_push_slice(buf) > 0 {
+            bell.ring();
+        } else if dead() {
+            buf.clear();
+        } else {
+            backoff.snooze();
+        }
+    }
+}
+
 /// Endpoints handed to one CC thread at startup.
 struct CcEndpoints {
+    /// This thread's index into `bells.cc`.
+    id: usize,
     fanin: FanIn<CcRequest>,
     to_cc: Vec<Producer<CcRequest>>,
     to_exec: Vec<Producer<ExecResponse>>,
+    bells: Bells,
 }
 
 /// Endpoints handed to one execution thread at startup.
@@ -242,6 +298,7 @@ impl OrthrusEngine {
         let active_execs = AtomicUsize::new(self.cfg.n_exec);
         let shared_table = shared_table_for(&self.cfg);
         let aux = AuxThreads::spawn(&self.cfg, &self.log);
+        let bells = fabric.bells;
 
         let mut stats = timed_run(
             self.cfg.total_threads(),
@@ -253,7 +310,7 @@ impl OrthrusEngine {
                     let ep = cc_slots[i].lock().take().expect("cc endpoints taken twice");
                     let flush = self.cfg.effective_flush_threshold();
                     match &shared_table {
-                        None => run_cc(i as u32, CC_TABLE_CAPACITY, flush, ep, ctl, &active_execs),
+                        None => run_cc(CC_TABLE_CAPACITY, flush, ep, ctl, &active_execs),
                         Some(table) => {
                             run_cc_shared(Arc::clone(table), flush, ep, ctl, &active_execs)
                         }
@@ -277,7 +334,13 @@ impl OrthrusEngine {
                         self.cfg.ollp_noise_pct,
                     );
                     let thread = crate::exec::ExecThread::new(
-                        ex as u16, &self.db, &self.cfg, ep.to_cc, ep.fanin, admit,
+                        ex as u16,
+                        &self.db,
+                        &self.cfg,
+                        ep.to_cc,
+                        ep.fanin,
+                        bells.clone(),
+                        admit,
                     )
                     .with_log(self.log.clone());
                     thread.run(ctl, &active_execs)
@@ -317,6 +380,14 @@ impl OrthrusEngine {
     /// (open a measurement window with
     /// [`EngineHandle::begin_measurement`]).
     pub fn start(&self, seed: u64) -> EngineHandle {
+        self.start_with_bell(seed, Arc::new(Doorbell::new()))
+    }
+
+    /// [`Self::start`] with the caller's completion doorbell (see
+    /// [`EngineHandle::wait_completions`]) in place of a fresh one, so
+    /// that one thread can wait on several engines at once: the
+    /// partition sequencer hands every member engine the same bell.
+    pub fn start_with_bell(&self, seed: u64, completion_bell: Arc<Doorbell>) -> EngineHandle {
         let cfg = Arc::new(self.cfg.clone());
         let fabric = build_fabric(&cfg);
         let ctl = Arc::new(RunCtl::new());
@@ -340,7 +411,7 @@ impl OrthrusEngine {
                 let _sim = sim::enroll(&name);
                 pin_to_core(cc);
                 match shared {
-                    None => run_cc(cc as u32, CC_TABLE_CAPACITY, flush, ep, &ctl, &active),
+                    None => run_cc(CC_TABLE_CAPACITY, flush, ep, &ctl, &active),
                     Some(table) => run_cc_shared(table, flush, ep, &ctl, &active),
                 }
             }));
@@ -358,7 +429,6 @@ impl OrthrusEngine {
         // latch-free fast path.
         let completion_capacity =
             2 * (cfg.ingest_capacity + cfg.admission.max_queued_window() + cfg.max_inflight);
-        let completion_bell = Arc::new(Doorbell::new());
         for (ex, ep) in fabric.exec.into_iter().enumerate() {
             let (submit_tx, submit_rx) =
                 channel_labeled::<Submission>(cfg.ingest_capacity, "ingest");
@@ -372,6 +442,7 @@ impl OrthrusEngine {
             let active = Arc::clone(&active_execs);
             let log = self.log.clone();
             let bell = Arc::clone(&completion_bell);
+            let bells = fabric.bells.clone();
             let name = format!("{}exec{ex}", cfg.sim_prefix);
             worker_names.push(name.clone());
             workers.push(std::thread::spawn(move || {
@@ -385,7 +456,7 @@ impl OrthrusEngine {
                     ex as u16,
                     cfg.ollp_noise_pct,
                 );
-                crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, admit)
+                crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, bells, admit)
                     .with_completions(done_tx, bell)
                     .with_log(log)
                     .run(&ctl, &active)
@@ -394,7 +465,8 @@ impl OrthrusEngine {
 
         EngineHandle {
             ctl,
-            submit: Arc::new(SubmitShared::new(ingest)),
+            submit: Arc::new(SubmitShared::new(ingest, Arc::clone(&fabric.bells.exec))),
+            bells: fabric.bells,
             completions,
             completion_bell,
             stash: Vec::new(),
@@ -540,14 +612,16 @@ impl AuxThreads {
     }
 }
 
-/// Pre-size each CC's table for its share of hot keys; entries are
-/// created on demand and kept forever.
-const CC_TABLE_CAPACITY: usize = 4096;
+/// Pre-size each CC's table for the locks a few dozen transactions hold
+/// at once. It grows if more are held; an entry leaves with its last
+/// holder, so the table never outgrows what is in flight.
+const CC_TABLE_CAPACITY: usize = 256;
 
 /// The wired message mesh, ready to hand to workers.
 struct Fabric {
     cc: Vec<CcEndpoints>,
     exec: Vec<ExecEndpoints>,
+    bells: Bells,
 }
 
 /// Build the full SPSC mesh for `cfg`'s thread shape (see the module
@@ -598,15 +672,19 @@ fn build_fabric(cfg: &OrthrusConfig) -> Fabric {
         }
     }
 
+    let bells = Bells::new(c, e);
     Fabric {
         cc: cc_in
             .into_iter()
             .zip(cc_to_cc)
             .zip(cc_to_exec)
-            .map(|((lanes, to_cc), to_exec)| CcEndpoints {
+            .enumerate()
+            .map(|(id, ((lanes, to_cc), to_exec))| CcEndpoints {
+                id,
                 fanin: FanIn::new(lanes),
                 to_cc,
                 to_exec,
+                bells: bells.clone(),
             })
             .collect(),
         exec: exec_in
@@ -617,6 +695,7 @@ fn build_fabric(cfg: &OrthrusConfig) -> Fabric {
                 to_cc,
             })
             .collect(),
+        bells,
     }
 }
 
@@ -642,6 +721,10 @@ fn shared_table_for(cfg: &OrthrusConfig) -> Option<Arc<orthrus_lockmgr::LockTabl
 pub struct EngineHandle {
     ctl: Arc<RunCtl>,
     submit: Arc<SubmitShared>,
+    /// The workers' inbox doorbells: a [`RunCtl`] flag flipped from here
+    /// is followed by [`Bells::ring_all`], since a parked worker polls
+    /// nothing.
+    bells: Bells,
     completions: Vec<Consumer<Completion>>,
     /// Rung by execution threads after publishing completions; see
     /// [`Self::wait_completions`].
@@ -695,6 +778,7 @@ impl EngineHandle {
             return;
         }
         self.ctl.begin_measuring();
+        self.bells.ring_all();
         self.measure_from = Instant::now();
     }
 
@@ -723,10 +807,15 @@ impl EngineHandle {
         timeout: std::time::Duration,
         mut or: impl FnMut() -> bool,
     ) -> bool {
-        let ready =
-            || !self.stash.is_empty() || self.completions.iter().any(|r| !r.is_empty()) || or();
-        self.completion_bell
-            .wait_until(ready, Some(Instant::now() + timeout))
+        self.completion_bell.wait_until(
+            || self.has_completions() || or(),
+            Some(Instant::now() + timeout),
+        )
+    }
+
+    /// Whether [`Self::drain_completions`] would return anything.
+    pub fn has_completions(&self) -> bool {
+        !self.stash.is_empty() || self.completions.iter().any(|r| !r.is_empty())
     }
 
     /// Shut down: fence out new submissions, drain every accepted ticket
@@ -759,6 +848,7 @@ impl EngineHandle {
         self.submit.close();
         let elapsed = self.measure_from.elapsed();
         self.ctl.request_stop();
+        self.bells.ring_all();
         // Workers may be blocked publishing completions; keep draining
         // while they wind down. Gate on virtual-time liveness under a
         // sim scheduler (the pops below are hooked steps — counting
@@ -815,18 +905,12 @@ impl EngineHandle {
             }
         }
         let exec_stats = cc_stats.split_off(self.n_cc);
-        let mut per_thread = exec_stats;
-        // CC threads contribute message counts without inflating the
-        // thread count — the same "counted" rule as the timed protocol.
-        if let Some(last) = per_thread.last_mut() {
-            for cc in &cc_stats {
-                last.merge(cc);
-            }
-            // The coordinator's counters (group fsyncs, coalesced
-            // appends) ride the same rule.
-            last.merge(&coord_stats);
-        }
-        let stats = RunStats::collect(&per_thread, elapsed);
+        // CC threads and the coordinator (group fsyncs, coalesced
+        // appends) add their counters to the totals without inflating
+        // the thread count — the same "counted" rule as the timed
+        // protocol.
+        let mut stats = RunStats::collect(&exec_stats, elapsed).with_cc_threads(&cc_stats);
+        stats.totals.merge(&coord_stats);
         self.stats = Some(stats.clone());
         Ok(stats)
     }
@@ -871,39 +955,50 @@ impl CcOutBufs {
         stats.messages_sent += 1;
     }
 
-    /// Publish every staged message, one slice per destination. A dead
-    /// destination (its thread panicked; see [`RunCtl::is_failed`]) can
-    /// never drain its ring again, so a plain blocking `push_slice`
-    /// would spin forever once the ring fills — under the simulator's
-    /// crash faults that wedged the whole shutdown. On failure the
-    /// staged remainder is discarded instead: the engine is already
-    /// committed to reporting `WorkerPanicked`, and completions lost
-    /// with the dead thread are exactly what the recovery path replays.
+    /// Publish every staged message, one slice per destination, and ring
+    /// each destination's bell. A dead destination (its thread panicked;
+    /// see [`RunCtl::is_failed`]) can never drain its ring again, so a
+    /// plain blocking `push_slice` would wait forever once the ring
+    /// fills — under the simulator's crash faults that wedged the whole
+    /// shutdown. On failure the staged remainder is discarded instead:
+    /// the engine is already committed to reporting `WorkerPanicked`,
+    /// and completions lost with the dead thread are exactly what the
+    /// recovery path replays.
     fn flush(&mut self, ep: &mut CcEndpoints, ctl: &RunCtl) {
-        fn push_or_discard<T>(ring: &mut Producer<T>, buf: &mut Vec<T>, ctl: &RunCtl) {
-            let mut backoff = Backoff::new();
-            while !buf.is_empty() {
-                if ring.try_push_slice(buf) > 0 {
-                    backoff.reset();
-                } else if ctl.is_failed() {
-                    buf.clear();
-                    return;
-                } else {
-                    backoff.snooze();
-                }
-            }
-        }
         for (cc, buf) in self.to_cc.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                push_or_discard(&mut ep.to_cc[cc], buf, ctl);
-            }
+            publish(&mut ep.to_cc[cc], buf, &ep.bells.cc[cc], || ctl.is_failed());
         }
         for (exec, buf) in self.to_exec.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                push_or_discard(&mut ep.to_exec[exec], buf, ctl);
-            }
+            publish(&mut ep.to_exec[exec], buf, &ep.bells.exec[exec], || {
+                ctl.is_failed()
+            });
         }
     }
+}
+
+/// What a CC thread with nothing to drain waits for: requests, the exit
+/// condition, or the measurement window opening.
+fn cc_wake(
+    fanin: &FanIn<CcRequest>,
+    ctl: &RunCtl,
+    active_execs: &AtomicUsize,
+    in_window: bool,
+) -> bool {
+    !fanin.is_empty()
+        || (ctl.is_stopped() && active_execs.load(Ordering::Acquire) == 0)
+        || (!in_window && ctl.is_measuring())
+}
+
+/// Close a CC thread's accounting. Its timer ran `Locking` while it
+/// handled requests and `Waiting` while it had none: that is the
+/// thread's utilisation (Section 3.3), reported on its own — the
+/// Figure-10 buckets these stats are merged into describe execution
+/// threads only.
+fn finish_cc(timer: PhaseTimer, mut stats: ThreadStats) -> ThreadStats {
+    timer.finish(&mut stats);
+    stats.cc_busy_ns = std::mem::take(&mut stats.locking_ns);
+    stats.cc_idle_ns = std::mem::take(&mut stats.waiting_ns);
+    stats
 }
 
 /// The CC thread loop: a tight, latch-free request pump (Section 3.1,
@@ -914,28 +1009,30 @@ impl CcOutBufs {
 /// `flush_threshold == 1` this degenerates to the seed's
 /// one-message-per-atomic-publish pump.
 fn run_cc(
-    id: u32,
     table_capacity: usize,
     flush_threshold: usize,
     mut ep: CcEndpoints,
     ctl: &RunCtl,
     active_execs: &AtomicUsize,
 ) -> ThreadStats {
-    let mut state = CcState::new(id, table_capacity);
+    let mut state = CcState::new(ep.id as u32, table_capacity);
     let mut stats = ThreadStats::default();
     let mut out: Vec<OutMsg> = Vec::with_capacity(16);
     let drain_budget = flush_threshold;
     let mut in_buf: Vec<CcRequest> = Vec::with_capacity(drain_budget);
     let mut out_bufs = CcOutBufs::new(ep.to_cc.len(), ep.to_exec.len(), drain_budget);
     let mut backoff = Backoff::new();
+    let mut timer = PhaseTimer::start(Phase::Locking);
     let mut in_window = false;
     loop {
         if !in_window && ctl.is_measuring() {
             stats.reset_window();
+            timer = PhaseTimer::start(Phase::Locking);
             in_window = true;
         }
         let drained = ep.fanin.drain_round(&mut in_buf, drain_budget);
         if drained > 0 {
+            timer.switch(&mut stats, Phase::Locking);
             for req in in_buf.drain(..) {
                 state.handle(req, &mut out);
                 for msg in out.drain(..) {
@@ -944,7 +1041,7 @@ fn run_cc(
             }
             out_bufs.flush(&mut ep, ctl);
             backoff.reset();
-        } else if ctl.is_stopped() && active_execs.load(std::sync::atomic::Ordering::Acquire) == 0 {
+        } else if ctl.is_stopped() && active_execs.load(Ordering::Acquire) == 0 {
             // Every exec flushed its final sends before decrementing, and
             // forwards only exist while acquires are unresolved — one last
             // sweep and we are done.
@@ -952,15 +1049,13 @@ fn run_cc(
                 break;
             }
         } else {
-            backoff.snooze();
+            timer.switch(&mut stats, Phase::Waiting);
+            backoff.snooze_on(&ep.bells.cc[ep.id], || {
+                cc_wake(&ep.fanin, ctl, active_execs, in_window)
+            });
         }
     }
-    // CC threads contribute only message counts to the merged stats; their
-    // CPU time is not part of the Figure-10 execution-thread breakdown.
-    stats.execution_ns = 0;
-    stats.locking_ns = 0;
-    stats.waiting_ns = 0;
-    stats
+    finish_cc(timer, stats)
 }
 
 /// The Section-3.4 CC loop: pump requests against the shared latched
@@ -980,20 +1075,26 @@ fn run_cc_shared(
     let mut in_buf: Vec<CcRequest> = Vec::with_capacity(drain_budget);
     let mut out_bufs = CcOutBufs::new(ep.to_cc.len(), ep.to_exec.len(), drain_budget);
     let mut backoff = Backoff::new();
+    let mut timer = PhaseTimer::start(Phase::Locking);
     let mut in_window = false;
     loop {
         if !in_window && ctl.is_measuring() {
             stats.reset_window();
+            timer = PhaseTimer::start(Phase::Locking);
             in_window = true;
         }
         let mut progress = false;
         if ep.fanin.drain_round(&mut in_buf, drain_budget) > 0 {
+            timer.switch(&mut stats, Phase::Locking);
             for req in in_buf.drain(..) {
                 state.handle(req, &mut out);
             }
             progress = true;
         }
-        progress |= state.poll_pending(&mut out) > 0;
+        if state.poll_pending(&mut out) > 0 {
+            timer.switch(&mut stats, Phase::Locking);
+            progress = true;
+        }
         for msg in out.drain(..) {
             out_bufs.stage(msg, &mut stats);
         }
@@ -1001,7 +1102,7 @@ fn run_cc_shared(
         if progress {
             backoff.reset();
         } else if ctl.is_stopped()
-            && active_execs.load(std::sync::atomic::Ordering::Acquire) == 0
+            && active_execs.load(Ordering::Acquire) == 0
             // A dead exec thread never releases the locks its in-flight
             // transactions hold, so its peers' parked acquisitions can
             // never be granted — on failure, abandon them instead of
@@ -1012,13 +1113,19 @@ fn run_cc_shared(
                 break;
             }
         } else {
-            backoff.snooze();
+            timer.switch(&mut stats, Phase::Waiting);
+            if state.pending_count() == 0 {
+                backoff.snooze_on(&ep.bells.cc[ep.id], || {
+                    cc_wake(&ep.fanin, ctl, active_execs, in_window)
+                });
+            } else {
+                // Parked acquisitions are granted through the shared
+                // table by other CC threads' releases, which ring nobody.
+                backoff.snooze();
+            }
         }
     }
-    stats.execution_ns = 0;
-    stats.locking_ns = 0;
-    stats.waiting_ns = 0;
-    stats
+    finish_cc(timer, stats)
 }
 
 #[cfg(test)]

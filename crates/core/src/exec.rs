@@ -33,6 +33,7 @@ use orthrus_txn::{execute_planned, AbortKind, AccessSet, Database};
 
 use crate::admit::{Admitted, Admitter};
 use crate::config::OrthrusConfig;
+use crate::engine::{publish, Bells};
 use crate::msg::{CcRequest, ExecResponse, Token};
 use crate::plan::LockPlan;
 use crate::source::{Completion, TxnSource};
@@ -76,6 +77,11 @@ pub struct ExecThread<'a, S: TxnSource> {
     cfg: &'a OrthrusConfig,
     to_cc: Vec<Producer<CcRequest>>,
     from_cc: FanIn<ExecResponse>,
+    /// The engine's inbox doorbells: `bells.cc[cc]` is rung after every
+    /// publish into `to_cc[cc]`, and this thread waits on
+    /// `bells.exec[exec_id]`, which CC threads ring after publishing
+    /// grants and sessions after publishing submissions.
+    bells: Bells,
     slots: Vec<Option<Inflight>>,
     free: Vec<u16>,
     inflight: usize,
@@ -145,12 +151,13 @@ pub struct ExecThread<'a, S: TxnSource> {
 }
 
 impl<'a, S: TxnSource> ExecThread<'a, S> {
-    pub fn new(
+    pub(crate) fn new(
         exec_id: u16,
         db: &'a Database,
         cfg: &'a OrthrusConfig,
         to_cc: Vec<Producer<CcRequest>>,
         from_cc: FanIn<ExecResponse>,
+        bells: Bells,
         admit: Admitter<S>,
     ) -> Self {
         let cap = cfg.max_inflight.max(1);
@@ -162,6 +169,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             cfg,
             to_cc,
             from_cc,
+            bells,
             slots: (0..cap).map(|_| None).collect(),
             free: (0..cap as u16).rev().collect(),
             inflight: 0,
@@ -254,8 +262,14 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         self.send_buf[cc].push(req);
         self.stats.messages_sent += 1;
         if self.send_buf[cc].len() >= self.cfg.effective_flush_threshold() {
-            self.to_cc[cc].push_slice(&mut self.send_buf[cc]);
+            self.publish_to(cc);
         }
+    }
+
+    /// Publish `cc`'s staged requests and ring its bell.
+    fn publish_to(&mut self, cc: usize) {
+        let bell = &self.bells.cc[cc];
+        publish(&mut self.to_cc[cc], &mut self.send_buf[cc], bell, || false);
     }
 
     /// Hand a ticketed commit's completion to the client, parking it in
@@ -303,10 +317,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// Publish every staged request. Called before the thread polls or
     /// parks, so batching never holds a message across an idle quantum.
     fn flush_sends(&mut self) {
-        for (cc, buf) in self.send_buf.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.to_cc[cc].push_slice(buf);
-            }
+        for cc in 0..self.send_buf.len() {
+            self.publish_to(cc);
         }
     }
 
@@ -350,17 +362,20 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         // `active_execs` count that can no longer reach zero. The same
         // unwind also raises `RunCtl::mark_failed` so a CC thread blocked
         // pushing grants into this (now consumer-less) thread's ring can
-        // discard and exit instead of spinning forever.
-        struct ActiveGuard<'g>(&'g AtomicUsize, &'g RunCtl);
+        // discard and exit instead of spinning forever. Both are part of
+        // the CC threads' wait predicates, and a parked thread polls
+        // nothing: ring them.
+        struct ActiveGuard<'g>(&'g AtomicUsize, &'g RunCtl, Bells);
         impl Drop for ActiveGuard<'_> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
                     self.1.mark_failed();
                 }
                 self.0.fetch_sub(1, Ordering::AcqRel);
+                self.2.ring_all();
             }
         }
-        let _active = ActiveGuard(active_execs, ctl);
+        let _active = ActiveGuard(active_execs, ctl, self.bells.clone());
         let mut timer = PhaseTimer::start(Phase::Locking);
         let mut backoff = Backoff::new();
         let mut in_window = false;
@@ -421,8 +436,19 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             }
             if progress {
                 backoff.reset();
+                continue;
+            }
+            timer.switch(&mut self.stats, Phase::Waiting);
+            if self.pending_durable.is_empty() && self.completion_overflow.is_empty() {
+                backoff.snooze_on(&self.bells.exec[self.exec_id as usize], || {
+                    !self.from_cc.is_empty()
+                        || (self.inflight < self.cfg.max_inflight && self.admit.has_backlog())
+                        || ctl.is_stopped() != stopped
+                        || (!in_window && ctl.is_measuring())
+                });
             } else {
-                timer.switch(&mut self.stats, Phase::Waiting);
+                // The group fsync's watermark and the client's draining
+                // of a full completion ring ring nobody: poll for them.
                 backoff.snooze();
             }
         }
@@ -461,6 +487,12 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                 &accesses
             }
         };
+        // The run executes when its last grant arrives, a few message
+        // delays from now: ask for its records' cache lines meanwhile, so
+        // execution does not wait for memory one record at a time.
+        for &(key, _) in fused.entries() {
+            self.db.prefetch(key);
+        }
         let lock_plan = self.build_lock_plan(fused);
         debug_assert!(!lock_plan.is_empty(), "programs always lock something");
 

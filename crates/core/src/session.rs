@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthrus_common::{fx_hash_u64, Backoff};
+use orthrus_common::{fx_hash_u64, Backoff, Doorbell};
 use orthrus_spsc::Producer;
 use orthrus_txn::Program;
 use parking_lot::Mutex;
@@ -106,6 +106,9 @@ pub struct BatchSubmit {
 /// counter, and the accepting flag the shutdown fence flips.
 pub(crate) struct SubmitShared {
     lanes: Vec<Mutex<Producer<Submission>>>,
+    /// Lane `i`'s consumer — execution thread `i` — parks on `bells[i]`
+    /// when idle; rung after every push into the lane.
+    bells: Arc<[Doorbell]>,
     accepting: AtomicBool,
     /// Ticket-id mint, bumped only for *accepted* submissions (space is
     /// checked under the lane lock before minting), so ids are dense and
@@ -121,10 +124,12 @@ pub(crate) struct SubmitShared {
 }
 
 impl SubmitShared {
-    pub(crate) fn new(lanes: Vec<Producer<Submission>>) -> Self {
+    pub(crate) fn new(lanes: Vec<Producer<Submission>>, bells: Arc<[Doorbell]>) -> Self {
         assert!(!lanes.is_empty(), "validated by OrthrusConfig (n_exec ≥ 1)");
+        assert_eq!(lanes.len(), bells.len(), "one bell per ingest lane");
         SubmitShared {
             lanes: lanes.into_iter().map(Mutex::new).collect(),
+            bells,
             accepting: AtomicBool::new(true),
             next_ticket: AtomicU64::new(0),
             round_robin: AtomicUsize::new(0),
@@ -222,6 +227,8 @@ impl Session {
                 submitted: Instant::now(),
             })
             .unwrap_or_else(|_| unreachable!("space checked under the lane lock"));
+        drop(producer);
+        shared.bells[lane].ring();
         Ok(ticket)
     }
 
@@ -311,6 +318,10 @@ impl Session {
                 );
                 stage.clear();
             }
+            drop(producer);
+            if k > 0 {
+                shared.bells[lane].ring();
+            }
             for &i in &bucket[k..] {
                 out.rejected.push((i, slots[i].take().expect("unconsumed")));
             }
@@ -335,6 +346,11 @@ impl Session {
     /// open-loop driver's saturation behaviour: offered load beyond
     /// engine capacity queues here). Errors only on shutdown.
     ///
+    /// Every fruitless attempt is one [`Backoff::snooze`]: a yield that
+    /// hands a shared core to the engine thread that has to drain the
+    /// ring, and under the sim scheduler a park step that hands it the
+    /// token (`crates/sim/tests/blocking_submit.rs` hangs without it).
+    ///
     /// Completions should be drained (`EngineHandle::drain_completions`)
     /// alongside sustained submission: the completion rings are the
     /// bounded fast path, and a client that lags parks its completions
@@ -347,18 +363,7 @@ impl Session {
                 Ok(t) => return Ok(t),
                 Err(TrySubmitError::Full(p)) => {
                     program = p;
-                    if backoff.is_yielding() {
-                        // A full ring stays full for a whole engine drain
-                        // cycle — much longer than a lock handoff — so once
-                        // the spin budget is spent, sleep instead of burning
-                        // the core on yield_now. Unreachable under the sim
-                        // scheduler: there `snooze` parks via the sim seam
-                        // without ever advancing the backoff step, so the
-                        // schedule stays deterministic.
-                        std::thread::sleep(std::time::Duration::from_micros(100));
-                    } else {
-                        backoff.snooze();
-                    }
+                    backoff.snooze();
                 }
                 Err(e @ TrySubmitError::Shutdown(_)) => return Err(e),
             }
@@ -387,7 +392,8 @@ mod tests {
             producers.push(p);
             consumers.push(c);
         }
-        (Arc::new(SubmitShared::new(producers)), consumers)
+        let bells = (0..lanes).map(|_| Doorbell::new()).collect();
+        (Arc::new(SubmitShared::new(producers, bells)), consumers)
     }
 
     fn rmw(key: u64) -> Program {

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use orthrus_common::RunStats;
+use orthrus_common::{CcUtil, RunStats};
 use orthrus_core::{AdmissionPolicy, CcAssignment, CcMode, OrthrusConfig, OrthrusEngine};
 use orthrus_storage::Table;
 use orthrus_txn::Database;
@@ -35,6 +35,23 @@ pub fn run_orthrus_custom(
     let _log_dir = bc.apply_durability(&mut cfg);
     let engine = OrthrusEngine::new(db, Spec::Micro(spec), cfg);
     engine.run(&bc.params(n_cc + n_exec))
+}
+
+/// Append one series per CC thread, `"<label> cc<i> busy%"`, from each
+/// sweep point's [`RunStats::cc`]: Section 3.3's over- and
+/// under-utilised CC threads as a number, beside the throughput they
+/// explain.
+fn push_cc_util(fig: &mut FigureResult, label: &str, points: &[(f64, Vec<CcUtil>)]) {
+    let n_cc = points.iter().map(|(_, cc)| cc.len()).max().unwrap_or(0);
+    for i in 0..n_cc {
+        let mut s = Series::new(format!("{label} cc{i} busy%"));
+        for (x, cc) in points {
+            if let Some(u) = cc.get(i) {
+                s.push(*x, u.busy_pct());
+            }
+        }
+        fig.series.push(s);
+    }
 }
 
 fn split(bc: &BenchConfig) -> (usize, usize) {
@@ -177,9 +194,10 @@ pub fn abl05_batching(bc: &BenchConfig) -> FigureResult {
         "abl05",
         format!("Fabric batching: flush_threshold ({n_cc} CC / {n_exec} exec)"),
         "flush_threshold",
-        "txns/sec",
+        "txns/sec (cc series: % of the window spent handling requests)",
     );
     let mut s = Series::new("ORTHRUS high-contention");
+    let mut cc_util = Vec::new();
     for threshold in [1usize, 4, 16] {
         // The paper's contention crucible: a small hot set touched by
         // every transaction, so the fabric (not record access) dominates.
@@ -189,8 +207,10 @@ pub fn abl05_batching(bc: &BenchConfig) -> FigureResult {
         bc_t.flush_threshold = threshold;
         let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, 16, &bc_t);
         s.push(threshold as f64, stats.throughput());
+        cc_util.push((threshold as f64, stats.cc));
     }
     fig.series.push(s);
+    push_cc_util(&mut fig, "orthrus", &cc_util);
     fig
 }
 
@@ -212,16 +232,19 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
             "Admission scheduling: FIFO vs conflict-class batching ({n_cc} CC / {n_exec} exec)"
         ),
         "zipf_theta",
-        "txns/sec",
+        "txns/sec (cc series: % of the window spent handling requests)",
     );
-    for (label, policy) in [
-        ("FIFO admission", AdmissionPolicy::Fifo),
+    let mut cc_util = Vec::new();
+    for (label, short, policy) in [
+        ("FIFO admission", "fifo", AdmissionPolicy::Fifo),
         (
             "conflict-batch admission",
+            "batch",
             AdmissionPolicy::conflict_batch(),
         ),
     ] {
         let mut s = Series::new(label);
+        let mut points = Vec::new();
         for theta in [0.3f64, 0.6, 0.9, 0.99] {
             // Scrambled-Zipf 10RMW: the YCSB hot set, scattered across CC
             // threads, with the skew knob as the x-axis.
@@ -230,8 +253,13 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
             bc_t.admission = policy.clone();
             let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, 16, &bc_t);
             s.push(theta, stats.throughput());
+            points.push((theta, stats.cc));
         }
         fig.series.push(s);
+        cc_util.push((short, points));
+    }
+    for (short, points) in &cc_util {
+        push_cc_util(&mut fig, short, points);
     }
     fig
 }
@@ -557,9 +585,9 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
 ///   acceptance floor is 80%);
 /// - **TCP open loop** at 0.5× and 1.3× of capacity — the batch
 ///   series: mean completions per response frame. Nothing steers it; a
-///   writer flushes whenever its completion ring runs dry, so a frame
-///   holds what accumulated while the previous `write` was in progress
-///   (see EXPERIMENTS.md §Network for how far that grows with load).
+///   writer sends a frame once it carries half of what its connection
+///   has in the engine (see EXPERIMENTS.md §Network for how that grows
+///   with load).
 pub fn abl11_net(bc: &BenchConfig) -> FigureResult {
     use crate::netbench::{run_net_load, NetLoadConfig};
 
@@ -806,7 +834,12 @@ mod tests {
         let _serial = crate::test_serial();
         let bc = BenchConfig::test_quick();
         let fig = abl06_admission(&bc);
-        assert_eq!(fig.series.len(), 2);
+        let (n_cc, _) = split(&bc);
+        assert_eq!(
+            fig.series.len(),
+            2 + 2 * n_cc,
+            "2 policies + their CC threads"
+        );
         for s in &fig.series {
             assert_eq!(
                 s.points.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
@@ -947,5 +980,19 @@ mod tests {
         // monotone throughput claim is for the timed bench run, where the
         // windows are long enough to rank configurations.
         assert!(points.iter().all(|&(_, y)| y > 0.0));
+        // One utilisation series per CC thread, a percentage at every
+        // threshold: a CC thread that handled requests was busy for some
+        // of the window and idle for some of it.
+        let (n_cc, _) = split(&bc);
+        assert_eq!(fig.series.len(), 1 + n_cc);
+        for s in &fig.series[1..] {
+            assert_eq!(s.points.len(), 3, "{}", s.label);
+            assert!(
+                s.points.iter().all(|&(_, y)| y > 0.0 && y < 100.0),
+                "{}: {:?}",
+                s.label,
+                s.points
+            );
+        }
     }
 }

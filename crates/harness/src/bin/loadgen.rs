@@ -63,6 +63,9 @@ fn main() {
         r.accounted()
     );
     println!("engine_committed_all {}", r.committed_all);
+    for (i, cc) in r.cc.iter().enumerate() {
+        println!("cc{i}_busy_pct {:.1}", cc.busy_pct());
+    }
 
     // A load generator that silently loses work is worse than one that
     // crashes: every completion the engine produced must be accounted.

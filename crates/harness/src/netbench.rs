@@ -17,7 +17,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use orthrus_common::{LatencyHistogram, ThreadStats};
+use orthrus_common::{CcUtil, LatencyHistogram, ThreadStats};
 use orthrus_core::{AdmissionPolicy, CcAssignment, OrthrusConfig, OrthrusEngine};
 use orthrus_net::{NetClient, NetConfig, NetServer};
 use orthrus_storage::Table;
@@ -86,6 +86,8 @@ pub struct NetLoadReport {
     pub unowned: u64,
     /// Engine-side lifetime commits (sanity: ≥ every routed completion).
     pub committed_all: u64,
+    /// Each CC thread's busy/idle split over the engine's lifetime.
+    pub cc: Vec<CcUtil>,
 }
 
 impl NetLoadReport {
@@ -99,8 +101,8 @@ impl NetLoadReport {
         ratio(self.net.net_rx_txns, self.net.net_rx_frames)
     }
 
-    /// Mean completions per outbound response frame (what had
-    /// accumulated each time a connection's writer ran dry).
+    /// Mean completions per outbound response frame (each sized at half
+    /// of what its connection had in the engine).
     pub fn tx_batch_mean(&self) -> f64 {
         ratio(self.net.net_tx_completions, self.net.net_tx_frames)
     }
@@ -180,6 +182,7 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
         orphaned,
         unowned,
         committed_all: engine_stats.totals.committed_all,
+        cc: engine_stats.cc,
     }
 }
 

@@ -36,7 +36,7 @@ impl WaitState {
     }
 }
 
-/// Spin-then-yield cell for one blocked lock request.
+/// Poll-and-yield cell for one blocked lock request.
 #[derive(Debug)]
 pub struct LockWaiter {
     state: AtomicU8,

@@ -15,10 +15,10 @@
 //! - [`server`] — the listener/pump thread plus a reader and a writer
 //!   thread per connection, every wait an event wait (blocking `read`,
 //!   doorbell park) so no timer sits on the request → response path.
-//!   Wire batching needs no controller: a writer flushes whenever its
-//!   completion ring runs dry, so frames are single under a trickle and
-//!   grow under load (completions accumulate while a `write` is in
-//!   progress). Engine ring-full backpressure is mapped onto TCP flow
+//!   Wire batching needs no controller: a writer sends a response frame
+//!   once it carries half of what its connection has in the engine, so
+//!   frames are single under a trickle and grow with the load the
+//!   connection offers. Engine ring-full backpressure is mapped onto TCP flow
 //!   control (stop reading → the window closes), and every accepted
 //!   ticket is conserved per connection even through abrupt disconnects.
 //! - [`client`] — a deliberately boring blocking client for load

@@ -18,12 +18,21 @@
 //!   worth through a cloned [`Session`] with
 //!   [`Session::try_submit_batch`], request ids riding along as tags.
 //! - **`netconn{i}w`** (the *writer*) parks on its `ClientRx` doorbell,
-//!   which `route` rings once per call that delivered to it; it drains
-//!   the ring **until dry**, encodes one response frame per `batch_max`
-//!   chunk, and hands the lot to one `write`. Flush-on-dry is the whole
-//!   batching policy: under a trickle every response leaves at once, and
-//!   under load frames grow by themselves because completions accumulate
-//!   while the writer is inside `write`.
+//!   which `route` rings once per call that delivered to it, and fills
+//!   one response frame at a time. When a frame's first completion
+//!   arrives the writer looks at how many of the connection's requests
+//!   are in the engine (`accepted − answered`) and sends the frame once
+//!   it carries **half of them** (at least one, at most `batch_max`),
+//!   going back to its doorbell in between. That is the whole batching
+//!   policy. Everything counted is already submitted, so the frame
+//!   fills without the client doing anything more; with one request in
+//!   flight the frame is due at once, so a trickle is answered response
+//!   by response; and frame size follows the load the connection
+//!   offers, not which thread the scheduler happened to run (flushing
+//!   whenever the ring ran dry made 15-completion frames while the
+//!   engine hogged both CPUs and 2-completion frames once it yielded).
+//!   The reader leaving, a dead socket and a stop request flush what is
+//!   held.
 //!
 //! No timer sits between a request's bytes arriving and its response
 //! entering `write` while the engine takes the request. (A socket read
@@ -109,8 +118,9 @@ pub struct NetConfig {
     /// Listen address; port 0 picks an ephemeral port (see
     /// [`NetServer::addr`]).
     pub addr: SocketAddr,
-    /// Most completions one response frame carries; a bigger drain is
-    /// split into several frames (still one `write`).
+    /// Most completions one response frame carries, and so the most a
+    /// frame waits for; a bigger drain is split into several frames
+    /// (still one `write`).
     pub batch_max: usize,
     /// Per-connection completion-ring capacity (rounded up to a power
     /// of two by the hub).
@@ -423,6 +433,7 @@ impl Conn {
             pending: VecDeque::new(),
             backpressure_cap: self.cfg.backpressure_cap.max(1),
             rdbuf: vec![0u8; self.cfg.read_buf.max(512)],
+            eof: false,
             stats: ThreadStats::default(),
         };
         reader.run();
@@ -459,12 +470,15 @@ struct Reader<'a> {
     pending: VecDeque<(u64, Program)>,
     backpressure_cap: usize,
     rdbuf: Vec<u8>,
+    /// The peer finished sending (or the listener ended our read): no
+    /// more requests will arrive, but the socket still takes responses.
+    eof: bool,
     stats: ThreadStats,
 }
 
 impl Reader<'_> {
     fn closing(&self) -> bool {
-        self.link.dead.load(Ordering::Acquire) || self.stop.load(Ordering::Relaxed)
+        self.eof || self.link.dead.load(Ordering::Acquire) || self.stop.load(Ordering::Relaxed)
     }
 
     fn run(&mut self) {
@@ -552,10 +566,14 @@ impl Reader<'_> {
     /// `shutdown(Read)` end it), fed to the decoder.
     fn read_socket(&mut self) {
         let mut n = match self.stream.read(&mut self.rdbuf) {
-            // EOF after a stop request is the listener ending our read:
-            // a graceful close, the socket still takes responses.
-            Ok(0) if self.stop.load(Ordering::Relaxed) => return,
-            Ok(0) => return self.die(),
+            // The peer half-closed, or the listener ended our read after
+            // a stop request: a graceful close either way, the socket
+            // still takes the responses it is owed. (A peer that is
+            // gone altogether fails the writer's next `write`.)
+            Ok(0) => {
+                self.eof = true;
+                return;
+            }
             Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::Interrupted => return,
             Err(_) => return self.die(),
@@ -623,7 +641,9 @@ struct Writer {
 impl Writer {
     fn run(mut self) -> ThreadStats {
         let bell = Arc::clone(self.rx.doorbell());
-        let mut comp: Vec<Routed> = Vec::new();
+        // The response frame being filled, and the size it is due at.
+        let mut frame: Vec<Routed> = Vec::new();
+        let mut need = 0;
         let mut answered = 0u64;
         loop {
             // Read before draining: if the reader was done by now,
@@ -631,20 +651,36 @@ impl Writer {
             // says.
             let reader_done = self.link.reader_done.load(Ordering::Acquire);
 
-            // Until dry: whatever accumulated while the last `write`
-            // was in progress leaves in this one.
-            comp.clear();
-            while self.rx.drain_into(&mut comp, usize::MAX) > 0 {}
-            if !comp.is_empty() {
-                answered += comp.len() as u64;
+            let held = frame.len();
+            while self.rx.drain_into(&mut frame, usize::MAX) > 0 {}
+            let fresh = (frame.len() - held) as u64;
+            if fresh > 0 {
+                if held == 0 {
+                    // The frame's first completion: it is due once it
+                    // carries half of what the connection has in the
+                    // engine right now. The reader publishes `accepted`
+                    // after its submit call returns, so completions can
+                    // get here first: the count saturates and the frame
+                    // is due at once.
+                    let in_engine =
+                        (self.link.accepted.load(Ordering::Acquire)).saturating_sub(answered);
+                    need = (in_engine / 2).clamp(1, self.batch_max as u64) as usize;
+                }
+                answered += fresh;
                 self.link.answered.store(answered, Ordering::Release);
                 self.link.space.ring();
+            }
+            let dead = self.link.dead.load(Ordering::Acquire);
+            if !frame.is_empty()
+                && (frame.len() >= need || reader_done || dead || self.stop.load(Ordering::Relaxed))
+            {
                 // A dead socket skips the send — the drained completions
                 // are already accounted (routed) and writes can only
                 // fail.
-                if !self.link.dead.load(Ordering::Acquire) {
-                    self.send(&comp);
+                if !dead {
+                    self.send(&frame);
                 }
+                frame.clear();
                 continue;
             }
 
@@ -653,11 +689,11 @@ impl Writer {
                 bell.wait(|| !rx.is_empty() || link.reader_done.load(Ordering::Acquire));
                 continue;
             }
-            // Closing. A dead socket exits at once; a graceful close
-            // waits — bounded — for in-flight tickets so the client gets
-            // its answers.
+            // Closing, and nothing held. A dead socket exits at once; a
+            // graceful close waits — bounded — for in-flight tickets so
+            // the client gets its answers.
             let deadline = self.close_deadline();
-            if self.link.dead.load(Ordering::Acquire)
+            if dead
                 || answered == self.link.accepted.load(Ordering::Acquire)
                 || deadline.is_none_or(|d| Instant::now() >= d)
             {
@@ -721,5 +757,207 @@ impl Writer {
     fn die(&mut self) {
         self.link.dead.store(true, Ordering::Release);
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orthrus_core::{CcAssignment, OrthrusConfig, OrthrusEngine};
+    use orthrus_storage::Table;
+    use orthrus_txn::Database;
+
+    /// A writer on one end of a loopback socket, fed by hand: the test
+    /// submits owned work, takes the completions off the engine itself
+    /// and routes them to the writer in the portions it chooses.
+    struct Rig {
+        handle: EngineHandle,
+        hub: CompletionHub,
+        client: u32,
+        peer: TcpStream,
+        link: Arc<Link>,
+        stop: Arc<AtomicBool>,
+        bell: Arc<Doorbell>,
+        writer: JoinHandle<ThreadStats>,
+        done: VecDeque<Completion>,
+        decoder: FrameDecoder,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let db = Arc::new(Database::Flat(Table::new(256, 64)));
+            let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+            let handle = OrthrusEngine::service(db, cfg).start(7);
+            let hub = CompletionHub::new(handle.session());
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+            let (stream, _) = listener.accept().expect("accept");
+            peer.set_read_timeout(Some(Duration::from_millis(50)))
+                .expect("timeout");
+            let rx = hub.register(64);
+            let (client, bell) = (rx.id(), Arc::clone(rx.doorbell()));
+            let link = Arc::new(Link::default());
+            let stop = Arc::new(AtomicBool::new(false));
+            let writer = Writer {
+                stream: Arc::new(stream),
+                rx,
+                link: Arc::clone(&link),
+                stop: Arc::clone(&stop),
+                batch_max: 256,
+                outbox: Vec::new(),
+                wbuf: Vec::new(),
+                closing_since: None,
+                stats: ThreadStats::default(),
+            };
+            Rig {
+                handle,
+                hub,
+                client,
+                peer,
+                link,
+                stop,
+                bell,
+                writer: std::thread::spawn(move || writer.run()),
+                done: VecDeque::new(),
+                decoder: FrameDecoder::new(),
+            }
+        }
+
+        /// Run `n` owned transactions to completion and keep their
+        /// completions back. `publish` says whether the reader's
+        /// `accepted` count learns of them.
+        fn commit(&mut self, n: u64, publish: bool) {
+            let programs = (0..n).map(|i| (i, Program::Rmw { keys: vec![i] }));
+            let out =
+                (self.handle.session()).try_submit_batch(programs.collect(), Some(self.client));
+            assert_eq!(out.accepted.len() as u64, n);
+            if publish {
+                self.link.accepted.fetch_add(n, Ordering::Release);
+            }
+            let mut got = Vec::new();
+            while (got.len() as u64) < n {
+                self.handle
+                    .wait_completions(Duration::from_secs(10), || false);
+                self.handle.drain_completions(&mut got);
+            }
+            self.done.extend(got);
+        }
+
+        /// Hand the writer the next `n` completions in one `route` call.
+        fn route(&mut self, n: usize) {
+            let batch: Vec<Completion> = self.done.drain(..n).collect();
+            self.hub.route(&batch);
+        }
+
+        /// Read until `total` completions have arrived; the sizes of the
+        /// response frames they came in.
+        fn frames(&mut self, total: usize) -> Vec<usize> {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut sizes = Vec::new();
+            while sizes.iter().sum::<usize>() < total {
+                assert!(Instant::now() < deadline, "got {sizes:?} of {total}");
+                sizes.extend(self.poll());
+            }
+            sizes
+        }
+
+        /// Nothing arrives for 50 ms.
+        fn assert_quiet(&mut self, why: &str) {
+            assert_eq!(self.poll(), [], "{why}");
+        }
+
+        /// One read (up to the 50 ms timeout); the frames it completed.
+        fn poll(&mut self) -> Vec<usize> {
+            let mut buf = [0u8; 4096];
+            match self.peer.read(&mut buf) {
+                Ok(n) => self.decoder.feed(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => panic!("peer read: {e}"),
+            }
+            let mut sizes = Vec::new();
+            while let Some(frame) = self.decoder.next_frame().expect("clean stream") {
+                let Frame::Response(msgs) = frame else {
+                    panic!("writer sent a request frame");
+                };
+                sizes.push(msgs.len());
+            }
+            sizes
+        }
+
+        fn finish(mut self) {
+            self.link.reader_done.store(true, Ordering::Release);
+            self.bell.ring();
+            self.writer.join().expect("writer");
+            self.handle.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_once_it_carries_half_of_what_is_in_the_engine() {
+        let mut rig = Rig::new();
+        rig.commit(8, true);
+        // 8 in the engine when the first completion comes back: due at 4.
+        rig.route(3);
+        rig.assert_quiet("3 of 8 is a frame still filling");
+        rig.route(1);
+        assert_eq!(rig.frames(4), [4]);
+        // 4 left: due at 2.
+        rig.route(1);
+        rig.assert_quiet("1 of 4");
+        rig.route(1);
+        assert_eq!(rig.frames(2), [2]);
+        // 2 left: due at 1, and a bigger drain leaves whole.
+        rig.route(2);
+        assert_eq!(rig.frames(2), [2]);
+        // One request in flight is answered at once.
+        rig.commit(1, true);
+        rig.route(1);
+        assert_eq!(rig.frames(1), [1]);
+        rig.finish();
+    }
+
+    #[test]
+    fn a_held_frame_does_not_outlive_its_reader() {
+        let mut rig = Rig::new();
+        rig.commit(8, true);
+        rig.route(3);
+        rig.assert_quiet("3 of 8");
+        rig.link.reader_done.store(true, Ordering::Release);
+        rig.bell.ring();
+        assert_eq!(rig.frames(3), [3], "the reader left: flush what is held");
+        // Closing: what still comes back is not held either.
+        rig.route(1);
+        assert_eq!(rig.frames(1), [1]);
+        rig.route(4);
+        assert_eq!(rig.frames(4), [4]);
+        rig.finish();
+    }
+
+    #[test]
+    fn nothing_is_held_once_a_stop_is_requested() {
+        let mut rig = Rig::new();
+        rig.commit(8, true);
+        rig.route(2);
+        rig.assert_quiet("2 of 8");
+        rig.stop.store(true, Ordering::SeqCst);
+        rig.route(1);
+        assert_eq!(rig.frames(3), [3]);
+        rig.route(1);
+        assert_eq!(rig.frames(1), [1]);
+        rig.route(4);
+        assert_eq!(rig.frames(4), [4]);
+        rig.finish();
+    }
+
+    /// The reader publishes `accepted` after its submit call returns, so
+    /// a quick engine's completions can reach the writer first.
+    #[test]
+    fn completions_that_beat_the_readers_count_are_answered_at_once() {
+        let mut rig = Rig::new();
+        rig.commit(3, false);
+        rig.route(3);
+        assert_eq!(rig.frames(3), [3], "accepted − answered saturates at 0");
+        rig.link.accepted.fetch_add(3, Ordering::Release);
+        rig.finish();
     }
 }

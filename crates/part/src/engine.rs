@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthrus_common::RunStats;
+use orthrus_common::{Backoff, Doorbell, RunStats};
 use orthrus_core::{
     ClientRx, Completion, CompletionHub, EngineHandle, OrthrusConfig, OrthrusEngine, Routed,
     Session, Ticket, TrySubmitError,
@@ -179,6 +179,10 @@ struct PartShared {
     xp_capacity: usize,
     /// Fan-in: translated global completions awaiting the client.
     fanin: Mutex<Vec<Completion>>,
+    /// The sequencer's doorbell: every member engine's completion bell
+    /// (see [`OrthrusEngine::start_with_bell`]), also rung when
+    /// cross-partition work is queued and when `stop` is raised.
+    bell: Arc<Doorbell>,
 }
 
 impl PartShared {
@@ -229,6 +233,8 @@ impl PartSession {
                     program,
                     enqueued: Instant::now(),
                 });
+                drop(q);
+                shared.bell.ring();
                 Ok(Ticket(global))
             }
         }
@@ -259,11 +265,15 @@ impl PartitionedEngine {
         let mut rxs = Vec::with_capacity(n);
         let mut sessions = Vec::with_capacity(n);
         let mut owners = Vec::with_capacity(n);
+        let bell = Arc::new(Doorbell::new());
         for (i, db) in dbs.into_iter().enumerate() {
             let engine = OrthrusEngine::service(db, cfg.engine_for(i));
             // Distinct per-partition seeds: partitions are independent
             // engines, not replicas.
-            let handle = engine.start(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let handle = engine.start_with_bell(
+                seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                Arc::clone(&bell),
+            );
             let session = handle.session();
             let hub = Arc::new(CompletionHub::with_partition(session.clone(), i));
             let rx = hub.register(cfg.engine.ingest_capacity.max(64));
@@ -285,6 +295,7 @@ impl PartitionedEngine {
             xp: Mutex::new(Vec::new()),
             xp_capacity: cfg.xp_capacity,
             fanin: Mutex::new(Vec::new()),
+            bell,
         });
 
         let seq = Sequencer {
@@ -390,6 +401,7 @@ impl PartitionedHandle {
         }
         self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.bell.ring();
         let thread = self.seq_thread.take().ok_or_else(|| {
             "partitioned shutdown already failed; the handle is spent".to_string()
         })?;
@@ -440,7 +452,7 @@ impl Sequencer {
         let mut drained: Vec<Completion> = Vec::new();
         let mut got: Vec<Routed> = Vec::new();
         let mut swept = false;
-        let mut idle_rounds = 0u32;
+        let mut backoff = Backoff::new();
         loop {
             let mut progress = self.pump(&mut drained, &mut got);
 
@@ -491,20 +503,17 @@ impl Sequencer {
                     break;
                 }
             }
-            // Idle policy: park at the sim seam when simulated; outside
-            // the sim, yield briefly, then back off to a micro-sleep —
-            // a hot pump loop would otherwise burn a whole core on an
-            // oversubscribed host, starving the very partitions it is
-            // polling.
             if progress {
-                idle_rounds = 0;
-            } else if !orthrus_common::sim::on_park() {
-                idle_rounds = idle_rounds.saturating_add(1);
-                if idle_rounds < 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                }
+                backoff.reset();
+            } else {
+                // Everything the next turn could act on: a member
+                // engine's completions, queued cross-partition work once
+                // no epoch is in flight, a stop request.
+                backoff.snooze_on(&self.shared.bell, || {
+                    self.handles.iter().any(EngineHandle::has_completions)
+                        || (self.inflight.is_none() && !self.shared.xp.lock().is_empty())
+                        || (!swept && self.shared.stop.load(Ordering::SeqCst))
+                });
             }
         }
 

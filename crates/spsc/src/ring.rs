@@ -451,6 +451,49 @@ mod tests {
         assert_eq!(sum, N * (N - 1) / 2);
     }
 
+    /// Two threads sharing one CPU hand a counter back and forth. Every
+    /// handoff is a wait on the very core the other side needs, so each
+    /// fruitless poll has to give the core away at once: 0.15 s here,
+    /// against 2.3 s for a waiter that pause-spins 15 µs before its
+    /// first yield.
+    #[test]
+    fn handoffs_between_threads_on_one_cpu_yield_the_core() {
+        const HANDOFFS: u64 = 200_000;
+        fn pop(rx: &mut Consumer<u64>) -> u64 {
+            let mut backoff = Backoff::new();
+            loop {
+                match rx.try_pop() {
+                    Some(v) => return v,
+                    None => backoff.snooze(),
+                }
+            }
+        }
+        let (mut ping_tx, mut ping_rx) = channel::<u64>(1);
+        let (mut pong_tx, mut pong_rx) = channel::<u64>(1);
+        let t0 = std::time::Instant::now();
+        let echo = std::thread::spawn(move || {
+            orthrus_common::affinity::pin_to_core(0);
+            for _ in 0..HANDOFFS / 2 {
+                let v = pop(&mut ping_rx);
+                pong_tx.push(v);
+            }
+        });
+        let driver = std::thread::spawn(move || {
+            orthrus_common::affinity::pin_to_core(0);
+            for v in 0..HANDOFFS / 2 {
+                ping_tx.push(v);
+                assert_eq!(pop(&mut pong_rx), v);
+            }
+        });
+        driver.join().unwrap();
+        echo.join().unwrap();
+        let took = t0.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "{HANDOFFS} same-CPU handoffs took {took:?}"
+        );
+    }
+
     #[test]
     fn batch_roundtrip_preserves_fifo() {
         let (mut tx, mut rx) = channel::<u32>(16);

@@ -61,6 +61,25 @@ impl RecordStore {
         self.data[rid * self.record_size].get()
     }
 
+    /// Ask the CPU to start loading the lines [`rmw_add`](Self::rmw_add)
+    /// will touch first. A hint: it reads nothing and needs no lock.
+    #[inline]
+    pub fn prefetch(&self, rid: usize) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: both addresses lie inside record `rid`; a prefetch
+        // does not access memory architecturally.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let p = self.ptr(rid) as *const i8;
+            _mm_prefetch::<_MM_HINT_T0>(p);
+            if self.record_size > 64 {
+                _mm_prefetch::<_MM_HINT_T0>(p.add(64));
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = rid;
+    }
+
     /// Read the first 8 bytes of a record as a little-endian counter.
     ///
     /// # Safety

@@ -42,6 +42,16 @@ impl Table {
         self.index.get(key)
     }
 
+    /// Start loading `key`'s record ahead of its use: the index probe
+    /// happens now, the record's lines arrive while the caller does
+    /// something else. Unknown keys are ignored.
+    #[inline]
+    pub fn prefetch(&self, key: Key) {
+        if let Some(slot) = self.index.get(key) {
+            self.store.prefetch(slot);
+        }
+    }
+
     /// The underlying payload store.
     #[inline]
     pub fn store(&self) -> &RecordStore {
@@ -84,6 +94,18 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prefetch_is_only_a_hint() {
+        let t = Table::new(100, 100);
+        for k in [0, 42, 99, 100, u64::MAX - 1] {
+            t.prefetch(k); // the last record's second line and unknown keys included
+        }
+        unsafe {
+            assert_eq!(t.rmw(99), 1);
+            assert_eq!(t.read_counter(42), 0);
+        }
+    }
 
     #[test]
     fn lookup_and_rmw() {

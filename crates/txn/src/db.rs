@@ -20,6 +20,16 @@ pub enum Database {
 }
 
 impl Database {
+    /// Start loading the record behind `key` (see
+    /// [`orthrus_storage::Table::prefetch`]). Only the flat layout maps a
+    /// lock key straight to a record; the others ignore the hint.
+    #[inline]
+    pub fn prefetch(&self, key: Key) {
+        if let Database::Flat(t) = self {
+            t.prefetch(key);
+        }
+    }
+
     /// Read a record's embedded counter.
     ///
     /// # Safety

@@ -1,7 +1,8 @@
 //! End-to-end tests for the TCP front door (`orthrus-net`): loopback
 //! round trips, per-connection ticket conservation, ring-full → TCP
 //! flow-control backpressure, abrupt disconnects, torn reads, response
-//! promptness (no timer, no held responses), and shutdown.
+//! promptness (no timer; a response waits only for company that is
+//! already in the engine), response-frame size, and shutdown.
 
 mod common;
 
@@ -276,7 +277,8 @@ fn corrupt_crc_frame_is_skipped_without_desync() {
 /// trickle never let it see the idle moment that forced a flush — so
 /// once a few deep bursts had walked the setpoint up, each trickled
 /// response waited for dozens of others (64 × 2 ms at one request per
-/// 2 ms). Now a writer flushes whenever its ring runs dry.
+/// 2 ms). Now a frame waits only for half of what the connection has in
+/// the engine: with one request in flight, for nothing.
 ///
 /// The client here is open-loop on purpose (one thread sends on a
 /// clock, another timestamps arrivals): a client that waits for each
@@ -396,6 +398,101 @@ fn a_lone_request_on_a_cold_connection_is_answered_promptly() {
     handle.shutdown();
 }
 
+/// Read response frames off `stream` until `want` completions have
+/// arrived; returns how many completions each frame carried.
+fn read_response_frames(stream: &mut TcpStream, want: usize) -> Vec<usize> {
+    let mut decoder = FrameDecoder::new();
+    let mut buf = vec![0u8; 16 * 1024];
+    let mut sizes = Vec::new();
+    while sizes.iter().sum::<usize>() < want {
+        let n = stream.read(&mut buf).expect("read");
+        assert!(n > 0, "server closed after {sizes:?} of {want}");
+        decoder.feed(&buf[..n]);
+        while let Some(frame) = decoder.next_frame().expect("clean stream") {
+            let codec::Frame::Response(msgs) = frame else {
+                panic!("server sent a request frame");
+            };
+            sizes.push(msgs.len());
+        }
+    }
+    sizes
+}
+
+/// Frame size follows what the connection has in the engine, not which
+/// thread the scheduler ran: 64 requests in one frame come back as
+/// 32, 16, 8, … — a frame is due when it carries half of what was in
+/// flight at its first completion. (Flushing whenever the completion
+/// ring ran dry answered such a burst in ~30 frames once the engine
+/// yielded its core between polls.)
+#[test]
+fn a_burst_is_answered_in_a_few_large_frames() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(DEADLINE))
+        .expect("read timeout");
+    let mut wire = Vec::new();
+    let mut send = |stream: &mut TcpStream, ids: std::ops::Range<u64>| {
+        let burst: Vec<(u64, Program)> = ids.map(|i| (i, rmw(i % 64))).collect();
+        wire.clear();
+        codec::encode_request(&burst, &mut wire);
+        stream.write_all(&wire).expect("send");
+    };
+    // Warm: both connection threads exist and have run.
+    send(&mut stream, 0..1);
+    assert_eq!(read_response_frames(&mut stream, 1), [1]);
+    // Best of three: a completion that beats the reader's count of what
+    // it submitted leaves at once, in a small frame of its own.
+    let fewest = (0..3u64)
+        .map(|round| {
+            send(&mut stream, 1 + round * 64..1 + (round + 1) * 64);
+            let sizes = read_response_frames(&mut stream, 64);
+            assert_eq!(sizes.iter().sum::<usize>(), 64);
+            sizes
+        })
+        .min_by_key(Vec::len)
+        .expect("three rounds");
+    assert!(
+        fewest.len() <= 8,
+        "64 requests in one frame came back in {} frames: {fewest:?}",
+        fewest.len()
+    );
+    let (mut handle, _) = server.shutdown();
+    handle.shutdown();
+}
+
+/// A client that sends its requests and half-closes is owed every
+/// response before the server closes its side: the reader's EOF flushes
+/// the frame the writer was filling, and does not mark the socket dead.
+#[test]
+fn a_half_closed_connection_gets_all_its_responses_before_eof() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(DEADLINE))
+        .expect("read timeout");
+    let burst: Vec<(u64, Program)> = (0..8).map(|i| (i, rmw(i))).collect();
+    let mut wire = Vec::new();
+    codec::encode_request(&burst, &mut wire);
+    stream.write_all(&wire).expect("send");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let sizes = read_response_frames(&mut stream, 8);
+    assert_eq!(sizes.iter().sum::<usize>(), 8, "{sizes:?}");
+    assert_eq!(
+        stream.read(&mut [0u8; 16]).expect("read"),
+        0,
+        "then the server closes its side"
+    );
+    let (mut handle, stats) = server.shutdown();
+    assert_eq!(stats.net_tx_completions, 8);
+    handle.shutdown();
+}
+
 /// Readers block in `read` with no timeout, so shutdown has to end that
 /// read for them: two idle, still-open connections must not hold it up.
 #[test]
@@ -431,7 +528,8 @@ fn shutdown_does_not_wait_for_idle_open_connections() {
 }
 
 /// Shutdown with work in flight: every ticket the engine accepted is
-/// answered on the wire before the connection closes.
+/// answered on the wire before the connection closes — the frame a
+/// writer was still filling when the stop request came included.
 #[test]
 fn shutdown_delivers_every_inflight_response_before_closing() {
     let _guard = common::serial();
