@@ -1,4 +1,4 @@
-//! Bench crate: all targets live under `benches/`; see each figure bench
-//! and the criterion microbenches. `cargo bench -p orthrus-bench`
-//! regenerates every table/figure at the scales set by `ORTHRUS_*`
-//! environment variables (see `orthrus_harness::BenchConfig`).
+//! Bench crate: the criterion microbenches under `benches/` (`micro_spsc`,
+//! `micro_locktable`, `micro_log`, `micro_ingest`). The paper's figures,
+//! the extensions and the ablations are not bench targets: run them with
+//! `cargo run --release -p orthrus-harness --bin figures -- <id>`.

@@ -24,9 +24,8 @@ pub struct RunCtl {
 
 impl RunCtl {
     /// A fresh controller: not measuring, not stopped. [`timed_run`]
-    /// builds one per run; service-mode engines (long-lived worker
-    /// threads driven by client submissions rather than a fixed window)
-    /// own one behind an `Arc` and drive it through
+    /// builds one per run; an ORTHRUS engine owns one behind an `Arc`
+    /// beside its threads and drives it through
     /// [`Self::begin_measuring`] / [`Self::request_stop`].
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
@@ -95,7 +94,9 @@ pub struct RunParams {
     /// Measured window length.
     pub measure: Duration,
     /// OLLP estimate-noise percentage (planned engines; see
-    /// `orthrus_txn::plan_accesses`).
+    /// `orthrus_txn::plan_accesses`). ORTHRUS plans with its own
+    /// `OrthrusConfig::ollp_noise_pct` and enforces this field like
+    /// `threads`: pass `0` ("take the engine's") or exactly that value.
     pub ollp_noise_pct: u32,
 }
 
@@ -114,24 +115,14 @@ impl RunParams {
 
 /// Spawn `n_workers` pinned threads running `worker(index, ctl)`, drive
 /// the warmup → measure → stop protocol, and merge the returned stats.
-///
-/// `counted` limits which worker indexes contribute to
-/// [`RunStats::threads`] (ORTHRUS counts only execution threads there);
-/// the others' stats join the totals through
-/// [`RunStats::with_cc_threads`].
-pub fn timed_run<F>(
-    n_workers: usize,
-    warmup: Duration,
-    measure: Duration,
-    counted: impl Fn(usize) -> bool,
-    worker: F,
-) -> RunStats
+/// The baseline engines' run protocol (ORTHRUS owns its threads itself:
+/// `orthrus_core::OrthrusEngine::run`).
+pub fn timed_run<F>(n_workers: usize, warmup: Duration, measure: Duration, worker: F) -> RunStats
 where
     F: Fn(usize, &RunCtl) -> ThreadStats + Sync,
 {
     let ctl = RunCtl::new();
     let mut per_thread: Vec<ThreadStats> = Vec::new();
-    let mut uncounted: Vec<ThreadStats> = Vec::new();
     let mut elapsed = Duration::ZERO;
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_workers);
@@ -149,17 +140,12 @@ where
         std::thread::sleep(measure);
         ctl.request_stop();
         elapsed = t0.elapsed();
-        for (i, h) in handles.into_iter().enumerate() {
-            let stats = h.join().expect("worker panicked");
-            if counted(i) {
-                per_thread.push(stats);
-            } else {
-                uncounted.push(stats);
-            }
+        for h in handles {
+            per_thread.push(h.join().expect("worker panicked"));
         }
     })
     .expect("engine thread panicked");
-    RunStats::collect(&per_thread, elapsed).with_cc_threads(&uncounted)
+    RunStats::collect(&per_thread, elapsed)
 }
 
 #[cfg(test)]
@@ -172,7 +158,6 @@ mod tests {
             4,
             Duration::from_millis(30),
             Duration::from_millis(100),
-            |_| true,
             |_, ctl| {
                 let mut s = ThreadStats::default();
                 while !ctl.is_stopped() {
@@ -197,33 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn uncounted_workers_merge_without_inflating() {
-        let stats = timed_run(
-            3,
-            Duration::from_millis(1),
-            Duration::from_millis(20),
-            |i| i < 2,
-            |i, ctl| {
-                while !ctl.is_stopped() {
-                    std::thread::yield_now();
-                }
-                ThreadStats {
-                    committed: 10 + i as u64,
-                    ..Default::default()
-                }
-            },
-        );
-        assert_eq!(stats.threads, 2);
-        assert_eq!(stats.totals.committed, 10 + 11 + 12);
-    }
-
-    #[test]
     fn throughput_reflects_commits_over_window() {
         let stats = timed_run(
             1,
             Duration::from_millis(1),
             Duration::from_millis(50),
-            |_| true,
             |_, ctl| {
                 let mut s = ThreadStats::default();
                 while !ctl.is_stopped() {

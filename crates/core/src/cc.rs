@@ -26,6 +26,33 @@ pub enum OutMsg {
     ToExec { exec: u16, resp: ExecResponse },
 }
 
+/// What a CC thread's message loop drives: this module's thread-local
+/// partition of the lock space, or [`crate::shared::SharedCcState`]'s
+/// handle onto the Section-3.4 shared latched table.
+pub trait CcTable {
+    /// Handle one request, appending any outgoing messages to `out`.
+    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>);
+
+    /// Re-poll acquisitions parked on locks that *other* CC threads
+    /// release (shared table only: a partition's waiters are woken by
+    /// requests arriving in its own inbox). Returns how many progressed.
+    fn poll_parked(&mut self, _out: &mut Vec<OutMsg>) -> usize {
+        0
+    }
+
+    /// How many acquisitions [`Self::poll_parked`] is still watching.
+    fn parked(&self) -> usize {
+        0
+    }
+}
+
+impl CcTable for CcState {
+    #[inline]
+    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>) {
+        CcState::handle(self, req, out);
+    }
+}
+
 /// A transaction whose span is partially granted: the countdown to
 /// completion.
 struct Pending {

@@ -23,10 +23,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use orthrus_common::affinity::pin_to_core;
-use orthrus_common::runtime::{timed_run, RunCtl, RunParams};
+use orthrus_common::runtime::{RunCtl, RunParams};
 use orthrus_common::sim;
 use orthrus_common::{Backoff, Doorbell, Phase, PhaseTimer, RunStats, ThreadStats};
 use orthrus_durability::checkpoint::{run_checkpointer, write_initial_checkpoint};
@@ -34,13 +35,13 @@ use orthrus_durability::{run_sync_coordinator, CommandLog, ReplayReport};
 use orthrus_spsc::{channel_labeled, Consumer, FanIn, Producer};
 use orthrus_txn::Database;
 use orthrus_workload::Spec;
-use parking_lot::Mutex;
 
-use crate::cc::{CcState, OutMsg};
-use crate::config::OrthrusConfig;
+use crate::cc::{CcState, CcTable, OutMsg};
+use crate::config::{CcMode, OrthrusConfig};
 use crate::msg::{CcRequest, ExecResponse};
 use crate::session::{Session, SubmitShared};
-use crate::source::{ClientSource, Completion, Submission, SyntheticSource};
+use crate::shared::SharedCcState;
+use crate::source::{ClientSource, Completion, Submission, SyntheticSource, TxnSource};
 
 /// A typed shutdown/recovery failure: the error paths the fault injector
 /// can reach (fsync failure, a worker killed by an injected fault) report
@@ -185,34 +186,23 @@ impl OrthrusEngine {
     /// assignment shapes) — better a loud construction failure than an
     /// engine that silently hangs or starves at run time.
     pub fn new(db: Arc<Database>, spec: Spec, cfg: OrthrusConfig) -> Self {
-        if let Err(why) = cfg.validate() {
-            panic!("invalid OrthrusConfig: {why}");
-        }
-        let log = open_log(&cfg);
-        ensure_initial_checkpoint(&cfg, &db, &log);
-        OrthrusEngine {
-            db,
-            spec: Some(spec),
-            cfg,
-            log,
-        }
+        Self::build(db, Some(spec), cfg)
     }
 
     /// Build a service-mode engine over `db`: no synthetic workload —
     /// transactions arrive through client [`Session`]s after
     /// [`Self::start`]. Validation as in [`Self::new`].
     pub fn service(db: Arc<Database>, cfg: OrthrusConfig) -> Self {
+        Self::build(db, None, cfg)
+    }
+
+    fn build(db: Arc<Database>, spec: Option<Spec>, cfg: OrthrusConfig) -> Self {
         if let Err(why) = cfg.validate() {
             panic!("invalid OrthrusConfig: {why}");
         }
         let log = open_log(&cfg);
         ensure_initial_checkpoint(&cfg, &db, &log);
-        OrthrusEngine {
-            db,
-            spec: None,
-            cfg,
-            log,
-        }
+        OrthrusEngine { db, spec, cfg, log }
     }
 
     /// Crash recovery: replay the command log at [`OrthrusConfig::log_dir`]
@@ -262,14 +252,20 @@ impl OrthrusEngine {
         &self.cfg
     }
 
-    /// Run the closed-loop workload for a timed window.
+    /// Run the closed-loop workload for a timed window: the same threads
+    /// [`Self::start`] spawns, each execution thread admitting from its
+    /// own [`SyntheticSource`], stopped after `warmup + measure`.
     ///
     /// # Panics
     /// - on an engine built with [`Self::service`] (no workload spec);
     /// - if `params.threads` is neither `0` ("derive from the engine")
-    ///   nor exactly [`OrthrusConfig::total_threads`] — the engine always
-    ///   runs its own CC/exec split, and a silently ignored mismatch
-    ///   would let a harness mislabel what it measured.
+    ///   nor exactly [`OrthrusConfig::total_threads`], or
+    ///   `params.ollp_noise_pct` is neither `0` ("take the engine's") nor
+    ///   exactly [`OrthrusConfig::ollp_noise_pct`] — the engine always
+    ///   runs its own configuration, and a silently ignored mismatch
+    ///   would let a harness mislabel what it measured;
+    /// - if a worker died or the final log sync failed (the message is
+    ///   the [`EngineError`]'s; every thread is joined first).
     pub fn run(&self, params: &RunParams) -> RunStats {
         let spec = self
             .spec
@@ -283,84 +279,26 @@ impl OrthrusEngine {
             self.cfg.n_cc,
             self.cfg.n_exec,
         );
-        let c = self.cfg.n_cc;
-        let fabric = build_fabric(&self.cfg);
-        let cc_slots: Vec<Mutex<Option<CcEndpoints>>> = fabric
-            .cc
-            .into_iter()
-            .map(|ep| Mutex::new(Some(ep)))
-            .collect();
-        let exec_slots: Vec<Mutex<Option<ExecEndpoints>>> = fabric
-            .exec
-            .into_iter()
-            .map(|ep| Mutex::new(Some(ep)))
-            .collect();
-        let active_execs = AtomicUsize::new(self.cfg.n_exec);
-        let shared_table = shared_table_for(&self.cfg);
-        let aux = AuxThreads::spawn(&self.cfg, &self.log);
-        let bells = fabric.bells;
-
-        let mut stats = timed_run(
-            self.cfg.total_threads(),
-            params.warmup,
-            params.measure,
-            |i| i >= c, // only execution threads define the breakdown
-            |i, ctl| {
-                if i < c {
-                    let ep = cc_slots[i].lock().take().expect("cc endpoints taken twice");
-                    let flush = self.cfg.effective_flush_threshold();
-                    match &shared_table {
-                        None => run_cc(CC_TABLE_CAPACITY, flush, ep, ctl, &active_execs),
-                        Some(table) => {
-                            run_cc_shared(Arc::clone(table), flush, ep, ctl, &active_execs)
-                        }
-                    }
-                } else {
-                    let ex = i - c;
-                    let ep = exec_slots[ex]
-                        .lock()
-                        .take()
-                        .expect("exec endpoints taken twice");
-                    // Admission is thread-local: each execution thread owns
-                    // its policy state (source, planning RNG, any
-                    // conflict-class run queues). The synthetic source
-                    // wraps the seed's generator stream unchanged.
-                    let source = SyntheticSource::new(spec.generator(params.seed, ex));
-                    let admit = crate::admit::Admitter::new(
-                        &self.cfg.admission,
-                        source,
-                        params.seed,
-                        ex as u16,
-                        self.cfg.ollp_noise_pct,
-                    );
-                    let thread = crate::exec::ExecThread::new(
-                        ex as u16,
-                        &self.db,
-                        &self.cfg,
-                        ep.to_cc,
-                        ep.fanin,
-                        bells.clone(),
-                        admit,
-                    )
-                    .with_log(self.log.clone());
-                    thread.run(ctl, &active_execs)
-                }
-            },
+        assert!(
+            params.ollp_noise_pct == 0 || params.ollp_noise_pct == self.cfg.ollp_noise_pct,
+            "RunParams.ollp_noise_pct = {} does not match the engine's \
+             OrthrusConfig.ollp_noise_pct = {} (pass 0 to take the engine's)",
+            params.ollp_noise_pct,
+            self.cfg.ollp_noise_pct,
         );
-        // Workers are joined (timed_run returned): every append's
-        // watermark is published, so the coordinator's final pass drains
-        // the log before it stops.
-        let coord = aux
-            .finish()
-            .unwrap_or_else(|msg| panic!("engine worker panicked: {msg}"));
-        stats.totals.merge(&coord);
-        if let Some(log) = &self.log {
-            // A finished closed-loop run is a clean stop: make it fully
-            // replayable even in fsync-free `log` mode.
-            log.sync()
-                .unwrap_or_else(|e| panic!("command-log sync failed: {e}"));
-        }
-        stats
+        // The synthetic source wraps the seed's generator stream
+        // unchanged, and always has backlog: nobody needs to ring an
+        // execution thread for work.
+        let mut workers = Workers::spawn(self, params.seed, |ex| {
+            let source = SyntheticSource::new(spec.generator(params.seed, ex));
+            (source, None)
+        });
+        std::thread::sleep(params.warmup);
+        workers.begin_measuring();
+        std::thread::sleep(params.measure);
+        workers
+            .stop(|| {})
+            .unwrap_or_else(|e| panic!("closed-loop run failed: {e}"))
     }
 
     /// Start the engine in **service mode**: spawn its CC and execution
@@ -388,37 +326,7 @@ impl OrthrusEngine {
     /// that one thread can wait on several engines at once: the
     /// partition sequencer hands every member engine the same bell.
     pub fn start_with_bell(&self, seed: u64, completion_bell: Arc<Doorbell>) -> EngineHandle {
-        let cfg = Arc::new(self.cfg.clone());
-        let fabric = build_fabric(&cfg);
-        let ctl = Arc::new(RunCtl::new());
-        let active_execs = Arc::new(AtomicUsize::new(cfg.n_exec));
-        let shared_table = shared_table_for(&cfg);
-        let aux = AuxThreads::spawn(&cfg, &self.log);
-        let mut workers = Vec::with_capacity(cfg.total_threads());
-        let mut worker_names = Vec::with_capacity(cfg.total_threads());
-
-        for (cc, ep) in fabric.cc.into_iter().enumerate() {
-            let ctl = Arc::clone(&ctl);
-            let active = Arc::clone(&active_execs);
-            let flush = cfg.effective_flush_threshold();
-            let shared = shared_table.clone();
-            let name = format!("{}cc{cc}", cfg.sim_prefix);
-            worker_names.push(name.clone());
-            workers.push(std::thread::spawn(move || {
-                // Under a sim scheduler this blocks until every worker
-                // (and the client) has enrolled; a no-op otherwise. The
-                // guard retires the thread on drop, panics included.
-                let _sim = sim::enroll(&name);
-                pin_to_core(cc);
-                match shared {
-                    None => run_cc(CC_TABLE_CAPACITY, flush, ep, &ctl, &active),
-                    Some(table) => run_cc_shared(table, flush, ep, &ctl, &active),
-                }
-            }));
-        }
-
-        let mut ingest: Vec<Producer<Submission>> = Vec::with_capacity(cfg.n_exec);
-        let mut completions: Vec<Consumer<Completion>> = Vec::with_capacity(cfg.n_exec);
+        let cfg = &self.cfg;
         // Fast-path sizing: everything accepted-but-uncompleted sits in
         // the ingest ring, the admission policy's run queues (up to one
         // refill window), or an in-flight slot; doubling covers a client
@@ -429,26 +337,168 @@ impl OrthrusEngine {
         // latch-free fast path.
         let completion_capacity =
             2 * (cfg.ingest_capacity + cfg.admission.max_queued_window() + cfg.max_inflight);
-        for (ex, ep) in fabric.exec.into_iter().enumerate() {
+        let mut ingest: Vec<Producer<Submission>> = Vec::with_capacity(cfg.n_exec);
+        let mut completions: Vec<Consumer<Completion>> = Vec::with_capacity(cfg.n_exec);
+        let workers = Workers::spawn(self, seed, |_| {
             let (submit_tx, submit_rx) =
                 channel_labeled::<Submission>(cfg.ingest_capacity, "ingest");
             let (done_tx, done_rx) =
                 channel_labeled::<Completion>(completion_capacity, "completion");
             ingest.push(submit_tx);
             completions.push(done_rx);
-            let db = Arc::clone(&self.db);
+            let source = ClientSource::new(submit_rx, cfg.effective_flush_threshold());
+            (source, Some((done_tx, Arc::clone(&completion_bell))))
+        });
+        EngineHandle {
+            submit: Arc::new(SubmitShared::new(ingest, Arc::clone(&workers.bells.exec))),
+            workers,
+            completions,
+            completion_bell,
+            stash: Vec::new(),
+            stats: None,
+            fail: None,
+        }
+    }
+}
+
+/// Spawn one engine thread under `name`: its OS thread name and, under a
+/// sim scheduler, its enrollment — which blocks until every participant
+/// has enrolled, and whose guard retires the thread on drop, panics
+/// included. A no-op enrollment otherwise.
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(move || {
+            let _sim = sim::enroll(&name);
+            body()
+        })
+        .unwrap_or_else(|e| panic!("cannot spawn an engine thread: {e}"))
+}
+
+/// An engine thread and the name it was spawned under.
+type NamedThread = (String, JoinHandle<ThreadStats>);
+
+/// Wait until every thread has finished, calling `idle()` between
+/// liveness checks, then join them all — one dead thread must not leak
+/// the rest. Returns each thread's statistics (zeroes for a dead one)
+/// and the first panic message: the root cause.
+///
+/// Under a sim scheduler the caller holds the token, and a bare join
+/// would block while the threads sit parked waiting for it; `idle()`
+/// must therefore reach a park point, and the exit condition is
+/// *virtual*-time liveness — gating on `is_finished` would record however
+/// many steps the threads' real OS unwind takes, which varies run to run.
+fn join_all(
+    threads: &mut Vec<NamedThread>,
+    mut idle: impl FnMut(),
+) -> (Vec<ThreadStats>, Option<String>) {
+    while (threads.iter()).any(|(name, t)| sim::thread_running(t, name)) {
+        idle();
+    }
+    let mut panic_msg: Option<String> = None;
+    let stats = (threads.drain(..))
+        .map(|(_, t)| {
+            t.join().unwrap_or_else(|payload| {
+                panic_msg.get_or_insert_with(|| panic_message(payload));
+                ThreadStats::default()
+            })
+        })
+        .collect();
+    (stats, panic_msg)
+}
+
+/// Where an execution thread reports ticketed commits (service mode):
+/// its completion ring and the drainer's doorbell.
+type CompletionPath = (Producer<Completion>, Arc<Doorbell>);
+
+/// The one owner of an engine's threads: the CC and execution workers
+/// over one fabric, their run-control flags and inbox bells, and the
+/// durability companions. Service mode ([`EngineHandle`]) and the closed
+/// loop ([`OrthrusEngine::run`]) are both clients of it; they differ in
+/// the [`TxnSource`] each execution thread admits from and in what they
+/// do between [`Self::spawn`] and [`Self::stop`].
+struct Workers {
+    ctl: Arc<RunCtl>,
+    /// The workers' inbox doorbells: a [`RunCtl`] flag flipped from here
+    /// is followed by [`Bells::ring_all`], since a parked worker polls
+    /// nothing.
+    bells: Bells,
+    /// CC workers first, then execution workers (join order matters only
+    /// for the stats split).
+    threads: Vec<NamedThread>,
+    n_cc: usize,
+    measure_from: Instant,
+    /// The engine's command log, synced once every worker has joined so a
+    /// clean stop is fully replayable even in fsync-free `log` mode.
+    log: Option<Arc<CommandLog>>,
+    /// The group-fsync coordinator and checkpointer (see
+    /// [`spawn_companions`]) and the flag that stops them.
+    companions: Vec<NamedThread>,
+    companions_stop: Arc<AtomicBool>,
+}
+
+impl Workers {
+    /// Build the fabric and spawn every thread of `engine`. `wire(ex)`
+    /// runs on the calling thread, once per execution thread in index
+    /// order, and returns what that thread admits from and where it
+    /// reports ticketed commits (nowhere, for a synthetic source).
+    /// `seed` seeds the planning RNGs.
+    fn spawn<S: TxnSource + Send + 'static>(
+        engine: &OrthrusEngine,
+        seed: u64,
+        mut wire: impl FnMut(usize) -> (S, Option<CompletionPath>),
+    ) -> Workers {
+        let cfg = Arc::new(engine.cfg.clone());
+        let fabric = build_fabric(&cfg);
+        let ctl = Arc::new(RunCtl::new());
+        let active_execs = Arc::new(AtomicUsize::new(cfg.n_exec));
+        // Shared-table mode (Section 3.4): one latched table serves every
+        // CC thread.
+        let shared_table = (cfg.cc_mode == CcMode::SharedTable)
+            .then(|| Arc::new(orthrus_lockmgr::LockTable::new(cfg.shared_table_buckets)));
+        let companions_stop = Arc::new(AtomicBool::new(false));
+        let companions = spawn_companions(&cfg, &engine.log, &companions_stop);
+        let mut threads = Vec::with_capacity(cfg.total_threads());
+
+        for (cc, ep) in fabric.cc.into_iter().enumerate() {
+            let ctl = Arc::clone(&ctl);
+            let active = Arc::clone(&active_execs);
+            let flush = cfg.effective_flush_threshold();
+            let shared = shared_table.clone().map(SharedCcState::new);
+            let name = format!("{}cc{cc}", cfg.sim_prefix);
+            let thread = spawn_named(name.clone(), move || {
+                pin_to_core(cc);
+                match shared {
+                    None => run_cc(
+                        CcState::new(cc as u32, CC_TABLE_CAPACITY),
+                        flush,
+                        ep,
+                        &ctl,
+                        &active,
+                    ),
+                    Some(state) => run_cc(state, flush, ep, &ctl, &active),
+                }
+            });
+            threads.push((name, thread));
+        }
+
+        for (ex, ep) in fabric.exec.into_iter().enumerate() {
+            let (source, completions) = wire(ex);
+            let db = Arc::clone(&engine.db);
             let cfg = Arc::clone(&cfg);
             let ctl = Arc::clone(&ctl);
             let active = Arc::clone(&active_execs);
-            let log = self.log.clone();
-            let bell = Arc::clone(&completion_bell);
+            let log = engine.log.clone();
             let bells = fabric.bells.clone();
             let name = format!("{}exec{ex}", cfg.sim_prefix);
-            worker_names.push(name.clone());
-            workers.push(std::thread::spawn(move || {
-                let _sim = sim::enroll(&name);
+            let thread = spawn_named(name.clone(), move || {
                 pin_to_core(cfg.n_cc + ex);
-                let source = ClientSource::new(submit_rx, cfg.effective_flush_threshold());
+                // Admission is thread-local: each execution thread owns
+                // its policy state (source, planning RNG, any
+                // conflict-class run queues).
                 let admit = crate::admit::Admitter::new(
                     &cfg.admission,
                     source,
@@ -457,28 +507,80 @@ impl OrthrusEngine {
                     cfg.ollp_noise_pct,
                 );
                 crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, bells, admit)
-                    .with_completions(done_tx, bell)
+                    .with_completions(completions)
                     .with_log(log)
                     .run(&ctl, &active)
-            }));
+            });
+            threads.push((name, thread));
         }
 
-        EngineHandle {
+        Workers {
             ctl,
-            submit: Arc::new(SubmitShared::new(ingest, Arc::clone(&fabric.bells.exec))),
             bells: fabric.bells,
-            completions,
-            completion_bell,
-            stash: Vec::new(),
-            workers,
-            worker_names,
-            n_cc: self.cfg.n_cc,
+            threads,
+            n_cc: engine.cfg.n_cc,
             measure_from: Instant::now(),
-            stats: None,
-            fail: None,
-            log: self.log.clone(),
-            aux: Some(aux),
+            log: engine.log.clone(),
+            companions,
+            companions_stop,
         }
+    }
+
+    /// Open the measurement window: per-thread window counters reset and
+    /// throughput/latency accounting runs from here to [`Self::stop`].
+    /// Single-shot: workers latch the transition once, so repeated calls
+    /// are ignored (re-arming only `elapsed` would silently inflate
+    /// reported throughput).
+    fn begin_measuring(&mut self) {
+        if self.ctl.is_measuring() {
+            return;
+        }
+        self.ctl.begin_measuring();
+        self.bells.ring_all();
+        self.measure_from = Instant::now();
+    }
+
+    /// Close the window, stop and join every worker and then the
+    /// companions — all of them on every path, error or not — sync the
+    /// log, and merge the statistics. `while_waiting` runs while the
+    /// workers wind down: a service-mode owner drains completion rings
+    /// there, since an execution thread with undelivered completions
+    /// does not exit.
+    fn stop(&mut self, mut while_waiting: impl FnMut()) -> Result<RunStats, EngineError> {
+        let elapsed = self.measure_from.elapsed();
+        self.ctl.request_stop();
+        self.bells.ring_all();
+        let (mut cc_stats, worker_panic) = join_all(&mut self.threads, || {
+            while_waiting();
+            std::thread::yield_now();
+        });
+        // Every worker is joined, so every append's watermark is
+        // published: the coordinator's exit condition (stopped ∧ fully
+        // synced) now covers the whole log. A companion's panic (fsync
+        // failure) is itself a worker panic.
+        self.companions_stop.store(true, Ordering::Release);
+        let (companion_stats, companion_panic) = join_all(&mut self.companions, || {
+            if !sim::on_park() {
+                std::thread::yield_now();
+            }
+        });
+        if let Some(msg) = worker_panic.or(companion_panic) {
+            return Err(EngineError::WorkerPanicked(msg));
+        }
+        if let Some(log) = &self.log {
+            // Every accepted ticket's record is appended. Push the
+            // OS-buffered suffix to stable storage.
+            log.sync().map_err(EngineError::LogSync)?;
+        }
+        let exec_stats = cc_stats.split_off(self.n_cc);
+        // CC threads and the coordinator (group fsyncs, coalesced
+        // appends) add their counters to the totals without inflating
+        // the thread count.
+        let mut stats = RunStats::collect(&exec_stats, elapsed).with_cc_threads(&cc_stats);
+        for companion in &companion_stats {
+            stats.totals.merge(companion);
+        }
+        Ok(stats)
     }
 }
 
@@ -522,94 +624,44 @@ fn ensure_initial_checkpoint(cfg: &OrthrusConfig, db: &Database, log: &Option<Ar
     }
 }
 
-/// The durability rung-2 companion threads — the group-fsync coordinator
-/// and the fuzzy checkpointer — spawned alongside the engine's workers
-/// when the configuration asks for them, stopped only **after** every
-/// exec worker has joined (the coordinator must keep flushing while they
-/// drain their pending-durable queues).
-struct AuxThreads {
-    stop: Arc<AtomicBool>,
-    sync: Option<std::thread::JoinHandle<ThreadStats>>,
-    ckpt: Option<std::thread::JoinHandle<()>>,
-    /// The companions' sim enrollment names are `{sim_prefix}sync` /
-    /// `{sim_prefix}ckpt`; kept so [`Self::finish`] can gate its wait
-    /// loop on virtual-time liveness.
-    sim_prefix: String,
-}
-
-impl AuxThreads {
-    fn spawn(cfg: &OrthrusConfig, log: &Option<Arc<CommandLog>>) -> Self {
-        let mut aux = AuxThreads {
-            stop: Arc::new(AtomicBool::new(false)),
-            sync: None,
-            ckpt: None,
-            sim_prefix: cfg.sim_prefix.clone(),
-        };
-        let Some(log) = log else { return aux };
-        if log.group_sync() {
-            let (log, stop) = (Arc::clone(log), Arc::clone(&aux.stop));
-            let interval = cfg.sync_interval;
-            let sim_prefix = cfg.sim_prefix.clone();
-            aux.sync = Some(std::thread::spawn(move || {
-                // Same enrollment contract as the workers: a named sim
-                // participant under a sim scheduler, a no-op otherwise.
-                let _sim = orthrus_common::sim::enroll(&format!("{sim_prefix}sync"));
-                run_sync_coordinator(&log, &stop, interval)
-            }));
-        }
-        if let Some(every) = cfg.checkpoint_bytes {
-            let (log, stop) = (Arc::clone(log), Arc::clone(&aux.stop));
-            let dir = cfg.log_dir.clone().expect("validated: log_dir is set");
-            let sim_prefix = cfg.sim_prefix.clone();
-            aux.ckpt = Some(std::thread::spawn(move || {
-                let _sim = orthrus_common::sim::enroll(&format!("{sim_prefix}ckpt"));
-                // Real I/O failures panic inside `run_checkpointer`; an
-                // `Err` is an *injected* failpoint — a scripted crash the
-                // recovery suite owns. The live engine just stops
-                // checkpointing (recovery falls back to the previous
-                // checkpoint plus a longer suffix).
-                let _ = run_checkpointer(&log, &dir, &stop, every);
-            }));
-        }
-        aux
+/// Spawn the durability rung-2 companion threads the configuration asks
+/// for — the group-fsync coordinator (`sync`) and the fuzzy checkpointer
+/// (`ckpt`) — each running until `stop` is raised. [`Workers::stop`]
+/// raises it only **after** every exec worker has joined: the
+/// coordinator must keep flushing while they drain their pending-durable
+/// queues, and then drains every outstanding append before it exits.
+fn spawn_companions(
+    cfg: &OrthrusConfig,
+    log: &Option<Arc<CommandLog>>,
+    stop: &Arc<AtomicBool>,
+) -> Vec<NamedThread> {
+    let mut companions = Vec::new();
+    let Some(log) = log else { return companions };
+    if log.group_sync() {
+        let (log, stop) = (Arc::clone(log), Arc::clone(stop));
+        let interval = cfg.sync_interval;
+        let name = format!("{}sync", cfg.sim_prefix);
+        let thread = spawn_named(name.clone(), move || {
+            run_sync_coordinator(&log, &stop, interval)
+        });
+        companions.push((name, thread));
     }
-
-    /// Stop and join both companions; the coordinator drains every
-    /// outstanding append before it exits. Returns the coordinator's
-    /// counters for merging into the run totals, or the first panic
-    /// message.
-    fn finish(mut self) -> Result<ThreadStats, String> {
-        self.stop.store(true, Ordering::Release);
-        // Under a sim scheduler the caller holds the token, and a bare
-        // join would block while the companions sit parked waiting for
-        // it — yield through the park point until both have retired (a
-        // no-op spin outside the sim). The exit condition must be
-        // *virtual*-time liveness: gating on `is_finished` would record
-        // however many park steps the companions' real OS unwind takes,
-        // which is timing-dependent — nondeterminism.
-        let sync_name = format!("{}sync", self.sim_prefix);
-        let ckpt_name = format!("{}ckpt", self.sim_prefix);
-        while (self.sync.as_ref()).is_some_and(|h| sim::thread_running(h, &sync_name))
-            || (self.ckpt.as_ref()).is_some_and(|h| sim::thread_running(h, &ckpt_name))
-        {
-            if !orthrus_common::sim::on_park() {
-                std::thread::yield_now();
-            }
-        }
-        let mut stats = ThreadStats::default();
-        if let Some(h) = self.sync.take() {
-            match h.join() {
-                Ok(s) => stats = s,
-                Err(p) => return Err(panic_message(p)),
-            }
-        }
-        if let Some(h) = self.ckpt.take() {
-            if let Err(p) = h.join() {
-                return Err(panic_message(p));
-            }
-        }
-        Ok(stats)
+    if let Some(every) = cfg.checkpoint_bytes {
+        let (log, stop) = (Arc::clone(log), Arc::clone(stop));
+        let dir = cfg.log_dir.clone().expect("validated: log_dir is set");
+        let name = format!("{}ckpt", cfg.sim_prefix);
+        let thread = spawn_named(name.clone(), move || {
+            // Real I/O failures panic inside `run_checkpointer`; an
+            // `Err` is an *injected* failpoint — a scripted crash the
+            // recovery suite owns. The live engine just stops
+            // checkpointing (recovery falls back to the previous
+            // checkpoint plus a longer suffix).
+            let _ = run_checkpointer(&log, &dir, &stop, every);
+            ThreadStats::default()
+        });
+        companions.push((name, thread));
     }
+    companions
 }
 
 /// Pre-size each CC's table for the locks a few dozen transactions hold
@@ -625,12 +677,7 @@ struct Fabric {
 }
 
 /// Build the full SPSC mesh for `cfg`'s thread shape (see the module
-/// docs for the capacity bounds). Shared by the closed-loop [`run`]
-/// protocol and service-mode [`start`] — the fabric is identical; only
-/// where admission gets its transactions differs.
-///
-/// [`run`]: OrthrusEngine::run
-/// [`start`]: OrthrusEngine::start
+/// docs for the capacity bounds), for [`Workers::spawn`] to hand out.
 // Indexed loops keep the (producer, consumer) ring-matrix wiring
 // visibly symmetric; iterator forms obscure which side is which.
 #[allow(clippy::needless_range_loop)]
@@ -699,19 +746,8 @@ fn build_fabric(cfg: &OrthrusConfig) -> Fabric {
     }
 }
 
-/// Shared-table mode (Section 3.4): one latched table serves every CC
-/// thread.
-fn shared_table_for(cfg: &OrthrusConfig) -> Option<Arc<orthrus_lockmgr::LockTable>> {
-    match cfg.cc_mode {
-        crate::config::CcMode::Partitioned => None,
-        crate::config::CcMode::SharedTable => Some(Arc::new(orthrus_lockmgr::LockTable::new(
-            cfg.shared_table_buckets,
-        ))),
-    }
-}
-
-/// A running service-mode engine: owns the worker threads, the
-/// submission fabric, and the completion rings.
+/// A running service-mode engine: the engine's threads plus the
+/// submission fabric and the completion rings.
 ///
 /// Lifecycle: [`OrthrusEngine::start`] → [`Self::session`] /
 /// [`Self::begin_measurement`] / [`Self::drain_completions`] →
@@ -719,12 +755,8 @@ fn shared_table_for(cfg: &OrthrusConfig) -> Option<Arc<orthrus_lockmgr::LockTabl
 /// shuts the engine down (discarding the stats), so a panicking client
 /// cannot leak spinning engine threads.
 pub struct EngineHandle {
-    ctl: Arc<RunCtl>,
+    workers: Workers,
     submit: Arc<SubmitShared>,
-    /// The workers' inbox doorbells: a [`RunCtl`] flag flipped from here
-    /// is followed by [`Bells::ring_all`], since a parked worker polls
-    /// nothing.
-    bells: Bells,
     completions: Vec<Consumer<Completion>>,
     /// Rung by execution threads after publishing completions; see
     /// [`Self::wait_completions`].
@@ -732,24 +764,10 @@ pub struct EngineHandle {
     /// Completions drained internally (e.g. while unblocking workers
     /// during shutdown) but not yet handed to the client.
     stash: Vec<Completion>,
-    /// CC workers first, then execution workers (join order matters only
-    /// for the stats split).
-    workers: Vec<std::thread::JoinHandle<ThreadStats>>,
-    /// The workers' sim enrollment names, index-aligned with `workers`,
-    /// so the shutdown drain can gate on virtual-time liveness.
-    worker_names: Vec<String>,
-    n_cc: usize,
-    measure_from: Instant,
     stats: Option<RunStats>,
     /// Why a previous [`Self::try_shutdown`] failed, if it did (the
     /// workers are joined either way; the handle is spent).
     fail: Option<String>,
-    /// The engine's command log, synced once the drain completes so a
-    /// clean shutdown is fully replayable even in fsync-free `log` mode.
-    log: Option<Arc<CommandLog>>,
-    /// The group-fsync coordinator and checkpointer, stopped and joined
-    /// only after every worker has (see [`AuxThreads`]).
-    aux: Option<AuxThreads>,
 }
 
 impl EngineHandle {
@@ -769,17 +787,9 @@ impl EngineHandle {
     /// Open the measurement window: per-thread window counters reset and
     /// throughput/latency accounting runs from here to [`Self::shutdown`].
     /// Without this call, statistics cover the engine's whole lifetime.
-    ///
-    /// Single-shot: workers latch the transition once, so repeated calls
-    /// are ignored (re-arming only `elapsed` would silently inflate
-    /// reported throughput).
+    /// Single-shot: repeated calls are ignored.
     pub fn begin_measurement(&mut self) {
-        if self.ctl.is_measuring() {
-            return;
-        }
-        self.ctl.begin_measuring();
-        self.bells.ring_all();
-        self.measure_from = Instant::now();
+        self.workers.begin_measuring();
     }
 
     /// Move every available completion into `out`; returns how many.
@@ -846,79 +856,25 @@ impl EngineHandle {
         // Fence first: after close() no new ticket can land in any ingest
         // ring, so the execution threads' stop-drain sees a closed set.
         self.submit.close();
-        let elapsed = self.measure_from.elapsed();
-        self.ctl.request_stop();
-        self.bells.ring_all();
         // Workers may be blocked publishing completions; keep draining
-        // while they wind down. Gate on virtual-time liveness under a
-        // sim scheduler (the pops below are hooked steps — counting
-        // them against real OS unwind time would vary run to run).
-        while (self.workers.iter().zip(&self.worker_names))
-            .any(|(w, name)| sim::thread_running(w, name))
-        {
-            let mut stash = std::mem::take(&mut self.stash);
-            for ring in &mut self.completions {
-                ring.pop_batch(&mut stash);
+        // while they wind down.
+        let (completions, stash) = (&mut self.completions, &mut self.stash);
+        let result = self.workers.stop(|| {
+            for ring in completions.iter_mut() {
+                ring.pop_batch(stash);
             }
-            self.stash = stash;
-            std::thread::yield_now();
+        });
+        match &result {
+            Ok(stats) => self.stats = Some(stats.clone()),
+            Err(e) => self.fail = Some(e.to_string()),
         }
-        let mut panic_msg: Option<String> = None;
-        let mut cc_stats: Vec<ThreadStats> = Vec::with_capacity(self.workers.len());
-        for w in self.workers.drain(..) {
-            match w.join() {
-                Ok(stats) => cc_stats.push(stats),
-                Err(payload) => {
-                    // Keep joining: one dead worker must not leak the
-                    // rest. The first panic is the root cause reported.
-                    panic_msg.get_or_insert_with(|| panic_message(payload));
-                    cc_stats.push(ThreadStats::default());
-                }
-            }
-        }
-        // Stop the companions now that every worker is joined — the
-        // coordinator's exit condition (stopped ∧ fully synced) makes
-        // the pending-durable drain above race-free. Joined even on the
-        // worker-panic path so nothing leaks; a coordinator panic (fsync
-        // failure) is itself a worker panic.
-        let aux_result = match self.aux.take() {
-            Some(aux) => aux.finish(),
-            None => Ok(ThreadStats::default()),
-        };
-        if let Some(msg) = panic_msg {
-            self.fail = Some(msg.clone());
-            return Err(EngineError::WorkerPanicked(msg));
-        }
-        let coord_stats = match aux_result {
-            Ok(s) => s,
-            Err(msg) => {
-                self.fail = Some(msg.clone());
-                return Err(EngineError::WorkerPanicked(msg));
-            }
-        };
-        if let Some(log) = &self.log {
-            // Workers are joined: every accepted ticket's record is
-            // appended. Push the OS-buffered suffix to stable storage.
-            if let Err(e) = log.sync() {
-                self.fail = Some(e.to_string());
-                return Err(EngineError::LogSync(e));
-            }
-        }
-        let exec_stats = cc_stats.split_off(self.n_cc);
-        // CC threads and the coordinator (group fsyncs, coalesced
-        // appends) add their counters to the totals without inflating
-        // the thread count — the same "counted" rule as the timed
-        // protocol.
-        let mut stats = RunStats::collect(&exec_stats, elapsed).with_cc_threads(&cc_stats);
-        stats.totals.merge(&coord_stats);
-        self.stats = Some(stats.clone());
-        Ok(stats)
+        result
     }
 }
 
 impl Drop for EngineHandle {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
+        if !self.workers.threads.is_empty() {
             // Swallow shutdown errors: a panic during drop would abort,
             // and the drop path has no caller to report to. Workers are
             // joined either way.
@@ -1007,15 +963,16 @@ fn finish_cc(timer: PhaseTimer, mut stats: ThreadStats) -> ThreadStats {
 /// requests from the fan-in in one sweep, and the round's outgoing
 /// messages are coalesced per destination and flushed as slices. With
 /// `flush_threshold == 1` this degenerates to the seed's
-/// one-message-per-atomic-publish pump.
+/// one-message-per-atomic-publish pump. Over the Section-3.4 shared
+/// table it also re-polls parked acquisitions each iteration (their
+/// grants arrive from *other* CC threads' releases, through the table).
 fn run_cc(
-    table_capacity: usize,
+    mut state: impl CcTable,
     flush_threshold: usize,
     mut ep: CcEndpoints,
     ctl: &RunCtl,
     active_execs: &AtomicUsize,
 ) -> ThreadStats {
-    let mut state = CcState::new(ep.id as u32, table_capacity);
     let mut stats = ThreadStats::default();
     let mut out: Vec<OutMsg> = Vec::with_capacity(16);
     let drain_budget = flush_threshold;
@@ -1030,18 +987,31 @@ fn run_cc(
             timer = PhaseTimer::start(Phase::Locking);
             in_window = true;
         }
-        let drained = ep.fanin.drain_round(&mut in_buf, drain_budget);
-        if drained > 0 {
+        let mut progress = ep.fanin.drain_round(&mut in_buf, drain_budget) > 0;
+        if progress {
             timer.switch(&mut stats, Phase::Locking);
             for req in in_buf.drain(..) {
                 state.handle(req, &mut out);
-                for msg in out.drain(..) {
-                    out_bufs.stage(msg, &mut stats);
-                }
+            }
+        }
+        if state.poll_parked(&mut out) > 0 {
+            timer.switch(&mut stats, Phase::Locking);
+            progress = true;
+        }
+        if progress {
+            for msg in out.drain(..) {
+                out_bufs.stage(msg, &mut stats);
             }
             out_bufs.flush(&mut ep, ctl);
             backoff.reset();
-        } else if ctl.is_stopped() && active_execs.load(Ordering::Acquire) == 0 {
+        } else if ctl.is_stopped()
+            && active_execs.load(Ordering::Acquire) == 0
+            // A dead exec thread never releases the locks its in-flight
+            // transactions hold, so its peers' parked acquisitions can
+            // never be granted — on failure, abandon them instead of
+            // polling forever.
+            && (state.parked() == 0 || ctl.is_failed())
+        {
             // Every exec flushed its final sends before decrementing, and
             // forwards only exist while acquires are unresolved — one last
             // sweep and we are done.
@@ -1050,71 +1020,7 @@ fn run_cc(
             }
         } else {
             timer.switch(&mut stats, Phase::Waiting);
-            backoff.snooze_on(&ep.bells.cc[ep.id], || {
-                cc_wake(&ep.fanin, ctl, active_execs, in_window)
-            });
-        }
-    }
-    finish_cc(timer, stats)
-}
-
-/// The Section-3.4 CC loop: pump requests against the shared latched
-/// table, re-polling parked acquisitions each iteration (grants arrive
-/// from *other* CC threads' releases through the shared table).
-fn run_cc_shared(
-    table: Arc<orthrus_lockmgr::LockTable>,
-    flush_threshold: usize,
-    mut ep: CcEndpoints,
-    ctl: &RunCtl,
-    active_execs: &AtomicUsize,
-) -> ThreadStats {
-    let mut state = crate::shared::SharedCcState::new(table);
-    let mut stats = ThreadStats::default();
-    let mut out: Vec<OutMsg> = Vec::with_capacity(16);
-    let drain_budget = flush_threshold;
-    let mut in_buf: Vec<CcRequest> = Vec::with_capacity(drain_budget);
-    let mut out_bufs = CcOutBufs::new(ep.to_cc.len(), ep.to_exec.len(), drain_budget);
-    let mut backoff = Backoff::new();
-    let mut timer = PhaseTimer::start(Phase::Locking);
-    let mut in_window = false;
-    loop {
-        if !in_window && ctl.is_measuring() {
-            stats.reset_window();
-            timer = PhaseTimer::start(Phase::Locking);
-            in_window = true;
-        }
-        let mut progress = false;
-        if ep.fanin.drain_round(&mut in_buf, drain_budget) > 0 {
-            timer.switch(&mut stats, Phase::Locking);
-            for req in in_buf.drain(..) {
-                state.handle(req, &mut out);
-            }
-            progress = true;
-        }
-        if state.poll_pending(&mut out) > 0 {
-            timer.switch(&mut stats, Phase::Locking);
-            progress = true;
-        }
-        for msg in out.drain(..) {
-            out_bufs.stage(msg, &mut stats);
-        }
-        out_bufs.flush(&mut ep, ctl);
-        if progress {
-            backoff.reset();
-        } else if ctl.is_stopped()
-            && active_execs.load(Ordering::Acquire) == 0
-            // A dead exec thread never releases the locks its in-flight
-            // transactions hold, so its peers' parked acquisitions can
-            // never be granted — on failure, abandon them instead of
-            // polling forever.
-            && (state.pending_count() == 0 || ctl.is_failed())
-        {
-            if ep.fanin.is_empty() {
-                break;
-            }
-        } else {
-            timer.switch(&mut stats, Phase::Waiting);
-            if state.pending_count() == 0 {
+            if state.parked() == 0 {
                 backoff.snooze_on(&ep.bells.cc[ep.id], || {
                     cc_wake(&ep.fanin, ctl, active_execs, in_window)
                 });
@@ -1815,6 +1721,30 @@ mod tests {
         let cfg = OrthrusConfig::with_threads(1, 2, CcAssignment::KeyModulo);
         let engine = OrthrusEngine::new(db, spec, cfg);
         let _ = engine.run(&RunParams::quick(7)); // engine runs 3 threads
+    }
+
+    /// `RunParams::ollp_noise_pct` follows the `threads` rule: 0 takes
+    /// the engine's, the engine's own value is accepted, anything else is
+    /// refused naming both — never silently ignored.
+    #[test]
+    fn run_rejects_mismatched_ollp_noise() {
+        let _serial = crate::test_serial();
+        let db = Arc::new(Database::Flat(Table::new(16, 64)));
+        let spec = Spec::Micro(MicroSpec::uniform(16, 2, false));
+        let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        cfg.ollp_noise_pct = 30;
+        let engine = OrthrusEngine::new(db, spec, cfg);
+        let mut params = quick();
+        params.measure = std::time::Duration::from_millis(20);
+        assert!(engine.run(&params).totals.committed > 0, "0 = the engine's");
+        params.ollp_noise_pct = 30;
+        assert!(engine.run(&params).totals.committed > 0, "the engine's own");
+        params.ollp_noise_pct = 50;
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&params)))
+                .expect_err("a noise level the engine would not plan with");
+        let msg = refused.downcast_ref::<String>().expect("formatted");
+        assert!(msg.contains("= 50") && msg.contains("= 30"), "{msg}");
     }
 
     #[test]

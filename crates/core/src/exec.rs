@@ -190,11 +190,12 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         }
     }
 
-    /// Attach the completion ring (service mode): ticketed commits are
-    /// reported back to the client through it, and `bell` is rung after
-    /// each run's completions are published.
-    pub fn with_completions(mut self, ring: Producer<Completion>, bell: Arc<Doorbell>) -> Self {
-        self.completions = Some(CompletionSink {
+    /// Attach the completion path (service mode; `None` for a synthetic
+    /// source): ticketed commits are reported back to the client through
+    /// the ring, and the bell is rung after each run's completions are
+    /// published.
+    pub fn with_completions(mut self, path: Option<(Producer<Completion>, Arc<Doorbell>)>) -> Self {
+        self.completions = path.map(|(ring, bell)| CompletionSink {
             ring,
             bell,
             unrung: false,

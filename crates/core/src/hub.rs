@@ -342,53 +342,76 @@ mod tests {
         Program::Rmw { keys: vec![key] }
     }
 
+    /// Two clients, a pump running *while* they submit — so a completion
+    /// is regularly routed before `try_submit_owned` has returned its
+    /// ticket — and tags minted from a counter inside the call: every
+    /// completion reaches its owner carrying the tag minted for it (the
+    /// tag is in the table before the push), and the counter moved once
+    /// per accepted submission, backpressured attempts included.
     #[test]
     fn completions_route_to_their_owners() {
+        use crate::session::TrySubmitError;
+        use std::sync::atomic::AtomicBool;
+
         let _guard = crate::test_serial();
         let mut handle = tiny_engine();
         let session = handle.session();
         let hub = CompletionHub::new(session.clone());
         let mut a = hub.register(64);
         let mut b = hub.register(64);
+        const N: u64 = 2_000;
 
-        let mut want_a = Vec::new();
-        let mut want_b = Vec::new();
-        for i in 0..40u64 {
-            let (rx, want) = if i % 2 == 0 {
-                (&a, &mut want_a)
-            } else {
-                (&b, &mut want_b)
-            };
-            let t = session
-                .try_submit_owned(rmw(i), rx.id())
-                .expect("ring has space");
-            want.push(t);
-        }
+        let submitting = AtomicBool::new(true);
+        let mut want = HashMap::new();
+        let mut minted = 0u64;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut drained = Vec::new();
+                while submitting.load(Ordering::Acquire) || hub.routed() < N {
+                    drained.clear();
+                    handle.drain_completions(&mut drained);
+                    hub.route(&drained);
+                    std::thread::yield_now();
+                }
+            });
+            for i in 0..N {
+                let rx = if i % 2 == 0 { &a } else { &b };
+                let mut program = rmw(i % 256);
+                let ticket = loop {
+                    let mint = || {
+                        minted += 1;
+                        1_000 + minted
+                    };
+                    match session.try_submit_owned(program, rx.id(), mint) {
+                        Ok(t) => break t,
+                        Err(TrySubmitError::Full(back)) => {
+                            program = back;
+                            std::thread::yield_now();
+                        }
+                        Err(e) => panic!("unexpected: {e}"),
+                    }
+                };
+                want.insert(ticket, (rx.id(), 1_000 + minted));
+            }
+            submitting.store(false, Ordering::Release);
+        });
+        assert_eq!(minted, N, "a tag is minted only for an accepted submission");
 
-        let mut drained = Vec::new();
-        let mut got_a = Vec::new();
-        let mut got_b = Vec::new();
-        while got_a.len() + got_b.len() < 40 {
-            drained.clear();
-            handle.drain_completions(&mut drained);
-            hub.route(&drained);
-            a.drain_into(&mut got_a, usize::MAX);
-            b.drain_into(&mut got_b, usize::MAX);
-            std::thread::yield_now();
+        let mut got = Vec::new();
+        for rx in [&mut a, &mut b] {
+            let from = got.len();
+            rx.drain_into(&mut got, usize::MAX);
+            for r in &got[from..] {
+                let owed = want.remove(&r.completion.ticket);
+                assert_eq!(owed, Some((rx.id(), r.tag)), "ticket {:?}", r.completion);
+            }
         }
-        let mut got_a: Vec<_> = got_a.iter().map(|r| r.completion.ticket).collect();
-        let mut got_b: Vec<_> = got_b.iter().map(|r| r.completion.ticket).collect();
-        got_a.sort();
-        got_b.sort();
-        want_a.sort();
-        want_b.sort();
-        assert_eq!(got_a, want_a, "client a must see exactly its tickets");
-        assert_eq!(got_b, want_b, "client b must see exactly its tickets");
-        assert_eq!(hub.routed(), 40);
+        assert!(want.is_empty(), "every ticket completed exactly once");
+        assert_eq!(hub.routed(), N);
         assert_eq!(hub.orphaned() + hub.unowned(), 0);
         let bd = hub.breakdown();
         assert_eq!(bd.partition, 0, "plain hubs label themselves partition 0");
-        assert_eq!(bd.total(), 40);
+        assert_eq!(bd.total(), N);
         handle.shutdown();
     }
 
@@ -402,7 +425,7 @@ mod tests {
         let gone_id = gone.id();
         let n = 10u64;
         for i in 0..n {
-            session.try_submit_owned(rmw(i), gone_id).unwrap();
+            session.try_submit_owned(rmw(i), gone_id, || i).unwrap();
         }
         hub.unregister(gone_id); // abrupt disconnect before completions land
         drop(gone);
@@ -441,7 +464,7 @@ mod tests {
         for i in 0..n {
             let mut p = rmw(i);
             loop {
-                match session.try_submit_owned(p, rx.id()) {
+                match session.try_submit_owned(p, rx.id(), || i) {
                     Ok(_) => break,
                     Err(crate::session::TrySubmitError::Full(back)) => {
                         p = back;

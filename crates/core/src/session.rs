@@ -177,27 +177,30 @@ impl Session {
     /// success, and returns the program back inside
     /// [`TrySubmitError::Full`] when the destination ring is full.
     pub fn try_submit(&self, program: Program) -> Result<Ticket, TrySubmitError> {
-        self.try_submit_inner(program, None)
+        self.try_submit_inner(program, None::<(u32, fn() -> u64)>)
     }
 
-    /// [`Self::try_submit`], tagging the ticket with a client id from
-    /// [`crate::hub::CompletionHub::register`] so the hub can route the
-    /// completion back to that client (with tag 0 — a single-submission
-    /// caller already holds the ticket).
-    pub fn try_submit_owned(&self, program: Program, owner: u32) -> Result<Ticket, TrySubmitError> {
-        self.try_submit_inner(
-            program,
-            Some(Owner {
-                client: owner,
-                tag: 0,
-            }),
-        )
+    /// [`Self::try_submit`], recording the ticket's owner — a client id
+    /// from [`crate::hub::CompletionHub::register`] and the owner's own
+    /// tag for this submission — so the hub routes the completion back
+    /// to that client with the tag attached ([`Routed::tag`]). `tag` is
+    /// called at most once, under the lane lock and only once the
+    /// submission is certain to be accepted (after the shutdown and
+    /// backpressure checks): an owner that mints its tags from a counter
+    /// gets a dense sequence covering exactly the accepted work.
+    pub fn try_submit_owned(
+        &self,
+        program: Program,
+        owner: u32,
+        tag: impl FnOnce() -> u64,
+    ) -> Result<Ticket, TrySubmitError> {
+        self.try_submit_inner(program, Some((owner, tag)))
     }
 
     fn try_submit_inner(
         &self,
         program: Program,
-        owner: Option<Owner>,
+        owner: Option<(u32, impl FnOnce() -> u64)>,
     ) -> Result<Ticket, TrySubmitError> {
         let shared = &self.shared;
         let lane = match program.routing_key() {
@@ -215,10 +218,14 @@ impl Session {
             return Err(TrySubmitError::Full(program));
         }
         let ticket = Ticket(shared.next_ticket.fetch_add(1, Ordering::AcqRel));
-        if let Some(owner) = owner {
+        if let Some((client, tag)) = owner {
             // Before the push: the completion happens-after the push, so
             // the router can never see an ownerless owned ticket.
-            shared.owners.cursor().insert(ticket.0, owner);
+            let tag = tag();
+            shared
+                .owners
+                .cursor()
+                .insert(ticket.0, Owner { client, tag });
         }
         producer
             .try_push(Submission {
@@ -416,7 +423,8 @@ mod tests {
         for i in 0..4 {
             tickets.push(session.try_submit(rmw(i)).expect("ring has space"));
         }
-        match session.try_submit(rmw(99)) {
+        let no_tag = || unreachable!("refused work must not mint a tag");
+        match session.try_submit_owned(rmw(99), 7, no_tag) {
             Err(TrySubmitError::Full(p)) => assert_eq!(p, rmw(99), "program handed back"),
             other => panic!("5th submission must backpressure, got {other:?}"),
         }
@@ -504,7 +512,8 @@ mod tests {
         let session = Session::new(Arc::clone(&s));
         session.try_submit(rmw(1)).unwrap();
         s.close();
-        match session.try_submit(rmw(2)) {
+        let no_tag = || unreachable!("refused work must not mint a tag");
+        match session.try_submit_owned(rmw(2), 7, no_tag) {
             Err(TrySubmitError::Shutdown(p)) => assert_eq!(p, rmw(2)),
             other => panic!("post-close submission must be refused, got {other:?}"),
         }
@@ -587,7 +596,7 @@ mod tests {
             ticket,
             latency_ns: 1,
         };
-        let t = session.try_submit_owned(rmw(1), 42).unwrap();
+        let t = session.try_submit_owned(rmw(1), 42, || 5).unwrap();
         let t2 = session.try_submit(rmw(2)).unwrap();
         // A batch long enough to cross an owner-table stripe boundary.
         let batch: Vec<Program> = (0..40).map(rmw).collect();
@@ -599,7 +608,7 @@ mod tests {
         let mut owned = Vec::new();
         session.take_owners(&all, &mut owned);
         assert_eq!(owned.len(), 41, "the un-owned ticket stays untagged");
-        assert_eq!((owned[0].0, owned[0].1.tag), (42, 0));
+        assert_eq!((owned[0].0, owned[0].1.tag), (42, 5));
         for (&(i, ticket), (client, routed)) in out.accepted.iter().zip(&owned[1..]) {
             assert_eq!(*client, 7);
             assert_eq!(routed.tag, 100 + i as u64, "the tag rides the ticket");

@@ -162,6 +162,20 @@ impl SharedCcState {
     }
 }
 
+impl crate::cc::CcTable for SharedCcState {
+    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>) {
+        SharedCcState::handle(self, req, out);
+    }
+
+    fn poll_parked(&mut self, out: &mut Vec<OutMsg>) -> usize {
+        self.poll_pending(out)
+    }
+
+    fn parked(&self) -> usize {
+        self.pending_count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,11 +46,12 @@
 //!
 //! ## Crash points
 //!
-//! [`FailpointLog`] scripts the crash: truncate the physical byte stream
-//! at an arbitrary offset and recover. The contract (tested here and in
-//! the engine's crash suite): recovery drops the torn tail, replays
-//! every fully-logged commit exactly once, and yields a
-//! prefix-consistent committed state.
+//! Tests script the crash with `orthrus_storage::log::{scan, truncate_at}`:
+//! truncate the physical byte stream at an arbitrary offset — what an
+//! interrupted `write(2)` leaves behind — and recover. The contract
+//! (tested in [`replay`] and in the engine's crash suite): recovery
+//! drops the torn tail, replays every fully-logged commit exactly once,
+//! and yields a prefix-consistent committed state.
 //!
 //! [`Program`]: orthrus_txn::Program
 
@@ -79,7 +80,6 @@
 
 pub mod checkpoint;
 pub mod codec;
-pub mod failpoint;
 pub mod log;
 pub mod replay;
 pub mod snapshot;
@@ -89,7 +89,6 @@ pub mod sync;
 mod proptests;
 
 pub use codec::LoggedCommit;
-pub use failpoint::FailpointLog;
 pub use log::{AppendReceipt, CommandLog, DurabilityMode};
 pub use replay::{recover, recover_with, replay, ReplayReport};
 pub use sync::{run_sync_coordinator, SyncInterval};

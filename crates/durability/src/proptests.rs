@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 
 use orthrus_common::TempDir;
+use orthrus_storage::log::{scan, total_bytes, truncate_at};
 use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
 
@@ -17,7 +18,6 @@ use crate::codec::{decode_run, encode_run, LoggedCommit};
 use crate::log::{CommandLog, DurabilityMode};
 use crate::replay::{recover, recover_with};
 use crate::snapshot::serialize_db;
-use crate::FailpointLog;
 
 fn program_strategy() -> impl Strategy<Value = Program> {
     prop_oneof![
@@ -106,11 +106,10 @@ proptest! {
         log.sync().unwrap();
         drop(log);
 
-        let fp = FailpointLog::new(t.path());
-        let total = fp.total_bytes().unwrap();
+        let total = total_bytes(t.path()).unwrap();
         let offset = total.saturating_sub(cut_back % (total + 1));
-        fp.truncate_at(offset).unwrap();
-        let survivors = fp.record_boundaries().unwrap().len();
+        truncate_at(t.path(), offset).unwrap();
+        let survivors = scan(t.path()).unwrap().record_ends.len();
 
         let db = Database::Flat(Table::new(16, 64));
         let report = recover(&db, t.path()).unwrap();
@@ -194,12 +193,11 @@ proptest! {
                 std::fs::copy(&p, b.path().join(&name)).unwrap();
             }
         }
-        let (fa, fb) = (FailpointLog::new(a.path()), FailpointLog::new(b.path()));
-        let total = fa.total_bytes().unwrap();
-        prop_assert_eq!(total, fb.total_bytes().unwrap());
+        let total = total_bytes(a.path()).unwrap();
+        prop_assert_eq!(total, total_bytes(b.path()).unwrap());
         let offset = total.saturating_sub(cut_back % (total + 1));
-        fa.truncate_at(offset).unwrap();
-        fb.truncate_at(offset).unwrap();
+        truncate_at(a.path(), offset).unwrap();
+        truncate_at(b.path(), offset).unwrap();
 
         let via_ckpt = Database::Flat(Table::new(16, 64));
         let full = Database::Flat(Table::new(16, 64));

@@ -509,4 +509,59 @@ mod tests {
         assert_eq!(report.tickets, vec![0, 9]);
         assert_eq!(unsafe { db2.read_counter(2) }, 1);
     }
+
+    /// A log of `n` single-transaction runs (ticket `i` RMWs key `i`),
+    /// and the physical end offset of each record: a crash at `ends[k]`
+    /// keeps exactly `k + 1` records.
+    fn scripted_log(n: u64) -> (TempDir, Vec<u64>) {
+        let t = TempDir::new("crash-points");
+        let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
+        for i in 0..n {
+            log.append_run(&mut vec![LoggedCommit {
+                ticket: Some(i),
+                program: rmw(&[i]),
+            }])
+            .unwrap();
+        }
+        log.sync().unwrap();
+        let ends = orthrus_storage::log::scan(t.path()).unwrap().record_ends;
+        assert_eq!(ends.len() as u64, n);
+        (t, ends)
+    }
+
+    #[test]
+    fn boundary_crash_keeps_exactly_k_records() {
+        let (t, ends) = scripted_log(5);
+        orthrus_storage::log::truncate_at(t.path(), ends[2]).unwrap();
+        let db = Database::Flat(Table::new(8, 64));
+        let report = recover(&db, t.path()).unwrap();
+        assert_eq!(report.tickets, vec![0, 1, 2]);
+        for k in 0..5u64 {
+            let expect = u64::from(k < 3);
+            assert_eq!(unsafe { db.read_counter(k) }, expect, "key {k}");
+        }
+    }
+
+    #[test]
+    fn mid_record_crash_drops_only_the_torn_commit() {
+        let (t, ends) = scripted_log(4);
+        orthrus_storage::log::truncate_at(t.path(), ends[3] - 1).unwrap(); // 1 byte short
+        let db = Database::Flat(Table::new(8, 64));
+        let report = recover(&db, t.path()).unwrap();
+        assert_eq!(report.tickets, vec![0, 1, 2]);
+        assert!(report.torn_bytes > 0);
+    }
+
+    /// Truncation is monotone, so descending offsets script several
+    /// crashes against one log.
+    #[test]
+    fn descending_offsets_script_on_one_log() {
+        let (t, ends) = scripted_log(6);
+        for &k in &[5usize, 3, 1] {
+            orthrus_storage::log::truncate_at(t.path(), ends[k] - 2).unwrap(); // tear record k
+            let db = Database::Flat(Table::new(8, 64));
+            let report = recover(&db, t.path()).unwrap();
+            assert_eq!(report.txns as usize, k, "crash inside record {k}");
+        }
+    }
 }

@@ -14,8 +14,9 @@
 //!
 //! - **Single-partition** (the overwhelming majority by design):
 //!   submitted straight into that partition's existing ingest ring —
-//!   the fast path adds one partition-map lookup and one local→global
-//!   ticket-map insert to the unpartitioned submit path.
+//!   the fast path adds one partition-map lookup to the unpartitioned
+//!   submit path; the global ticket rides the submission as its owner
+//!   tag.
 //! - **Cross-partition**: queued for the **sequencer**. The sequencer
 //!   drains the queue into ordered batches, assigns each batch a global
 //!   *epoch* number, slices every program per partition
@@ -47,8 +48,10 @@
 //! audit (`accepted == completions delivered`) holds across the whole
 //! deployment. Per-partition completions are fanned back in through one
 //! [`CompletionHub`] per partition (labelled with its partition id, so
-//! [`RunStats::hub`] localizes routed/orphaned counts), translated
-//! local→global by the sequencer thread, and handed to the client via
+//! [`RunStats::hub`] localizes routed/orphaned counts): the hub hands
+//! each one back with the tag it was submitted under — the global ticket
+//! ([`Routed::tag`]), so there is no local→global map to keep — and the
+//! sequencer thread passes it to the client via
 //! [`PartitionedHandle::drain_completions`].
 //!
 //! ## Durability
@@ -61,15 +64,14 @@
 //! fully logged everywhere before `E+1` existed anywhere, per-partition
 //! log order *is* epoch order.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use orthrus_common::{Backoff, Doorbell, RunStats};
 use orthrus_core::{
-    ClientRx, Completion, CompletionHub, EngineHandle, OrthrusConfig, OrthrusEngine, Routed,
-    Session, Ticket, TrySubmitError,
+    ClientRx, Completion, CompletionHub, EngineError, EngineHandle, OrthrusConfig, OrthrusEngine,
+    Routed, Session, Ticket, TrySubmitError,
 };
 use orthrus_durability::ReplayReport;
 use orthrus_txn::{Database, Program};
@@ -131,23 +133,10 @@ impl PartitionedConfig {
     }
 }
 
-/// Acquire a partition's local→global ticket map without OS-blocking:
-/// a submitter holds this mutex *across* its ingest-ring push — a
-/// deterministic-sim schedule point where the thread may park — so a
-/// blocking `lock()` from another enrolled thread would wedge the
-/// scheduler's token. Parking at the sim seam keeps the interleaving
-/// seeded; outside the sim this is a plain try-spin over a critical
-/// section short enough to tolerate it.
-fn lock_sp_map(m: &Mutex<HashMap<u64, u64>>) -> parking_lot::MutexGuard<'_, HashMap<u64, u64>> {
-    loop {
-        if let Some(g) = m.try_lock() {
-            return g;
-        }
-        if !orthrus_common::sim::on_park() {
-            std::thread::yield_now();
-        }
-    }
-}
+/// The owner tag of an epoch's fused slices. Every other local ticket is
+/// tagged with the global ticket it completes, minted from a dense
+/// counter that cannot reach this value.
+const FUSED_TAG: u64 = u64::MAX;
 
 /// One queued cross-partition program awaiting its epoch.
 struct XpEntry {
@@ -159,6 +148,11 @@ struct XpEntry {
 /// State shared between client sessions and the sequencer thread.
 struct PartShared {
     accepting: AtomicBool,
+    /// Client threads currently inside [`PartSession::try_submit`]. Each
+    /// checks `accepting` only after announcing itself here, so once the
+    /// sequencer has read zero with `accepting` down, every global ticket
+    /// that will ever exist is visible in `next_global`.
+    submitting: AtomicUsize,
     stop: AtomicBool,
     /// Dense global ticket mint — the deployment-wide conservation
     /// ledger, exactly like a single engine's.
@@ -170,10 +164,6 @@ struct PartShared {
     /// partition-layer submissions are owned, so the hubs' routed
     /// counters account for every ticket).
     owners: Vec<u32>,
-    /// Per partition: local ticket → global ticket for fast-path
-    /// submissions. Locked around the submit+mint pair so the sequencer
-    /// can never see a local completion before its mapping exists.
-    sp_maps: Vec<Mutex<HashMap<u64, u64>>>,
     /// Cross-partition backlog, drained by the sequencer into epochs.
     xp: Mutex<Vec<XpEntry>>,
     xp_capacity: usize,
@@ -204,30 +194,40 @@ impl PartSession {
     /// across the whole deployment, completed exactly once via
     /// [`PartitionedHandle::drain_completions`].
     pub fn try_submit(&self, program: Program) -> Result<Ticket, TrySubmitError> {
-        let shared = &self.shared;
+        /// Announces a submitter for the length of one call (unwinding
+        /// included: a count stuck above zero would hang shutdown).
+        struct Submitting<'a>(&'a AtomicUsize);
+        impl Drop for Submitting<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let shared = &*self.shared;
+        shared.submitting.fetch_add(1, Ordering::SeqCst);
+        let _submitting = Submitting(&shared.submitting);
+        if !shared.accepting.load(Ordering::SeqCst) {
+            return Err(TrySubmitError::Shutdown(program));
+        }
+        let mint = || shared.next_global.fetch_add(1, Ordering::SeqCst);
         match route(&program, &self.map) {
             Route::Single(p) => {
-                // Mint under the map lock: the shutdown quiescing sweep
-                // (see the sequencer) relies on every in-flight submit
-                // being either visible in `next_global` or rejected.
-                let mut map = lock_sp_map(&shared.sp_maps[p]);
-                if !shared.accepting.load(Ordering::SeqCst) {
-                    return Err(TrySubmitError::Shutdown(program));
-                }
-                let local = shared.sessions[p].try_submit_owned(program, shared.owners[p])?;
-                let global = shared.next_global.fetch_add(1, Ordering::SeqCst);
-                map.insert(local.0, global);
+                // The member session calls `mint` under its lane lock,
+                // once the submission is certain to be accepted: global
+                // tickets stay dense, and the tag is recorded before the
+                // push, so the completion cannot outrun it.
+                let mut global = 0;
+                shared.sessions[p].try_submit_owned(program, shared.owners[p], || {
+                    global = mint();
+                    global
+                })?;
                 Ok(Ticket(global))
             }
             Route::Cross(_) => {
                 let mut q = shared.xp.lock();
-                if !shared.accepting.load(Ordering::SeqCst) {
-                    return Err(TrySubmitError::Shutdown(program));
-                }
                 if q.len() >= shared.xp_capacity {
                     return Err(TrySubmitError::Full(program));
                 }
-                let global = shared.next_global.fetch_add(1, Ordering::SeqCst);
+                let global = mint();
                 q.push(XpEntry {
                     global,
                     program,
@@ -286,12 +286,12 @@ impl PartitionedEngine {
 
         let shared = Arc::new(PartShared {
             accepting: AtomicBool::new(true),
+            submitting: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             next_global: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
             sessions,
             owners,
-            sp_maps: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             xp: Mutex::new(Vec::new()),
             xp_capacity: cfg.xp_capacity,
             fanin: Mutex::new(Vec::new()),
@@ -354,7 +354,7 @@ impl PartitionedEngine {
 pub struct PartitionedHandle {
     shared: Arc<PartShared>,
     map: PartitionMap,
-    seq_thread: Option<std::thread::JoinHandle<Result<RunStats, String>>>,
+    seq_thread: Option<std::thread::JoinHandle<Result<RunStats, EngineError>>>,
     stats: Option<RunStats>,
 }
 
@@ -393,21 +393,24 @@ impl PartitionedHandle {
             .unwrap_or_else(|e| panic!("partitioned shutdown failed: {e}"))
     }
 
-    /// [`Self::shutdown`], reporting member-engine failures instead of
-    /// panicking.
-    pub fn try_shutdown(&mut self) -> Result<RunStats, String> {
+    /// [`Self::shutdown`], reporting a failure as a typed [`EngineError`]
+    /// instead of panicking: the first member engine's that failed to
+    /// shut down (every member is stopped and joined regardless), or
+    /// [`EngineError::WorkerPanicked`] for the sequencer thread itself.
+    pub fn try_shutdown(&mut self) -> Result<RunStats, EngineError> {
         if let Some(stats) = &self.stats {
             return Ok(stats.clone());
         }
         self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.bell.ring();
-        let thread = self.seq_thread.take().ok_or_else(|| {
-            "partitioned shutdown already failed; the handle is spent".to_string()
-        })?;
-        let stats = thread
-            .join()
-            .map_err(|_| "sequencer thread panicked".to_string())??;
+        let thread = self
+            .seq_thread
+            .take()
+            .ok_or_else(|| EngineError::Failed("the partitioned handle is spent".to_string()))?;
+        let stats = thread.join().map_err(|_| {
+            EngineError::WorkerPanicked("partition sequencer thread panicked".to_string())
+        })??;
         self.stats = Some(stats.clone());
         Ok(stats)
     }
@@ -423,10 +426,7 @@ impl Drop for PartitionedHandle {
 
 /// One in-flight epoch at the barrier.
 struct EpochInflight {
-    /// Per partition: the local ticket of its fused slice, cleared on
-    /// completion. `None` = partition untouched or already done.
-    fused: Vec<Option<u64>>,
-    /// Touched partitions still running their slice.
+    /// Touched partitions still running their fused slice.
     outstanding: usize,
     /// Global tickets (and their enqueue instants, for latency) to
     /// complete when the barrier clears.
@@ -434,8 +434,8 @@ struct EpochInflight {
 }
 
 /// The sequencer-and-pump thread: drains every partition's completions
-/// (translating local → global tickets), and runs the epoch barrier for
-/// cross-partition batches.
+/// (handing fast-path ones on under their global tickets), and runs the
+/// epoch barrier for cross-partition batches.
 struct Sequencer {
     shared: Arc<PartShared>,
     map: PartitionMap,
@@ -448,10 +448,12 @@ struct Sequencer {
 }
 
 impl Sequencer {
-    fn run(mut self) -> Result<RunStats, String> {
+    fn run(mut self) -> Result<RunStats, EngineError> {
         let mut drained: Vec<Completion> = Vec::new();
         let mut got: Vec<Routed> = Vec::new();
-        let mut swept = false;
+        // Set once no submitter is left inside `try_submit` after
+        // `accepting` dropped: `next_global` is final from then on.
+        let mut quiesced = false;
         let mut backoff = Backoff::new();
         loop {
             let mut progress = self.pump(&mut drained, &mut got);
@@ -485,18 +487,13 @@ impl Sequencer {
             }
 
             if self.shared.stop.load(Ordering::SeqCst) {
-                if !swept {
-                    // Quiescing sweep: submitters check `accepting`
-                    // *under* these locks, so once we have cycled each
-                    // one, every successful mint is visible in
-                    // `next_global` and no new ones can start.
-                    for m in &self.shared.sp_maps {
-                        drop(lock_sp_map(m));
-                    }
-                    drop(self.shared.xp.lock());
-                    swept = true;
-                }
-                let done = self.inflight.is_none()
+                // `stop` is raised after `accepting` drops, and a
+                // submitter announces itself before it reads `accepting`:
+                // one zero here means every later attempt is refused and
+                // every earlier one has minted its ticket or given up.
+                quiesced = quiesced || self.shared.submitting.load(Ordering::SeqCst) == 0;
+                let done = quiesced
+                    && self.inflight.is_none()
                     && self.shared.xp.lock().is_empty()
                     && self.shared.emitted.load(Ordering::SeqCst) == self.shared.accepted();
                 if done {
@@ -512,7 +509,7 @@ impl Sequencer {
                 backoff.snooze_on(&self.shared.bell, || {
                     self.handles.iter().any(EngineHandle::has_completions)
                         || (self.inflight.is_none() && !self.shared.xp.lock().is_empty())
-                        || (!swept && self.shared.stop.load(Ordering::SeqCst))
+                        || (!quiesced && self.shared.stop.load(Ordering::SeqCst))
                 });
             }
         }
@@ -522,7 +519,7 @@ impl Sequencer {
         // partition.
         let hubs = std::mem::take(&mut self.hubs);
         let mut merged: Option<RunStats> = None;
-        let mut fail: Option<String> = None;
+        let mut fail: Option<EngineError> = None;
         for (mut handle, hub) in std::mem::take(&mut self.handles).into_iter().zip(hubs) {
             match handle.try_shutdown() {
                 Ok(stats) => {
@@ -533,7 +530,7 @@ impl Sequencer {
                     }
                 }
                 Err(e) => {
-                    fail.get_or_insert_with(|| e.to_string());
+                    fail.get_or_insert(e);
                 }
             };
         }
@@ -555,32 +552,32 @@ impl Sequencer {
             }
             got.clear();
             self.rxs[i].drain_into(got, usize::MAX);
-            for j in 0..got.len() {
-                let c = got[j].completion;
-                progress = true;
-                self.observe(i, c);
+            progress |= !got.is_empty();
+            for routed in got.drain(..) {
+                self.observe(routed);
             }
         }
         progress
     }
 
-    /// One local completion from partition `part`: either a fused slice
-    /// of the in-flight epoch (barrier bookkeeping) or a fast-path
-    /// submission (translate and emit).
-    fn observe(&mut self, part: usize, c: Completion) {
-        if let Some(e) = &mut self.inflight {
-            if e.fused[part] == Some(c.ticket.0) {
-                e.fused[part] = None;
+    /// One local completion: a fused slice of the in-flight epoch
+    /// (barrier bookkeeping), or a fast-path submission, whose tag is the
+    /// global ticket to emit.
+    fn observe(&mut self, routed: Routed) {
+        if routed.tag == FUSED_TAG {
+            // At most one epoch is in flight, so the slice is its.
+            debug_assert!(
+                self.inflight.is_some(),
+                "fused slice with no epoch in flight"
+            );
+            if let Some(e) = &mut self.inflight {
                 e.outstanding -= 1;
-                return;
             }
+            return;
         }
-        let global = lock_sp_map(&self.shared.sp_maps[part])
-            .remove(&c.ticket.0)
-            .expect("local completion with no global mapping");
         self.shared.fanin.lock().push(Completion {
-            ticket: Ticket(global),
-            latency_ns: c.latency_ns,
+            ticket: Ticket(routed.tag),
+            latency_ns: routed.completion.latency_ns,
         });
         self.shared.emitted.fetch_add(1, Ordering::SeqCst);
     }
@@ -606,7 +603,6 @@ impl Sequencer {
             globals.push((entry.global, entry.enqueued));
         }
         self.inflight = Some(EpochInflight {
-            fused: vec![None; n],
             outstanding: 0,
             globals,
         });
@@ -622,9 +618,13 @@ impl Sequencer {
             // between so the partition can make room — the sequencer
             // must never wedge on backpressure it is itself the only
             // thread able to relieve.
-            let local = loop {
-                match self.shared.sessions[p].try_submit_owned(program, self.shared.owners[p]) {
-                    Ok(t) => break t,
+            // Counted before the submit, so no pump can see the slice
+            // complete first.
+            self.inflight.as_mut().expect("just set").outstanding += 1;
+            loop {
+                let owner = self.shared.owners[p];
+                match self.shared.sessions[p].try_submit_owned(program, owner, || FUSED_TAG) {
+                    Ok(_) => break,
                     Err(TrySubmitError::Full(back)) => {
                         program = back;
                         self.pump(drained, got);
@@ -636,10 +636,7 @@ impl Sequencer {
                         unreachable!("member sessions outlive the sequencer loop")
                     }
                 }
-            };
-            let e = self.inflight.as_mut().expect("just set");
-            e.fused[p] = Some(local.0);
-            e.outstanding += 1;
+            }
         }
     }
 }

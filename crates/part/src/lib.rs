@@ -143,6 +143,75 @@ mod tests {
         assert_eq!(after, before.wrapping_add(20), "transfers conserve money");
     }
 
+    /// Submitter threads hammer `try_submit` (every third program
+    /// cross-partition) while `shutdown()` runs. The fence is a count of
+    /// submitters in flight, not a lock, so this is where it has to hold:
+    /// every ticket handed out completes exactly once, the tickets are
+    /// dense, nothing is accepted after the first refusal, and every
+    /// local completion was routed back through its partition's hub.
+    #[test]
+    fn shutdown_racing_submitters_conserves_tickets() {
+        let _serial = crate::test_serial();
+        const SUBMITTERS: u64 = 4;
+        let mut handle = PartitionedEngine::start(dbs(2), config(2), 47);
+        let mut accepted: Vec<u64> = Vec::new();
+        let mut stats = None;
+        std::thread::scope(|s| {
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let session = handle.session();
+                    s.spawn(move || {
+                        let mut mine = Vec::new();
+                        for i in t * 1_000_000.. {
+                            let k = i % N_RECORDS;
+                            let program = match i % 3 {
+                                // Different parity: different partitions.
+                                0 => Program::Transfer {
+                                    from: k,
+                                    to: (k + 1) % N_RECORDS,
+                                    amount: 1,
+                                },
+                                _ => Program::Rmw { keys: vec![k] },
+                            };
+                            match session.try_submit(program) {
+                                Ok(ticket) => mine.push(ticket.0),
+                                Err(TrySubmitError::Full(_)) => std::thread::yield_now(),
+                                Err(TrySubmitError::Shutdown(_)) => break,
+                            }
+                        }
+                        for k in 0..50 {
+                            let late = session.try_submit(Program::Rmw { keys: vec![k] });
+                            assert!(matches!(late, Err(TrySubmitError::Shutdown(_))));
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            stats = Some(handle.shutdown());
+            for submitter in submitters {
+                accepted.extend(submitter.join().expect("submitter"));
+            }
+        });
+        let stats = stats.expect("shut down");
+        let n = handle.accepted();
+        assert!(n > 0, "the race needs submissions on both sides of it");
+        accepted.sort_unstable();
+        assert_eq!(accepted, (0..n).collect::<Vec<_>>(), "dense, none invented");
+        let mut out = Vec::new();
+        handle.drain_completions(&mut out);
+        let mut completed: Vec<u64> = out.iter().map(|c| c.ticket.0).collect();
+        completed.sort_unstable();
+        assert_eq!(completed, accepted, "each accepted ticket completed once");
+        // Hub ledgers: every commit a member engine made (fast-path
+        // programs and fused epoch slices alike) was routed to the
+        // sequencer, its owner.
+        assert_eq!(stats.hub.len(), 2);
+        let routed: u64 = stats.hub.iter().map(|h| h.routed).sum();
+        assert_eq!(routed, stats.totals.committed_all);
+        assert!(stats.hub.iter().all(|h| h.orphaned == 0 && h.unowned == 0));
+    }
+
     #[test]
     fn epoch_batches_replay_in_epoch_order_after_recovery() {
         let _serial = crate::test_serial();

@@ -1,9 +1,10 @@
 //! The crash-point test harness (end to end, through the umbrella crate).
 //!
 //! A service-mode engine runs with command logging; the test then plays
-//! crash scenarios against the resulting log with [`FailpointLog`] —
-//! truncating mid-record at scripted byte offsets — and recovers. The
-//! contract under test, for every admission policy:
+//! crash scenarios against the resulting log with
+//! `storage::log::{scan, truncate_at}` — truncating mid-record at
+//! scripted byte offsets — and recovers. The contract under test, for
+//! every admission policy:
 //!
 //! - **torn tail dropped**: a record cut mid-bytes contributes nothing;
 //! - **no loss**: every fully-logged commit is replayed;
@@ -18,15 +19,18 @@
 mod common;
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use orthrus::common::failpoint::global as failpoints;
+use orthrus::common::runtime::RunParams;
 use orthrus::common::{FailAction, TempDir};
 use orthrus::core::{
     AdmissionPolicy, CcAssignment, DurabilityMode, EngineError, OrthrusConfig, OrthrusEngine,
 };
 use orthrus::durability::log::{FP_APPEND, FP_FSYNC};
-use orthrus::durability::FailpointLog;
+use orthrus::storage::log::{scan, truncate_at};
 use orthrus::storage::Table;
 use orthrus::txn::{Database, Program};
 use orthrus::workload::{MicroSpec, Spec, TpccSpec};
@@ -126,29 +130,29 @@ fn crash_points_conserve_tickets_under_every_policy() {
     ] {
         let n = 250u64;
         let (scratch, by_ticket) = run_logged(admission.clone(), DurabilityMode::Log, n);
-        let fp = FailpointLog::new(scratch.path());
+        let dir = scratch.path();
 
         // Untruncated: the clean log loses nothing.
-        let replayed = recover_and_audit(fp.dir(), &by_ticket);
+        let replayed = recover_and_audit(dir, &by_ticket);
         assert_eq!(replayed, n, "{admission}: clean log must replay all");
 
-        let ends = fp.record_boundaries().unwrap();
+        let ends = scan(dir).unwrap().record_ends;
         assert!(ends.len() >= 6, "{admission}: too few records to script");
         // Offset 1: tear the final record 3 bytes short of its end.
-        fp.truncate_at(ends[ends.len() - 1] - 3).unwrap();
-        let r1 = recover_and_audit(fp.dir(), &by_ticket);
+        truncate_at(dir, ends[ends.len() - 1] - 3).unwrap();
+        let r1 = recover_and_audit(dir, &by_ticket);
         assert!(r1 < n, "{admission}: torn tail must drop its commits");
 
         // Offset 2: an exact record boundary ~2/3 in (clean crash).
         let k2 = (ends.len() * 2 / 3).min(ends.len() - 2);
-        fp.truncate_at(ends[k2]).unwrap();
-        let r2 = recover_and_audit(fp.dir(), &by_ticket);
+        truncate_at(dir, ends[k2]).unwrap();
+        let r2 = recover_and_audit(dir, &by_ticket);
         assert!(r2 <= r1, "{admission}: deeper cut keeps fewer commits");
 
         // Offset 3: a deep tear, 1 byte into a record ~1/3 in.
         let k3 = ends.len() / 3;
-        fp.truncate_at(ends[k3] - 1).unwrap();
-        let r3 = recover_and_audit(fp.dir(), &by_ticket);
+        truncate_at(dir, ends[k3] - 1).unwrap();
+        let r3 = recover_and_audit(dir, &by_ticket);
         assert!(
             0 < r3 && r3 < r2,
             "{admission}: deep tear keeps a nonempty strict prefix"
@@ -156,8 +160,8 @@ fn crash_points_conserve_tickets_under_every_policy() {
 
         // Offset 4 (bonus): cut inside the segment header — recovery of
         // an (effectively) empty log is a clean zero state.
-        fp.truncate_at(3).unwrap();
-        let r4 = recover_and_audit(fp.dir(), &by_ticket);
+        truncate_at(dir, 3).unwrap();
+        let r4 = recover_and_audit(dir, &by_ticket);
         assert_eq!(r4, 0, "{admission}: headerless log replays nothing");
     }
 }
@@ -178,11 +182,11 @@ fn crash_points_hold_under_fsync_mode() {
         DurabilityMode::LogFsync,
         n,
     );
-    let fp = FailpointLog::new(scratch.path());
-    assert_eq!(recover_and_audit(fp.dir(), &by_ticket), n);
-    let ends = fp.record_boundaries().unwrap();
-    fp.truncate_at(ends[ends.len() / 2] - 2).unwrap();
-    let kept = recover_and_audit(fp.dir(), &by_ticket);
+    let dir = scratch.path();
+    assert_eq!(recover_and_audit(dir, &by_ticket), n);
+    let ends = scan(dir).unwrap().record_ends;
+    truncate_at(dir, ends[ends.len() / 2] - 2).unwrap();
+    let kept = recover_and_audit(dir, &by_ticket);
     assert!(0 < kept && kept < n);
 }
 
@@ -211,9 +215,9 @@ fn tpcc_crash_recovery_preserves_invariants() {
     drop(handle);
     drop(engine);
 
-    let fp = FailpointLog::new(scratch.path());
-    let ends = fp.record_boundaries().unwrap();
-    fp.truncate_at(ends[ends.len() / 2] - 1).unwrap();
+    let dir = scratch.path();
+    let ends = scan(dir).unwrap().record_ends;
+    truncate_at(dir, ends[ends.len() / 2] - 1).unwrap();
 
     let fresh = Arc::new(Database::Tpcc(orthrus::storage::tpcc::TpccDb::load(
         tpcc_cfg, 33,
@@ -336,6 +340,74 @@ fn injected_append_failure_degrades_to_worker_panic() {
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
+}
+
+/// Names of this process's live threads that start with `prefix` (engine
+/// threads are named after their `sim_prefix` + role).
+#[cfg(target_os = "linux")]
+fn live_threads(prefix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .filter(|name| name.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The closed loop is a client of the same spawn path: an execution
+/// thread killed mid-`run` (its first append fails) makes `run` fail
+/// with the worker's own message, on time, and with every other thread
+/// the run started — CC workers, group-fsync coordinator, checkpointer —
+/// joined rather than leaked.
+#[cfg(target_os = "linux")]
+#[test]
+fn injected_append_failure_fails_a_closed_loop_run_without_leaking_threads() {
+    let _serial = common::serial();
+    let scratch = TempDir::new("append-fault-closed");
+    let db = Arc::new(Database::Flat(Table::new(KEYS as usize, 64)));
+    let mut cfg = OrthrusConfig::with_threads(2, 1, CcAssignment::KeyModulo)
+        .with_durability(DurabilityMode::LogFsync, scratch.path());
+    cfg.checkpoint_bytes = Some(1 << 30);
+    cfg.sim_prefix = "leak.".to_string();
+    let spec = Spec::Micro(MicroSpec::hot_cold(KEYS, 8, 2, 3, false));
+    let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
+
+    // The leak check can see these threads at all: a started engine shows
+    // all five, a shut-down one none.
+    let mut handle = engine.start(17);
+    let all = [
+        "leak.cc0",
+        "leak.cc1",
+        "leak.ckpt",
+        "leak.exec0",
+        "leak.sync",
+    ];
+    // (A thread names itself as it starts: give the five a moment.)
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while live_threads("leak.") != all && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(live_threads("leak."), all);
+    handle.shutdown();
+    assert_eq!(live_threads("leak."), Vec::<String>::new());
+
+    let _armed = ArmedRegistry::arm(FP_APPEND, FailAction::Err, Some(1));
+    let params = RunParams::quick(0);
+    let started = Instant::now();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.run(&params)));
+    let took = started.elapsed();
+    let payload = outcome.expect_err("a run that lost its execution thread must not succeed");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("run fails with a formatted message");
+    assert!(msg.contains("append"), "should name the append: {msg:?}");
+    assert!(
+        took < params.warmup + params.measure + Duration::from_secs(2),
+        "the run must end with its window, not hang on the dead thread: {took:?}"
+    );
+    assert_eq!(live_threads("leak."), Vec::<String>::new(), "leaked");
 }
 
 /// A torn append scripted mid-stream through the registry — the write
