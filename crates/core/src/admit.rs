@@ -78,7 +78,7 @@ use orthrus_common::{fx_hash_u64, Key, XorShift64};
 use orthrus_txn::{plan_accesses, Database, Plan, Program};
 
 use crate::ladder;
-use crate::source::{Ticket, TxnSource};
+use crate::source::{Reply, TxnSource};
 
 /// Default conflict-class count for [`AdmissionPolicy::ConflictBatch`]:
 /// enough classes that distinct hot keys rarely collide, few enough that
@@ -432,10 +432,10 @@ impl std::str::FromStr for AdmissionPolicy {
 pub struct Admitted {
     pub program: Program,
     pub plan: Plan,
-    /// The client ticket riding this transaction (`None` for synthetic
-    /// work). Completed — once, exactly — when the transaction commits,
-    /// surviving OLLP retries.
-    pub ticket: Option<Ticket>,
+    /// The client ticket and return address riding this transaction
+    /// (`None` for synthetic work). Completed — once, exactly — when the
+    /// transaction commits, surviving OLLP retries.
+    pub reply: Option<Reply>,
     /// Latency clock start: client submission time for sourced work,
     /// generation time for synthetic work. Commit latency is measured
     /// from here, so time spent queued in an ingest ring or a
@@ -716,7 +716,7 @@ impl<S: TxnSource> Admitter<S> {
         vec![Admitted {
             program: sourced.program,
             plan,
-            ticket: sourced.ticket,
+            reply: sourced.reply,
             started: sourced.started,
         }]
     }
@@ -822,7 +822,7 @@ impl<S: TxnSource> Admitter<S> {
             rq.queues[class].push_back(Admitted {
                 program: sourced.program,
                 plan,
-                ticket: sourced.ticket,
+                reply: sourced.reply,
                 started: sourced.started,
             });
             pulled += 1;

@@ -1494,15 +1494,8 @@ mod tests {
         (done, stats)
     }
 
-    /// Every accepted ticket completes exactly once, across all three
-    /// admission policies, with the serializability witness intact —
-    /// including tickets still queued in ingest rings at shutdown
-    /// (`submit` never waits for completions, so at `shutdown()` up to
-    /// ring-capacity submissions are still undrained in-flight work).
-    #[test]
-    fn service_mode_conserves_tickets_under_every_policy() {
-        let _serial = crate::test_serial();
-        for admission in [
+    fn every_policy() -> [crate::admit::AdmissionPolicy; 3] {
+        [
             crate::admit::AdmissionPolicy::Fifo,
             crate::admit::AdmissionPolicy::ConflictBatch {
                 classes: 4,
@@ -1515,7 +1508,18 @@ mod tests {
                 hysteresis: 1,
                 epoch: 32,
             },
-        ] {
+        ]
+    }
+
+    /// Every accepted ticket completes exactly once, across all three
+    /// admission policies, with the serializability witness intact —
+    /// including tickets still queued in ingest rings at shutdown
+    /// (`submit` never waits for completions, so at `shutdown()` up to
+    /// ring-capacity submissions are still undrained in-flight work).
+    #[test]
+    fn service_mode_conserves_tickets_under_every_policy() {
+        let _serial = crate::test_serial();
+        for admission in every_policy() {
             let db = Arc::new(Database::Flat(Table::new(64, 64)));
             // Hot keys: conflict-class routing and fusing both engage.
             let spec = MicroSpec::hot_cold(64, 8, 2, 4, false);
@@ -1693,6 +1697,110 @@ mod tests {
             .map(|d| unsafe { t.districts.read_with(d, |r| r.ytd_cents) } - 3_000_000)
             .sum();
         assert_eq!(w_delta, d_delta);
+    }
+
+    /// Submit `n` programs — every third one plain, the rest owned, each
+    /// under its own `(client, tag)` — and check every completion's
+    /// return address against what its ticket was submitted with: it
+    /// rode the transaction through whatever the engine did to it.
+    /// `drain_late` is the client that drains only after shutdown, so
+    /// its completions cross `completion_overflow`.
+    fn assert_owners_come_back(
+        engine: &OrthrusEngine,
+        mut next: impl FnMut(u64) -> orthrus_txn::Program,
+        n: u64,
+        drain_late: bool,
+    ) -> orthrus_common::RunStats {
+        use crate::session::TrySubmitError;
+        let mut handle = engine.start(7);
+        let session = handle.session();
+        let mut want = std::collections::HashMap::new();
+        let mut done = Vec::new();
+        for i in 0..n {
+            let owner = (i % 3 != 0).then_some(((i % 5) as u32, 1_000 + i));
+            let mut program = next(i);
+            let ticket = loop {
+                let tried = match owner {
+                    Some((client, tag)) => session.try_submit_owned(program, client, || tag),
+                    None => session.try_submit(program),
+                };
+                match tried {
+                    Ok(ticket) => break ticket,
+                    Err(TrySubmitError::Full(back)) => {
+                        program = back;
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("unexpected: {e}"),
+                }
+            };
+            want.insert(ticket, owner);
+            if !drain_late {
+                handle.drain_completions(&mut done);
+            }
+        }
+        let stats = handle.shutdown();
+        handle.drain_completions(&mut done);
+        assert_eq!(done.len() as u64, n, "every ticket completes once");
+        for c in &done {
+            let owner = c.client.map(|client| (client, c.tag));
+            assert_eq!(want.remove(&c.ticket), Some(owner), "{c:?}");
+        }
+        stats
+    }
+
+    /// Owned and plain submissions interleaved, under every admission
+    /// policy (fused runs included), with durability off and with
+    /// `log+fsync` behind the group-sync coordinator (completions wait in
+    /// `pending_durable`): the owner comes back with the ticket.
+    #[test]
+    fn completions_carry_the_owner_they_were_submitted_with() {
+        let _serial = crate::test_serial();
+        for admission in every_policy() {
+            for durable in [false, true] {
+                let scratch = durable.then(|| TempDir::new("engine-owner"));
+                let db = Arc::new(Database::Flat(Table::new(64, 64)));
+                let mut cfg = OrthrusConfig::with_threads(2, 3, CcAssignment::KeyModulo);
+                if let Some(dir) = &scratch {
+                    cfg = cfg.with_durability(DurabilityMode::LogFsync, dir.path());
+                }
+                cfg.admission = admission.clone();
+                cfg.ingest_capacity = 32;
+                let engine = OrthrusEngine::service(db, cfg);
+                let spec = MicroSpec::hot_cold(64, 8, 2, 4, false);
+                let mut gen = Spec::Micro(spec).generator(11, 0);
+                let stats = assert_owners_come_back(&engine, |_| gen.next_program(), 600, false);
+                assert_eq!(
+                    stats.totals.log_group_syncs > 0,
+                    durable,
+                    "{admission}: the coordinator gates completions iff durable"
+                );
+            }
+        }
+    }
+
+    /// The owner survives the overflow buffer (one hot lane, nothing
+    /// drained until shutdown: 300 completions ≫ the ring's 64) and the
+    /// OLLP abort/retry path (TPC-C with half the estimates wrong).
+    #[test]
+    fn the_owner_survives_completion_overflow_and_ollp_retries() {
+        let _serial = crate::test_serial();
+        let db = Arc::new(Database::Flat(Table::new(64, 64)));
+        let mut cfg = OrthrusConfig::with_threads(1, 2, CcAssignment::KeyModulo);
+        cfg.ingest_capacity = 16;
+        let engine = OrthrusEngine::service(db, cfg);
+        let hot = |i| orthrus_txn::Program::Rmw {
+            keys: vec![7, 40 + i % 8],
+        };
+        assert_owners_come_back(&engine, hot, 300, true);
+
+        let cfg_t = TpccConfig::tiny(2);
+        let db = Arc::new(Database::Tpcc(TpccDb::load(cfg_t, 27)));
+        let mut cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::Warehouse);
+        cfg.ollp_noise_pct = 50;
+        let engine = OrthrusEngine::service(db, cfg);
+        let mut gen = Spec::Tpcc(TpccSpec::paper_mix(cfg_t)).generator(13, 0);
+        let stats = assert_owners_come_back(&engine, |_| gen.next_program(), 400, false);
+        assert!(stats.totals.aborts_ollp > 0, "noise must hit the OLLP path");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::config::OrthrusConfig;
 use crate::engine::{publish, Bells};
 use crate::msg::{CcRequest, ExecResponse, Token};
 use crate::plan::LockPlan;
-use crate::source::{Completion, TxnSource};
+use crate::source::{Completion, Reply, TxnSource};
 
 /// One in-flight lock acquisition: a *run* of same-conflict-class
 /// transactions serialized locally under a single fused lock plan. FIFO
@@ -105,21 +105,17 @@ pub struct ExecThread<'a, S: TxnSource> {
     /// completion released — only after the run's group-commit append
     /// (and fsync, under `log+fsync`), so commit latency includes the
     /// durability wait ("true commit latency").
-    commit_batch: Vec<(Option<crate::source::Ticket>, std::time::Instant)>,
+    commit_batch: Vec<(Option<Reply>, std::time::Instant)>,
     /// Group-sync mode (`log+fsync` with a sync coordinator): `true`
     /// when appends publish a watermark instead of fsyncing inline, and
     /// completions gate on [`orthrus_durability::SyncState::synced`].
     group_sync: bool,
     /// Commits appended but not yet covered by the coordinator's synced
-    /// watermark, FIFO in LSN order: `(ticket, started, appended_at,
+    /// watermark, FIFO in LSN order: `(reply, started, appended_at,
     /// lsn)`. Released by [`Self::release_durable`] each quantum once
     /// `lsn <= synced`; `appended_at → release` is the fsync wait.
-    pending_durable: std::collections::VecDeque<(
-        Option<crate::source::Ticket>,
-        std::time::Instant,
-        std::time::Instant,
-        u64,
-    )>,
+    pending_durable:
+        std::collections::VecDeque<(Option<Reply>, std::time::Instant, std::time::Instant, u64)>,
     /// Completions that did not fit the ring because the client lagged.
     /// The engine **never blocks** on completion delivery — a blocking
     /// push could wedge the whole engine against a client stuck in a
@@ -238,7 +234,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             if lsn > synced {
                 break;
             }
-            let (ticket, started, appended_at, _) =
+            let (reply, started, appended_at, _) =
                 self.pending_durable.pop_front().expect("front checked");
             let latency_ns = started.elapsed().as_nanos() as u64;
             if !self.post_stop {
@@ -248,8 +244,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                     .log_fsync_wait
                     .record(appended_at.elapsed().as_nanos() as u64);
             }
-            if let Some(ticket) = ticket {
-                self.deliver_completion(Completion { ticket, latency_ns });
+            if let Some(reply) = reply {
+                self.deliver_completion(reply.completed(latency_ns));
             }
             released += 1;
         }
@@ -591,12 +587,12 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                 Ok(v) => {
                     std::hint::black_box(v);
                     self.stats.committed_all += 1;
-                    self.commit_batch.push((txn.ticket, txn.started));
+                    self.commit_batch.push((txn.reply, txn.started));
                     if self.log.is_some() {
                         // Command logging: the program *is* the record
                         // (effects are replayed, not stored).
                         self.log_batch.push(LoggedCommit {
-                            ticket: txn.ticket.map(|t| t.0),
+                            ticket: txn.reply.map(|r| r.ticket.0),
                             program: txn.program,
                         });
                     }
@@ -658,21 +654,21 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         // their own later log position syncs).
         if self.group_sync {
             let appended_at = std::time::Instant::now();
-            for (ticket, started) in self.commit_batch.drain(..) {
+            for (reply, started) in self.commit_batch.drain(..) {
                 self.pending_durable
-                    .push_back((ticket, started, appended_at, append_lsn));
+                    .push_back((reply, started, appended_at, append_lsn));
             }
             self.release_durable();
         } else {
             let mut ready = std::mem::take(&mut self.commit_batch);
-            for (ticket, started) in ready.drain(..) {
+            for (reply, started) in ready.drain(..) {
                 let latency_ns = started.elapsed().as_nanos() as u64;
                 if !self.post_stop {
                     self.stats.committed += 1;
                     self.stats.latency.record(latency_ns);
                 }
-                if let Some(ticket) = ticket {
-                    self.deliver_completion(Completion { ticket, latency_ns });
+                if let Some(reply) = reply {
+                    self.deliver_completion(reply.completed(latency_ns));
                 }
             }
             self.commit_batch = ready;
@@ -700,12 +696,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         let lock_plan = self.build_lock_plan(&plan.accesses);
         let gen = self.fresh_gen();
         self.slots[slot as usize] = Some(Inflight {
-            txns: vec![Admitted {
-                program: txn.program,
-                plan,
-                ticket: txn.ticket,
-                started: txn.started,
-            }],
+            txns: vec![Admitted { plan, ..txn }],
             lock_plan: Arc::clone(&lock_plan),
             gen,
             retries: inf.retries,

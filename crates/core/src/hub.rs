@@ -8,17 +8,19 @@
 //! front-end has many connections, each owed exactly the completions
 //! for its own submissions. The [`CompletionHub`] is that router:
 //!
-//! - submission tags each ticket with its owner — client id plus the
-//!   client's own tag for it, e.g. a wire request id — in the
-//!   [`OwnerTable`] (a sharded ticket → owner map written under the
-//!   ingest-lane lock *before* the ring push, so a completion — which
-//!   happens-after the push — always finds its owner, and the receiver
-//!   needs no ticket → request map of its own);
-//! - one pump thread drains the engine and calls [`CompletionHub::route`],
-//!   which moves each client's share of the batch to its bounded SPSC
-//!   ring ([`ClientRx`]) as one slice, spilling to a per-client overflow
-//!   queue when the client lags (never lost, never blocking the pump),
-//!   and rings the client's doorbell once;
+//! - a completion carries its own return address — the client id and
+//!   the client's tag for it, e.g. a wire request id — written into the
+//!   submission under the ingest-lane lock
+//!   ([`crate::Session::try_submit_owned`]) and handed back in
+//!   [`Completion::client`] / [`Completion::tag`]. The hub looks nothing
+//!   up and the receiver needs no ticket → request map of its own; the
+//!   hub needs no engine either, only a stream of completions;
+//! - one pump thread drains that stream and calls
+//!   [`CompletionHub::route`], which moves each client's share of the
+//!   batch to its bounded SPSC ring ([`ClientRx`]) as one slice,
+//!   spilling to a per-client overflow queue when the client lags (never
+//!   lost, never blocking the pump), and rings the client's doorbell
+//!   once;
 //! - a disconnected client's leftovers are counted as *orphaned*, so
 //!   ticket conservation stays provable per connection even through
 //!   abrupt disconnects: `routed + orphaned + unowned` = completions
@@ -30,100 +32,14 @@ use std::sync::Arc;
 
 use orthrus_common::Doorbell;
 use orthrus_spsc::{channel_labeled, Consumer, Producer};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
-use crate::session::Session;
 use crate::source::Completion;
-
-/// Number of shards in the ticket → owner map.
-const OWNER_SHARDS: u64 = 16;
-/// Consecutive tickets per shard stripe. Batch submission mints a run
-/// of consecutive tickets and completions come back roughly in ticket
-/// order, so striping lets both sides cover a whole run with one or two
-/// shard locks ([`OwnerCursor`]) instead of one per ticket, while
-/// submitters and the pump — a window apart in ticket space — still
-/// mostly land on different shards.
-const OWNER_STRIPE: u64 = 16;
-
-/// Who is owed a ticket's completion, and the tag they attached to it
-/// at submission (a wire front-end's request id), handed back verbatim
-/// in [`Routed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Owner {
-    pub(crate) client: u32,
-    pub(crate) tag: u64,
-}
-
-/// Sharded ticket → [`Owner`] map. Entries are inserted at submission
-/// (under the ingest-lane lock, before the ring push) and removed by the
-/// routing pump, so the table's steady-state size is the in-flight
-/// window, not the run length.
-pub(crate) struct OwnerTable {
-    shards: Vec<Mutex<HashMap<u64, Owner>>>,
-}
-
-impl OwnerTable {
-    pub(crate) fn new() -> Self {
-        OwnerTable {
-            shards: (0..OWNER_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// A cursor for touching a run of tickets; see [`OwnerCursor`].
-    pub(crate) fn cursor(&self) -> OwnerCursor<'_> {
-        OwnerCursor {
-            table: self,
-            held: None,
-        }
-    }
-}
-
-/// Holds at most one shard lock and keeps it across neighbouring
-/// tickets. Must be dropped before any ring push: a push is a sim
-/// schedule point, and no hook may be reached with a lock held.
-pub(crate) struct OwnerCursor<'a> {
-    table: &'a OwnerTable,
-    held: Option<(usize, MutexGuard<'a, HashMap<u64, Owner>>)>,
-}
-
-impl OwnerCursor<'_> {
-    fn shard(&mut self, ticket: u64) -> &mut HashMap<u64, Owner> {
-        let idx = (ticket / OWNER_STRIPE % OWNER_SHARDS) as usize;
-        if self.held.as_ref().is_none_or(|(held, _)| *held != idx) {
-            // Release before acquiring: never two shard locks at once.
-            self.held = None;
-            self.held = Some((idx, self.table.shards[idx].lock()));
-        }
-        &mut self.held.as_mut().expect("just locked").1
-    }
-
-    #[inline]
-    pub(crate) fn insert(&mut self, ticket: u64, owner: Owner) {
-        self.shard(ticket).insert(ticket, owner);
-    }
-
-    /// Remove and return a completed ticket's owner (routing consumes
-    /// the entry — each ticket completes exactly once).
-    #[inline]
-    pub(crate) fn take(&mut self, ticket: u64) -> Option<Owner> {
-        self.shard(ticket).remove(&ticket)
-    }
-}
-
-/// One completion as its owner receives it: the engine's [`Completion`]
-/// plus the tag the owner attached at submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Routed {
-    pub tag: u64,
-    pub completion: Completion,
-}
 
 /// Engine-side slot for one registered client.
 struct Slot {
-    ring: Producer<Routed>,
-    overflow: Arc<Mutex<VecDeque<Routed>>>,
+    ring: Producer<Completion>,
+    overflow: Arc<Mutex<VecDeque<Completion>>>,
     bell: Arc<Doorbell>,
 }
 
@@ -132,21 +48,22 @@ struct Slot {
 /// doorbell the pump rings after routing to this client.
 pub struct ClientRx {
     id: u32,
-    ring: Consumer<Routed>,
-    overflow: Arc<Mutex<VecDeque<Routed>>>,
+    ring: Consumer<Completion>,
+    overflow: Arc<Mutex<VecDeque<Completion>>>,
     bell: Arc<Doorbell>,
 }
 
 impl ClientRx {
     /// This client's id — pass as `owner` to
-    /// [`Session::try_submit_owned`] / [`Session::try_submit_batch`].
+    /// [`crate::Session::try_submit_owned`] /
+    /// [`crate::Session::try_submit_batch`].
     pub fn id(&self) -> u32 {
         self.id
     }
 
     /// Move up to `max` completions into `out` (ring first — the fast
     /// path — then any overflow spill); returns how many.
-    pub fn drain_into(&mut self, out: &mut Vec<Routed>, max: usize) -> usize {
+    pub fn drain_into(&mut self, out: &mut Vec<Completion>, max: usize) -> usize {
         let mut n = self.ring.drain_into(out, max);
         if n < max {
             let mut spill = self.overflow.lock();
@@ -171,15 +88,14 @@ impl ClientRx {
     }
 }
 
-/// Routes drained completions to per-client rings. One instance per
-/// engine; registration and deregistration from any thread.
+/// Routes drained completions to per-client rings. Registration and
+/// deregistration from any thread.
+#[derive(Default)]
 pub struct CompletionHub {
-    session: Session,
     /// Held for a whole [`route`](Self::route) call, which also
     /// serializes pumps — the per-client SPSC rings require it.
     slots: Mutex<Slots>,
     next_id: AtomicU32,
-    partition: usize,
     routed: AtomicU64,
     orphaned: AtomicU64,
     unowned: AtomicU64,
@@ -190,34 +106,17 @@ struct Slots {
     by_client: HashMap<u32, Slot>,
     /// `route`'s scratch: the batch's owned completions, grouped by
     /// client.
-    owned: Vec<(u32, Routed)>,
+    owned: Vec<Completion>,
     /// `route`'s scratch: one client's group, staged for
     /// `try_push_slice`.
-    stage: Vec<Routed>,
+    stage: Vec<Completion>,
 }
 
 impl CompletionHub {
-    /// Build a hub over the engine the session belongs to. The session is
-    /// only used to reach the shared [`OwnerTable`]; cloning one costs an
-    /// `Arc` bump. The hub labels itself partition 0; a partitioned
-    /// deployment uses [`with_partition`](Self::with_partition).
-    pub fn new(session: Session) -> Self {
-        Self::with_partition(session, 0)
-    }
-
-    /// Like [`new`](Self::new), but tagging this hub with the partition it
-    /// serves so conservation audits ([`breakdown`](Self::breakdown)) can
-    /// localize routed/orphaned losses to one partition.
-    pub fn with_partition(session: Session, partition: usize) -> Self {
-        CompletionHub {
-            session,
-            slots: Mutex::default(),
-            next_id: AtomicU32::new(0),
-            partition,
-            routed: AtomicU64::new(0),
-            orphaned: AtomicU64::new(0),
-            unowned: AtomicU64::new(0),
-        }
+    /// A hub with no clients yet. It sits over any completion stream:
+    /// whoever drains one hands the batches to [`route`](Self::route).
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Register a client; `capacity` bounds its completion ring (rounded
@@ -250,10 +149,10 @@ impl CompletionHub {
         self.slots.lock().by_client.remove(&id);
     }
 
-    /// Route a drained batch: resolve every owner first, group by
-    /// client, then per touched client one slice push (spilling what the
-    /// ring refuses — the client is lagging; never block the pump) and
-    /// one doorbell ring.
+    /// Route a drained batch — a pure function of the batch and of who
+    /// is registered: group by [`Completion::client`], then per touched
+    /// client one slice push (spilling what the ring refuses — the
+    /// client is lagging; never block the pump) and one doorbell ring.
     pub fn route(&self, completions: &[Completion]) {
         if completions.is_empty() {
             return;
@@ -264,15 +163,15 @@ impl CompletionHub {
             owned,
             stage,
         } = &mut *slots;
-        self.session.take_owners(completions, owned);
+        owned.extend(completions.iter().filter(|c| c.client.is_some()));
         let unowned = (completions.len() - owned.len()) as u64;
         // Stable: a client's completions keep their drain order.
-        owned.sort_by_key(|(client, _)| *client);
+        owned.sort_by_key(|c| c.client);
 
         self.unowned.fetch_add(unowned, Ordering::Relaxed);
-        for group in owned.chunk_by(|a, b| a.0 == b.0) {
+        for group in owned.chunk_by(|a, b| a.client == b.client) {
             let n = group.len() as u64;
-            let Some(slot) = by_client.get_mut(&group[0].0) else {
+            let Some(slot) = group[0].client.and_then(|id| by_client.get_mut(&id)) else {
                 self.orphaned.fetch_add(n, Ordering::Relaxed);
                 continue;
             };
@@ -280,7 +179,7 @@ impl CompletionHub {
             // its peer before this thread runs again, and whoever then
             // reads the ledger must find these completions in it.
             self.routed.fetch_add(n, Ordering::Relaxed);
-            stage.extend(group.iter().map(|(_, r)| *r));
+            stage.extend_from_slice(group);
             slot.ring.try_push_slice(stage);
             if !stage.is_empty() {
                 slot.overflow.lock().extend(stage.drain(..));
@@ -300,23 +199,19 @@ impl CompletionHub {
         self.orphaned.load(Ordering::Relaxed)
     }
 
-    /// Completions for tickets never tagged with an owner (submitted
-    /// through the plain un-owned [`Session`] API).
+    /// Completions that named no owner (submitted through the plain
+    /// [`crate::Session::try_submit`]).
     pub fn unowned(&self) -> u64 {
         self.unowned.load(Ordering::Relaxed)
     }
 
-    /// The partition this hub serves (0 for unpartitioned deployments).
-    pub fn partition(&self) -> usize {
-        self.partition
-    }
-
-    /// Snapshot the per-partition routing ledger for
-    /// [`orthrus_common::RunStats::hub`] — how this partition's drained
-    /// completions split into routed / orphaned / unowned.
+    /// Snapshot the routing ledger for [`orthrus_common::RunStats::hub`]
+    /// — how the drained completions split into routed / orphaned /
+    /// unowned. One hub serves one engine, labelled partition 0; a
+    /// partitioned deployment counts its own per-partition ledgers.
     pub fn breakdown(&self) -> orthrus_common::HubBreakdown {
         orthrus_common::HubBreakdown {
-            partition: self.partition,
+            partition: 0,
             routed: self.routed(),
             orphaned: self.orphaned(),
             unowned: self.unowned(),
@@ -342,12 +237,58 @@ mod tests {
         Program::Rmw { keys: vec![key] }
     }
 
+    /// A completion as an engine would hand it over, built by hand.
+    fn done(ticket: u64, client: Option<u32>, tag: u64) -> Completion {
+        Completion {
+            ticket: crate::source::Ticket(ticket),
+            latency_ns: 1,
+            client,
+            tag,
+        }
+    }
+
+    /// No engine anywhere: the hub is a function of the batch and of who
+    /// is registered. Two clients (one gone by the time its completions
+    /// arrive) and one ownerless completion, and the ledger reads
+    /// exactly.
+    #[test]
+    fn a_hub_with_no_engine_routes_a_hand_built_batch() {
+        let hub = CompletionHub::new();
+        let mut here = hub.register(8);
+        let gone = hub.register(8).id();
+        hub.unregister(gone);
+        let batch = [
+            done(0, Some(here.id()), 70),
+            done(1, Some(gone), 71),
+            done(2, None, 72),
+            done(3, Some(here.id()), 73),
+            done(4, Some(gone), 74),
+        ];
+        hub.route(&batch);
+        let mut got = Vec::new();
+        assert_eq!(here.drain_into(&mut got, usize::MAX), 2);
+        assert_eq!(got, [batch[0], batch[3]], "whole, and in drain order");
+        assert!(here.is_empty());
+        assert_eq!(
+            hub.breakdown(),
+            orthrus_common::HubBreakdown {
+                partition: 0,
+                routed: 2,
+                orphaned: 2,
+                unowned: 1
+            }
+        );
+        hub.route(&[]);
+        assert_eq!(hub.breakdown().total(), batch.len() as u64);
+    }
+
     /// Two clients, a pump running *while* they submit — so a completion
     /// is regularly routed before `try_submit_owned` has returned its
     /// ticket — and tags minted from a counter inside the call: every
     /// completion reaches its owner carrying the tag minted for it (the
-    /// tag is in the table before the push), and the counter moved once
-    /// per accepted submission, backpressured attempts included.
+    /// tag is in the submission, so nothing can outrun it), and the
+    /// counter moved once per accepted submission, backpressured
+    /// attempts included.
     #[test]
     fn completions_route_to_their_owners() {
         use crate::session::TrySubmitError;
@@ -356,7 +297,7 @@ mod tests {
         let _guard = crate::test_serial();
         let mut handle = tiny_engine();
         let session = handle.session();
-        let hub = CompletionHub::new(session.clone());
+        let hub = CompletionHub::new();
         let mut a = hub.register(64);
         let mut b = hub.register(64);
         const N: u64 = 2_000;
@@ -402,8 +343,9 @@ mod tests {
             let from = got.len();
             rx.drain_into(&mut got, usize::MAX);
             for r in &got[from..] {
-                let owed = want.remove(&r.completion.ticket);
-                assert_eq!(owed, Some((rx.id(), r.tag)), "ticket {:?}", r.completion);
+                let owed = want.remove(&r.ticket);
+                assert_eq!(owed, Some((rx.id(), r.tag)), "ticket {r:?}");
+                assert_eq!(r.client, Some(rx.id()));
             }
         }
         assert!(want.is_empty(), "every ticket completed exactly once");
@@ -420,7 +362,7 @@ mod tests {
         let _guard = crate::test_serial();
         let mut handle = tiny_engine();
         let session = handle.session();
-        let hub = CompletionHub::new(session.clone());
+        let hub = CompletionHub::new();
         let gone = hub.register(8);
         let gone_id = gone.id();
         let n = 10u64;
@@ -453,40 +395,20 @@ mod tests {
 
     #[test]
     fn ring_overflow_spills_without_loss() {
-        let _guard = crate::test_serial();
-        let mut handle = tiny_engine();
-        let session = handle.session();
-        let hub = CompletionHub::new(session.clone());
+        let hub = CompletionHub::new();
         // Ring capacity 2: most of the 30 completions must spill into the
         // overflow queue while the client refuses to drain.
         let mut rx = hub.register(2);
         let n = 30u64;
-        for i in 0..n {
-            let mut p = rmw(i);
-            loop {
-                match session.try_submit_owned(p, rx.id(), || i) {
-                    Ok(_) => break,
-                    Err(crate::session::TrySubmitError::Full(back)) => {
-                        p = back;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("unexpected: {e}"),
-                }
-            }
+        for chunk in (0..n).collect::<Vec<_>>().chunks(7) {
+            let batch: Vec<_> = chunk.iter().map(|&i| done(i, Some(rx.id()), i)).collect();
+            hub.route(&batch);
         }
-        let mut drained = Vec::new();
-        while hub.routed() < n {
-            drained.clear();
-            handle.drain_completions(&mut drained);
-            hub.route(&drained);
-            std::thread::yield_now();
-        }
+        assert_eq!(hub.routed(), n);
         let mut got = Vec::new();
         assert_eq!(rx.drain_into(&mut got, usize::MAX), n as usize);
-        let mut tickets: Vec<_> = got.iter().map(|r| r.completion.ticket.0).collect();
-        tickets.sort_unstable();
-        assert_eq!(tickets, (0..n).collect::<Vec<_>>());
-        handle.shutdown();
+        let tickets: Vec<_> = got.iter().map(|r| r.ticket.0).collect();
+        assert_eq!(tickets, (0..n).collect::<Vec<_>>(), "none lost, in order");
     }
 
     /// One route call touching 3 of 4 clients rings exactly 3 doorbells:
@@ -496,27 +418,17 @@ mod tests {
     fn a_route_call_rings_each_touched_client_once() {
         use std::sync::atomic::AtomicBool;
 
-        let _guard = crate::test_serial();
-        let mut handle = tiny_engine();
-        let session = handle.session();
-        let hub = CompletionHub::new(session.clone());
+        let hub = CompletionHub::new();
         let rxs: Vec<ClientRx> = (0..4).map(|_| hub.register(64)).collect();
-        // Clients 0..3 get 5 tickets each, tagged; client 3 gets none.
+        // Clients 0..3 get 5 completions each, tagged and interleaved;
+        // client 3 gets none. All 15 go through *one* route call.
         const PER_CLIENT: usize = 5;
-        for (c, rx) in rxs[..3].iter().enumerate() {
-            let batch = (0..PER_CLIENT as u64)
-                .map(|i| (c as u64 * 100 + i, rmw(c as u64 * 8 + i)))
-                .collect();
-            let out = session.try_submit_batch(batch, Some(rx.id()));
-            assert_eq!(out.accepted.len(), PER_CLIENT);
-        }
-        // Collect all 15 completions first so they go through *one*
-        // route call.
-        let mut drained = Vec::new();
-        while drained.len() < 3 * PER_CLIENT {
-            handle.drain_completions(&mut drained);
-            std::thread::yield_now();
-        }
+        let drained: Vec<Completion> = (0..3 * PER_CLIENT as u64)
+            .map(|t| {
+                let (c, i) = (t % 3, t / 3);
+                done(t, Some(rxs[c as usize].id()), c * 100 + i)
+            })
+            .collect();
 
         // Each client parks once and reports what that one wake-up
         // brought. Only the test may release the untouched client.
@@ -553,6 +465,5 @@ mod tests {
         release.store(true, Ordering::Release);
         idle_bell.ring();
         assert_eq!(idle.join().expect("idle waiter"), Vec::<u64>::new());
-        handle.shutdown();
     }
 }

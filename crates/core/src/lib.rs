@@ -130,12 +130,12 @@ mod proptests;
 pub use admit::{AdaptiveController, AdmissionPolicy, Admitted, Admitter};
 pub use config::{CcAssignment, CcMode, OrthrusConfig};
 pub use engine::{EngineError, EngineHandle, OrthrusEngine};
-pub use hub::{ClientRx, CompletionHub, Routed};
+pub use hub::{ClientRx, CompletionHub};
 pub use orthrus_durability::{DurabilityMode, ReplayReport, SyncInterval};
 pub use plan::LockPlan;
 pub use rebalance::{balanced_assignment, LoadHistogram};
 pub use session::{BatchSubmit, Session, TrySubmitError};
-pub use source::{ClientSource, Completion, Sourced, SyntheticSource, Ticket, TxnSource};
+pub use source::{ClientSource, Completion, Reply, Sourced, SyntheticSource, Ticket, TxnSource};
 
 /// Serializes this crate's timed-engine tests: two concurrent multi-thread
 /// engine runs on a small CI host can starve one measurement window.

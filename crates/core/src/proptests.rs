@@ -158,7 +158,7 @@ proptest! {
             let plan = plan_accesses(&program, &db, 0, &mut ref_rng);
             prop_assert_eq!(&a.program, &program, "admission order diverged");
             prop_assert_eq!(&a.plan, &plan, "admission-time plan diverged");
-            prop_assert_eq!(a.ticket, None, "synthetic work is unticketed");
+            prop_assert_eq!(a.reply, None, "synthetic work is unticketed");
         }
         prop_assert_eq!(admit.queued(), 0, "fifo must not queue ahead");
     }

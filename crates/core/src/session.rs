@@ -14,7 +14,12 @@
 //!
 //! The rings are bounded: a full ring is *backpressure*
 //! ([`TrySubmitError::Full`] hands the program back), never silent loss —
-//! every minted [`Ticket`] is owed a [`crate::source::Completion`].
+//! every minted [`Ticket`] is owed a [`crate::source::Completion`]. An
+//! *owned* submission ([`Session::try_submit_owned`],
+//! [`Session::try_submit_batch`]) also names who is owed it; the name is
+//! written into the [`Submission`] under the lane lock and comes back in
+//! the completion, so submitters share nothing besides the lanes and the
+//! ticket counter.
 //!
 //! The producer side of each ring sits behind a mutex shared by all
 //! sessions. That lock is deliberately **off the engine's hot path**: the
@@ -35,8 +40,7 @@ use orthrus_spsc::Producer;
 use orthrus_txn::Program;
 use parking_lot::Mutex;
 
-use crate::hub::{Owner, OwnerTable, Routed};
-use crate::source::{Completion, Submission, Ticket};
+use crate::source::{Reply, Submission, Ticket};
 
 /// Acquire a lane's producer lock without OS-blocking: under the
 /// deterministic sim scheduler another enrolled submitter may be parked
@@ -116,11 +120,6 @@ pub(crate) struct SubmitShared {
     /// checked against.
     next_ticket: AtomicU64,
     round_robin: AtomicUsize,
-    /// Ticket → owner (client id + the client's tag) entries for
-    /// completion fan-out ([`crate::hub::CompletionHub`]). Written under
-    /// the lane lock *before* the ring push, so routing always finds the
-    /// owner — and finds the tag, however early the completion lands.
-    owners: OwnerTable,
 }
 
 impl SubmitShared {
@@ -133,7 +132,6 @@ impl SubmitShared {
             accepting: AtomicBool::new(true),
             next_ticket: AtomicU64::new(0),
             round_robin: AtomicUsize::new(0),
-            owners: OwnerTable::new(),
         }
     }
 
@@ -175,32 +173,35 @@ impl Session {
     /// (transfers, fused batches) still land on a deterministic lane;
     /// only footprint-free programs round-robin. Mints a [`Ticket`] on
     /// success, and returns the program back inside
-    /// [`TrySubmitError::Full`] when the destination ring is full.
+    /// [`TrySubmitError::Full`] when the destination ring is full. The
+    /// completion comes back ownerless.
     pub fn try_submit(&self, program: Program) -> Result<Ticket, TrySubmitError> {
-        self.try_submit_inner(program, None::<(u32, fn() -> u64)>)
+        self.submit_one(program, None, || 0)
     }
 
-    /// [`Self::try_submit`], recording the ticket's owner — a client id
+    /// [`Self::try_submit`], naming the completion's owner — a client id
     /// from [`crate::hub::CompletionHub::register`] and the owner's own
-    /// tag for this submission — so the hub routes the completion back
-    /// to that client with the tag attached ([`Routed::tag`]). `tag` is
-    /// called at most once, under the lane lock and only once the
-    /// submission is certain to be accepted (after the shutdown and
-    /// backpressure checks): an owner that mints its tags from a counter
-    /// gets a dense sequence covering exactly the accepted work.
+    /// tag for this submission. Both ride the submission and come back
+    /// in the completion ([`crate::source::Completion::client`],
+    /// [`crate::source::Completion::tag`]), which is how the hub routes
+    /// it. `tag` is called at most once, under the lane lock and only
+    /// once the submission is certain to be accepted (after the shutdown
+    /// and backpressure checks): an owner that mints its tags from a
+    /// counter gets a dense sequence covering exactly the accepted work.
     pub fn try_submit_owned(
         &self,
         program: Program,
         owner: u32,
         tag: impl FnOnce() -> u64,
     ) -> Result<Ticket, TrySubmitError> {
-        self.try_submit_inner(program, Some((owner, tag)))
+        self.submit_one(program, Some(owner), tag)
     }
 
-    fn try_submit_inner(
+    fn submit_one(
         &self,
         program: Program,
-        owner: Option<(u32, impl FnOnce() -> u64)>,
+        client: Option<u32>,
+        tag: impl FnOnce() -> u64,
     ) -> Result<Ticket, TrySubmitError> {
         let shared = &self.shared;
         let lane = match program.routing_key() {
@@ -218,18 +219,13 @@ impl Session {
             return Err(TrySubmitError::Full(program));
         }
         let ticket = Ticket(shared.next_ticket.fetch_add(1, Ordering::AcqRel));
-        if let Some((client, tag)) = owner {
-            // Before the push: the completion happens-after the push, so
-            // the router can never see an ownerless owned ticket.
-            let tag = tag();
-            shared
-                .owners
-                .cursor()
-                .insert(ticket.0, Owner { client, tag });
-        }
         producer
             .try_push(Submission {
-                ticket,
+                reply: Reply {
+                    ticket,
+                    client,
+                    tag: tag(),
+                },
                 program,
                 submitted: Instant::now(),
             })
@@ -252,10 +248,10 @@ impl Session {
     /// connection maps onto TCP flow control.
     ///
     /// Each program travels with a caller-chosen tag (a wire request
-    /// id). With an `owner`, the tag is recorded beside the client id
-    /// under the lane lock and comes back in the [`Routed`] completion,
-    /// so the receiver never has to map tickets back to requests — a
-    /// completion may reach it before this call has even returned.
+    /// id), which rides the submission beside `owner` and comes back in
+    /// the completion, so the receiver never has to map tickets back to
+    /// requests — a completion may reach it before this call has even
+    /// returned.
     pub fn try_submit_batch(
         &self,
         programs: Vec<(u64, Program)>,
@@ -301,23 +297,20 @@ impl Session {
             if k > 0 {
                 let base = shared.next_ticket.fetch_add(k as u64, Ordering::AcqRel);
                 let now = Instant::now();
-                // Consecutive tickets: the cursor covers the run with
-                // one or two shard locks, released before the push.
-                let mut owners = shared.owners.cursor();
                 for (j, &i) in bucket[..k].iter().enumerate() {
                     let ticket = Ticket(base + j as u64);
                     let (tag, program) = slots[i].take().expect("unconsumed");
-                    if let Some(client) = owner {
-                        owners.insert(ticket.0, Owner { client, tag });
-                    }
                     stage.push(Submission {
-                        ticket,
+                        reply: Reply {
+                            ticket,
+                            client: owner,
+                            tag,
+                        },
                         program,
                         submitted: now,
                     });
                     out.accepted.push((i, ticket));
                 }
-                drop(owners);
                 let pushed = producer.try_push_slice(&mut stage);
                 assert_eq!(
                     pushed, k,
@@ -334,19 +327,6 @@ impl Session {
             }
         }
         out
-    }
-
-    /// Resolve a drained batch against the owner table: every owned
-    /// completion is appended to `out` as `(client, Routed)` in batch
-    /// order and its entry consumed (each ticket completes exactly
-    /// once); un-owned tickets are skipped.
-    pub(crate) fn take_owners(&self, completions: &[Completion], out: &mut Vec<(u32, Routed)>) {
-        let mut owners = self.shared.owners.cursor();
-        for &completion in completions {
-            if let Some(Owner { client, tag }) = owners.take(completion.ticket.0) {
-                out.push((client, Routed { tag, completion }));
-            }
-        }
     }
 
     /// Submit, backing off while the destination ring is full (the
@@ -431,7 +411,7 @@ mod tests {
         assert_eq!(s.accepted(), 4, "rejected attempts must not mint tickets");
         // Every accepted ticket is in the ring, in order.
         for expect in &tickets {
-            assert_eq!(consumers[0].try_pop().unwrap().ticket, *expect);
+            assert_eq!(consumers[0].try_pop().unwrap().reply.ticket, *expect);
         }
         // Space freed: submission works again.
         assert!(session.try_submit(rmw(5)).is_ok());
@@ -552,7 +532,7 @@ mod tests {
         for c in &mut consumers {
             while let Some(sub) = c.try_pop() {
                 seen += 1;
-                assert!(sub.ticket.0 < 4);
+                assert!(sub.reply.ticket.0 < 4);
             }
         }
         assert_eq!(seen, 4);
@@ -588,35 +568,37 @@ mod tests {
         assert_eq!(s.accepted(), 0);
     }
 
+    /// The return address is in the submission itself, as popped from
+    /// the lane: owner and tag for owned work (single and batch), nobody
+    /// for plain work.
     #[test]
-    fn owned_submissions_tag_the_owner_table() {
-        let (s, _consumers) = shared(1, 64);
+    fn owned_submissions_carry_their_return_address() {
+        let (s, mut consumers) = shared(1, 64);
         let session = Session::new(Arc::clone(&s));
-        let done = |ticket| Completion {
-            ticket,
-            latency_ns: 1,
-        };
         let t = session.try_submit_owned(rmw(1), 42, || 5).unwrap();
         let t2 = session.try_submit(rmw(2)).unwrap();
-        // A batch long enough to cross an owner-table stripe boundary.
         let batch: Vec<Program> = (0..40).map(rmw).collect();
         let out = session.try_submit_batch(tagged(batch), Some(7));
         assert_eq!(out.accepted.len(), 40);
 
-        let mut all = vec![done(t), done(t2)];
-        all.extend(out.accepted.iter().map(|&(_, t)| done(t)));
-        let mut owned = Vec::new();
-        session.take_owners(&all, &mut owned);
-        assert_eq!(owned.len(), 41, "the un-owned ticket stays untagged");
-        assert_eq!((owned[0].0, owned[0].1.tag), (42, 5));
-        for (&(i, ticket), (client, routed)) in out.accepted.iter().zip(&owned[1..]) {
-            assert_eq!(*client, 7);
-            assert_eq!(routed.tag, 100 + i as u64, "the tag rides the ticket");
-            assert_eq!(routed.completion.ticket, ticket);
+        let mut pop = || {
+            consumers[0]
+                .try_pop()
+                .expect("accepted work is in the lane")
+        };
+        let owned = |ticket, client, tag| Reply {
+            ticket,
+            client: Some(client),
+            tag,
+        };
+        assert_eq!(pop().reply, owned(t, 42, 5));
+        let plain = pop().reply;
+        assert_eq!((plain.ticket, plain.client), (t2, None));
+        for &(i, ticket) in &out.accepted {
+            let sub = pop();
+            assert_eq!(sub.reply, owned(ticket, 7, 100 + i as u64));
+            assert_eq!(sub.program, rmw(i as u64), "the tag rides its program");
         }
-        owned.clear();
-        session.take_owners(&all, &mut owned);
-        assert!(owned.is_empty(), "routing consumes the entries");
     }
 
     #[test]
@@ -627,7 +609,7 @@ mod tests {
         session.try_submit(rmw(1)).unwrap();
         let h = std::thread::spawn(move || session.submit(rmw(2)).unwrap());
         std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(consumers[0].try_pop().unwrap().ticket, Ticket(0));
+        assert_eq!(consumers[0].try_pop().unwrap().reply.ticket, Ticket(0));
         let t = h.join().unwrap();
         assert_eq!(t, Ticket(2));
         assert_eq!(s.accepted(), 3);

@@ -37,10 +37,41 @@ use orthrus_workload::Gen;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket(pub u64);
 
+/// A submission's return address: its ticket, and who is owed the
+/// completion — the [`crate::hub::CompletionHub`] client that submitted
+/// it and that client's own tag for it (a wire request id, a partition
+/// layer's global ticket). Written once, under the ingest-lane lock; it
+/// rides the transaction through admission, OLLP retries and the
+/// group-fsync wait, and comes back as the [`Completion`], so whoever
+/// drains the engine knows where each completion goes without looking
+/// anything up. The command log does not record the owner: a recovered
+/// engine has nobody to answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reply {
+    pub ticket: Ticket,
+    /// `None` for plain [`crate::session::Session::try_submit`] work:
+    /// nobody registered is waiting for it.
+    pub client: Option<u32>,
+    pub tag: u64,
+}
+
+impl Reply {
+    /// The completion this submission is owed, now that it committed.
+    #[inline]
+    pub fn completed(self, latency_ns: u64) -> Completion {
+        Completion {
+            ticket: self.ticket,
+            latency_ns,
+            client: self.client,
+            tag: self.tag,
+        }
+    }
+}
+
 /// One client submission travelling through an ingest ring.
 #[derive(Debug)]
 pub struct Submission {
-    pub ticket: Ticket,
+    pub reply: Reply,
     pub program: Program,
     /// When the client submitted. Commit latency is measured from here,
     /// so ingest-ring queueing counts toward latency — exactly what an
@@ -57,14 +88,21 @@ pub struct Completion {
     /// Submit→commit latency, including ingest-ring wait, admission
     /// (run-queue) wait, lock wait, and any OLLP retries.
     pub latency_ns: u64,
+    /// The owner the submission named ([`Reply::client`]).
+    pub client: Option<u32>,
+    /// The owner's tag for it ([`Reply::tag`]).
+    pub tag: u64,
 }
+
+// Completions cross two rings by value, a cache line for two.
+const _: () = assert!(std::mem::size_of::<Completion>() <= 32);
 
 /// One transaction pulled from a source, not yet planned.
 pub struct Sourced {
     pub program: Program,
-    /// `None` for synthetic work, `Some` for client submissions (the
-    /// ticket rides the transaction to commit, where it completes).
-    pub ticket: Option<Ticket>,
+    /// `None` for synthetic work, `Some` for client submissions (it
+    /// rides the transaction to commit, where it completes).
+    pub reply: Option<Reply>,
     /// Latency clock start: submission time for client work, pull time
     /// for synthetic work.
     pub started: Instant,
@@ -109,7 +147,7 @@ impl TxnSource for SyntheticSource {
     fn pull(&mut self) -> Option<Sourced> {
         Some(Sourced {
             program: self.gen.next_program(),
-            ticket: None,
+            reply: None,
             started: Instant::now(),
         })
     }
@@ -160,7 +198,7 @@ impl TxnSource for ClientSource {
         }
         self.buf.pop().map(|s| Sourced {
             program: s.program,
-            ticket: Some(s.ticket),
+            reply: Some(s.reply),
             started: s.submitted,
         })
     }
@@ -182,7 +220,11 @@ mod tests {
 
     fn submission(id: u64) -> Submission {
         Submission {
-            ticket: Ticket(id),
+            reply: Reply {
+                ticket: Ticket(id),
+                client: None,
+                tag: 0,
+            },
             program: Program::Rmw { keys: vec![id] },
             submitted: Instant::now(),
         }
@@ -196,7 +238,7 @@ mod tests {
         for _ in 0..32 {
             let s = src.pull().expect("synthetic sources never run dry");
             assert_eq!(s.program, reference.next_program());
-            assert_eq!(s.ticket, None);
+            assert_eq!(s.reply, None);
         }
         assert!(src.has_pending());
         assert!(!src.drain_on_stop());
@@ -212,7 +254,7 @@ mod tests {
         // Batch boundary at 4: FIFO must stitch across refills.
         for id in 0..10 {
             let s = src.pull().expect("ring has work");
-            assert_eq!(s.ticket, Some(Ticket(id)));
+            assert_eq!(s.reply.map(|r| r.ticket), Some(Ticket(id)));
             assert_eq!(s.program, Program::Rmw { keys: vec![id] });
         }
         assert!(src.pull().is_none(), "dry ring pulls nothing");

@@ -40,8 +40,9 @@
 //! nominal 1 ms timeout measured 8 ms on a HZ=250 host — which used to
 //! be this server's round trip.) The writer can see a completion before
 //! the reader's submit call has even returned, so the request id travels
-//! in the hub's owner table beside the client id rather than in a
-//! per-connection map; the two halves share only counters (`Link`).
+//! with the submission and comes back in the completion
+//! ([`Completion::tag`]) rather than living in a per-connection map; the
+//! two halves share only counters (`Link`).
 //!
 //! Backpressure is end-to-end: when the engine's ingest rings reject
 //! part of a batch, the rejected requests stay parked in the reader and
@@ -74,7 +75,7 @@ use std::time::{Duration, Instant};
 
 use orthrus_common::failpoint::{global as failpoints, FailAction};
 use orthrus_common::{sim, Doorbell, ThreadStats};
-use orthrus_core::{ClientRx, Completion, CompletionHub, EngineHandle, Routed, Session};
+use orthrus_core::{ClientRx, Completion, CompletionHub, EngineHandle, Session};
 use orthrus_txn::Program;
 
 use crate::codec::{encode_response, CompletionMsg, Frame, FrameDecoder, WireError};
@@ -177,7 +178,7 @@ impl NetServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let session = handle.session();
-        let hub = Arc::new(CompletionHub::new(session.clone()));
+        let hub = Arc::new(CompletionHub::new());
 
         let jh = {
             let stop = Arc::clone(&stop);
@@ -185,8 +186,7 @@ impl NetServer {
             let session = session.clone();
             std::thread::Builder::new()
                 .name("netlisten".into())
-                .spawn(move || listen_loop(listener, handle, session, hub, stop, cfg))
-                .expect("spawn netlisten")
+                .spawn(move || listen_loop(listener, handle, session, hub, stop, cfg))?
         };
 
         Ok(NetServer {
@@ -298,19 +298,25 @@ fn listen_loop(
                         cfg: cfg.clone(),
                     };
                     let rx = hub.register(cfg.client_ring);
+                    let client = rx.id();
                     let stats = Arc::clone(&conn_stats);
                     live.fetch_add(1, Ordering::Relaxed);
                     let leave = Leave(Arc::clone(&live), me.clone());
-                    let jh = std::thread::Builder::new()
+                    let spawned = std::thread::Builder::new()
                         .name(name.clone())
                         .spawn(move || {
                             let _leave = leave;
                             let _sim = sim::enroll(&name);
                             let local = conn.serve(rx, &name);
                             stats.lock().merge(&local);
-                        })
-                        .expect("spawn netconn");
-                    conns.push((jh, stream));
+                        });
+                    match spawned {
+                        Ok(jh) => conns.push((jh, stream)),
+                        // Out of threads: this one connection goes (the
+                        // dropped closure closes its socket and counts
+                        // it out of `live`); the rest are still served.
+                        Err(_) => hub.unregister(client),
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Nobody waiting — or a transient failure (EMFILE and
@@ -642,7 +648,7 @@ impl Writer {
     fn run(mut self) -> ThreadStats {
         let bell = Arc::clone(self.rx.doorbell());
         // The response frame being filled, and the size it is due at.
-        let mut frame: Vec<Routed> = Vec::new();
+        let mut frame: Vec<Completion> = Vec::new();
         let mut need = 0;
         let mut answered = 0u64;
         loop {
@@ -716,13 +722,13 @@ impl Writer {
 
     /// Encode `comp` as response frames (one per `batch_max` chunk) and
     /// push the bytes out, normally with one `write`.
-    fn send(&mut self, comp: &[Routed]) {
+    fn send(&mut self, comp: &[Completion]) {
         self.wbuf.clear();
         for chunk in comp.chunks(self.batch_max) {
             self.outbox.clear();
-            self.outbox.extend(chunk.iter().map(|r| CompletionMsg {
-                req_id: r.tag,
-                latency_ns: r.completion.latency_ns,
+            self.outbox.extend(chunk.iter().map(|c| CompletionMsg {
+                req_id: c.tag,
+                latency_ns: c.latency_ns,
             }));
             encode_response(&self.outbox, &mut self.wbuf);
             self.stats.net_tx_frames += 1;
@@ -788,7 +794,7 @@ mod tests {
             let db = Arc::new(Database::Flat(Table::new(256, 64)));
             let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
             let handle = OrthrusEngine::service(db, cfg).start(7);
-            let hub = CompletionHub::new(handle.session());
+            let hub = CompletionHub::new();
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
             let (stream, _) = listener.accept().expect("accept");

@@ -46,13 +46,16 @@
 //! The partition layer mints its own dense global tickets
 //! (`0..accepted`), exactly like a single engine: the conservation
 //! audit (`accepted == completions delivered`) holds across the whole
-//! deployment. Per-partition completions are fanned back in through one
-//! [`CompletionHub`] per partition (labelled with its partition id, so
-//! [`RunStats::hub`] localizes routed/orphaned counts): the hub hands
-//! each one back with the tag it was submitted under — the global ticket
-//! ([`Routed::tag`]), so there is no local→global map to keep — and the
-//! sequencer thread passes it to the client via
-//! [`PartitionedHandle::drain_completions`].
+//! deployment. Every partition-layer submission names the sequencer as
+//! its owner and carries the global ticket as its tag, and a member
+//! engine hands both back in the completion ([`Completion::tag`]): there
+//! is no local→global map to keep and nothing between the sequencer and
+//! [`EngineHandle::drain_completions`]. The sequencer re-labels each
+//! completion with its global ticket and passes it to the client via
+//! [`PartitionedHandle::drain_completions`]; what it observed per
+//! partition — `routed` carried an owner, `unowned` did not (a fault:
+//! nothing here submits ownerless) — is [`RunStats::hub`], one entry per
+//! partition.
 //!
 //! ## Durability
 //!
@@ -68,10 +71,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthrus_common::{Backoff, Doorbell, RunStats};
+use orthrus_common::{Backoff, Doorbell, HubBreakdown, RunStats};
 use orthrus_core::{
-    ClientRx, Completion, CompletionHub, EngineError, EngineHandle, OrthrusConfig, OrthrusEngine,
-    Routed, Session, Ticket, TrySubmitError,
+    Completion, EngineError, EngineHandle, OrthrusConfig, OrthrusEngine, Session, Ticket,
+    TrySubmitError,
 };
 use orthrus_durability::ReplayReport;
 use orthrus_txn::{Database, Program};
@@ -138,6 +141,21 @@ impl PartitionedConfig {
 /// counter that cannot reach this value.
 const FUSED_TAG: u64 = u64::MAX;
 
+/// The owner every partition-layer submission names: the sequencer, the
+/// one drainer of every member engine.
+const SEQUENCER: u32 = 0;
+
+/// A global ticket's completion as the client receives it. Ownerless:
+/// the partition layer has no place yet for an owner of its own clients.
+fn global_completion(global: u64, latency_ns: u64) -> Completion {
+    Completion {
+        ticket: Ticket(global),
+        latency_ns,
+        client: None,
+        tag: 0,
+    }
+}
+
 /// One queued cross-partition program awaiting its epoch.
 struct XpEntry {
     global: u64,
@@ -160,10 +178,6 @@ struct PartShared {
     /// Global completions handed to the fan-in buffer so far.
     emitted: AtomicU64,
     sessions: Vec<Session>,
-    /// The sequencer's client id at each partition's hub (all
-    /// partition-layer submissions are owned, so the hubs' routed
-    /// counters account for every ticket).
-    owners: Vec<u32>,
     /// Cross-partition backlog, drained by the sequencer into epochs.
     xp: Mutex<Vec<XpEntry>>,
     xp_capacity: usize,
@@ -213,10 +227,10 @@ impl PartSession {
             Route::Single(p) => {
                 // The member session calls `mint` under its lane lock,
                 // once the submission is certain to be accepted: global
-                // tickets stay dense, and the tag is recorded before the
-                // push, so the completion cannot outrun it.
+                // tickets stay dense, and the tag is part of what is
+                // pushed, so the completion cannot outrun it.
                 let mut global = 0;
-                shared.sessions[p].try_submit_owned(program, shared.owners[p], || {
+                shared.sessions[p].try_submit_owned(program, SEQUENCER, || {
                     global = mint();
                     global
                 })?;
@@ -261,10 +275,7 @@ impl PartitionedEngine {
         assert_eq!(dbs.len(), n, "one database per partition");
 
         let mut handles = Vec::with_capacity(n);
-        let mut hubs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
         let mut sessions = Vec::with_capacity(n);
-        let mut owners = Vec::with_capacity(n);
         let bell = Arc::new(Doorbell::new());
         for (i, db) in dbs.into_iter().enumerate() {
             let engine = OrthrusEngine::service(db, cfg.engine_for(i));
@@ -274,13 +285,7 @@ impl PartitionedEngine {
                 seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 Arc::clone(&bell),
             );
-            let session = handle.session();
-            let hub = Arc::new(CompletionHub::with_partition(session.clone(), i));
-            let rx = hub.register(cfg.engine.ingest_capacity.max(64));
-            owners.push(rx.id());
-            sessions.push(session);
-            hubs.push(hub);
-            rxs.push(rx);
+            sessions.push(handle.session());
             handles.push(handle);
         }
 
@@ -291,7 +296,6 @@ impl PartitionedEngine {
             next_global: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
             sessions,
-            owners,
             xp: Mutex::new(Vec::new()),
             xp_capacity: cfg.xp_capacity,
             fanin: Mutex::new(Vec::new()),
@@ -302,8 +306,12 @@ impl PartitionedEngine {
             shared: Arc::clone(&shared),
             map: cfg.map.clone(),
             handles,
-            hubs,
-            rxs,
+            ledgers: (0..n)
+                .map(|partition| HubBreakdown {
+                    partition,
+                    ..HubBreakdown::default()
+                })
+                .collect(),
             epoch: 0,
             inflight: None,
             max_batch: cfg.epoch_max_batch.max(1),
@@ -335,10 +343,12 @@ impl PartitionedEngine {
         assert_eq!(dbs.len(), n, "one database per partition");
         let mut reports = Vec::with_capacity(n);
         for (i, db) in dbs.iter().enumerate() {
-            let dir = cfg
-                .engine_for(i)
-                .log_dir
-                .expect("recovery requires a log_dir base");
+            let dir = cfg.engine_for(i).log_dir.ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "recovery requires a log_dir base",
+                )
+            })?;
             reports.push(orthrus_durability::recover_with(
                 db,
                 &dir,
@@ -440,8 +450,8 @@ struct Sequencer {
     shared: Arc<PartShared>,
     map: PartitionMap,
     handles: Vec<EngineHandle>,
-    hubs: Vec<Arc<CompletionHub>>,
-    rxs: Vec<ClientRx>,
+    /// What each partition's drained completions were, as observed.
+    ledgers: Vec<HubBreakdown>,
     epoch: u64,
     inflight: Option<EpochInflight>,
     max_batch: usize,
@@ -450,13 +460,12 @@ struct Sequencer {
 impl Sequencer {
     fn run(mut self) -> Result<RunStats, EngineError> {
         let mut drained: Vec<Completion> = Vec::new();
-        let mut got: Vec<Routed> = Vec::new();
         // Set once no submitter is left inside `try_submit` after
         // `accepting` dropped: `next_global` is final from then on.
         let mut quiesced = false;
         let mut backoff = Backoff::new();
         loop {
-            let mut progress = self.pump(&mut drained, &mut got);
+            let mut progress = self.pump(&mut drained);
 
             // Barrier cleared? Emit the epoch's global completions and
             // release the next batch.
@@ -464,12 +473,9 @@ impl Sequencer {
                 let done = self.inflight.take().expect("checked above");
                 let k = done.globals.len() as u64;
                 let mut fanin = self.shared.fanin.lock();
-                for (global, enqueued) in done.globals {
-                    fanin.push(Completion {
-                        ticket: Ticket(global),
-                        latency_ns: enqueued.elapsed().as_nanos() as u64,
-                    });
-                }
+                fanin.extend(done.globals.iter().map(|(global, enqueued)| {
+                    global_completion(*global, enqueued.elapsed().as_nanos() as u64)
+                }));
                 drop(fanin);
                 self.shared.emitted.fetch_add(k, Ordering::SeqCst);
                 progress = true;
@@ -481,7 +487,7 @@ impl Sequencer {
                     q.drain(..k).collect()
                 };
                 if !batch.is_empty() {
-                    self.release_epoch(batch, &mut drained, &mut got);
+                    self.release_epoch(batch, &mut drained);
                     progress = true;
                 }
             }
@@ -515,15 +521,14 @@ impl Sequencer {
         }
 
         // Every global ticket is emitted; the member engines are idle.
-        // Stop them and merge their statistics, one hub breakdown per
+        // Stop them and merge their statistics, one ledger per
         // partition.
-        let hubs = std::mem::take(&mut self.hubs);
         let mut merged: Option<RunStats> = None;
         let mut fail: Option<EngineError> = None;
-        for (mut handle, hub) in std::mem::take(&mut self.handles).into_iter().zip(hubs) {
+        for (mut handle, ledger) in self.handles.into_iter().zip(self.ledgers) {
             match handle.try_shutdown() {
                 Ok(stats) => {
-                    let stats = stats.with_hub(hub.breakdown());
+                    let stats = stats.with_hub(ledger);
                     match &mut merged {
                         None => merged = Some(stats),
                         Some(m) => m.absorb(stats),
@@ -540,31 +545,39 @@ impl Sequencer {
         }
     }
 
-    /// Drain engine rings → hubs → our per-partition receivers, and
-    /// translate/observe everything received. Returns whether anything
-    /// moved.
-    fn pump(&mut self, drained: &mut Vec<Completion>, got: &mut Vec<Routed>) -> bool {
+    /// Drain every member engine and observe what came out. Returns
+    /// whether anything moved.
+    fn pump(&mut self, drained: &mut Vec<Completion>) -> bool {
         let mut progress = false;
-        for i in 0..self.handles.len() {
+        for part in 0..self.handles.len() {
             drained.clear();
-            if self.handles[i].drain_completions(drained) > 0 {
-                self.hubs[i].route(drained);
-            }
-            got.clear();
-            self.rxs[i].drain_into(got, usize::MAX);
-            progress |= !got.is_empty();
-            for routed in got.drain(..) {
-                self.observe(routed);
+            if self.handles[part].drain_completions(drained) > 0 {
+                self.observe(part, drained);
+                progress = true;
             }
         }
         progress
     }
 
-    /// One local completion: a fused slice of the in-flight epoch
-    /// (barrier bookkeeping), or a fast-path submission, whose tag is the
-    /// global ticket to emit.
-    fn observe(&mut self, routed: Routed) {
-        if routed.tag == FUSED_TAG {
+    /// One member engine's drained batch. A fused slice of the in-flight
+    /// epoch is barrier bookkeeping; anything else is a fast-path
+    /// submission, whose tag is the global ticket to emit — all of them
+    /// under one `fanin` lock and one `emitted` bump.
+    fn observe(&mut self, part: usize, batch: &[Completion]) {
+        let ledger = &mut self.ledgers[part];
+        let mut fanin = self.shared.fanin.lock();
+        let held = fanin.len();
+        for c in batch {
+            if c.client.is_none() {
+                // Not ours: counted, and missing from `emitted` for good.
+                ledger.unowned += 1;
+                continue;
+            }
+            ledger.routed += 1;
+            if c.tag != FUSED_TAG {
+                fanin.push(global_completion(c.tag, c.latency_ns));
+                continue;
+            }
             // At most one epoch is in flight, so the slice is its.
             debug_assert!(
                 self.inflight.is_some(),
@@ -573,25 +586,17 @@ impl Sequencer {
             if let Some(e) = &mut self.inflight {
                 e.outstanding -= 1;
             }
-            return;
         }
-        self.shared.fanin.lock().push(Completion {
-            ticket: Ticket(routed.tag),
-            latency_ns: routed.completion.latency_ns,
-        });
-        self.shared.emitted.fetch_add(1, Ordering::SeqCst);
+        let emitted = (fanin.len() - held) as u64;
+        drop(fanin);
+        self.shared.emitted.fetch_add(emitted, Ordering::SeqCst);
     }
 
     /// Slice `batch` per partition, stamp the next epoch number, and
     /// submit one fused program to every touched partition. The epoch
     /// is recorded in-flight *before* the first submission so slice
     /// completions arriving during the submit loop are matched.
-    fn release_epoch(
-        &mut self,
-        batch: Vec<XpEntry>,
-        drained: &mut Vec<Completion>,
-        got: &mut Vec<Routed>,
-    ) {
+    fn release_epoch(&mut self, batch: Vec<XpEntry>, drained: &mut Vec<Completion>) {
         self.epoch += 1;
         let n = self.handles.len();
         let mut parts: Vec<Vec<Program>> = vec![Vec::new(); n];
@@ -622,12 +627,11 @@ impl Sequencer {
             // complete first.
             self.inflight.as_mut().expect("just set").outstanding += 1;
             loop {
-                let owner = self.shared.owners[p];
-                match self.shared.sessions[p].try_submit_owned(program, owner, || FUSED_TAG) {
+                match self.shared.sessions[p].try_submit_owned(program, SEQUENCER, || FUSED_TAG) {
                     Ok(_) => break,
                     Err(TrySubmitError::Full(back)) => {
                         program = back;
-                        self.pump(drained, got);
+                        self.pump(drained);
                         if !orthrus_common::sim::on_park() {
                             std::thread::yield_now();
                         }

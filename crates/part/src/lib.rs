@@ -104,7 +104,7 @@ mod tests {
         let mut tickets: Vec<u64> = out.iter().map(|c| c.ticket.0).collect();
         tickets.sort_unstable();
         assert_eq!(tickets, (0..n).collect::<Vec<_>>(), "dense global tickets");
-        // Satellite: the hub breakdown localizes every completion.
+        // One ledger per partition localizes every completion.
         assert_eq!(stats.hub.len(), 2);
         let routed: u64 = stats.hub.iter().map(|h| h.routed).sum();
         assert_eq!(routed, n, "all local completions routed, none orphaned");
@@ -148,7 +148,7 @@ mod tests {
     /// submitters in flight, not a lock, so this is where it has to hold:
     /// every ticket handed out completes exactly once, the tickets are
     /// dense, nothing is accepted after the first refusal, and every
-    /// local completion was routed back through its partition's hub.
+    /// local completion came back to the sequencer naming it as owner.
     #[test]
     fn shutdown_racing_submitters_conserves_tickets() {
         let _serial = crate::test_serial();
@@ -203,9 +203,9 @@ mod tests {
         let mut completed: Vec<u64> = out.iter().map(|c| c.ticket.0).collect();
         completed.sort_unstable();
         assert_eq!(completed, accepted, "each accepted ticket completed once");
-        // Hub ledgers: every commit a member engine made (fast-path
-        // programs and fused epoch slices alike) was routed to the
-        // sequencer, its owner.
+        // Ledgers: every commit a member engine made (fast-path
+        // programs and fused epoch slices alike) carried the sequencer,
+        // its owner.
         assert_eq!(stats.hub.len(), 2);
         let routed: u64 = stats.hub.iter().map(|h| h.routed).sum();
         assert_eq!(routed, stats.totals.committed_all);
@@ -243,5 +243,13 @@ mod tests {
         let reports = PartitionedEngine::recover(&dbs2, &mk_cfg()).expect("recovery");
         assert_eq!(reports.len(), parts);
         assert_eq!(total_balance(&dbs2, parts), live, "replay matches live");
+    }
+
+    /// A config without a log directory is the caller's mistake, reported
+    /// as one — not a panic.
+    #[test]
+    fn recover_without_a_log_dir_is_invalid_input() {
+        let err = PartitionedEngine::recover(&dbs(2), &config(2)).expect_err("no log_dir");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 }
