@@ -89,7 +89,12 @@ impl FailpointRegistry {
     /// zero.
     pub fn hit(&self, name: &str) -> Option<FailAction> {
         let mut points = self.points.lock().unwrap();
-        let p = points.entry(name.to_string()).or_default();
+        // The name is copied once, when the point is first seen: a hit
+        // site on a commit path allocates nothing afterwards.
+        let p = match points.get_mut(name) {
+            Some(p) => p,
+            None => points.entry(name.to_string()).or_default(),
+        };
         p.hits += 1;
         let action = p.action?;
         match &mut p.remaining {

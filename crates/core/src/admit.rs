@@ -75,7 +75,7 @@
 use std::collections::VecDeque;
 
 use orthrus_common::{fx_hash_u64, Key, XorShift64};
-use orthrus_txn::{plan_accesses, Database, Plan, Program};
+use orthrus_txn::{plan_accesses_into, Database, Plan, Program};
 
 use crate::ladder;
 use crate::source::{Reply, TxnSource};
@@ -548,6 +548,14 @@ pub struct Admitter<S: TxnSource> {
     noise: u32,
     run_queues: Option<RunQueues>,
     adaptive: Option<AdaptiveState>,
+    /// Plans of committed transactions and the emptied vectors of
+    /// finished runs, handed back by the execution thread
+    /// ([`Self::recycle_plan`], [`Self::recycle_run`]): the next admission
+    /// plans into one and fills the other. Oldest first, so that every
+    /// buffer in circulation is used equally often and they all reach the
+    /// capacity of the workload's largest footprint together.
+    spare_plans: VecDeque<Plan>,
+    spare_runs: VecDeque<Vec<Admitted>>,
 }
 
 impl<S: TxnSource> Admitter<S> {
@@ -604,6 +612,8 @@ impl<S: TxnSource> Admitter<S> {
             noise,
             run_queues,
             adaptive,
+            spare_plans: VecDeque::new(),
+            spare_runs: VecDeque::new(),
         }
     }
 
@@ -690,35 +700,44 @@ impl<S: TxnSource> Admitter<S> {
         rq.budget = rq.budget.min(batch);
     }
 
+    /// Pull one transaction and plan it, into the plan of a transaction
+    /// that committed. `None` when the source is dry.
+    fn pull_planned(&mut self, db: &Database) -> Option<Admitted> {
+        let sourced = self.source.pull()?;
+        let mut plan = self.spare_plans.pop_front().unwrap_or_default();
+        plan_accesses_into(
+            &sourced.program,
+            db,
+            self.noise,
+            &mut self.plan_rng,
+            &mut plan,
+        );
+        Some(Admitted {
+            program: sourced.program,
+            plan,
+            reply: sourced.reply,
+            started: sourced.started,
+        })
+    }
+
     /// The seed's admission step: pull one, plan one. With `observe`
     /// (adaptive FIFO mode) the planned footprint still feeds the
     /// frequency sketch, so a later promotion classifies with a warm
     /// sketch instead of falling back to the hint. Empty when the source
     /// is dry.
     fn next_single(&mut self, db: &Database, observe: bool) -> Vec<Admitted> {
-        let Admitter {
-            source,
-            plan_rng,
-            noise,
-            run_queues,
-            ..
-        } = self;
-        let Some(sourced) = source.pull() else {
+        let Some(admitted) = self.pull_planned(db) else {
             return Vec::new();
         };
-        let plan = plan_accesses(&sourced.program, db, *noise, plan_rng);
         if observe {
-            let rq = run_queues.as_mut().expect("adaptive has queues");
-            for &(k, _) in plan.accesses.entries() {
+            let rq = self.run_queues.as_mut().expect("adaptive has queues");
+            for &(k, _) in admitted.plan.accesses.entries() {
                 rq.sketch.observe(k);
             }
         }
-        vec![Admitted {
-            program: sourced.program,
-            plan,
-            reply: sourced.reply,
-            started: sourced.started,
-        }]
+        let mut run = self.spare_runs.pop_front().unwrap_or_default();
+        run.push(admitted);
+        run
     }
 
     /// Adaptive FIFO mode: first drain any backlog left queued by a
@@ -736,8 +755,20 @@ impl<S: TxnSource> Admitter<S> {
 
     /// Re-plan after an OLLP mismatch with the corrected (noise-free)
     /// estimate, continuing the same planning RNG stream the seed used.
-    pub fn replan(&mut self, program: &Program, db: &Database) -> Plan {
-        plan_accesses(program, db, 0, &mut self.plan_rng)
+    /// The new plan overwrites the wrong one, in its buffer.
+    pub fn replan(&mut self, txn: &mut Admitted, db: &Database) {
+        plan_accesses_into(&txn.program, db, 0, &mut self.plan_rng, &mut txn.plan);
+    }
+
+    /// Take back the plan of a transaction that committed.
+    pub fn recycle_plan(&mut self, plan: Plan) {
+        self.spare_plans.push_back(plan);
+    }
+
+    /// Take back the vector of a run whose transactions have all left it.
+    pub fn recycle_run(&mut self, run: Vec<Admitted>) {
+        debug_assert!(run.is_empty(), "a recycled run has been drained");
+        self.spare_runs.push_back(run);
     }
 
     /// Transactions planned and queued but not yet admitted (always 0 for
@@ -785,7 +816,8 @@ impl<S: TxnSource> Admitter<S> {
         loop {
             if rq.budget > 0 && !rq.queues[rq.cursor].is_empty() {
                 let take = rq.budget.min(max).min(rq.queues[rq.cursor].len());
-                let run: Vec<Admitted> = rq.queues[rq.cursor].drain(..take).collect();
+                let mut run = self.spare_runs.pop_front().unwrap_or_default();
+                run.extend(rq.queues[rq.cursor].drain(..take));
                 rq.budget -= take;
                 rq.queued -= take;
                 return run;
@@ -800,34 +832,26 @@ impl<S: TxnSource> Admitter<S> {
     /// it into the class queues. Planning happens here, once — the plans
     /// ride the queues to execution.
     fn refill(&mut self, db: &Database) {
-        let Admitter {
-            source,
-            plan_rng,
-            noise,
-            run_queues,
-            ..
-        } = self;
-        let rq = run_queues.as_mut().expect("batched policy");
+        // Out of `self` for the loop: pulling borrows the whole admitter.
+        let mut rq = self.run_queues.take().expect("batched policy");
         let window = rq.queues.len() * rq.batch;
-        let mut pulled = 0;
         for _ in 0..window {
-            let Some(sourced) = source.pull() else {
+            let Some(admitted) = self.pull_planned(db) else {
                 break;
             };
-            let plan = plan_accesses(&sourced.program, db, *noise, plan_rng);
-            for &(k, _) in plan.accesses.entries() {
+            for &(k, _) in admitted.plan.accesses.entries() {
                 rq.sketch.observe(k);
             }
-            let class = conflict_class(&sourced.program, &plan, &rq.sketch, rq.queues.len());
-            rq.queues[class].push_back(Admitted {
-                program: sourced.program,
-                plan,
-                reply: sourced.reply,
-                started: sourced.started,
-            });
-            pulled += 1;
+            let class = conflict_class(
+                &admitted.program,
+                &admitted.plan,
+                &rq.sketch,
+                rq.queues.len(),
+            );
+            rq.queues[class].push_back(admitted);
+            rq.queued += 1;
         }
-        rq.queued = pulled;
+        self.run_queues = Some(rq);
     }
 }
 
@@ -1023,9 +1047,10 @@ mod tests {
             0,
             50,
         );
-        let a = admit.next(&db).expect("synthetic sources always admit");
-        let replanned = admit.replan(&a.program, &db);
-        assert_eq!(a.plan.accesses, replanned.accesses);
+        let mut a = admit.next(&db).expect("synthetic sources always admit");
+        let admitted_with = a.plan.clone();
+        admit.replan(&mut a, &db);
+        assert_eq!(a.plan.accesses, admitted_with.accesses);
     }
 
     #[test]

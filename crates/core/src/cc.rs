@@ -73,13 +73,27 @@ struct Waiter {
     pending_idx: u32,
 }
 
-#[derive(Default)]
 struct CcEntry {
     holders: Vec<(u64, LockMode)>,
     waiters: VecDeque<Waiter>,
 }
 
+/// Holders and waiters a new entry has room for: the deepest convoy one
+/// key can gather from an execution thread's default sixteen in-flight
+/// slots. Entries move between keys, so room found only when a convoy
+/// first forms would be found by the last spare entry arbitrarily late;
+/// given at birth, an entry allocates again only for a deeper convoy
+/// than that.
+const ENTRY_ROOM: usize = 16;
+
 impl CcEntry {
+    fn new() -> Self {
+        CcEntry {
+            holders: Vec::with_capacity(ENTRY_ROOM),
+            waiters: VecDeque::with_capacity(ENTRY_ROOM),
+        }
+    }
+
     fn compatible(&self, mode: LockMode) -> bool {
         self.holders.iter().all(|&(_, m)| !m.conflicts_with(mode))
     }
@@ -107,20 +121,27 @@ pub struct CcState {
     spare: Vec<CcEntry>,
     pending: Vec<Option<Pending>>,
     free: Vec<u32>,
+    /// Acquisitions one release step completed, emitted once the table
+    /// borrow ends; empty between steps.
+    done: Vec<Pending>,
 }
 
 impl CcState {
-    /// Create the state for CC thread `id`, pre-sizing for `capacity`
-    /// keys locked at the same time.
+    /// Create the state for CC thread `id`, with room for `capacity` keys
+    /// locked at the same time: the table's buckets, that many spare
+    /// entries and a slab of that many pending acquisitions exist from
+    /// the start, so that below it no request ever waits for the
+    /// allocator. Beyond it everything grows.
     pub fn new(id: u32, capacity: usize) -> Self {
         let mut table = FxHashMap::default();
         table.reserve(capacity);
         CcState {
             id,
             table,
-            spare: Vec::new(),
-            pending: Vec::new(),
-            free: Vec::new(),
+            spare: (0..capacity).map(|_| CcEntry::new()).collect(),
+            pending: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            done: Vec::with_capacity(capacity),
         }
     }
 
@@ -201,7 +222,7 @@ impl CcState {
             let entry = self
                 .table
                 .entry(key)
-                .or_insert_with(|| spare.pop().unwrap_or_default());
+                .or_insert_with(|| spare.pop().unwrap_or_else(CcEntry::new));
             debug_assert!(
                 !entry.holders.iter().any(|&(t, _)| t == packed),
                 "token {packed:#x} re-acquiring key {key:#x}"
@@ -218,7 +239,7 @@ impl CcState {
         }
 
         if ungranted == 0 {
-            self.complete(token, &plan, span_idx, forward, waiters, out);
+            Self::complete(token, &plan, span_idx, forward, waiters, out);
         }
         // "The response may take a while; the lock acquisition request may
         // have to wait for prior conflicting requests to release locks."
@@ -235,7 +256,6 @@ impl CcState {
         let packed = token.pack();
         // Completions are deferred past the table borrow; emission order
         // within one release step is not semantically meaningful.
-        let mut done: Vec<Pending> = Vec::new();
         for &(key, _) in plan.span_entries(span_idx as usize) {
             let Entry::Occupied(mut slot) = self.table.entry(key) else {
                 panic!("release of never-acquired key");
@@ -259,7 +279,7 @@ impl CcState {
                     p.remaining == 0
                 };
                 if finished {
-                    done.push(slot.take().unwrap());
+                    self.done.push(slot.take().unwrap());
                     self.free.push(w.pending_idx);
                 }
             }
@@ -268,15 +288,14 @@ impl CcState {
                 self.spare.push(slot.remove());
             }
         }
-        for p in done {
-            self.complete(p.token, &p.plan, p.span_idx, p.forward, p.waiters, out);
+        for p in self.done.drain(..) {
+            Self::complete(p.token, &p.plan, p.span_idx, p.forward, p.waiters, out);
         }
     }
 
     /// Every lock of the span is held: forward down the chain or answer
     /// the execution thread (Section 3.3).
     fn complete(
-        &mut self,
         token: Token,
         plan: &Arc<LockPlan>,
         span_idx: u16,

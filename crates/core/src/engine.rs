@@ -1876,6 +1876,7 @@ mod tests {
 
     use orthrus_common::TempDir;
     use orthrus_durability::DurabilityMode;
+    use orthrus_txn::Program;
 
     /// Quiesced per-key counters of a flat database.
     fn counters(db: &Database, n: u64) -> Vec<u64> {
@@ -2147,6 +2148,75 @@ mod tests {
             }
             let more = handle.shutdown();
             assert_eq!(more.totals.committed_all, 10, "{admission}");
+        }
+    }
+
+    /// A program with an empty footprint (the wire codec accepts an empty
+    /// key list) touches nothing and has nothing to lock: it commits
+    /// without a lock round, exactly once, and the engine goes on. It
+    /// used to reach `send_acquire`'s `spans()[0]` and kill the execution
+    /// thread, after which no ticket ever completed again.
+    #[test]
+    fn a_program_that_touches_nothing_commits_and_the_engine_goes_on() {
+        let _serial = crate::test_serial();
+        let empties = [
+            Program::Rmw { keys: vec![] },
+            Program::ReadOnly { keys: vec![] },
+            Program::Fused {
+                epoch: 1,
+                parts: vec![],
+            },
+        ];
+        for admission in every_policy() {
+            for durable in [false, true] {
+                let scratch = TempDir::new("engine-empty");
+                let db = Arc::new(Database::Flat(Table::new(64, 64)));
+                let mut cfg = OrthrusConfig::with_threads(2, 1, CcAssignment::KeyModulo);
+                if durable {
+                    cfg = cfg.with_durability(DurabilityMode::Log, scratch.path());
+                }
+                cfg.admission = admission.clone();
+                let engine = OrthrusEngine::service(Arc::clone(&db), cfg.clone());
+                let mut handle = engine.start(7);
+                let session = handle.session();
+                // Each empty program between two ordinary ones, then all
+                // three back to back: a batched window fuses those into
+                // one run that is empty as a whole.
+                let mut programs = Vec::new();
+                for empty in &empties {
+                    programs.push(Program::Rmw { keys: vec![1, 2] });
+                    programs.push(empty.clone());
+                    programs.push(Program::Rmw { keys: vec![2, 3] });
+                }
+                programs.extend(empties.iter().cloned());
+                let n = programs.len() as u64;
+                for program in programs {
+                    session.submit(program).expect("accepting");
+                }
+                let what = format!("{admission}, log {durable}");
+                let mut done = Vec::new();
+                let deadline = Instant::now() + std::time::Duration::from_secs(20);
+                while (done.len() as u64) < n {
+                    assert!(Instant::now() < deadline, "{what}: {} of {n}", done.len());
+                    handle.drain_completions(&mut done);
+                    std::thread::yield_now();
+                }
+                let stats = handle.shutdown();
+                handle.drain_completions(&mut done);
+                let mut tickets: Vec<u64> = done.iter().map(|c| c.ticket.0).collect();
+                tickets.sort_unstable();
+                assert_eq!(tickets, (0..n).collect::<Vec<_>>(), "{what}: exactly once");
+                assert_eq!(stats.totals.committed, n, "{what}");
+                assert_eq!(counters(&db, 4), vec![0, 3, 6, 3], "{what}");
+                drop(handle);
+                drop(engine);
+                if durable {
+                    let fresh = Arc::new(Database::Flat(Table::new(64, 64)));
+                    let (_, report) = OrthrusEngine::recover(Arc::clone(&fresh), cfg);
+                    assert_eq!(report.txns, n, "{what}: the empty ones are in the log");
+                    assert_eq!(counters(&fresh, 64), counters(&db, 64), "{what}");
+                }
+            }
         }
     }
 

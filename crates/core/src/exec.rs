@@ -35,7 +35,7 @@ use crate::admit::{Admitted, Admitter};
 use crate::config::OrthrusConfig;
 use crate::engine::{publish, Bells};
 use crate::msg::{CcRequest, ExecResponse, Token};
-use crate::plan::LockPlan;
+use crate::plan::{LockPlan, PlanPool, PlanScratch};
 use crate::source::{Completion, Reply, TxnSource};
 
 /// One in-flight lock acquisition: a *run* of same-conflict-class
@@ -144,6 +144,15 @@ pub struct ExecThread<'a, S: TxnSource> {
     send_buf: Vec<Vec<CcRequest>>,
     /// Responses staged by the fan-in drain (reused across iterations).
     resp_buf: Vec<ExecResponse>,
+    /// The lock plans this thread issued and is done with; the next plan
+    /// is rebuilt in the oldest one no CC thread holds any more.
+    plans: PlanPool,
+    /// Sort buffer of [`LockPlan::rebuild`].
+    plan_scratch: PlanScratch,
+    /// The union footprint of a multi-transaction run, rebuilt per run.
+    fused: AccessSet,
+    /// The command-log record of the current run, encoded here.
+    log_buf: Vec<u8>,
 }
 
 impl<'a, S: TxnSource> ExecThread<'a, S> {
@@ -183,6 +192,10 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             next_token_gen: 0,
             send_buf: (0..n_cc).map(|_| Vec::with_capacity(flush)).collect(),
             resp_buf: Vec::with_capacity(cap),
+            plans: PlanPool::default(),
+            plan_scratch: PlanScratch::new(),
+            fused: AccessSet::default(),
+            log_buf: Vec::new(),
         }
     }
 
@@ -230,19 +243,20 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         }
         let synced = st.synced();
         let mut released = 0;
-        while let Some(&(_, _, _, lsn)) = self.pending_durable.front() {
-            if lsn > synced {
+        // One clock read covers everything this pass releases.
+        let mut now = None;
+        while (self.pending_durable.front()).is_some_and(|&(_, _, _, lsn)| lsn <= synced) {
+            let Some((reply, started, appended_at, _)) = self.pending_durable.pop_front() else {
                 break;
-            }
-            let (reply, started, appended_at, _) =
-                self.pending_durable.pop_front().expect("front checked");
-            let latency_ns = started.elapsed().as_nanos() as u64;
+            };
+            let now = *now.get_or_insert_with(std::time::Instant::now);
+            let latency_ns = now.duration_since(started).as_nanos() as u64;
             if !self.post_stop {
                 self.stats.committed += 1;
                 self.stats.latency.record(latency_ns);
                 self.stats
                     .log_fsync_wait
-                    .record(appended_at.elapsed().as_nanos() as u64);
+                    .record(now.duration_since(appended_at).as_nanos() as u64);
             }
             if let Some(reply) = reply {
                 self.deliver_completion(reply.completed(latency_ns));
@@ -326,21 +340,46 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         g
     }
 
-    /// Build the lock plan under the configured CC architecture: grouped
-    /// per owning CC thread (partitioned), or one span bound to a
-    /// round-robin-chosen CC thread (Section 3.4 shared table).
-    fn build_lock_plan(&mut self, accesses: &AccessSet) -> Arc<LockPlan> {
+    /// Build the lock plan of `run`: the union of its members' footprints
+    /// — a run of several same-class transactions acquires it in one
+    /// round — grouped per owning CC thread (partitioned), or as one span
+    /// bound to a round-robin-chosen CC thread (Section 3.4 shared
+    /// table). Built in the buffers of a plan every CC thread has let go
+    /// of. `None` when the run touches no record at all (every member's
+    /// key list is empty): there is nothing to ask a CC thread for.
+    fn plan_locks(&mut self, run: &[Admitted]) -> Option<Arc<LockPlan>> {
+        let footprint = match run {
+            [single] => &single.plan.accesses,
+            many => {
+                let members = many.iter().map(|a| a.plan.accesses.entries());
+                self.fused.refill(members.flatten().copied());
+                &self.fused
+            }
+        };
+        if footprint.is_empty() {
+            return None;
+        }
+        // The run executes when its last grant arrives, a few message
+        // delays from now: ask for its records' cache lines meanwhile, so
+        // execution does not wait for memory one record at a time.
+        for &(key, _) in footprint.entries() {
+            self.db.prefetch(key);
+        }
         let (cfg, db) = (self.cfg, self.db);
+        let mut shared = self.plans.take();
+        // Unshared, as `take` hands them out: this borrows, never copies.
+        let plan = Arc::make_mut(&mut shared);
         match cfg.cc_mode {
             crate::config::CcMode::Partitioned => {
-                Arc::new(LockPlan::build(accesses, |k| cfg.cc_of(db, k)))
+                plan.rebuild(footprint, &mut self.plan_scratch, |k| cfg.cc_of(db, k));
             }
             crate::config::CcMode::SharedTable => {
                 let pick = self.next_cc % cfg.n_cc as u32;
                 self.next_cc = self.next_cc.wrapping_add(1);
-                Arc::new(LockPlan::build(accesses, |_| pick))
+                plan.rebuild(footprint, &mut self.plan_scratch, |_| pick);
             }
         }
+        Some(shared)
     }
 
     /// Main loop: run until stopped *and* every in-flight transaction has
@@ -472,38 +511,59 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         if run.is_empty() {
             return false;
         }
-        let accesses: AccessSet;
-        let fused = match run.as_slice() {
-            [single] => &single.plan.accesses,
-            many => {
-                accesses = AccessSet::from_unsorted(
-                    many.iter()
-                        .flat_map(|a| a.plan.accesses.entries().iter().copied())
-                        .collect(),
-                );
-                &accesses
-            }
-        };
-        // The run executes when its last grant arrives, a few message
-        // delays from now: ask for its records' cache lines meanwhile, so
-        // execution does not wait for memory one record at a time.
-        for &(key, _) in fused.entries() {
-            self.db.prefetch(key);
-        }
-        let lock_plan = self.build_lock_plan(fused);
-        debug_assert!(!lock_plan.is_empty(), "programs always lock something");
-
-        let slot = self.free.pop().expect("inflight cap exceeded");
-        let gen = self.fresh_gen();
         self.inflight += run.len();
-        self.slots[slot as usize] = Some(Inflight {
-            txns: run,
-            lock_plan: Arc::clone(&lock_plan),
-            gen,
-            retries: Vec::new(),
-        });
-        self.send_acquire(&lock_plan, slot, gen, 0);
+        let slot = self.free.pop().expect("inflight cap exceeded");
+        self.launch(slot, run, Vec::new(), timer);
         true
+    }
+
+    /// Give `slot` its next thing to do: the run in `txns`; with `txns`
+    /// empty, the next queued OLLP mismatch; with neither, nothing — the
+    /// slot is free again.
+    ///
+    /// A mismatch is re-planned with the corrected estimate and
+    /// re-acquired under a fresh token generation. The retry's direct
+    /// acquire is ordered behind the releases on its own exec→CC ring;
+    /// where the retry reaches a CC thread through forwarding instead,
+    /// the fresh generation makes it an ordinary conflicting transaction
+    /// that parks until the in-flight release drains. Mismatches are
+    /// rare, so retries run one at a time (runs of one) rather than
+    /// re-fusing.
+    ///
+    /// A run that touches no record has no lock to wait for: it commits
+    /// here, without a lock round (a client may send a program with an
+    /// empty key list; the wire codec accepts one).
+    fn launch(
+        &mut self,
+        slot: u16,
+        mut txns: Vec<Admitted>,
+        mut retries: Vec<Admitted>,
+        timer: &mut PhaseTimer,
+    ) {
+        loop {
+            if txns.is_empty() {
+                let Some(mut txn) = retries.pop() else {
+                    self.admit.recycle_run(txns);
+                    self.free.push(slot);
+                    return;
+                };
+                self.admit.replan(&mut txn, self.db);
+                txns.push(txn);
+            }
+            let Some(lock_plan) = self.plan_locks(&txns) else {
+                self.commit_run(&mut txns, &mut retries, timer);
+                continue;
+            };
+            let gen = self.fresh_gen();
+            self.send_acquire(&lock_plan, slot, gen, 0);
+            self.slots[slot as usize] = Some(Inflight {
+                txns,
+                lock_plan,
+                gen,
+                retries,
+            });
+            return;
+        }
     }
 
     fn send_acquire(&mut self, lock_plan: &Arc<LockPlan>, slot: u16, gen: u32, span_idx: u16) {
@@ -578,16 +638,39 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         // All locks held: run the whole run back-to-back (local
         // serialization — one acquire/release round for every
         // transaction in it).
-        let mut inf = self.slots[slot as usize]
+        let Inflight {
+            mut txns,
+            lock_plan,
+            gen,
+            mut retries,
+        } = self.slots[slot as usize]
             .take()
             .expect("grant for free slot");
+        self.commit_run(&mut txns, &mut retries, timer);
+        self.send_releases(&lock_plan, slot, gen);
+        // Lent to the CC threads until the last release is handled; this
+        // thread keeps its own clone, so theirs is never the last.
+        self.plans.give(lock_plan);
+        self.launch(slot, txns, retries, timer);
+    }
+
+    /// Execute `txns` back-to-back — their locks are held, or they need
+    /// none — then log the run and stamp and deliver its commits. Drains
+    /// `txns`; OLLP mismatches move to `retries`, everything else commits.
+    fn commit_run(
+        &mut self,
+        txns: &mut Vec<Admitted>,
+        retries: &mut Vec<Admitted>,
+        timer: &mut PhaseTimer,
+    ) {
         timer.switch(&mut self.stats, Phase::Execution);
-        for txn in inf.txns.drain(..) {
+        for txn in txns.drain(..) {
             match execute_planned(&txn.program, self.db, &txn.plan) {
                 Ok(v) => {
                     std::hint::black_box(v);
                     self.stats.committed_all += 1;
                     self.commit_batch.push((txn.reply, txn.started));
+                    self.admit.recycle_plan(txn.plan);
                     if self.log.is_some() {
                         // Command logging: the program *is* the record
                         // (effects are replayed, not stored).
@@ -603,7 +686,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                     // the run is unaffected. Queue the mismatch for a
                     // standalone retry after the fused release.
                     self.stats.aborts_ollp += 1;
-                    inf.retries.push(txn);
+                    retries.push(txn);
                 }
                 Err(other) => unreachable!("planned execution abort: {other:?}"),
             }
@@ -624,7 +707,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                 // has no way to un-execute them. The panic surfaces as a
                 // typed `EngineError::WorkerPanicked` at shutdown.
                 let receipt = log
-                    .append_run(&mut self.log_batch)
+                    .append_run_into(&mut self.log_batch, &mut self.log_buf)
                     .unwrap_or_else(|e| panic!("command-log append failed: {e}"));
                 append_lsn = receipt.lsn;
                 // Stat counters share the `committed` window (post-stop
@@ -640,29 +723,28 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         }
         // Commit point: stamp latency and release completions *now* —
         // after the append/fsync — so under `log+fsync` the histograms
-        // carry the durability wait. FIFO runs hold one transaction, so
-        // their stamping point is unchanged; a fused multi-transaction
-        // run stamps every member at the run's release point, which is
+        // carry the durability wait. The clock is read once: every
+        // member of a run commits at the run's release point, which is
         // when its completion becomes client-visible — run-mates'
         // execution time is genuinely part of that latency.
         //
         // Group-sync mode inverts the flush: the append only published a
         // watermark, so the run's completions park in `pending_durable`
         // until the coordinator's fsync covers `append_lsn` — the lock
-        // releases below still go out now (the paper's early lock
-        // release: successors may execute, they just can't report before
-        // their own later log position syncs).
+        // releases still go out now (the paper's early lock release:
+        // successors may execute, they just can't report before their
+        // own later log position syncs).
+        let now = std::time::Instant::now();
         if self.group_sync {
-            let appended_at = std::time::Instant::now();
             for (reply, started) in self.commit_batch.drain(..) {
                 self.pending_durable
-                    .push_back((reply, started, appended_at, append_lsn));
+                    .push_back((reply, started, now, append_lsn));
             }
             self.release_durable();
         } else {
             let mut ready = std::mem::take(&mut self.commit_batch);
             for (reply, started) in ready.drain(..) {
-                let latency_ns = started.elapsed().as_nanos() as u64;
+                let latency_ns = now.duration_since(started).as_nanos() as u64;
                 if !self.post_stop {
                     self.stats.committed += 1;
                     self.stats.latency.record(latency_ns);
@@ -673,34 +755,5 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             }
             self.commit_batch = ready;
         }
-        self.send_releases(&inf.lock_plan, slot, inf.gen);
-        self.start_retry(inf, slot);
-    }
-
-    /// Restart the next queued OLLP mismatch on `slot`, or free the slot.
-    ///
-    /// Re-plan with the corrected estimate and re-acquire under a fresh
-    /// token generation. The retry's direct acquire is ordered behind the
-    /// releases on its own exec→CC ring; where the retry reaches a CC
-    /// thread through forwarding instead, the fresh generation makes it
-    /// an ordinary conflicting transaction that parks until the in-flight
-    /// release drains. Mismatches are rare, so retries run one at a time
-    /// (runs of one) rather than re-fusing.
-    fn start_retry(&mut self, mut inf: Inflight, slot: u16) {
-        let Some(txn) = inf.retries.pop() else {
-            self.slots[slot as usize] = None;
-            self.free.push(slot);
-            return;
-        };
-        let plan = self.admit.replan(&txn.program, self.db);
-        let lock_plan = self.build_lock_plan(&plan.accesses);
-        let gen = self.fresh_gen();
-        self.slots[slot as usize] = Some(Inflight {
-            txns: vec![Admitted { plan, ..txn }],
-            lock_plan: Arc::clone(&lock_plan),
-            gen,
-            retries: inf.retries,
-        });
-        self.send_acquire(&lock_plan, slot, gen, 0);
     }
 }

@@ -17,7 +17,7 @@ use orthrus_workload::{MicroSpec, Spec, TpccSpec};
 use crate::admit::{AdaptiveController, AdmissionPolicy, Admitter};
 use crate::cc::{CcState, OutMsg};
 use crate::msg::{CcRequest, ExecResponse, Token};
-use crate::plan::LockPlan;
+use crate::plan::{LockPlan, PlanScratch, Span};
 use crate::source::SyntheticSource;
 
 fn mode_strategy() -> impl Strategy<Value = LockMode> {
@@ -77,6 +77,43 @@ proptest! {
         from_plan.sort_unstable_by_key(|e| e.0);
         from_set.sort_unstable_by_key(|e| e.0);
         prop_assert_eq!(from_plan, from_set);
+    }
+
+    /// Rebuilding in the buffers of a plan (and a sort scratch) that
+    /// still hold another transaction gives exactly the plan that
+    /// grouping from scratch gives, for any set and any key→CC map. The
+    /// reference is the construction `build` used before it shared
+    /// `rebuild`'s code: tag, sort by (cc, key), cut spans.
+    #[test]
+    fn rebuilding_a_used_plan_equals_building_a_fresh_one(
+        raw in prop::collection::vec((0u64..256, mode_strategy()), 0..64),
+        stale in prop::collection::vec((0u64..256, mode_strategy()), 0..64),
+        cc_map in prop::collection::vec(0u32..6, 1..32),
+    ) {
+        let cc_of = |k: Key| cc_map[k as usize % cc_map.len()];
+        let set = AccessSet::from_unsorted(raw);
+
+        let mut tagged: Vec<(u32, Key, LockMode)> =
+            set.entries().iter().map(|&(k, m)| (cc_of(k), k, m)).collect();
+        tagged.sort_unstable_by_key(|&(cc, k, _)| (cc, k));
+        let mut spans: Vec<Span> = Vec::new();
+        for (i, &(cc, _, _)) in tagged.iter().enumerate() {
+            match spans.last_mut() {
+                Some(s) if s.cc == cc => s.end = (i + 1) as u32,
+                _ => spans.push(Span { cc, start: i as u32, end: (i + 1) as u32 }),
+            }
+        }
+        let entries: Vec<(Key, LockMode)> = tagged.iter().map(|&(_, k, m)| (k, m)).collect();
+
+        let fresh = LockPlan::build(&set, cc_of);
+        prop_assert_eq!(fresh.entries(), &entries[..]);
+        prop_assert_eq!(fresh.spans(), &spans[..]);
+
+        let mut scratch = PlanScratch::new();
+        let mut reused = LockPlan::default();
+        reused.rebuild(&AccessSet::from_unsorted(stale), &mut scratch, |k| (k % 5) as u32);
+        reused.rebuild(&set, &mut scratch, cc_of);
+        prop_assert_eq!(reused, fresh);
     }
 
     /// `n_cc_involved` counts exactly the distinct CC threads.

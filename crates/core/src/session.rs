@@ -208,6 +208,10 @@ impl Session {
             Some(key) => (fx_hash_u64(key) % shared.lanes.len() as u64) as usize,
             None => shared.round_robin.fetch_add(1, Ordering::Relaxed) % shared.lanes.len(),
         };
+        // The latency clock starts before the lane lock, not inside its
+        // critical section: waiting for the lane counts, as waiting in
+        // the ingest ring does.
+        let submitted = Instant::now();
         let mut producer = lock_lane(&shared.lanes[lane]);
         if !shared.accepting.load(Ordering::SeqCst) {
             return Err(TrySubmitError::Shutdown(program));
@@ -227,7 +231,7 @@ impl Session {
                     tag: tag(),
                 },
                 program,
-                submitted: Instant::now(),
+                submitted,
             })
             .unwrap_or_else(|_| unreachable!("space checked under the lane lock"));
         drop(producer);

@@ -265,13 +265,24 @@ impl CommandLog {
     /// (the engine panics — continuing past a broken durability contract
     /// would be silent data loss).
     pub fn append_run(&self, txns: &mut Vec<LoggedCommit>) -> io::Result<AppendReceipt> {
+        self.append_run_into(txns, &mut Vec::with_capacity(64 * txns.len() + 8))
+    }
+
+    /// [`Self::append_run`], encoding the record into a buffer the
+    /// caller keeps (whatever it held is overwritten): a committing
+    /// thread encodes every run in the same one.
+    pub fn append_run_into(
+        &self,
+        txns: &mut Vec<LoggedCommit>,
+        buf: &mut Vec<u8>,
+    ) -> io::Result<AppendReceipt> {
         debug_assert!(!txns.is_empty(), "empty runs are not logged");
         // Encode before taking the writer lock: the per-run CPU work is
         // thread-local and must not lengthen the shared critical
         // section, which should be the file write (plus the fsync)
         // alone.
-        let mut buf = Vec::with_capacity(64 * txns.len() + 8);
-        encode_run(txns, &mut buf);
+        buf.clear();
+        encode_run(txns, buf);
         let group = self.group_sync();
         let synced = self.mode == DurabilityMode::LogFsync && !group;
         // Sim yield point and failpoint consults happen *before* taking
@@ -290,12 +301,12 @@ impl CommandLog {
             Some(FailAction::Torn(keep)) => {
                 // Persist a torn frame — the bytes a crash mid-append
                 // leaves — then report the append as failed.
-                w.log.append_torn(&buf, keep)?;
+                w.log.append_torn(buf, keep)?;
                 return Err(failpoint::injected_io_error(FP_APPEND));
             }
             _ => {}
         }
-        let bytes = w.log.append(&buf)?;
+        let bytes = w.log.append(buf)?;
         if synced {
             if let Some(FailAction::Err) = fsync_fault {
                 return Err(failpoint::injected_io_error(FP_FSYNC));

@@ -33,7 +33,7 @@ mod proptests;
 
 pub use db::Database;
 pub use exec::{execute, execute_planned, AbortKind, AccessGuard, PreLocked, Unguarded};
-pub use plan::{plan_accesses, AccessSet, Annotation, DistrictDelivery, Plan};
+pub use plan::{plan_accesses, plan_accesses_into, AccessSet, Annotation, DistrictDelivery, Plan};
 pub use program::{
     CustomerSelector, DeliveryInput, NewOrderInput, OrderLineInput, OrderStatusInput, PaymentInput,
     Program, StockLevelInput,

@@ -23,21 +23,34 @@ pub struct AccessSet {
 }
 
 impl AccessSet {
-    /// Build from accesses in any order.
-    pub fn from_unsorted(mut raw: Vec<(Key, LockMode)>) -> Self {
-        raw.sort_unstable_by_key(|&(k, _)| k);
-        let mut entries: Vec<(Key, LockMode)> = Vec::with_capacity(raw.len());
-        for (k, m) in raw {
-            match entries.last_mut() {
-                Some((lk, lm)) if *lk == k => {
-                    if m == LockMode::Exclusive {
-                        *lm = LockMode::Exclusive;
-                    }
-                }
-                _ => entries.push((k, m)),
+    /// Build from accesses in any order, in the vector it was given.
+    pub fn from_unsorted(raw: Vec<(Key, LockMode)>) -> Self {
+        let mut set = AccessSet { entries: raw };
+        set.normalize();
+        set
+    }
+
+    /// Replace the contents with `raw` (any order), in this set's own
+    /// buffer: what a thread does to a set it keeps between
+    /// transactions.
+    pub fn refill(&mut self, raw: impl IntoIterator<Item = (Key, LockMode)>) {
+        self.entries.clear();
+        self.entries.extend(raw);
+        self.normalize();
+    }
+
+    /// Sort by key and merge duplicates to the stronger mode, in place.
+    fn normalize(&mut self) {
+        self.entries.sort_unstable_by_key(|&(k, _)| k);
+        // `dedup_by` hands over (later, kept): the later duplicate goes,
+        // its mode survives in the kept entry if it was the stronger.
+        self.entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same && later.1 == LockMode::Exclusive {
+                kept.1 = LockMode::Exclusive;
             }
-        }
-        AccessSet { entries }
+            same
+        });
     }
 
     /// The entries, ascending by key.
@@ -82,9 +95,10 @@ pub enum DistrictDelivery {
 /// The OLLP "access estimate annotation" (Section 3.2): the data-dependent
 /// part of a transaction's access set, resolved by reconnaissance and
 /// re-validated during execution. A mismatch aborts and re-plans.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Annotation {
     /// No data-dependent accesses.
+    #[default]
     None,
     /// By-last-name customer selection (Payment, OrderStatus): the
     /// estimated customer offset.
@@ -106,7 +120,7 @@ impl Annotation {
 }
 
 /// A planned transaction: its access set plus OLLP annotations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Plan {
     pub accesses: AccessSet,
     /// The access estimate annotation; execution re-resolves the
@@ -128,23 +142,53 @@ pub fn plan_accesses(
     ollp_noise_percent: u32,
     rng: &mut XorShift64,
 ) -> Plan {
+    let mut plan = Plan::default();
+    plan_accesses_into(program, db, ollp_noise_percent, rng, &mut plan);
+    plan
+}
+
+/// [`plan_accesses`] into a plan the caller keeps: whatever `plan` held
+/// is overwritten, and its access-set buffer is reused — an execution
+/// thread plans every transaction into the plan of one that committed.
+pub fn plan_accesses_into(
+    program: &Program,
+    db: &Database,
+    ollp_noise_percent: u32,
+    rng: &mut XorShift64,
+    plan: &mut Plan,
+) {
+    plan.accesses.entries.clear();
+    plan.annotation = collect_accesses(
+        program,
+        db,
+        ollp_noise_percent,
+        rng,
+        &mut plan.accesses.entries,
+    );
+    plan.accesses.normalize();
+}
+
+/// Push `program`'s accesses onto `raw`, in any order and with
+/// duplicates, and return its annotation.
+fn collect_accesses(
+    program: &Program,
+    db: &Database,
+    ollp_noise_percent: u32,
+    rng: &mut XorShift64,
+    raw: &mut Vec<(Key, LockMode)>,
+) -> Annotation {
     match program {
-        Program::ReadOnly { keys } => Plan {
-            accesses: AccessSet::from_unsorted(
-                keys.iter().map(|&k| (k, LockMode::Shared)).collect(),
-            ),
-            annotation: Annotation::None,
-        },
-        Program::Rmw { keys } => Plan {
-            accesses: AccessSet::from_unsorted(
-                keys.iter().map(|&k| (k, LockMode::Exclusive)).collect(),
-            ),
-            annotation: Annotation::None,
-        },
+        Program::ReadOnly { keys } => {
+            raw.extend(keys.iter().map(|&k| (k, LockMode::Shared)));
+            Annotation::None
+        }
+        Program::Rmw { keys } => {
+            raw.extend(keys.iter().map(|&k| (k, LockMode::Exclusive)));
+            Annotation::None
+        }
         Program::NewOrder(input) => {
-            let tpcc = db.tpcc();
-            let l = &tpcc.layout;
-            let mut raw = Vec::with_capacity(3 + input.lines.len());
+            let l = &db.tpcc().layout;
+            raw.reserve(3 + input.lines.len());
             raw.push((l.warehouse_key(input.w), LockMode::Shared));
             raw.push((l.district_key(input.w, input.d), LockMode::Exclusive));
             raw.push((l.customer_key(input.w, input.d, input.c), LockMode::Shared));
@@ -154,65 +198,61 @@ pub fn plan_accesses(
             // Order/NewOrder/OrderLine inserts go to slots privately owned
             // by this transaction (allocated under the district X lock):
             // no logical locks, hence absent from the plan.
-            Plan {
-                accesses: AccessSet::from_unsorted(raw),
-                annotation: Annotation::None,
-            }
+            Annotation::None
         }
         Program::Payment(input) => {
             let tpcc = db.tpcc();
             let l = &tpcc.layout;
             let (c_w, c_d, c, estimated) =
                 resolve_customer_estimate(tpcc, &input.customer, ollp_noise_percent, rng);
-            let raw = vec![
+            raw.extend([
                 (l.warehouse_key(input.w), LockMode::Exclusive),
                 (l.district_key(input.w, input.d), LockMode::Exclusive),
                 (l.customer_key(c_w, c_d, c), LockMode::Exclusive),
-            ];
-            Plan {
-                accesses: AccessSet::from_unsorted(raw),
-                annotation: if estimated {
-                    Annotation::Customer(c)
-                } else {
-                    Annotation::None
-                },
-            }
+            ]);
+            customer_annotation(c, estimated)
         }
-        Program::OrderStatus(input) => plan_order_status(db.tpcc(), input, ollp_noise_percent, rng),
-        Program::Delivery(input) => plan_delivery(db.tpcc(), input, ollp_noise_percent, rng),
-        Program::StockLevel(input) => plan_stock_level(db.tpcc(), input, ollp_noise_percent, rng),
-        Program::Transfer { from, to, .. } => Plan {
-            accesses: AccessSet::from_unsorted(vec![
-                (*from, LockMode::Exclusive),
-                (*to, LockMode::Exclusive),
-            ]),
-            annotation: Annotation::None,
-        },
-        Program::Adjust { key, .. } => Plan {
-            accesses: AccessSet::from_unsorted(vec![(*key, LockMode::Exclusive)]),
-            annotation: Annotation::None,
-        },
+        Program::OrderStatus(input) => {
+            plan_order_status(db.tpcc(), input, ollp_noise_percent, rng, raw)
+        }
+        Program::Delivery(input) => plan_delivery(db.tpcc(), input, ollp_noise_percent, rng, raw),
+        Program::StockLevel(input) => {
+            plan_stock_level(db.tpcc(), input, ollp_noise_percent, rng, raw)
+        }
+        Program::Transfer { from, to, .. } => {
+            raw.extend([(*from, LockMode::Exclusive), (*to, LockMode::Exclusive)]);
+            Annotation::None
+        }
+        Program::Adjust { key, .. } => {
+            raw.push((*key, LockMode::Exclusive));
+            Annotation::None
+        }
         Program::Fused { parts, .. } => {
             // The fused plan is the pure union of the parts' access sets.
             // Parts are restricted to static footprints (the sequencer
             // only fuses counter programs), so there is no annotation to
             // compose — a data-dependent part would silently lose its
             // estimate, hence the assert.
-            let mut raw = Vec::new();
             for part in parts {
-                let sub = plan_accesses(part, db, ollp_noise_percent, rng);
+                let annotation = collect_accesses(part, db, ollp_noise_percent, rng, raw);
                 assert!(
-                    matches!(sub.annotation, Annotation::None),
+                    matches!(annotation, Annotation::None),
                     "fused part {} has a data-dependent footprint",
                     part.kind()
                 );
-                raw.extend_from_slice(sub.accesses.entries());
             }
-            Plan {
-                accesses: AccessSet::from_unsorted(raw),
-                annotation: Annotation::None,
-            }
+            Annotation::None
         }
+    }
+}
+
+/// The annotation of a customer selection: by-name results are estimates
+/// that execution re-validates.
+fn customer_annotation(c: u32, estimated: bool) -> Annotation {
+    if estimated {
+        Annotation::Customer(c)
+    } else {
+        Annotation::None
     }
 }
 
@@ -258,22 +298,16 @@ fn plan_order_status(
     input: &OrderStatusInput,
     ollp_noise_percent: u32,
     rng: &mut XorShift64,
-) -> Plan {
+    raw: &mut Vec<(Key, LockMode)>,
+) -> Annotation {
     let l = &tpcc.layout;
     let (c_w, c_d, c, estimated) =
         resolve_customer_estimate(tpcc, &input.customer, ollp_noise_percent, rng);
-    let raw = vec![
+    raw.extend([
         (l.customer_key(c_w, c_d, c), LockMode::Shared),
         (l.district_key(c_w, c_d), LockMode::Shared),
-    ];
-    Plan {
-        accesses: AccessSet::from_unsorted(raw),
-        annotation: if estimated {
-            Annotation::Customer(c)
-        } else {
-            Annotation::None
-        },
-    }
+    ]);
+    customer_annotation(c, estimated)
 }
 
 /// Delivery plan: reconnaissance reads each district's cursors and the
@@ -284,11 +318,12 @@ fn plan_delivery(
     input: &DeliveryInput,
     ollp_noise_percent: u32,
     rng: &mut XorShift64,
-) -> Plan {
+    raw: &mut Vec<(Key, LockMode)>,
+) -> Annotation {
     let l = &tpcc.layout;
     let cfg = tpcc.cfg();
     let slots = cfg.order_slots_per_district;
-    let mut raw = Vec::with_capacity(2 * cfg.districts_per_wh as usize);
+    raw.reserve(2 * cfg.districts_per_wh as usize);
     let mut legs = Vec::with_capacity(cfg.districts_per_wh as usize);
     for d in 0..cfg.districts_per_wh {
         raw.push((l.district_key(input.w, d), LockMode::Exclusive));
@@ -313,10 +348,7 @@ fn plan_delivery(
         };
         legs.push(leg);
     }
-    Plan {
-        accesses: AccessSet::from_unsorted(raw),
-        annotation: Annotation::Delivery(legs),
-    }
+    Annotation::Delivery(legs)
 }
 
 /// StockLevel plan: reconnaissance pins the examined window at the
@@ -329,7 +361,8 @@ fn plan_stock_level(
     input: &StockLevelInput,
     ollp_noise_percent: u32,
     rng: &mut XorShift64,
-) -> Plan {
+    raw: &mut Vec<(Key, LockMode)>,
+) -> Annotation {
     let l = &tpcc.layout;
     let cfg = tpcc.cfg();
     let dn = l.district_no(input.w, input.d) as usize;
@@ -340,7 +373,7 @@ fn plan_stock_level(
     }
     let depth = input.depth.min(cfg.order_slots_per_district);
     let lo = o_hi.saturating_sub(depth);
-    let mut raw = vec![(l.district_key(input.w, input.d), LockMode::Shared)];
+    raw.push((l.district_key(input.w, input.d), LockMode::Shared));
     for o in lo..o_hi {
         let o_slot = TpccLayout::slot(l.order_key(input.w, input.d, o));
         let ol_cnt = tpcc.recon.order(o_slot).ol_cnt.min(cfg.max_lines);
@@ -350,10 +383,7 @@ fn plan_stock_level(
             raw.push((l.stock_key(input.w, i_id), LockMode::Shared));
         }
     }
-    Plan {
-        accesses: AccessSet::from_unsorted(raw),
-        annotation: Annotation::StockLevel { o_hi },
-    }
+    Annotation::StockLevel { o_hi }
 }
 
 #[cfg(test)]
@@ -632,6 +662,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Planning into a plan that still holds another transaction's
+    /// footprint and annotation gives the plan a fresh one would hold,
+    /// and draws the same numbers from the planning RNG.
+    #[test]
+    fn planning_into_a_used_plan_equals_a_fresh_plan() {
+        let db = Database::Tpcc(TpccDb::load(TpccConfig::tiny(2).with_initial_orders(20), 3));
+        let by_name = CustomerSelector::ByLastName {
+            c_w: 0,
+            c_d: 1,
+            name_id: 4,
+        };
+        let programs = [
+            Program::Delivery(DeliveryInput { w: 1, carrier: 3 }),
+            Program::Payment(PaymentInput {
+                w: 0,
+                d: 1,
+                amount_cents: 100,
+                customer: by_name,
+            }),
+            Program::NewOrder(NewOrderInput {
+                w: 0,
+                d: 1,
+                c: 3,
+                lines: vec![OrderLineInput {
+                    i_id: 7,
+                    supply_w: 0,
+                    qty: 2,
+                }],
+            }),
+            Program::StockLevel(StockLevelInput {
+                w: 0,
+                d: 0,
+                threshold: 15,
+                depth: 6,
+            }),
+            Program::OrderStatus(OrderStatusInput { customer: by_name }),
+            Program::Rmw { keys: vec![] },
+        ];
+        let (mut fresh_rng, mut reused_rng) = (XorShift64::new(5), XorShift64::new(5));
+        let mut reused = Plan::default();
+        for noise in [0, 50, 100] {
+            for program in &programs {
+                let fresh = plan_accesses(program, &db, noise, &mut fresh_rng);
+                plan_accesses_into(program, &db, noise, &mut reused_rng, &mut reused);
+                assert_eq!(reused, fresh, "{} at noise {noise}", program.kind());
+            }
+        }
+        assert_eq!(fresh_rng.next_u64(), reused_rng.next_u64());
     }
 
     #[test]

@@ -12,6 +12,24 @@ fn mode_strategy() -> impl Strategy<Value = LockMode> {
     prop_oneof![Just(LockMode::Shared), Just(LockMode::Exclusive)]
 }
 
+/// The two-vector construction `AccessSet::from_unsorted` used before it
+/// worked in place: sort, then merge into a second vector.
+fn two_vector_reference(mut raw: Vec<(Key, LockMode)>) -> Vec<(Key, LockMode)> {
+    raw.sort_unstable_by_key(|&(k, _)| k);
+    let mut entries: Vec<(Key, LockMode)> = Vec::with_capacity(raw.len());
+    for (k, m) in raw {
+        match entries.last_mut() {
+            Some((lk, lm)) if *lk == k => {
+                if m == LockMode::Exclusive {
+                    *lm = LockMode::Exclusive;
+                }
+            }
+            _ => entries.push((k, m)),
+        }
+    }
+    entries
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -35,6 +53,22 @@ proptest! {
         }
         let expect: Vec<(Key, LockMode)> = model.into_iter().collect();
         prop_assert_eq!(set.entries(), &expect[..]);
+    }
+
+    /// Sorting and merging in the given vector, or in a set that still
+    /// holds another transaction's entries, gives what the two-vector
+    /// construction gave: duplicates merge to the stronger mode.
+    #[test]
+    fn in_place_construction_matches_the_two_vector_reference(
+        raw in prop::collection::vec((0u64..48, mode_strategy()), 0..64),
+        stale in prop::collection::vec((0u64..48, mode_strategy()), 0..64),
+    ) {
+        let expect = two_vector_reference(raw.clone());
+        let set = AccessSet::from_unsorted(raw.clone());
+        prop_assert_eq!(set.entries(), &expect[..]);
+        let mut reused = AccessSet::from_unsorted(stale);
+        reused.refill(raw);
+        prop_assert_eq!(reused, set);
     }
 
     /// `covers` agrees with a linear scan of the produced entries.

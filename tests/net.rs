@@ -398,6 +398,42 @@ fn a_lone_request_on_a_cold_connection_is_answered_promptly() {
     handle.shutdown();
 }
 
+/// A request frame may carry a program with an empty key list — the codec
+/// accepts one. It touches nothing, so it is answered without a lock
+/// round, and the connection goes on: the request behind it, on both of
+/// the engine's execution threads, is answered too. (One such frame used
+/// to kill the execution thread it landed on; the server kept accepting
+/// and nothing on that lane was ever answered again.)
+#[test]
+fn an_empty_key_list_is_answered_and_so_is_the_request_after_it() {
+    let _guard = common::serial();
+    let server = NetServer::start(engine(256), NetConfig::default()).expect("bind loopback");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let mut got = Vec::new();
+    // Two of each: hint-less programs go to the lanes round-robin.
+    for empty in [
+        Program::Rmw { keys: vec![] },
+        Program::Rmw { keys: vec![] },
+        Program::ReadOnly { keys: vec![] },
+        Program::ReadOnly { keys: vec![] },
+    ] {
+        let sent = client.send_batch(vec![empty]).expect("send");
+        client
+            .recv_exact(1, DEADLINE, &mut got)
+            .expect("the empty program is answered");
+        assert_eq!(got.pop().map(|c| c.req_id), Some(sent[0]));
+    }
+    let sent = client.send_batch((0..8).map(rmw).collect()).expect("send");
+    client
+        .recv_exact(sent.len(), DEADLINE, &mut got)
+        .expect("the requests after it are answered");
+    let answered: HashSet<u64> = got.iter().map(|c| c.req_id).collect();
+    assert_eq!(answered, sent.into_iter().collect::<HashSet<u64>>());
+    let (mut handle, _) = server.shutdown();
+    let stats = handle.shutdown();
+    assert_eq!(stats.totals.committed_all, 12);
+}
+
 /// Read response frames off `stream` until `want` completions have
 /// arrived; returns how many completions each frame carried.
 fn read_response_frames(stream: &mut TcpStream, want: usize) -> Vec<usize> {
