@@ -55,6 +55,12 @@ pub struct ThreadStats {
     /// not be granted immediately, summed over every grant received —
     /// the contention signal adaptive admission switches on.
     pub lock_waits: u64,
+    /// ORTHRUS execution threads: the in-flight cap in force at each
+    /// grant, summed, and the grants summed over — their ratio is the
+    /// grant-weighted mean depth — and the deepest cap reached.
+    pub inflight_cap_sum: u64,
+    pub inflight_cap_grants: u64,
+    pub inflight_cap_max: u64,
     /// Adaptive-admission policy switches over the thread's whole
     /// lifetime (a lifetime counter like `committed_all`; 0 for the
     /// static policies).
@@ -137,6 +143,9 @@ impl ThreadStats {
         self.cc_idle_ns += other.cc_idle_ns;
         self.messages_sent += other.messages_sent;
         self.lock_waits += other.lock_waits;
+        self.inflight_cap_sum += other.inflight_cap_sum;
+        self.inflight_cap_grants += other.inflight_cap_grants;
+        self.inflight_cap_max = self.inflight_cap_max.max(other.inflight_cap_max);
         self.admission_switches += other.admission_switches;
         self.cycles_found += other.cycles_found;
         self.log_records += other.log_records;
@@ -412,6 +421,21 @@ impl RunStats {
         }
     }
 
+    /// The execution threads' in-flight cap, weighted by the grants it
+    /// was in force for (0.0 when no grant arrived).
+    pub fn mean_inflight_cap(&self) -> f64 {
+        if self.totals.inflight_cap_grants == 0 {
+            0.0
+        } else {
+            self.totals.inflight_cap_sum as f64 / self.totals.inflight_cap_grants as f64
+        }
+    }
+
+    /// The deepest in-flight cap any execution thread reached.
+    pub fn max_inflight_cap(&self) -> u64 {
+        self.totals.inflight_cap_max
+    }
+
     /// Figure-10 style breakdown over the three phase buckets.
     pub fn breakdown(&self) -> PhaseBreakdown {
         let total =
@@ -450,6 +474,9 @@ mod tests {
             cc_idle_ns: 70,
             messages_sent: 5,
             lock_waits: 7,
+            inflight_cap_sum: 160,
+            inflight_cap_grants: 10,
+            inflight_cap_max: 32,
             admission_switches: 2,
             cycles_found: 1,
             log_records: 4,
@@ -477,6 +504,8 @@ mod tests {
         assert_eq!((b.cc_busy_ns, b.cc_idle_ns), (60, 140));
         assert_eq!(b.messages_sent, 10);
         assert_eq!(b.lock_waits, 14);
+        assert_eq!((b.inflight_cap_sum, b.inflight_cap_grants), (320, 20));
+        assert_eq!(b.inflight_cap_max, 32, "a maximum, not a sum");
         assert_eq!(b.admission_switches, 4);
         assert_eq!(b.log_records, 8);
         assert_eq!(b.log_bytes, 128);
@@ -656,6 +685,27 @@ mod tests {
         assert_eq!(rs.cc.len(), 2);
         assert!((rs.cc[0].busy_pct() - 25.0).abs() < 1e-9);
         assert_eq!(rs.cc[1].busy_pct(), 0.0, "a thread that never ran");
+    }
+
+    /// The depth reads as a grant-weighted mean over every execution
+    /// thread and the maximum of their maxima; CC threads carry none.
+    #[test]
+    fn inflight_cap_is_weighted_by_grants() {
+        let exec = |sum, grants, max| ThreadStats {
+            inflight_cap_sum: sum,
+            inflight_cap_grants: grants,
+            inflight_cap_max: max,
+            ..Default::default()
+        };
+        let rs = RunStats::collect(
+            &[exec(16 * 30, 30, 16), exec(64 * 10, 10, 64)],
+            Duration::ZERO,
+        )
+        .with_cc_threads(&[ThreadStats::default()]);
+        assert!((rs.mean_inflight_cap() - 28.0).abs() < 1e-9);
+        assert_eq!(rs.max_inflight_cap(), 64);
+        let empty = RunStats::collect(&[], Duration::ZERO);
+        assert_eq!(empty.mean_inflight_cap(), 0.0);
     }
 
     #[test]

@@ -87,10 +87,12 @@ use crate::source::{Reply, TxnSource};
 pub const DEFAULT_CONFLICT_CLASSES: usize = 8;
 
 /// Default per-class drain batch for [`AdmissionPolicy::ConflictBatch`]:
-/// matched to the default in-flight cap so one class's run can fuse into
-/// a single full-depth acquisition (runs are additionally clipped to the
-/// execution thread's in-flight headroom at admission time). Deeper
-/// batches amortize more round trips per fused run under contention.
+/// matched to the in-flight floor — an execution thread's depth never
+/// walks below `min(max_inflight, DEFAULT_CLASS_BATCH)` — so one class's
+/// run can always fuse into a single full-depth acquisition (runs are
+/// additionally clipped to the execution thread's in-flight headroom at
+/// admission time). Deeper batches amortize more round trips per fused
+/// run under contention.
 pub const DEFAULT_CLASS_BATCH: usize = 16;
 
 /// Default promote threshold for [`AdmissionPolicy::Adaptive`], in

@@ -10,7 +10,6 @@
 //! the message loop.
 
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use orthrus_common::{FxHashMap, Key, LockMode};
@@ -67,47 +66,160 @@ struct Pending {
     waiters: u32,
 }
 
-struct Waiter {
+/// The end of a list in [`Nodes`].
+const NIL: u32 = u32::MAX;
+
+/// One holder or waiter of a key: a link in that key's list.
+#[derive(Clone, Copy)]
+struct Node {
     token: u64, // Token::pack()
     mode: LockMode,
+    /// A waiter's partially granted acquisition, as an index into
+    /// [`CcState::pending`]; [`NIL`] for a lock granted on arrival.
     pending_idx: u32,
+    next: u32,
 }
 
+/// A FIFO list of [`Node`]s, linked by index.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// A key's lock: who holds it, and who waits for it in arrival order.
+#[derive(Clone, Copy)]
 struct CcEntry {
-    holders: Vec<(u64, LockMode)>,
-    waiters: VecDeque<Waiter>,
+    holders: List,
+    waiters: List,
 }
-
-/// Holders and waiters a new entry has room for: the deepest convoy one
-/// key can gather from an execution thread's default sixteen in-flight
-/// slots. Entries move between keys, so room found only when a convoy
-/// first forms would be found by the last spare entry arbitrarily late;
-/// given at birth, an entry allocates again only for a deeper convoy
-/// than that.
-const ENTRY_ROOM: usize = 16;
 
 impl CcEntry {
-    fn new() -> Self {
-        CcEntry {
-            holders: Vec::with_capacity(ENTRY_ROOM),
-            waiters: VecDeque::with_capacity(ENTRY_ROOM),
+    const FREE: CcEntry = CcEntry {
+        holders: List::EMPTY,
+        waiters: List::EMPTY,
+    };
+}
+
+/// Every holder and waiter of one CC thread's keys, in one slab. A freed
+/// node is the next one handed out, so the slab grows only when more
+/// locks are held or awaited at once than ever before — a convoy of any
+/// depth, on any key, allocates nothing once one as deep has been seen.
+struct Nodes {
+    slab: Vec<Node>,
+    /// Head of the freed nodes, linked through `next`.
+    free: u32,
+}
+
+impl Nodes {
+    fn with_capacity(capacity: usize) -> Self {
+        Nodes {
+            slab: Vec::with_capacity(capacity),
+            free: NIL,
         }
     }
 
-    fn compatible(&self, mode: LockMode) -> bool {
-        self.holders.iter().all(|&(_, m)| !m.conflicts_with(mode))
+    /// The nodes of `list`, front first.
+    fn iter(&self, list: List) -> impl Iterator<Item = &Node> {
+        let at = |i: u32| self.slab.get(i as usize);
+        std::iter::successors(at(list.head), move |n| at(n.next))
     }
 
-    fn grantable(&self, mode: LockMode) -> bool {
-        self.waiters.is_empty() && self.compatible(mode)
+    fn compatible(&self, holders: List, mode: LockMode) -> bool {
+        self.iter(holders).all(|h| !h.mode.conflicts_with(mode))
+    }
+
+    fn grantable(&self, entry: CcEntry, mode: LockMode) -> bool {
+        entry.waiters.is_empty() && self.compatible(entry.holders, mode)
+    }
+
+    /// Append node `i` to `list`.
+    fn link(&mut self, list: &mut List, i: u32) {
+        match self.slab.get_mut(list.tail as usize) {
+            Some(tail) => tail.next = i,
+            None => list.head = i,
+        }
+        list.tail = i;
+    }
+
+    fn push_back(&mut self, list: &mut List, token: u64, mode: LockMode, pending_idx: u32) {
+        let node = Node {
+            token,
+            mode,
+            pending_idx,
+            next: NIL,
+        };
+        let i = match self.slab.get_mut(self.free as usize) {
+            Some(freed) => {
+                let i = self.free;
+                self.free = freed.next;
+                *freed = node;
+                i
+            }
+            None => {
+                self.slab.push(node);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.link(list, i);
+    }
+
+    /// Unlink `token`'s node from `list` and free it. Returns whether
+    /// `list` held one.
+    fn remove(&mut self, list: &mut List, token: u64) -> bool {
+        let (mut prev, mut i) = (NIL, list.head);
+        while let Some(&node) = self.slab.get(i as usize) {
+            if node.token == token {
+                match self.slab.get_mut(prev as usize) {
+                    Some(p) => p.next = node.next,
+                    None => list.head = node.next,
+                }
+                if list.tail == i {
+                    list.tail = prev;
+                }
+                self.slab[i as usize].next = self.free;
+                self.free = i;
+                return true;
+            }
+            (prev, i) = (i, node.next);
+        }
+        false
+    }
+
+    /// Move the first waiter of `entry` to its holders if it is
+    /// compatible with them, and return it.
+    fn grant_front(&mut self, entry: &mut CcEntry) -> Option<Node> {
+        let i = entry.waiters.head;
+        let node = *self.slab.get(i as usize)?;
+        if !self.compatible(entry.holders, node.mode) {
+            return None;
+        }
+        entry.waiters.head = node.next;
+        if node.next == NIL {
+            entry.waiters.tail = NIL;
+        }
+        self.slab[i as usize].next = NIL;
+        self.link(&mut entry.holders, i);
+        Some(node)
     }
 }
 
 /// The lock state owned by one CC thread.
 ///
 /// The table holds exactly the keys somebody holds or waits for: an
-/// entry leaves when its last holder releases and comes back, buffers
-/// and all, from `spare` on the next acquire. Its size therefore follows
+/// entry — two list heads into the node slab, no buffer of its own —
+/// leaves when its last holder releases. Its size therefore follows
 /// the number of transactions in flight, not the number of keys ever
 /// locked, and it stays in cache however large the database is — with
 /// entries kept forever, a uniform workload over 200 000 keys paid a
@@ -117,8 +229,8 @@ impl CcEntry {
 pub struct CcState {
     id: u32,
     table: FxHashMap<Key, CcEntry>,
-    /// Emptied entries, most recently used last.
-    spare: Vec<CcEntry>,
+    /// The holders and waiters of every key in `table`.
+    nodes: Nodes,
     pending: Vec<Option<Pending>>,
     free: Vec<u32>,
     /// Acquisitions one release step completed, emitted once the table
@@ -128,9 +240,9 @@ pub struct CcState {
 
 impl CcState {
     /// Create the state for CC thread `id`, with room for `capacity` keys
-    /// locked at the same time: the table's buckets, that many spare
-    /// entries and a slab of that many pending acquisitions exist from
-    /// the start, so that below it no request ever waits for the
+    /// locked at the same time: the table's buckets, that many holder and
+    /// waiter nodes and a slab of that many pending acquisitions exist
+    /// from the start, so that below it no request ever waits for the
     /// allocator. Beyond it everything grows.
     pub fn new(id: u32, capacity: usize) -> Self {
         let mut table = FxHashMap::default();
@@ -138,7 +250,7 @@ impl CcState {
         CcState {
             id,
             table,
-            spare: (0..capacity).map(|_| CcEntry::new()).collect(),
+            nodes: Nodes::with_capacity(capacity),
             pending: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             done: Vec::with_capacity(capacity),
@@ -195,46 +307,38 @@ impl CcState {
             let grantable = self
                 .table
                 .get(&key)
-                .map(|e| e.grantable(mode))
-                .unwrap_or(true);
+                .is_none_or(|&e| self.nodes.grantable(e, mode));
             if !grantable {
                 ungranted += 1;
             }
         }
 
         let pending_idx = if ungranted > 0 {
-            Some(self.alloc_pending(Pending {
+            self.alloc_pending(Pending {
                 token,
                 plan: Arc::clone(&plan),
                 span_idx,
                 forward,
                 remaining: ungranted,
                 waiters: waiters.saturating_add(ungranted),
-            }))
+            })
         } else {
-            None
+            NIL
         };
 
         // Pass 2: grant or enqueue.
         let packed = token.pack();
+        let nodes = &mut self.nodes;
         for &(key, mode) in plan.span_entries(span_idx as usize) {
-            let spare = &mut self.spare;
-            let entry = self
-                .table
-                .entry(key)
-                .or_insert_with(|| spare.pop().unwrap_or_else(CcEntry::new));
+            let entry = self.table.entry(key).or_insert(CcEntry::FREE);
             debug_assert!(
-                !entry.holders.iter().any(|&(t, _)| t == packed),
+                !nodes.iter(entry.holders).any(|h| h.token == packed),
                 "token {packed:#x} re-acquiring key {key:#x}"
             );
-            if entry.grantable(mode) {
-                entry.holders.push((packed, mode));
+            if nodes.grantable(*entry, mode) {
+                nodes.push_back(&mut entry.holders, packed, mode, NIL);
             } else {
-                entry.waiters.push_back(Waiter {
-                    token: packed,
-                    mode,
-                    pending_idx: pending_idx.unwrap(),
-                });
+                nodes.push_back(&mut entry.waiters, packed, mode, pending_idx);
             }
         }
 
@@ -261,31 +365,25 @@ impl CcState {
                 panic!("release of never-acquired key");
             };
             let entry = slot.get_mut();
-            let before = entry.holders.len();
-            entry.holders.retain(|&(t, _)| t != packed);
-            debug_assert_eq!(before, entry.holders.len() + 1, "unheld release");
+            let held = self.nodes.remove(&mut entry.holders, packed);
+            debug_assert!(held, "unheld release");
 
             // Grant the longest compatible prefix of the queue.
-            while let Some(front) = entry.waiters.front() {
-                if !entry.compatible(front.mode) {
-                    break;
-                }
-                let w = entry.waiters.pop_front().unwrap();
-                entry.holders.push((w.token, w.mode));
-                let slot = &mut self.pending[w.pending_idx as usize];
-                let finished = {
-                    let p = slot.as_mut().expect("waiter points at freed pending");
+            while let Some(w) = self.nodes.grant_front(entry) {
+                let pending = &mut self.pending[w.pending_idx as usize];
+                debug_assert!(pending.is_some(), "waiter points at freed pending");
+                let finished = pending.take_if(|p| {
                     p.remaining -= 1;
                     p.remaining == 0
-                };
-                if finished {
-                    self.done.push(slot.take().unwrap());
+                });
+                if let Some(p) = finished {
+                    self.done.push(p);
                     self.free.push(w.pending_idx);
                 }
             }
             if entry.holders.is_empty() {
                 debug_assert!(entry.waiters.is_empty(), "free lock with a queue");
-                self.spare.push(slot.remove());
+                slot.remove();
             }
         }
         for p in self.done.drain(..) {
@@ -344,7 +442,7 @@ impl CcState {
     pub fn holders_of(&self, key: Key) -> Vec<u64> {
         self.table
             .get(&key)
-            .map(|e| e.holders.iter().map(|&(t, _)| t).collect())
+            .map(|e| self.nodes.iter(e.holders).map(|h| h.token).collect())
             .unwrap_or_default()
     }
 }
@@ -666,5 +764,449 @@ mod tests {
             assert_eq!(cc.pending_count(), 0, "round {round}");
         }
         assert!(cc.pending.len() <= 2, "slab must not grow unboundedly");
+    }
+}
+
+/// The node slab grants exactly what the state it replaced granted: per
+/// key, a `Vec` of holders and a `VecDeque` of waiters. That reference is
+/// kept here verbatim, and the two are driven side by side through
+/// arbitrary engines' worth of traffic — a few keys, both lock modes,
+/// plans over up to three CC threads, forwarding on and off, slots reused
+/// under new generations while their releases are still in flight.
+#[cfg(test)]
+mod slab_matches_queues {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use orthrus_txn::AccessSet;
+
+    struct Waiter {
+        token: u64,
+        mode: LockMode,
+        pending_idx: u32,
+    }
+
+    #[derive(Default)]
+    struct QueueEntry {
+        holders: Vec<(u64, LockMode)>,
+        waiters: VecDeque<Waiter>,
+    }
+
+    impl QueueEntry {
+        fn compatible(&self, mode: LockMode) -> bool {
+            self.holders.iter().all(|&(_, m)| !m.conflicts_with(mode))
+        }
+
+        fn grantable(&self, mode: LockMode) -> bool {
+            self.waiters.is_empty() && self.compatible(mode)
+        }
+    }
+
+    /// The CC state with a `Vec` + `VecDeque` per key.
+    #[derive(Default)]
+    struct Queues {
+        table: FxHashMap<Key, QueueEntry>,
+        pending: Vec<Option<Pending>>,
+        free: Vec<u32>,
+        done: Vec<Pending>,
+    }
+
+    impl Queues {
+        fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>) {
+            match req {
+                CcRequest::Acquire {
+                    token,
+                    plan,
+                    span_idx,
+                    forward,
+                    waiters,
+                } => self.acquire(token, plan, span_idx, forward, waiters, out),
+                CcRequest::Release {
+                    token,
+                    plan,
+                    span_idx,
+                } => self.release(token, &plan, span_idx, out),
+            }
+        }
+
+        fn acquire(
+            &mut self,
+            token: Token,
+            plan: Arc<LockPlan>,
+            span_idx: u16,
+            forward: bool,
+            waiters: u32,
+            out: &mut Vec<OutMsg>,
+        ) {
+            let mut ungranted = 0u32;
+            for &(key, mode) in plan.span_entries(span_idx as usize) {
+                if !self.table.get(&key).is_none_or(|e| e.grantable(mode)) {
+                    ungranted += 1;
+                }
+            }
+            let pending_idx = (ungranted > 0).then(|| {
+                let p = Pending {
+                    token,
+                    plan: Arc::clone(&plan),
+                    span_idx,
+                    forward,
+                    remaining: ungranted,
+                    waiters: waiters.saturating_add(ungranted),
+                };
+                match self.free.pop() {
+                    Some(i) => {
+                        self.pending[i as usize] = Some(p);
+                        i
+                    }
+                    None => {
+                        self.pending.push(Some(p));
+                        (self.pending.len() - 1) as u32
+                    }
+                }
+            });
+            let packed = token.pack();
+            for &(key, mode) in plan.span_entries(span_idx as usize) {
+                let entry = self.table.entry(key).or_default();
+                if entry.grantable(mode) {
+                    entry.holders.push((packed, mode));
+                } else {
+                    entry.waiters.push_back(Waiter {
+                        token: packed,
+                        mode,
+                        pending_idx: pending_idx.unwrap(),
+                    });
+                }
+            }
+            if ungranted == 0 {
+                CcState::complete(token, &plan, span_idx, forward, waiters, out);
+            }
+        }
+
+        fn release(
+            &mut self,
+            token: Token,
+            plan: &Arc<LockPlan>,
+            span_idx: u16,
+            out: &mut Vec<OutMsg>,
+        ) {
+            let packed = token.pack();
+            for &(key, _) in plan.span_entries(span_idx as usize) {
+                let Entry::Occupied(mut slot) = self.table.entry(key) else {
+                    panic!("release of never-acquired key");
+                };
+                let entry = slot.get_mut();
+                entry.holders.retain(|&(t, _)| t != packed);
+                while let Some(front) = entry.waiters.front() {
+                    if !entry.compatible(front.mode) {
+                        break;
+                    }
+                    let w = entry.waiters.pop_front().unwrap();
+                    entry.holders.push((w.token, w.mode));
+                    let slot = &mut self.pending[w.pending_idx as usize];
+                    let p = slot.as_mut().unwrap();
+                    p.remaining -= 1;
+                    if p.remaining == 0 {
+                        self.done.push(slot.take().unwrap());
+                        self.free.push(w.pending_idx);
+                    }
+                }
+                if entry.holders.is_empty() {
+                    slot.remove();
+                }
+            }
+            for p in self.done.drain(..) {
+                CcState::complete(p.token, &p.plan, p.span_idx, p.forward, p.waiters, out);
+            }
+        }
+    }
+
+    /// An outgoing message, comparably: the plan by identity.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Sent {
+        ToCc(u32, u64, usize, u16, bool, u32),
+        ToExec(u16, u16, u16, u32),
+    }
+
+    fn sent(out: &[OutMsg]) -> Vec<Sent> {
+        out.iter()
+            .map(|m| match m {
+                OutMsg::ToCc {
+                    cc,
+                    req:
+                        CcRequest::Acquire {
+                            token,
+                            plan,
+                            span_idx,
+                            forward,
+                            waiters,
+                        },
+                } => Sent::ToCc(
+                    *cc,
+                    token.pack(),
+                    Arc::as_ptr(plan) as usize,
+                    *span_idx,
+                    *forward,
+                    *waiters,
+                ),
+                OutMsg::ToCc { .. } => panic!("a CC thread forwards acquires only"),
+                OutMsg::ToExec {
+                    exec,
+                    resp:
+                        ExecResponse::Granted {
+                            slot,
+                            span_idx,
+                            waiters,
+                        },
+                } => Sent::ToExec(*exec, *slot, *span_idx, *waiters),
+            })
+            .collect()
+    }
+
+    fn dup(req: &CcRequest) -> CcRequest {
+        match req {
+            CcRequest::Acquire {
+                token,
+                plan,
+                span_idx,
+                forward,
+                waiters,
+            } => CcRequest::Acquire {
+                token: *token,
+                plan: Arc::clone(plan),
+                span_idx: *span_idx,
+                forward: *forward,
+                waiters: *waiters,
+            },
+            CcRequest::Release {
+                token,
+                plan,
+                span_idx,
+            } => CcRequest::Release {
+                token: *token,
+                plan: Arc::clone(plan),
+                span_idx: *span_idx,
+            },
+        }
+    }
+
+    const EXECS: u16 = 2;
+    const SLOTS: u16 = 2;
+
+    /// A transaction on an execution thread's slot.
+    struct Txn {
+        token: Token,
+        plan: Arc<LockPlan>,
+        forward: bool,
+    }
+
+    /// Execution threads and the rings between everyone, around one
+    /// `CcState` and one `Queues` per CC thread.
+    struct Engine {
+        n_cc: u32,
+        slab: Vec<CcState>,
+        queues: Vec<Queues>,
+        /// `lanes[src][dst]`: the FIFO ring from `src` — execution
+        /// threads first, then CC threads — into CC thread `dst`.
+        lanes: Vec<Vec<VecDeque<CcRequest>>>,
+        /// `slots[exec][slot]`: the transaction on it, if any.
+        slots: Vec<Vec<Option<Txn>>>,
+        /// Fully granted transactions, waiting to release.
+        granted: Vec<(u16, u16)>,
+        next_gen: u32,
+    }
+
+    impl Engine {
+        fn new(n_cc: u32, capacity: usize) -> Self {
+            let sources = EXECS as usize + n_cc as usize;
+            Engine {
+                n_cc,
+                slab: (0..n_cc).map(|cc| CcState::new(cc, capacity)).collect(),
+                queues: (0..n_cc).map(|_| Queues::default()).collect(),
+                lanes: (0..sources)
+                    .map(|_| (0..n_cc).map(|_| VecDeque::new()).collect())
+                    .collect(),
+                slots: (0..EXECS)
+                    .map(|_| (0..SLOTS).map(|_| None).collect())
+                    .collect(),
+                granted: Vec::new(),
+                next_gen: 0,
+            }
+        }
+
+        fn exec_send(&mut self, exec: u16, req: CcRequest) {
+            let (CcRequest::Acquire { plan, span_idx, .. }
+            | CcRequest::Release { plan, span_idx, .. }) = &req;
+            let cc = plan.spans()[*span_idx as usize].cc;
+            self.lanes[exec as usize][cc as usize].push_back(req);
+        }
+
+        /// Start `plan` on the `pick`th free slot, if there is one.
+        fn start(&mut self, pick: usize, plan: &Arc<LockPlan>, forward: bool) {
+            let free: Vec<(u16, u16)> = (0..EXECS)
+                .flat_map(|e| (0..SLOTS).map(move |s| (e, s)))
+                .filter(|&(e, s)| self.slots[e as usize][s as usize].is_none())
+                .collect();
+            let Some(&(exec, slot)) = free.get(pick % free.len().max(1)) else {
+                return;
+            };
+            let token = Token {
+                exec,
+                slot,
+                gen: self.next_gen,
+            };
+            self.next_gen += 1;
+            self.slots[exec as usize][slot as usize] = Some(Txn {
+                token,
+                plan: Arc::clone(plan),
+                forward,
+            });
+            self.exec_send(
+                exec,
+                CcRequest::Acquire {
+                    token,
+                    plan: Arc::clone(plan),
+                    span_idx: 0,
+                    forward,
+                    waiters: 0,
+                },
+            );
+        }
+
+        /// Release the `pick`th granted transaction, freeing its slot at
+        /// once: its releases are still on their way.
+        fn release(&mut self, pick: usize) {
+            if self.granted.is_empty() {
+                return;
+            }
+            let (exec, slot) = self.granted.swap_remove(pick % self.granted.len());
+            let Some(txn) = self.slots[exec as usize][slot as usize].take() else {
+                unreachable!("granted transactions hold their slot")
+            };
+            for span_idx in 0..txn.plan.spans().len() as u16 {
+                self.exec_send(
+                    exec,
+                    CcRequest::Release {
+                        token: txn.token,
+                        plan: Arc::clone(&txn.plan),
+                        span_idx,
+                    },
+                );
+            }
+        }
+
+        /// Deliver the head of the `pick`th non-empty lane to both
+        /// states, check they answered alike, and route the answer.
+        fn deliver(&mut self, pick: usize) -> Result<bool, TestCaseError> {
+            let full: Vec<(usize, usize)> = (0..self.lanes.len())
+                .flat_map(|src| (0..self.n_cc as usize).map(move |dst| (src, dst)))
+                .filter(|&(src, dst)| !self.lanes[src][dst].is_empty())
+                .collect();
+            let Some(&(src, dst)) = full.get(pick % full.len().max(1)) else {
+                return Ok(false);
+            };
+            let Some(req) = self.lanes[src][dst].pop_front() else {
+                unreachable!("the lane is not empty")
+            };
+            let (mut by_slab, mut by_queues) = (Vec::new(), Vec::new());
+            self.queues[dst].handle(dup(&req), &mut by_queues);
+            self.slab[dst].handle(req, &mut by_slab);
+            prop_assert_eq!(sent(&by_slab), sent(&by_queues));
+            prop_assert_eq!(self.slab[dst].locked_keys(), self.queues[dst].table.len());
+            let parked = self.queues[dst].pending.iter().flatten().count();
+            prop_assert_eq!(self.slab[dst].pending_count(), parked);
+            for msg in by_slab {
+                match msg {
+                    OutMsg::ToCc { cc, req } => {
+                        self.lanes[EXECS as usize + dst][cc as usize].push_back(req)
+                    }
+                    OutMsg::ToExec { exec, resp } => self.on_grant(exec, resp),
+                }
+            }
+            Ok(true)
+        }
+
+        /// An execution thread's grant: without forwarding it asks for
+        /// the next span itself; on the last span the transaction holds
+        /// every lock.
+        fn on_grant(&mut self, exec: u16, resp: ExecResponse) {
+            let ExecResponse::Granted { slot, span_idx, .. } = resp;
+            let Some(txn) = &self.slots[exec as usize][slot as usize] else {
+                unreachable!("a grant for a free slot")
+            };
+            let next = span_idx + 1;
+            if (next as usize) < txn.plan.spans().len() {
+                assert!(!txn.forward, "forwarding answers on the last span only");
+                let req = CcRequest::Acquire {
+                    token: txn.token,
+                    plan: Arc::clone(&txn.plan),
+                    span_idx: next,
+                    forward: false,
+                    waiters: 0,
+                };
+                self.exec_send(exec, req);
+            } else {
+                self.granted.push((exec, slot));
+            }
+        }
+    }
+
+    fn mode() -> impl Strategy<Value = LockMode> {
+        prop_oneof![Just(LockMode::Shared), Just(LockMode::Exclusive)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_slab_grants_what_the_queues_granted(
+            txns in prop::collection::vec(
+                (prop::collection::vec((0u64..6, mode()), 1..5), any::<bool>()),
+                1..40,
+            ),
+            steps in prop::collection::vec((0u8..3, any::<u8>()), 0..200),
+            n_cc in 1u32..4,
+            capacity in 0usize..4,
+        ) {
+            let plans: Vec<(Arc<LockPlan>, bool)> = txns
+                .iter()
+                .map(|(keys, forward)| {
+                    let set = AccessSet::from_unsorted(keys.clone());
+                    (Arc::new(LockPlan::build(&set, |k| (k % n_cc as u64) as u32)), *forward)
+                })
+                .collect();
+            let mut engine = Engine::new(n_cc, capacity);
+            let mut next = 0;
+            for &(action, pick) in &steps {
+                match action {
+                    0 => {
+                        let (plan, forward) = &plans[next % plans.len()];
+                        next += 1;
+                        engine.start(pick as usize, plan, *forward);
+                    }
+                    1 => {
+                        engine.deliver(pick as usize)?;
+                    }
+                    _ => engine.release(pick as usize),
+                }
+            }
+            // Drain: deliver everything, release whatever that granted,
+            // until nothing moves.
+            loop {
+                if engine.deliver(0)? {
+                    continue;
+                }
+                if engine.granted.is_empty() {
+                    break;
+                }
+                engine.release(0);
+            }
+            for cc in 0..n_cc as usize {
+                prop_assert_eq!(engine.slab[cc].locked_keys(), 0);
+                prop_assert_eq!(engine.slab[cc].pending_count(), 0);
+            }
+            prop_assert!(engine.slots.iter().flatten().all(Option::is_none));
+        }
     }
 }

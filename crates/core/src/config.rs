@@ -56,8 +56,12 @@ pub struct OrthrusConfig {
     pub n_exec: usize,
     /// Key → CC mapping.
     pub assignment: CcAssignment,
-    /// In-flight transactions per execution thread (the asynchrony depth
-    /// of Section 3.3).
+    /// Ceiling of the in-flight transactions per execution thread (the
+    /// asynchrony depth of Section 3.3). The depth itself walks between
+    /// `min(max_inflight, DEFAULT_CLASS_BATCH)` and this ceiling, driven
+    /// by how many grants waited for a lock (DESIGN.md, "How deep the
+    /// pipeline is"); at 16 or less it is fixed. At most 65 536: a slot
+    /// index is a `u16`.
     pub max_inflight: usize,
     /// CC→CC forwarding (Section 3.3). Disable for the `Ncc+1` vs `2·Ncc`
     /// ablation.
@@ -154,6 +158,14 @@ pub const DEFAULT_FLUSH_THRESHOLD: usize = 16;
 /// rather than an unbounded buffer.
 pub const DEFAULT_INGEST_CAPACITY: usize = 256;
 
+/// Default in-flight ceiling per execution thread: four fabric batches.
+/// Where grants wait, the depth stays at its floor of sixteen; where they
+/// do not, the closed loop runs up to here instead of being batch-bound.
+pub const DEFAULT_MAX_INFLIGHT: usize = 64;
+
+/// The largest `max_inflight`: in-flight slots are `u16` indices.
+const MAX_INFLIGHT_LIMIT: usize = 1 << 16;
+
 impl OrthrusConfig {
     /// A paper-style configuration: given a total "core" budget, dedicate
     /// 1/5 of threads to concurrency control (the 16 CC / 64 exec split
@@ -164,7 +176,7 @@ impl OrthrusConfig {
             n_cc,
             n_exec: (total - n_cc).max(1),
             assignment,
-            max_inflight: 16,
+            max_inflight: DEFAULT_MAX_INFLIGHT,
             forwarding: true,
             ollp_noise_pct: 0,
             cc_mode: CcMode::Partitioned,
@@ -189,7 +201,7 @@ impl OrthrusConfig {
             n_cc,
             n_exec,
             assignment,
-            max_inflight: 16,
+            max_inflight: DEFAULT_MAX_INFLIGHT,
             forwarding: true,
             ollp_noise_pct: 0,
             cc_mode: CcMode::Partitioned,
@@ -238,6 +250,13 @@ impl OrthrusConfig {
             return Err(
                 "max_inflight must be ≥ 1: admission would never start a transaction".into(),
             );
+        }
+        if self.max_inflight > MAX_INFLIGHT_LIMIT {
+            return Err(format!(
+                "max_inflight must be ≤ {MAX_INFLIGHT_LIMIT}: in-flight slots are u16 \
+                 indices; got {}",
+                self.max_inflight
+            ));
         }
         if self.ingest_capacity == 0 {
             return Err(
@@ -431,6 +450,22 @@ mod tests {
         c.flush_threshold = 0;
         assert!(c.validate().is_ok());
         assert_eq!(c.effective_flush_threshold(), 1);
+    }
+
+    /// A slot index is a `u16`: 65 536 slots fit, one more does not, and
+    /// the refusal names the field.
+    #[test]
+    fn validate_bounds_max_inflight_by_the_slot_index() {
+        let mut c = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        assert_eq!(c.max_inflight, DEFAULT_MAX_INFLIGHT);
+        c.max_inflight = 1 << 16;
+        assert!(c.validate().is_ok());
+        for too_deep in [(1 << 16) + 1, 70_000, usize::MAX] {
+            c.max_inflight = too_deep;
+            let why = c.validate().unwrap_err();
+            assert!(why.contains("max_inflight"), "{why}");
+            assert!(why.contains(&too_deep.to_string()), "{why}");
+        }
     }
 
     #[test]

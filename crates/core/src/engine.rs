@@ -4,12 +4,20 @@
 //! pair (Section 3.1): every execution thread has a private ring into
 //! every CC thread (acquires and releases), every CC thread has a private
 //! ring into every other CC thread (forwards) and into every execution
-//! thread (grants). Ring capacities are sized from the in-flight bounds so
-//! the steady state never blocks on a full ring:
+//! thread (grants). Ring capacities are sized from the in-flight
+//! *ceiling*, [`OrthrusConfig::max_inflight`], so the steady state never
+//! blocks on a full ring at any depth an execution thread walks to below
+//! it:
 //!
-//! - exec→cc: ≤ 1 acquire + 1 release per in-flight transaction;
-//! - cc→cc: ≤ 1 in-flight forward per in-flight transaction system-wide;
-//! - cc→exec: ≤ 1 outstanding grant per in-flight transaction.
+//! - exec→cc: ≤ 1 acquire + 1 release per in-flight transaction
+//!   (`2 × max_inflight + 4`);
+//! - cc→cc: ≤ 1 in-flight forward per in-flight transaction system-wide
+//!   (`n_exec × max_inflight + 4`);
+//! - cc→exec: ≤ 1 outstanding grant per in-flight transaction
+//!   (`max_inflight + 4`).
+//!
+//! Service mode's completion rings count the ceiling too (see
+//! [`OrthrusEngine::start_with_bell`]).
 //!
 //! Messages move in **batches** ([`OrthrusConfig::flush_threshold`]):
 //! both thread kinds stage outgoing messages per destination during one
@@ -468,17 +476,12 @@ impl Workers {
             let active = Arc::clone(&active_execs);
             let flush = cfg.effective_flush_threshold();
             let shared = shared_table.clone().map(SharedCcState::new);
+            let capacity = cc_table_capacity(&cfg);
             let name = format!("{}cc{cc}", cfg.sim_prefix);
             let thread = spawn_named(name.clone(), move || {
                 pin_to_core(cc);
                 match shared {
-                    None => run_cc(
-                        CcState::new(cc as u32, CC_TABLE_CAPACITY),
-                        flush,
-                        ep,
-                        &ctl,
-                        &active,
-                    ),
+                    None => run_cc(CcState::new(cc as u32, capacity), flush, ep, &ctl, &active),
                     Some(state) => run_cc(state, flush, ep, &ctl, &active),
                 }
             });
@@ -664,10 +667,14 @@ fn spawn_companions(
     companions
 }
 
-/// Pre-size each CC's table for the locks a few dozen transactions hold
-/// at once. It grows if more are held; an entry leaves with its last
-/// holder, so the table never outgrows what is in flight.
-const CC_TABLE_CAPACITY: usize = 256;
+/// Pre-size each CC's table for the locks an execution thread's in-flight
+/// ceiling of sixteen-key transactions holds at once: 1 024 keys at the
+/// default ceiling, never fewer than 256 nor more than 65 536. It grows
+/// if more are held; an entry leaves with its last holder, so the table
+/// never outgrows what is in flight.
+fn cc_table_capacity(cfg: &OrthrusConfig) -> usize {
+    (16 * cfg.max_inflight).clamp(256, 1 << 16)
+}
 
 /// The wired message mesh, ready to hand to workers.
 struct Fabric {
@@ -1450,6 +1457,63 @@ mod tests {
         let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
         cfg.max_inflight = 0;
         let _ = OrthrusEngine::new(db, spec, cfg);
+    }
+
+    /// A slot is a `u16`: a deeper ceiling is refused at construction,
+    /// by name, instead of killing `exec0` at its first admission.
+    #[test]
+    #[should_panic(expected = "max_inflight must be ≤ 65536")]
+    fn service_rejects_an_inflight_ceiling_beyond_the_slot_index() {
+        let db = Arc::new(Database::Flat(Table::new(16, 64)));
+        let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        cfg.max_inflight = 70_000;
+        let _ = OrthrusEngine::service(db, cfg);
+    }
+
+    /// The deepest ceiling a `u16` indexes has every one of its slots.
+    #[test]
+    fn service_commits_at_the_deepest_inflight_ceiling() {
+        let _serial = crate::test_serial();
+        let db = Arc::new(Database::Flat(Table::new(64, 64)));
+        let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        cfg.max_inflight = 1 << 16;
+        let mut handle = OrthrusEngine::service(db, cfg).start(7);
+        let session = handle.session();
+        let mut gen = Spec::Micro(MicroSpec::uniform(64, 2, false)).generator(7, 0);
+        for _ in 0..200 {
+            session
+                .submit(gen.next_program())
+                .expect("engine is accepting");
+        }
+        let stats = handle.shutdown();
+        assert_eq!(stats.totals.committed_all, 200);
+    }
+
+    /// The depth follows contention: where grants almost never wait
+    /// (uniform over a wide table) it climbs to the ceiling; where nearly
+    /// every grant waits (transfers among ten accounts) it stays at the
+    /// floor of sixteen.
+    #[test]
+    fn inflight_depth_climbs_where_nobody_waits_and_holds_where_grants_queue() {
+        let _serial = crate::test_serial();
+        let run = |n_records: u64, spec: MicroSpec| {
+            let db = Arc::new(Database::Flat(Table::new(n_records as usize, 16)));
+            let cfg = OrthrusConfig::with_threads(2, 1, CcAssignment::KeyModulo);
+            assert_eq!(cfg.max_inflight, 64, "the default ceiling");
+            OrthrusEngine::new(db, Spec::Micro(spec), cfg).run(&quick())
+        };
+        let uniform = run(200_000, MicroSpec::uniform(200_000, 10, false));
+        assert_eq!(
+            uniform.max_inflight_cap(),
+            64,
+            "mean {:.1}",
+            uniform.mean_inflight_cap()
+        );
+        assert!(uniform.mean_inflight_cap() > 16.0);
+        let transfers = run(10, MicroSpec::uniform(10, 2, false).with_transfers(100));
+        assert!(transfers.totals.lock_waits > 0);
+        assert_eq!(transfers.max_inflight_cap(), 16);
+        assert_eq!(transfers.mean_inflight_cap(), 16.0);
     }
 
     #[test]

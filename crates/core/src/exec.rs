@@ -17,6 +17,10 @@
 //! plans produced at admission ride the slot to execution; only OLLP
 //! retries re-plan.
 //!
+//! **How many** transactions are in flight is the thread's own decision:
+//! `InflightCap` walks the depth between a floor and
+//! [`OrthrusConfig::max_inflight`] from the lock waits its grants report.
+//!
 //! Figure-10 accounting on this thread: `Execution` = running transaction
 //! logic; `Locking` = admission (generation + planning), building lock
 //! plans, sending/receiving lock messages; `Waiting` = idle polls with
@@ -31,7 +35,7 @@ use orthrus_durability::{CommandLog, LoggedCommit};
 use orthrus_spsc::{FanIn, Producer};
 use orthrus_txn::{execute_planned, AbortKind, AccessSet, Database};
 
-use crate::admit::{Admitted, Admitter};
+use crate::admit::{Admitted, Admitter, DEFAULT_CLASS_BATCH};
 use crate::config::OrthrusConfig;
 use crate::engine::{publish, Bells};
 use crate::msg::{CcRequest, ExecResponse, Token};
@@ -61,6 +65,93 @@ struct Inflight {
     retries: Vec<Admitted>,
 }
 
+/// How many transactions an execution thread keeps in flight: Section
+/// 3.3's asynchrony depth, walked between a floor and a ceiling by the
+/// lock waits its own grants report (DESIGN.md, "How deep the pipeline
+/// is").
+///
+/// The walk goes one window at a time, a window being as many grants as
+/// the cap was when it opened. A window in which no grant waited, while
+/// the thread had work it could not admit for want of room, adds one
+/// fabric batch. A window in which some did shrinks the cap by half the
+/// share that waited, `cap × (1 − waited / 2·window)` — DCTCP's rule, with
+/// a lock wait in place of a congestion mark. Where nobody waits the
+/// depth climbs to the ceiling; where grants queue behind each other
+/// deeper pipelines only lengthen the queues, and it stays at the floor.
+///
+/// A pure function of the grants and of when the thread was held back:
+/// no clock. A shape whose floor is its ceiling (`max_inflight` ≤ 16)
+/// never moves.
+#[derive(Debug)]
+struct InflightCap {
+    floor: usize,
+    ceiling: usize,
+    /// One step up: a fabric batch.
+    step: usize,
+    cap: usize,
+    /// The current window's length, and its grants so far: all of them,
+    /// and those that waited.
+    window: usize,
+    grants: usize,
+    waited: usize,
+    /// The thread had backlog but no room for it during this window.
+    held_back: bool,
+}
+
+impl InflightCap {
+    /// A cap that starts at, and never leaves, `[min(ceiling, 16),
+    /// ceiling]`, growing by `step` at a time.
+    fn new(ceiling: usize, step: usize) -> Self {
+        let floor = ceiling.min(DEFAULT_CLASS_BATCH);
+        InflightCap {
+            floor,
+            ceiling,
+            step,
+            cap: floor,
+            window: floor,
+            grants: 0,
+            waited: 0,
+            held_back: false,
+        }
+    }
+
+    /// The depth in force.
+    fn get(&self) -> usize {
+        self.cap
+    }
+
+    /// Whether the depth can move at all.
+    fn walks(&self) -> bool {
+        self.floor < self.ceiling
+    }
+
+    /// The thread had backlog it could not admit: the cap held it back.
+    fn held_back(&mut self) {
+        self.held_back = true;
+    }
+
+    /// One grant arrived, reporting `waiters` locks that waited.
+    fn on_grant(&mut self, waiters: u32) {
+        self.grants += 1;
+        self.waited += usize::from(waiters > 0);
+        if self.grants < self.window {
+            return;
+        }
+        if self.waited == 0 {
+            if self.held_back {
+                self.cap = (self.cap + self.step).min(self.ceiling);
+            }
+        } else {
+            let keep = 2 * self.grants - self.waited;
+            self.cap = (self.cap * keep / (2 * self.grants)).max(self.floor);
+        }
+        self.window = self.cap;
+        self.grants = 0;
+        self.waited = 0;
+        self.held_back = false;
+    }
+}
+
 /// The service-mode completion path: this thread's ring to the drainer
 /// and the doorbell a drainer with nothing to do parks on.
 struct CompletionSink {
@@ -85,6 +176,9 @@ pub struct ExecThread<'a, S: TxnSource> {
     slots: Vec<Option<Inflight>>,
     free: Vec<u16>,
     inflight: usize,
+    /// How many transactions `inflight` may reach; `slots` has room for
+    /// its ceiling.
+    cap: InflightCap,
     /// The pluggable admission layer: transaction source + planning + any
     /// conflict-class run queues.
     admit: Admitter<S>,
@@ -165,7 +259,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         bells: Bells,
         admit: Admitter<S>,
     ) -> Self {
-        let cap = cfg.max_inflight.max(1);
+        let ceiling = cfg.max_inflight.max(1);
         let n_cc = to_cc.len();
         let flush = cfg.effective_flush_threshold();
         ExecThread {
@@ -175,9 +269,11 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             to_cc,
             from_cc,
             bells,
-            slots: (0..cap).map(|_| None).collect(),
-            free: (0..cap as u16).rev().collect(),
+            slots: (0..ceiling).map(|_| None).collect(),
+            // Validated: the ceiling is at most 65 536, every slot a u16.
+            free: (0..=u16::MAX).take(ceiling).rev().collect(),
             inflight: 0,
+            cap: InflightCap::new(ceiling, flush),
             admit,
             completions: None,
             log: None,
@@ -191,7 +287,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             next_cc: exec_id as u32,
             next_token_gen: 0,
             send_buf: (0..n_cc).map(|_| Vec::with_capacity(flush)).collect(),
-            resp_buf: Vec::with_capacity(cap),
+            resp_buf: Vec::with_capacity(ceiling),
             plans: PlanPool::default(),
             plan_scratch: PlanScratch::new(),
             fused: AccessSet::default(),
@@ -443,8 +539,11 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             let stopped = ctl.is_stopped();
             let draining = stopped && self.admit.drain_on_stop();
             if !stopped || (draining && self.admit.has_backlog()) {
-                while self.inflight < self.cfg.max_inflight && self.start_run(&mut timer) {
+                while self.inflight < self.cap.get() && self.start_run(&mut timer) {
                     progress = true;
+                }
+                if self.cap.walks() && self.inflight >= self.cap.get() && self.admit.has_backlog() {
+                    self.cap.held_back();
                 }
             }
             // Durable-release pass: commits whose covering group fsync
@@ -478,7 +577,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             if self.pending_durable.is_empty() && self.completion_overflow.is_empty() {
                 backoff.snooze_on(&self.bells.exec[self.exec_id as usize], || {
                     !self.from_cc.is_empty()
-                        || (self.inflight < self.cfg.max_inflight && self.admit.has_backlog())
+                        || (self.inflight < self.cap.get() && self.admit.has_backlog())
                         || ctl.is_stopped() != stopped
                         || (!in_window && ctl.is_measuring())
                 });
@@ -506,7 +605,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// spinning.
     fn start_run(&mut self, timer: &mut PhaseTimer) -> bool {
         timer.switch(&mut self.stats, Phase::Locking);
-        let headroom = (self.cfg.max_inflight - self.inflight).max(1);
+        let headroom = self.cap.get().saturating_sub(self.inflight).max(1);
         let run = self.admit.next_run(self.db, headroom);
         if run.is_empty() {
             return false;
@@ -614,6 +713,12 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         // share, so summing per-grant stays correct in both modes.
         self.admit.note_lock_waits(waiters);
         self.stats.lock_waits += waiters as u64;
+        // The same signal sets how deep this thread's pipeline runs.
+        let cap = self.cap.get() as u64;
+        self.stats.inflight_cap_sum += cap;
+        self.stats.inflight_cap_grants += 1;
+        self.stats.inflight_cap_max = self.stats.inflight_cap_max.max(cap);
+        self.cap.on_grant(waiters);
         // Without forwarding, the execution thread mediates each span
         // itself: 2·Ncc message delays (Section 3.3's unoptimized mode).
         if !self.cfg.forwarding {
@@ -754,6 +859,96 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                 }
             }
             self.commit_batch = ready;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::InflightCap;
+
+    /// Feed `windows` full windows, each `waits(i)` grants of which
+    /// waited, the thread held back before each; return the cap after
+    /// every window.
+    fn walk(cap: &mut InflightCap, windows: usize, waits: impl Fn(usize) -> usize) -> Vec<usize> {
+        (0..windows)
+            .map(|w| {
+                cap.held_back();
+                let len = cap.get();
+                for g in 0..len {
+                    cap.on_grant(u32::from(g < waits(w)));
+                }
+                cap.get()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_wait_free_stream_climbs_to_the_ceiling_one_batch_a_window() {
+        let mut cap = InflightCap::new(64, 16);
+        assert_eq!(cap.get(), 16, "starts at the floor");
+        assert_eq!(walk(&mut cap, 5, |_| 0), [32, 48, 64, 64, 64]);
+    }
+
+    #[test]
+    fn a_thread_that_was_never_held_back_does_not_climb() {
+        let mut cap = InflightCap::new(64, 16);
+        for _ in 0..10 * 64 {
+            cap.on_grant(0);
+        }
+        assert_eq!(cap.get(), 16);
+    }
+
+    #[test]
+    fn every_other_grant_waiting_holds_the_floor() {
+        let mut cap = InflightCap::new(64, 16);
+        for g in 0..10_000u32 {
+            cap.held_back();
+            cap.on_grant(g % 2);
+            assert_eq!(cap.get(), 16);
+        }
+    }
+
+    /// DCTCP's cut: half the share of the window that waited.
+    #[test]
+    fn waits_cut_the_cap_by_half_their_share() {
+        let mut cap = InflightCap::new(256, 16);
+        walk(&mut cap, 15, |_| 0);
+        assert_eq!(cap.get(), 256);
+        // 64 of 256 waited: keep 1 − 64/512 of it.
+        assert_eq!(walk(&mut cap, 1, |_| 64), [224]);
+        // One wait in a window still cuts, by the rounding.
+        assert_eq!(walk(&mut cap, 1, |_| 1), [223]);
+        // All of them: half, then the floor.
+        assert_eq!(walk(&mut cap, 5, |w| usize::MAX - w), [111, 55, 27, 16, 16]);
+    }
+
+    #[test]
+    fn the_cap_never_leaves_floor_and_ceiling() {
+        let mut rng = orthrus_common::XorShift64::new(7);
+        for (ceiling, step) in [(17, 16), (64, 16), (64, 1), (100, 64), (1 << 16, 16)] {
+            let mut cap = InflightCap::new(ceiling, step);
+            for _ in 0..200_000 {
+                if rng.next_below(4) == 0 {
+                    cap.held_back();
+                }
+                let waiters = if rng.next_below(50) == 0 { 3 } else { 0 };
+                cap.on_grant(waiters);
+                assert!((16..=ceiling).contains(&cap.get()), "{cap:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_ceiling_of_sixteen_or_less_never_moves() {
+        for ceiling in [1, 2, 3, 4, 8, 16] {
+            let mut cap = InflightCap::new(ceiling, 16);
+            assert!(!cap.walks());
+            for g in 0..1_000u32 {
+                cap.held_back();
+                cap.on_grant(g % 3 / 2);
+                assert_eq!(cap.get(), ceiling);
+            }
         }
     }
 }

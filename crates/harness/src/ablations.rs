@@ -122,16 +122,25 @@ pub fn abl02_queue_capacity(bc: &BenchConfig) -> FigureResult {
 /// A3: asynchrony depth — in-flight transactions per execution thread
 /// (Section 3.3). Depth 1 serializes each exec thread on its lock-grant
 /// round trips; beyond saturation extra depth only lengthens lock hold
-/// times.
+/// times. Up to 16 the depth is the `max_inflight` it is given; above
+/// that `max_inflight` is the ceiling of the depth rule, which walks
+/// between 16 and it by the lock waits grants report — the last rows are
+/// the rule's points, and the cap columns say where it went (DESIGN.md,
+/// "How deep the pipeline is").
 pub fn abl03_inflight_cap(bc: &BenchConfig) -> FigureResult {
     let (n_cc, n_exec) = split(bc);
     let mut fig = FigureResult::new(
         "abl03",
-        format!("In-flight cap (asynchrony depth) ({n_cc} CC / {n_exec} exec)"),
+        format!(
+            "In-flight cap (asynchrony depth): fixed up to 16, the depth rule's ceiling above \
+             ({n_cc} CC / {n_exec} exec)"
+        ),
         "max_inflight",
-        "txns/sec",
+        "txns/sec; in-flight cap",
     );
     let mut s = Series::new("ORTHRUS");
+    let mut mean = Series::new("mean cap");
+    let mut max = Series::new("max cap");
     for depth in [1usize, 2, 4, 8, 16, 32, 64] {
         let spec = MicroSpec::uniform(bc.n_records as u64, 10, false).with_constraint(
             PartitionConstraint::Exact {
@@ -141,8 +150,10 @@ pub fn abl03_inflight_cap(bc: &BenchConfig) -> FigureResult {
         );
         let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, depth, bc);
         s.push(depth as f64, stats.throughput());
+        mean.push(depth as f64, stats.mean_inflight_cap());
+        max.push(depth as f64, stats.max_inflight_cap() as f64);
     }
-    fig.series.push(s);
+    fig.series.extend([s, mean, max]);
     fig
 }
 
@@ -827,6 +838,18 @@ mod tests {
         let bc = BenchConfig::test_quick();
         let fig = abl03_inflight_cap(&bc);
         assert!(fig.series[0].points.iter().all(|&(_, y)| y > 0.0));
+        // Up to 16 the depth is what it was given; above, the rule keeps
+        // it between 16 and the ceiling.
+        let [_, mean, max] = &fig.series[..] else {
+            panic!("throughput, mean cap, max cap")
+        };
+        for (&(x, m), &(_, hi)) in mean.points.iter().zip(&max.points) {
+            if x <= 16.0 {
+                assert_eq!((m, hi), (x, x));
+            } else {
+                assert!(16.0 <= m && m <= hi && hi <= x, "ceiling {x}: {m} / {hi}");
+            }
+        }
     }
 
     #[test]

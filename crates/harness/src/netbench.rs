@@ -88,6 +88,10 @@ pub struct NetLoadReport {
     pub committed_all: u64,
     /// Each CC thread's busy/idle split over the engine's lifetime.
     pub cc: Vec<CcUtil>,
+    /// The execution threads' in-flight cap over the engine's lifetime:
+    /// grant-weighted mean, and maximum.
+    pub inflight_cap_mean: f64,
+    pub inflight_cap_max: u64,
 }
 
 impl NetLoadReport {
@@ -182,6 +186,8 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
         orphaned,
         unowned,
         committed_all: engine_stats.totals.committed_all,
+        inflight_cap_mean: engine_stats.mean_inflight_cap(),
+        inflight_cap_max: engine_stats.max_inflight_cap(),
         cc: engine_stats.cc,
     }
 }

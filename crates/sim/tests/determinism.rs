@@ -199,6 +199,32 @@ fn group_fsync_and_checkpoints_replay_deterministically_under_faults() {
     }
 }
 
+/// Above sixteen in flight the execution threads walk their depth from
+/// the grants they receive. Under the scheduler that walk must keep every
+/// invariant and replay bit-identically from the seed, like everything
+/// else. (The corpora derive `max_inflight` ≤ 4 from their seeds, where
+/// the depth is fixed; this runs beside them rather than re-deriving
+/// their streams.)
+#[test]
+fn a_walking_inflight_depth_conserves_and_replays() {
+    for seed in [4, 19, 58, 203] {
+        let mut cfg = SimConfig::from_seed(seed);
+        cfg.max_inflight = 32;
+        cfg.ingest_capacity = 64;
+        cfg.txns = 80;
+        let a = run_sim(&cfg, false);
+        assert!(a.violations.is_empty(), "seed {seed}: {:?}", a.violations);
+        assert_eq!(a.committed, 80, "seed {seed}");
+        let b = run_sim(&cfg, false);
+        assert_eq!(a.trace_hash, b.trace_hash, "seed {seed}: schedule diverged");
+        assert_eq!(a.steps, b.steps, "seed {seed}");
+        assert_eq!(
+            a.state_digest, b.state_digest,
+            "seed {seed}: state diverged"
+        );
+    }
+}
+
 #[test]
 fn explorer_smoke() {
     let report = explore(9000, 6, Some(12), false, false);

@@ -171,7 +171,7 @@ fn tpcc_config() -> TpccConfig {
 fn steady_state_allocates_nothing_on_engine_threads() {
     EXEMPT.with(|e| e.set(true));
     type Case = (&'static str, fn() -> (Database, OrthrusConfig, Spec));
-    let zero: [Case; 3] = [
+    let zero: [Case; 4] = [
         ("10-key Rmw, 2 CC + 1 exec, forwarding", || {
             let cfg = OrthrusConfig::with_threads(2, 1, CcAssignment::KeyModulo);
             assert!(cfg.forwarding);
@@ -184,6 +184,20 @@ fn steady_state_allocates_nothing_on_engine_threads() {
             let spec = Spec::Micro(MicroSpec::uniform(10, 2, false).with_transfers(100));
             (Database::Flat(Table::new(20_000, 64)), cfg, spec)
         }),
+        // Every grant waits, so each execution thread stays at its floor
+        // of sixteen in flight whatever the ceiling: 64 transfers queue
+        // on ten accounts, one CC thread's convoys far deeper than
+        // sixteen, and they live in its node slab.
+        (
+            "Transfer on ten accounts, FIFO, 4 exec, ceiling 256",
+            || {
+                let mut cfg = OrthrusConfig::with_threads(1, 4, CcAssignment::KeyModulo);
+                cfg.max_inflight = 256;
+                assert_eq!(cfg.admission, AdmissionPolicy::Fifo);
+                let spec = Spec::Micro(MicroSpec::uniform(10, 2, false).with_transfers(100));
+                (Database::Flat(Table::new(20_000, 64)), cfg, spec)
+            },
+        ),
         ("TPC-C paper mix", || {
             let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::Warehouse);
             let spec = Spec::Tpcc(TpccSpec::paper_mix(tpcc_config()));
