@@ -18,7 +18,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use orthrus_common::TempDir;
 use orthrus_durability::{
-    recover_with, run_sync_coordinator, CommandLog, DurabilityMode, LoggedCommit, SyncInterval,
+    recover_with, run_sync_coordinator, CommandLog, DurabilityMode, LoggedCommit,
 };
 use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
@@ -70,7 +70,7 @@ fn bench_append(c: &mut Criterion) {
         let stop = Arc::new(AtomicBool::new(false));
         let coord = {
             let (log, stop) = (Arc::clone(&log), Arc::clone(&stop));
-            std::thread::spawn(move || run_sync_coordinator(&log, &stop, SyncInterval::Adaptive))
+            std::thread::spawn(move || run_sync_coordinator(&log, &stop))
         };
         let mut ticket = 0u64;
         b.iter(|| {

@@ -55,9 +55,8 @@
 //! deferrals-per-100-admissions against a threshold with hysteresis
 //! (promote to batching after `hysteresis` consecutive hot epochs, demote
 //! after as many cold ones, hold inside the band between the promote and
-//! demote thresholds) and, while batching, walks the per-class batch
-//! depth up and down the shared power-of-two ladder ([`crate::ladder`])
-//! the way the harness's `tune_flush_threshold` climbs it offline.
+//! demote thresholds) and, while batching, doubles the per-class batch
+//! depth on a hot epoch and halves it on a cold one.
 //!
 //! Conservation across a live switch is structural: a demotion to FIFO
 //! never drops the transactions still parked in class queues — they drain
@@ -77,7 +76,6 @@ use std::collections::VecDeque;
 use orthrus_common::{fx_hash_u64, Key, XorShift64};
 use orthrus_txn::{plan_accesses_into, Database, Plan, Program};
 
-use crate::ladder;
 use crate::source::{Reply, TxnSource};
 
 /// Default conflict-class count for [`AdmissionPolicy::ConflictBatch`]:
@@ -115,9 +113,9 @@ pub const DEFAULT_ADAPTIVE_HYSTERESIS: u32 = 2;
 /// window.
 pub const DEFAULT_ADAPTIVE_EPOCH: u32 = 128;
 
-/// The batch-depth ladder's bottom rung while adaptively batching. Depth
-/// 1 fuses nothing (it is FIFO with extra queues), so the controller
-/// enters batching at 2 and climbs from there.
+/// The smallest batch depth while adaptively batching. Depth 1 fuses
+/// nothing (it is FIFO with extra queues), so the controller enters
+/// batching at 2 and doubles from there.
 pub const ADAPTIVE_MIN_BATCH: usize = 2;
 
 /// How the engine admits transactions ([`crate::config::OrthrusConfig`]).
@@ -139,15 +137,15 @@ pub enum AdmissionPolicy {
         batch: usize,
     },
     /// Conflict-driven online policy switching: admit FIFO while the
-    /// observed contention is low, promote to conflict-class batching (and
-    /// walk its batch depth up the power-of-two ladder) while it is high.
+    /// observed contention is low, promote to conflict-class batching
+    /// while it is high (doubling the batch depth each epoch it stays so).
     /// The contention signal is the per-epoch count of grant-deferral
     /// events reported back with every lock grant; switching is governed
     /// by [`AdaptiveController`]'s hysteresis.
     Adaptive {
         /// Conflict classes used while batching; must be ≥ 1.
         classes: usize,
-        /// Ceiling of the batch-depth ladder; must be ≥ 1.
+        /// Ceiling of the batch depth; must be ≥ 1.
         max_batch: usize,
         /// Promote when an epoch sees at least this many grant-deferral
         /// events per 100 admissions (demote below half of it); must be
@@ -260,11 +258,12 @@ impl AdmissionPolicy {
 ///
 /// - **hot** (`rate ≥ threshold_pct`): while FIFO, grow the promote
 ///   streak — `hysteresis` consecutive hot epochs promote to batching at
-///   the ladder's bottom rung. While batching, step the batch depth up
-///   the power-of-two ladder ([`ladder::step_up`]).
-/// - **cold** (`rate < threshold_pct.div_ceil(2)`): while batching, step
-///   the depth down and grow the demote streak — `hysteresis` consecutive
-///   cold epochs demote to FIFO. While FIFO, nothing to do.
+///   [`ADAPTIVE_MIN_BATCH`]. While batching, double the batch depth, up
+///   to `max_batch`.
+/// - **cold** (`rate < threshold_pct.div_ceil(2)`): while batching, halve
+///   the depth (not below [`ADAPTIVE_MIN_BATCH`]) and grow the demote
+///   streak — `hysteresis` consecutive cold epochs demote to FIFO. While
+///   FIFO, nothing to do.
 /// - **in the band between**: reset the active streak and hold — the
 ///   hysteresis band is what keeps a rate oscillating *at* the promote
 ///   threshold from flapping the policy.
@@ -312,10 +311,10 @@ impl AdaptiveController {
         let cold = rate < self.demote_pct as u64;
         if self.batching {
             if hot {
-                self.batch = ladder::step_up(self.batch, self.max_batch);
+                self.batch = self.batch.saturating_mul(2).min(self.max_batch);
                 self.streak = 0;
             } else if cold {
-                self.batch = ladder::step_down(self.batch, self.min_batch);
+                self.batch = (self.batch / 2).max(self.min_batch);
                 self.streak += 1;
                 if self.streak >= self.hysteresis {
                     self.batching = false;
@@ -345,7 +344,7 @@ impl AdaptiveController {
         self.batching
     }
 
-    /// The current batch-depth ladder rung.
+    /// The current batch depth.
     pub fn batch(&self) -> usize {
         self.batch
     }
@@ -1140,7 +1139,7 @@ mod tests {
         // …the second consecutive one promotes, at the bottom rung.
         assert_eq!(c.observe_epoch(100, 100), (true, 2));
         assert_eq!(c.switches(), 1);
-        // Sustained heat climbs the ladder to the configured cap.
+        // Sustained heat doubles the depth up to the configured cap.
         assert_eq!(c.observe_epoch(100, 100), (true, 4));
         assert_eq!(c.observe_epoch(100, 100), (true, 8));
         assert_eq!(c.observe_epoch(100, 100), (true, 16));
@@ -1150,6 +1149,37 @@ mod tests {
         assert_eq!(c.observe_epoch(0, 100), (true, 8));
         assert_eq!(c.observe_epoch(0, 100), (false, 2));
         assert_eq!(c.switches(), 2);
+    }
+
+    /// The depth clamps at `max_batch` (a power of two or not, without
+    /// overflow at `usize::MAX`) and at the entry depth.
+    #[test]
+    fn the_batch_depth_steps_clamp_at_both_ends() {
+        let mut c = AdaptiveController::new(40, 5, 12);
+        let hot: Vec<usize> = (0..9).map(|_| c.observe_epoch(100, 100).1).collect();
+        assert_eq!(hot, [2, 2, 2, 2, 2, 4, 8, 12, 12]);
+        let cold: Vec<usize> = (0..4).map(|_| c.observe_epoch(0, 100).1).collect();
+        assert_eq!(cold, [6, 3, 2, 2]);
+        let mut c = AdaptiveController::new(40, 1, usize::MAX);
+        for _ in 0..70 {
+            c.observe_epoch(100, 100);
+        }
+        assert_eq!(c.batch(), usize::MAX, "the ceiling holds without overflow");
+    }
+
+    /// Heat walks the depth up to the cap; cold walks it back to the
+    /// entry depth before the demote streak completes.
+    #[test]
+    fn the_batch_depth_walks_up_then_back_to_the_entry_depth() {
+        let mut c = AdaptiveController::new(40, 10, 16);
+        for _ in 0..20 {
+            c.observe_epoch(100, 100);
+        }
+        assert_eq!((c.batching(), c.batch()), (true, 16));
+        for _ in 0..9 {
+            c.observe_epoch(0, 100);
+        }
+        assert_eq!((c.batching(), c.batch()), (true, 2));
     }
 
     #[test]
@@ -1317,7 +1347,7 @@ mod tests {
             0,
             0,
         );
-        // Promote and keep the signal hot until the ladder has grown the
+        // Promote and keep the signal hot until the doubling has grown the
         // refill window deep enough that a backlog outlives the (2-epoch)
         // demotion lag, then stop the signal.
         let mut guard = 0;

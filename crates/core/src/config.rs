@@ -123,8 +123,8 @@ pub struct OrthrusConfig {
     pub log_dir: Option<PathBuf>,
     /// Fsync scheduling under `LogFsync` (`ORTHRUS_SYNC_INTERVAL` in the
     /// harness): `PerRun` = every exec thread fsyncs its own appends
-    /// inline (durability rung 1); `Adaptive` (default) / `FixedMicros`
-    /// = the cross-thread group-sync coordinator coalesces all
+    /// inline (durability rung 1); `Adaptive` (default) = the
+    /// cross-thread group-sync coordinator coalesces all
     /// outstanding appends into one fsync and exec threads release
     /// completions at or below the synced watermark. Ignored unless
     /// `durability == LogFsync`.
@@ -138,12 +138,22 @@ pub struct OrthrusConfig {
     /// suffix across (footprint-parallel leveling, bit-identical to
     /// serial). 1 = serial.
     pub replay_threads: usize,
-    /// Prefix for the thread names this engine enrolls with the
-    /// deterministic-simulation scheduler (`cc0`, `exec1`, `sync`, ...).
+    /// Prefix for the names this engine's threads run under and enroll
+    /// with the deterministic-simulation scheduler (`cc0`, `exec1`,
+    /// `sync`, ...; the list is [`Self::thread_names`]).
     /// Empty for a standalone engine; a partitioned deployment gives
     /// each member engine a distinct prefix (`p0.`, `p1.`, ...) so N
     /// engines under one seeded scheduler don't collide on names.
     pub sim_prefix: String,
+}
+
+/// A thread that runs beside the workers when the command log is on: the
+/// group-fsync coordinator, or the checkpointer (one checkpoint every
+/// `every` appended log bytes).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Companion {
+    Sync,
+    Checkpointer { every: u64 },
 }
 
 /// Default fabric batching degree: deep enough to amortize the
@@ -296,6 +306,34 @@ impl OrthrusConfig {
     /// Total thread (core) budget.
     pub fn total_threads(&self) -> usize {
         self.n_cc + self.n_exec
+    }
+
+    /// The durability companions an engine with this configuration runs
+    /// beside its workers, in spawn order: the group-fsync coordinator
+    /// under `log+fsync` with a group [`Self::sync_interval`], the
+    /// checkpointer whenever the log is on and a cadence is set.
+    pub(crate) fn companions(&self) -> impl Iterator<Item = Companion> {
+        let sync = self.durability == DurabilityMode::LogFsync && self.sync_interval.is_group();
+        let ckpt = self.checkpoint_bytes.filter(|_| self.durability.is_on());
+        let ckpt = ckpt.map(|every| Companion::Checkpointer { every });
+        sync.then_some(Companion::Sync).into_iter().chain(ckpt)
+    }
+
+    /// Every thread an engine with this configuration runs, by the name it
+    /// runs under — its OS thread name and its sim-scheduler enrollment,
+    /// behind [`Self::sim_prefix`]: the workers (`cc0…`, then `exec0…`)
+    /// and the companions (`sync`, then `ckpt`, each only when it runs).
+    /// Two lists, so that a driver enrolling beside the engine (the
+    /// simulator's clients) can take its place between them.
+    pub fn thread_names(&self) -> (Vec<String>, Vec<String>) {
+        let prefix = &self.sim_prefix;
+        let cc = (0..self.n_cc).map(|i| format!("{prefix}cc{i}"));
+        let exec = (0..self.n_exec).map(|i| format!("{prefix}exec{i}"));
+        let companions = self.companions().map(|c| match c {
+            Companion::Sync => format!("{prefix}sync"),
+            Companion::Checkpointer { .. } => format!("{prefix}ckpt"),
+        });
+        (cc.chain(exec).collect(), companions.collect())
     }
 
     /// The batching degree the fabric actually runs at: `flush_threshold`

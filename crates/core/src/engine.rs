@@ -45,7 +45,7 @@ use orthrus_txn::Database;
 use orthrus_workload::Spec;
 
 use crate::cc::{CcState, CcTable, OutMsg};
-use crate::config::{CcMode, OrthrusConfig};
+use crate::config::{CcMode, Companion, OrthrusConfig};
 use crate::msg::{CcRequest, ExecResponse};
 use crate::session::{Session, SubmitShared};
 use crate::shared::SharedCcState;
@@ -468,16 +468,17 @@ impl Workers {
         let shared_table = (cfg.cc_mode == CcMode::SharedTable)
             .then(|| Arc::new(orthrus_lockmgr::LockTable::new(cfg.shared_table_buckets)));
         let companions_stop = Arc::new(AtomicBool::new(false));
-        let companions = spawn_companions(&cfg, &engine.log, &companions_stop);
+        let (names, companion_names) = cfg.thread_names();
+        let companions = spawn_companions(&cfg, &engine.log, &companions_stop, companion_names);
         let mut threads = Vec::with_capacity(cfg.total_threads());
+        let mut names = names.into_iter();
 
-        for (cc, ep) in fabric.cc.into_iter().enumerate() {
+        for ((cc, ep), name) in fabric.cc.into_iter().enumerate().zip(names.by_ref()) {
             let ctl = Arc::clone(&ctl);
             let active = Arc::clone(&active_execs);
             let flush = cfg.effective_flush_threshold();
             let shared = shared_table.clone().map(SharedCcState::new);
             let capacity = cc_table_capacity(&cfg);
-            let name = format!("{}cc{cc}", cfg.sim_prefix);
             let thread = spawn_named(name.clone(), move || {
                 pin_to_core(cc);
                 match shared {
@@ -488,7 +489,7 @@ impl Workers {
             threads.push((name, thread));
         }
 
-        for (ex, ep) in fabric.exec.into_iter().enumerate() {
+        for ((ex, ep), name) in fabric.exec.into_iter().enumerate().zip(names) {
             let (source, completions) = wire(ex);
             let db = Arc::clone(&engine.db);
             let cfg = Arc::clone(&cfg);
@@ -496,7 +497,6 @@ impl Workers {
             let active = Arc::clone(&active_execs);
             let log = engine.log.clone();
             let bells = fabric.bells.clone();
-            let name = format!("{}exec{ex}", cfg.sim_prefix);
             let thread = spawn_named(name.clone(), move || {
                 pin_to_core(cfg.n_cc + ex);
                 // Admission is thread-local: each execution thread owns
@@ -629,42 +629,38 @@ fn ensure_initial_checkpoint(cfg: &OrthrusConfig, db: &Database, log: &Option<Ar
 
 /// Spawn the durability rung-2 companion threads the configuration asks
 /// for — the group-fsync coordinator (`sync`) and the fuzzy checkpointer
-/// (`ckpt`) — each running until `stop` is raised. [`Workers::stop`]
-/// raises it only **after** every exec worker has joined: the
-/// coordinator must keep flushing while they drain their pending-durable
-/// queues, and then drains every outstanding append before it exits.
+/// (`ckpt`) — under `names`, each running until `stop` is raised.
+/// [`Workers::stop`] raises it only **after** every exec worker has
+/// joined: the coordinator must keep flushing while they drain their
+/// pending-durable queues, and then drains every outstanding append
+/// before it exits.
 fn spawn_companions(
     cfg: &OrthrusConfig,
     log: &Option<Arc<CommandLog>>,
     stop: &Arc<AtomicBool>,
+    names: Vec<String>,
 ) -> Vec<NamedThread> {
-    let mut companions = Vec::new();
-    let Some(log) = log else { return companions };
-    if log.group_sync() {
+    let Some(log) = log else { return Vec::new() };
+    let spawn = |(companion, name): (Companion, String)| {
         let (log, stop) = (Arc::clone(log), Arc::clone(stop));
-        let interval = cfg.sync_interval;
-        let name = format!("{}sync", cfg.sim_prefix);
-        let thread = spawn_named(name.clone(), move || {
-            run_sync_coordinator(&log, &stop, interval)
-        });
-        companions.push((name, thread));
-    }
-    if let Some(every) = cfg.checkpoint_bytes {
-        let (log, stop) = (Arc::clone(log), Arc::clone(stop));
-        let dir = cfg.log_dir.clone().expect("validated: log_dir is set");
-        let name = format!("{}ckpt", cfg.sim_prefix);
-        let thread = spawn_named(name.clone(), move || {
-            // Real I/O failures panic inside `run_checkpointer`; an
-            // `Err` is an *injected* failpoint — a scripted crash the
-            // recovery suite owns. The live engine just stops
-            // checkpointing (recovery falls back to the previous
-            // checkpoint plus a longer suffix).
-            let _ = run_checkpointer(&log, &dir, &stop, every);
-            ThreadStats::default()
-        });
-        companions.push((name, thread));
-    }
-    companions
+        let thread = match companion {
+            Companion::Sync => spawn_named(name.clone(), move || run_sync_coordinator(&log, &stop)),
+            Companion::Checkpointer { every } => {
+                let dir = cfg.log_dir.clone().expect("validated: log_dir is set");
+                spawn_named(name.clone(), move || {
+                    // Real I/O failures panic inside `run_checkpointer`;
+                    // an `Err` is an *injected* failpoint — a scripted
+                    // crash the recovery suite owns. The live engine just
+                    // stops checkpointing (recovery falls back to the
+                    // previous checkpoint plus a longer suffix).
+                    let _ = run_checkpointer(&log, &dir, &stop, every);
+                    ThreadStats::default()
+                })
+            }
+        };
+        (name, thread)
+    };
+    cfg.companions().zip(names).map(spawn).collect()
 }
 
 /// Pre-size each CC's table for the locks an execution thread's in-flight

@@ -487,7 +487,9 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// at the stop request (the seed's wind-down); client sources keep
     /// admitting until the ingest ring and any admission backlog are
     /// **dry** — every accepted ticket completes, even the ones still
-    /// queued when shutdown began.
+    /// queued when shutdown began. Unless a peer thread died
+    /// ([`RunCtl::is_failed`]): then this one leaves at once, abandoning
+    /// what it has in flight (fail-stop).
     pub fn run(mut self, ctl: &RunCtl, active_execs: &AtomicUsize) -> ThreadStats {
         // Decrement on every exit path, unwinding included: a panicking
         // exec thread must not leave CC threads waiting forever on an
@@ -566,7 +568,9 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             // under load one ring covers every run the quantum
             // committed, under a trickle the quantum is one run long.
             self.ring_drainer();
-            if finished {
+            // Fail-stop: a dead peer's locks are never released, so the
+            // grants this thread waits for may never come.
+            if finished || ctl.is_failed() {
                 break;
             }
             if progress {
@@ -580,6 +584,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                         || (self.inflight < self.cap.get() && self.admit.has_backlog())
                         || ctl.is_stopped() != stopped
                         || (!in_window && ctl.is_measuring())
+                        || ctl.is_failed()
                 });
             } else {
                 // The group fsync's watermark and the client's draining

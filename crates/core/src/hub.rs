@@ -10,8 +10,10 @@
 //!
 //! - a completion carries its own return address — the client id and
 //!   the client's tag for it, e.g. a wire request id — written into the
-//!   submission under the ingest-lane lock
-//!   ([`crate::Session::try_submit_owned`]) and handed back in
+//!   submission under the ingest-lane lock by the session's one lane
+//!   push ([`crate::Session::try_submit_owned`] for one request,
+//!   [`crate::Session::try_submit_queue`] for a queue of them) and
+//!   handed back in
 //!   [`Completion::client`] / [`Completion::tag`]. The hub looks nothing
 //!   up and the receiver needs no ticket → request map of its own; the
 //!   hub needs no engine either, only a stream of completions;
@@ -56,7 +58,7 @@ pub struct ClientRx {
 impl ClientRx {
     /// This client's id — pass as `owner` to
     /// [`crate::Session::try_submit_owned`] /
-    /// [`crate::Session::try_submit_batch`].
+    /// [`crate::Session::try_submit_queue`].
     pub fn id(&self) -> u32 {
         self.id
     }

@@ -72,9 +72,9 @@
 //!   counters, and a deterministic hysteresis controller
 //!   ([`admit::AdaptiveController`]) promotes to conflict batching when
 //!   the rate stays above a threshold, demotes when it stays below half
-//!   of it, and walks the batch depth along the shared power-of-two
-//!   ladder ([`ladder`]) in between (ablation A7, `abl07_adaptive`,
-//!   tracks the better static policy across the crossover).
+//!   of it, and doubles or halves the batch depth in between (ablation
+//!   A7, `abl07_adaptive`, tracks the better static policy across the
+//!   crossover).
 //!
 //! ## Transaction sources and the open loop ([`source`], [`session`])
 //!
@@ -116,7 +116,6 @@ pub mod config;
 pub mod engine;
 pub mod exec;
 pub mod hub;
-pub mod ladder;
 pub mod msg;
 pub mod plan;
 pub mod rebalance;
@@ -134,7 +133,7 @@ pub use hub::{ClientRx, CompletionHub};
 pub use orthrus_durability::{DurabilityMode, ReplayReport, SyncInterval};
 pub use plan::LockPlan;
 pub use rebalance::{balanced_assignment, LoadHistogram};
-pub use session::{BatchSubmit, Session, TrySubmitError};
+pub use session::{EngineClosed, Session, TrySubmitError};
 pub use source::{ClientSource, Completion, Reply, Sourced, SyntheticSource, Ticket, TxnSource};
 
 /// Serializes this crate's timed-engine tests: two concurrent multi-thread

@@ -3,7 +3,7 @@
 //! A [`Session`] is a cheap, cloneable handle a client (or an offered-load
 //! driver) uses to push [`Program`]s into a running service-mode engine
 //! ([`crate::OrthrusEngine::start`]). Submissions are routed to a
-//! per-execution-thread ingest ring:
+//! per-execution-thread ingest ring (a *lane*):
 //!
 //! - **by hot key** when the program exposes one
 //!   ([`Program::hot_key_hint`]): all submissions contending on a key
@@ -12,14 +12,22 @@
 //!   synthetic work;
 //! - **round-robin** otherwise.
 //!
+//! **One way into a lane.** Every submission — [`Session::try_submit`],
+//! [`Session::try_submit_owned`], [`Session::submit`] and
+//! [`Session::try_submit_queue`] — goes through one private push: lock
+//! the lane, refuse if the engine is closed, take as many requests as the
+//! lane has room for, mint their tickets with one `fetch_add`, push
+//! them with one ring publish, unlock, ring the lane's bell. The partition layer's
+//! fast path and its sequencer's fused slices are `try_submit_owned`
+//! calls, so they take the same path.
+//!
 //! The rings are bounded: a full ring is *backpressure*
-//! ([`TrySubmitError::Full`] hands the program back), never silent loss —
-//! every minted [`Ticket`] is owed a [`crate::source::Completion`]. An
-//! *owned* submission ([`Session::try_submit_owned`],
-//! [`Session::try_submit_batch`]) also names who is owed it; the name is
-//! written into the [`Submission`] under the lane lock and comes back in
-//! the completion, so submitters share nothing besides the lanes and the
-//! ticket counter.
+//! ([`TrySubmitError::Full`] hands the program back; a queue submit leaves
+//! the refused request where it was), never silent loss — every minted
+//! [`Ticket`] is owed a [`crate::source::Completion`]. An *owned*
+//! submission also names who is owed it; the name is written into the
+//! [`Submission`] under the lane lock and comes back in the completion,
+//! so submitters share nothing besides the lanes and the ticket counter.
 //!
 //! The producer side of each ring sits behind a mutex shared by all
 //! sessions. That lock is deliberately **off the engine's hot path**: the
@@ -31,6 +39,7 @@
 //! there is no window in which a ticket can be accepted yet missed by the
 //! drain.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,9 +47,17 @@ use std::time::Instant;
 use orthrus_common::{fx_hash_u64, Backoff, Doorbell};
 use orthrus_spsc::Producer;
 use orthrus_txn::Program;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::source::{Reply, Submission, Ticket};
+
+/// One ingest lane's producer side, behind the lane mutex.
+struct Lane {
+    ring: Producer<Submission>,
+    /// A multi-request push's submissions, staged for one slice publish:
+    /// empty between pushes, sized for a full ring from the start.
+    stage: Vec<Submission>,
+}
 
 /// Acquire a lane's producer lock without OS-blocking: under the
 /// deterministic sim scheduler another enrolled submitter may be parked
@@ -48,9 +65,7 @@ use crate::source::{Reply, Submission, Ticket};
 /// lane mutex, so a blocking `lock()` would wedge the token. Parking at
 /// the sim seam keeps the handoff deterministic; outside the sim the
 /// loop is the plain try-spin a short critical section tolerates.
-fn lock_lane(
-    lane: &Mutex<Producer<Submission>>,
-) -> parking_lot::MutexGuard<'_, Producer<Submission>> {
+fn lock_lane(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
     loop {
         if let Some(g) = lane.try_lock() {
             return g;
@@ -90,32 +105,22 @@ impl std::fmt::Display for TrySubmitError {
     }
 }
 
-/// Outcome of a [`Session::try_submit_batch`]: which input programs were
-/// accepted (with their tickets) and which were backpressured (handed
-/// back for retry). Indices refer to positions in the submitted batch.
-#[derive(Debug, Default)]
-pub struct BatchSubmit {
-    /// `(input index, ticket)` for each accepted program.
-    pub accepted: Vec<(usize, Ticket)>,
-    /// `(input index, (tag, program))` for each entry refused by a full
-    /// lane — or by shutdown, in which case `shutdown` is set.
-    pub rejected: Vec<(usize, (u64, Program))>,
-    /// Whether any rejection was due to the engine shutting down (a
-    /// terminal condition, unlike ring-full backpressure).
-    pub shutdown: bool,
-}
+/// The engine has begun shutting down and accepts nothing more (what
+/// [`Session::try_submit_queue`] reports; the requests stay queued).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineClosed;
 
 /// Submission state shared by every session of one service-mode engine:
-/// the ingest-ring producers (one per execution thread), the ticket
-/// counter, and the accepting flag the shutdown fence flips.
+/// the ingest lanes (one per execution thread), the ticket counter, and
+/// the accepting flag the shutdown fence flips.
 pub(crate) struct SubmitShared {
-    lanes: Vec<Mutex<Producer<Submission>>>,
+    lanes: Vec<Mutex<Lane>>,
     /// Lane `i`'s consumer — execution thread `i` — parks on `bells[i]`
     /// when idle; rung after every push into the lane.
     bells: Arc<[Doorbell]>,
     accepting: AtomicBool,
-    /// Ticket-id mint, bumped only for *accepted* submissions (space is
-    /// checked under the lane lock before minting), so ids are dense and
+    /// Ticket-id mint, bumped only for *accepted* submissions (room is
+    /// counted under the lane lock before minting), so ids are dense and
     /// the counter doubles as the conservation ledger completions are
     /// checked against.
     next_ticket: AtomicU64,
@@ -126,8 +131,12 @@ impl SubmitShared {
     pub(crate) fn new(lanes: Vec<Producer<Submission>>, bells: Arc<[Doorbell]>) -> Self {
         assert!(!lanes.is_empty(), "validated by OrthrusConfig (n_exec ≥ 1)");
         assert_eq!(lanes.len(), bells.len(), "one bell per ingest lane");
+        let lanes = lanes.into_iter().map(|ring| {
+            let stage = Vec::with_capacity(ring.capacity());
+            Mutex::new(Lane { ring, stage })
+        });
         SubmitShared {
-            lanes: lanes.into_iter().map(Mutex::new).collect(),
+            lanes: lanes.collect(),
             bells,
             accepting: AtomicBool::new(true),
             next_ticket: AtomicU64::new(0),
@@ -152,6 +161,90 @@ impl SubmitShared {
             drop(lane.lock());
         }
     }
+
+    /// The lane `program` enters: by its [`Program::routing_key`] — the
+    /// hot-key hint, else the smallest static-footprint key, so hint-less
+    /// programs with a known footprint (transfers, fused batches) still
+    /// land on a deterministic lane — and round-robin for footprint-free
+    /// programs.
+    fn lane_of(&self, program: &Program) -> usize {
+        let n = self.lanes.len();
+        match program.routing_key() {
+            Some(key) => (fx_hash_u64(key) % n as u64) as usize,
+            None => self.round_robin.fetch_add(1, Ordering::Relaxed) % n,
+        }
+    }
+
+    /// The one way into an ingest lane. Locks `lane`, refuses if the
+    /// engine is closed, and when the lane has room asks
+    /// `wanted(requests, room)` how many of the caller's `requests` it
+    /// wants in (≥ 1). It takes `k = min(room, wanted)`: mints `k` dense
+    /// tickets with one `fetch_add`, pushes the `k` requests
+    /// `fill(requests, first ticket, k)` hands over — front first, the
+    /// `i`-th under ticket `first + i`, owed to `client` — with one ring
+    /// publish, unlocks and rings the lane's bell. `wanted` and `fill`
+    /// run only under the lane lock and only when the lane has room, so a
+    /// refusal costs the lock alone, and whatever `fill` mints (an
+    /// owner's tag) covers exactly the accepted work. Returns `k`: 0 when
+    /// the lane is full.
+    fn push<'r, R, I: IntoIterator<Item = (u64, Program)>>(
+        &self,
+        lane: usize,
+        client: Option<u32>,
+        requests: &'r mut R,
+        wanted: impl FnOnce(&R, usize) -> usize,
+        fill: impl FnOnce(&'r mut R, Ticket, usize) -> I,
+    ) -> Result<usize, EngineClosed> {
+        // The latency clock starts before the lane lock, not inside its
+        // critical section: waiting for the lane counts, as waiting in
+        // the ingest ring does.
+        let submitted = Instant::now();
+        let mut guard = lock_lane(&self.lanes[lane]);
+        if !self.accepting.load(Ordering::SeqCst) {
+            return Err(EngineClosed);
+        }
+        let Lane { ring, stage } = &mut *guard;
+        // Room is counted before minting, so ticket ids stay dense
+        // (= accepted count). Under the lane lock the occupancy can only
+        // shrink (the execution thread drains concurrently), so the push
+        // cannot fall short.
+        let room = ring.capacity() - ring.len();
+        if room == 0 {
+            return Ok(0);
+        }
+        let k = wanted(requests, room).min(room);
+        let first = self.next_ticket.fetch_add(k as u64, Ordering::AcqRel);
+        let requests = fill(requests, Ticket(first), k).into_iter().take(k);
+        let mut submissions = requests.zip(first..).map(|((tag, program), ticket)| {
+            let reply = Reply {
+                ticket: Ticket(ticket),
+                client,
+                tag,
+            };
+            Submission {
+                reply,
+                program,
+                submitted,
+            }
+        });
+        // One request is one `try_push`, as a single submission always
+        // was; more are staged and published as one slice.
+        let pushed = if k == 1 {
+            submissions
+                .next()
+                .map_or(0, |s| usize::from(ring.try_push(s).is_ok()))
+        } else {
+            stage.extend(submissions);
+            ring.try_push_slice(stage)
+        };
+        assert_eq!(
+            pushed, k,
+            "room counted under the lane lock; ingest pushes are not fault-injected"
+        );
+        drop(guard);
+        self.bells[lane].ring();
+        Ok(k)
+    }
 }
 
 /// A client handle into a running service-mode engine. Clone freely —
@@ -167,14 +260,10 @@ impl Session {
         Session { shared }
     }
 
-    /// Submit without blocking. Routes by the program's
-    /// [`Program::routing_key`] — the hot-key hint, else the smallest
-    /// static-footprint key, so hint-less programs with a known footprint
-    /// (transfers, fused batches) still land on a deterministic lane;
-    /// only footprint-free programs round-robin. Mints a [`Ticket`] on
-    /// success, and returns the program back inside
-    /// [`TrySubmitError::Full`] when the destination ring is full. The
-    /// completion comes back ownerless.
+    /// Submit without blocking, to the lane the program routes to (see
+    /// the module docs). Mints a [`Ticket`] on success, and returns the
+    /// program back inside [`TrySubmitError::Full`] when the destination
+    /// ring is full. The completion comes back ownerless.
     pub fn try_submit(&self, program: Program) -> Result<Ticket, TrySubmitError> {
         self.submit_one(program, None, || 0)
     }
@@ -203,134 +292,71 @@ impl Session {
         client: Option<u32>,
         tag: impl FnOnce() -> u64,
     ) -> Result<Ticket, TrySubmitError> {
-        let shared = &self.shared;
-        let lane = match program.routing_key() {
-            Some(key) => (fx_hash_u64(key) % shared.lanes.len() as u64) as usize,
-            None => shared.round_robin.fetch_add(1, Ordering::Relaxed) % shared.lanes.len(),
+        let lane = self.shared.lane_of(&program);
+        // The program until the lane takes it, then its ticket.
+        let mut out = Err(program);
+        let fill = |out: &mut Result<Ticket, Program>, ticket, _| {
+            let taken = std::mem::replace(out, Ok(ticket));
+            taken.err().map(|program| (tag(), program))
         };
-        // The latency clock starts before the lane lock, not inside its
-        // critical section: waiting for the lane counts, as waiting in
-        // the ingest ring does.
-        let submitted = Instant::now();
-        let mut producer = lock_lane(&shared.lanes[lane]);
-        if !shared.accepting.load(Ordering::SeqCst) {
-            return Err(TrySubmitError::Shutdown(program));
-        }
-        // Space check before minting keeps ticket ids dense (= accepted
-        // count). Under the lane lock the occupancy can only shrink (the
-        // execution thread drains concurrently), so the push cannot fail.
-        if producer.len() >= producer.capacity() {
-            return Err(TrySubmitError::Full(program));
-        }
-        let ticket = Ticket(shared.next_ticket.fetch_add(1, Ordering::AcqRel));
-        producer
-            .try_push(Submission {
-                reply: Reply {
-                    ticket,
-                    client,
-                    tag: tag(),
-                },
-                program,
-                submitted,
-            })
-            .unwrap_or_else(|_| unreachable!("space checked under the lane lock"));
-        drop(producer);
-        shared.bells[lane].ring();
-        Ok(ticket)
+        let pushed = self.shared.push(lane, client, &mut out, |_, _| 1, fill);
+        out.map_err(|program| match pushed {
+            Ok(_) => TrySubmitError::Full(program),
+            Err(EngineClosed) => TrySubmitError::Shutdown(program),
+        })
     }
 
-    /// Submit a whole batch with one lane-lock acquisition and one ring
-    /// publish per *destination lane* — the wire-batching fast path: a
-    /// network front-end turns one TCP read of `k` requests into at most
-    /// `min(k, n_exec)` ring transactions instead of `k`.
+    /// Submit `owner`'s requests from the front of `queue` in arrival
+    /// order, each with its tag (a wire request id, say), which comes
+    /// back in the completion beside `owner`. Consecutive requests bound
+    /// for the same lane share one lane lock and one ring publish.
     ///
-    /// Routing is identical to [`Self::try_submit`] (routing key, else
-    /// round-robin). Acceptance is per lane and best-effort: programs
-    /// that fit are accepted (tickets reported with their input index),
-    /// programs that hit a full lane are handed back in `rejected` for
-    /// the caller to retry — that hand-back is the backpressure signal a
-    /// connection maps onto TCP flow control.
-    ///
-    /// Each program travels with a caller-chosen tag (a wire request
-    /// id), which rides the submission beside `owner` and comes back in
-    /// the completion, so the receiver never has to map tickets back to
-    /// requests — a completion may reach it before this call has even
-    /// returned.
-    pub fn try_submit_batch(
+    /// Stops at the first refusal: what was accepted is gone from the
+    /// front of `queue`, the refused request and everything behind it
+    /// stay, in order. A refusal routes the refused request alone, so a
+    /// retry against a full lane costs one lane lock whatever is parked.
+    /// Returns how many were accepted (0: the first request's lane is
+    /// full), or [`EngineClosed`] when the engine is shutting down and
+    /// took none.
+    pub fn try_submit_queue(
         &self,
-        programs: Vec<(u64, Program)>,
-        owner: Option<u32>,
-    ) -> BatchSubmit {
-        let shared = &self.shared;
-        let n_lanes = shared.lanes.len();
-        let mut out = BatchSubmit {
-            accepted: Vec::with_capacity(programs.len()),
-            rejected: Vec::new(),
-            shutdown: false,
-        };
-        if programs.is_empty() {
-            return out;
-        }
-        let mut slots: Vec<Option<(u64, Program)>> = programs.into_iter().map(Some).collect();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n_lanes];
-        for (i, slot) in slots.iter().enumerate() {
-            let (_, p) = slot.as_ref().expect("just wrapped");
-            let lane = match p.routing_key() {
-                Some(key) => (fx_hash_u64(key) % n_lanes as u64) as usize,
-                None => shared.round_robin.fetch_add(1, Ordering::Relaxed) % n_lanes,
+        queue: &mut VecDeque<(u64, Program)>,
+        owner: u32,
+    ) -> Result<usize, EngineClosed> {
+        let shared = &*self.shared;
+        let mut taken = 0;
+        // The lane of the request at the front, when the scan behind the
+        // previous run already routed it: routing it again would advance
+        // the round-robin counter twice, and skip a lane.
+        let mut next = None;
+        while let Some((_, head)) = queue.front() {
+            let lane = next.take().unwrap_or_else(|| shared.lane_of(head));
+            // The run bound for `lane`, scanned under the lane lock no
+            // further than one request past the lane's room.
+            let mut run = 1;
+            let run_of = |queue: &VecDeque<(u64, Program)>, room| {
+                for (_, program) in queue.iter().skip(1).take(room) {
+                    let behind = shared.lane_of(program);
+                    if behind != lane {
+                        next = Some(behind);
+                        break;
+                    }
+                    run += 1;
+                }
+                run
             };
-            buckets[lane].push(i);
-        }
-        let mut stage: Vec<Submission> = Vec::new();
-        for (lane, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut producer = lock_lane(&shared.lanes[lane]);
-            if !shared.accepting.load(Ordering::SeqCst) {
-                out.shutdown = true;
-                for &i in bucket {
-                    out.rejected.push((i, slots[i].take().expect("unconsumed")));
+            match shared.push(lane, Some(owner), queue, run_of, |q, _, k| q.drain(..k)) {
+                Ok(k) => {
+                    taken += k;
+                    if k < run {
+                        break;
+                    }
                 }
-                continue;
-            }
-            // Same dense-ticket discipline as the single-submission path:
-            // count the space under the lane lock, mint exactly that many.
-            let space = producer.capacity() - producer.len();
-            let k = space.min(bucket.len());
-            if k > 0 {
-                let base = shared.next_ticket.fetch_add(k as u64, Ordering::AcqRel);
-                let now = Instant::now();
-                for (j, &i) in bucket[..k].iter().enumerate() {
-                    let ticket = Ticket(base + j as u64);
-                    let (tag, program) = slots[i].take().expect("unconsumed");
-                    stage.push(Submission {
-                        reply: Reply {
-                            ticket,
-                            client: owner,
-                            tag,
-                        },
-                        program,
-                        submitted: now,
-                    });
-                    out.accepted.push((i, ticket));
-                }
-                let pushed = producer.try_push_slice(&mut stage);
-                assert_eq!(
-                    pushed, k,
-                    "space checked under the lane lock; ingest pushes are not fault-injected"
-                );
-                stage.clear();
-            }
-            drop(producer);
-            if k > 0 {
-                shared.bells[lane].ring();
-            }
-            for &i in &bucket[k..] {
-                out.rejected.push((i, slots[i].take().expect("unconsumed")));
+                Err(EngineClosed) if taken == 0 => return Err(EngineClosed),
+                Err(EngineClosed) => break,
             }
         }
-        out
+        Ok(taken)
     }
 
     /// Submit, backing off while the destination ring is full (the
@@ -370,12 +396,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthrus_spsc::channel;
+    use orthrus_spsc::{channel, Consumer};
 
-    fn shared(
-        lanes: usize,
-        capacity: usize,
-    ) -> (Arc<SubmitShared>, Vec<orthrus_spsc::Consumer<Submission>>) {
+    fn shared(lanes: usize, capacity: usize) -> (Arc<SubmitShared>, Vec<Consumer<Submission>>) {
         let mut producers = Vec::new();
         let mut consumers = Vec::new();
         for _ in 0..lanes {
@@ -392,7 +415,7 @@ mod tests {
     }
 
     /// Tag each program with `100 + its index`.
-    fn tagged(programs: Vec<Program>) -> Vec<(u64, Program)> {
+    fn tagged(programs: Vec<Program>) -> VecDeque<(u64, Program)> {
         (100..).zip(programs).collect()
     }
 
@@ -428,7 +451,7 @@ mod tests {
         for _ in 0..12 {
             session.try_submit(rmw(7)).unwrap();
         }
-        let occupied: Vec<usize> = consumers.iter().map(orthrus_spsc::Consumer::len).collect();
+        let occupied: Vec<usize> = consumers.iter().map(Consumer::len).collect();
         assert_eq!(
             occupied.iter().sum::<usize>(),
             12,
@@ -452,6 +475,20 @@ mod tests {
         }
         for c in &consumers {
             assert_eq!(c.len(), 3, "round-robin must spread hintless work");
+        }
+    }
+
+    /// A queue of hint-less programs round-robins too, though each is
+    /// routed while scanning for the end of the run before it: on two
+    /// lanes, a request routed twice would land on its predecessor's lane.
+    #[test]
+    fn queued_hintless_programs_round_robin() {
+        let (s, consumers) = shared(2, 64);
+        let session = Session::new(Arc::clone(&s));
+        let mut queue = tagged(vec![Program::Rmw { keys: vec![] }; 8]);
+        assert_eq!(session.try_submit_queue(&mut queue, 1), Ok(8));
+        for c in &consumers {
+            assert_eq!(c.len(), 4, "round-robin must spread queued hintless work");
         }
     }
 
@@ -481,7 +518,7 @@ mod tests {
                 parts: vec![Program::Adjust { key: 3, delta: 1 }],
             })
             .unwrap();
-        let occupied: Vec<usize> = consumers.iter().map(orthrus_spsc::Consumer::len).collect();
+        let occupied: Vec<usize> = consumers.iter().map(Consumer::len).collect();
         assert_eq!(occupied.iter().sum::<usize>(), 7);
         assert_eq!(
             occupied.iter().filter(|&&n| n > 0).count(),
@@ -506,13 +543,7 @@ mod tests {
             other => panic!("blocking submit must also refuse, got {other:?}"),
         }
         assert_eq!(s.accepted(), 1);
-        assert_eq!(
-            consumers
-                .iter()
-                .map(orthrus_spsc::Consumer::len)
-                .sum::<usize>(),
-            1
-        );
+        assert_eq!(consumers.iter().map(Consumer::len).sum::<usize>(), 1);
     }
 
     #[test]
@@ -520,44 +551,54 @@ mod tests {
         let (s, mut consumers) = shared(2, 16);
         let session = Session::new(Arc::clone(&s));
         // Hot keys pin lanes; hintless programs round-robin.
-        let batch = vec![rmw(1), rmw(2), rmw(1), Program::Rmw { keys: vec![] }];
-        let out = session.try_submit_batch(tagged(batch), Some(9));
-        assert!(!out.shutdown);
-        assert!(out.rejected.is_empty());
-        assert_eq!(out.accepted.len(), 4);
-        // Dense tickets: exactly 0..4 minted, each reported once.
-        let mut ids: Vec<u64> = out.accepted.iter().map(|(_, t)| t.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        let mut queue = tagged(vec![rmw(1), rmw(2), rmw(1), Program::Rmw { keys: vec![] }]);
+        assert_eq!(session.try_submit_queue(&mut queue, 9), Ok(4));
+        assert!(queue.is_empty(), "everything accepted leaves the queue");
+        // Dense tickets: exactly 0..4 minted, in arrival order, each
+        // with its request's tag.
         assert_eq!(s.accepted(), 4);
-        // Everything reached some ring, and same-hot-key submissions kept
-        // their relative order within their lane.
-        let mut seen = 0;
+        let mut seen: Vec<(u64, u64)> = Vec::new();
         for c in &mut consumers {
             while let Some(sub) = c.try_pop() {
-                seen += 1;
-                assert!(sub.reply.ticket.0 < 4);
+                seen.push((sub.reply.ticket.0, sub.reply.tag));
             }
         }
-        assert_eq!(seen, 4);
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(0, 100), (1, 101), (2, 102), (3, 103)]);
     }
 
+    /// One lane, capacity 4: a queue of 7 has its first 4 accepted; the
+    /// overflow stays queued, in order, tags and programs intact.
     #[test]
     fn batch_submit_hands_back_overflow_per_lane() {
-        // One lane, capacity 4: a batch of 7 accepts 4 and rejects 3,
-        // handing the exact programs back with their input indices.
+        let (s, mut consumers) = shared(1, 4);
+        let session = Session::new(Arc::clone(&s));
+        let mut queue = tagged((0..7).map(rmw).collect());
+        assert_eq!(session.try_submit_queue(&mut queue, 3), Ok(4));
+        assert_eq!(s.accepted(), 4, "refused requests must not mint tickets");
+        assert_eq!(queue, [(104, rmw(4)), (105, rmw(5)), (106, rmw(6))]);
+        // A full lane takes nothing and leaves the queue alone.
+        assert_eq!(session.try_submit_queue(&mut queue, 3), Ok(0));
+        assert_eq!(queue.len(), 3);
+        // Room for one: the head goes, the rest waits behind it.
+        assert_eq!(consumers[0].try_pop().map(|sub| sub.reply.tag), Some(100));
+        assert_eq!(session.try_submit_queue(&mut queue, 3), Ok(1));
+        assert_eq!(queue.front().map(|r| r.0), Some(105));
+    }
+
+    /// A queue submit routes no further than one request past the lane's
+    /// room, and a refusal routes the head alone — counted on the
+    /// round-robin counter, which routing each hint-less request bumps.
+    #[test]
+    fn a_queue_submit_routes_one_past_the_room_and_a_refusal_only_the_head() {
         let (s, _consumers) = shared(1, 4);
         let session = Session::new(Arc::clone(&s));
-        let batch: Vec<Program> = (0..7).map(rmw).collect();
-        let out = session.try_submit_batch(tagged(batch), None);
-        assert!(!out.shutdown);
-        assert_eq!(out.accepted.len(), 4);
-        assert_eq!(out.rejected.len(), 3);
-        assert_eq!(s.accepted(), 4, "rejected programs must not mint tickets");
-        for (i, (tag, p)) in &out.rejected {
-            assert_eq!(*tag, 100 + *i as u64, "hand-back must preserve the tag");
-            assert_eq!(*p, rmw(*i as u64), "hand-back must preserve the program");
-        }
+        let routed = || s.round_robin.load(Ordering::Relaxed);
+        let mut queue = tagged(vec![Program::Rmw { keys: vec![] }; 100]);
+        assert_eq!(session.try_submit_queue(&mut queue, 1), Ok(4));
+        assert_eq!(routed(), 5, "the head and the four behind it");
+        assert_eq!(session.try_submit_queue(&mut queue, 1), Ok(0));
+        assert_eq!(routed(), 6, "a full lane: the head alone");
     }
 
     #[test]
@@ -565,15 +606,46 @@ mod tests {
         let (s, _consumers) = shared(2, 8);
         let session = Session::new(Arc::clone(&s));
         s.close();
-        let out = session.try_submit_batch(tagged(vec![rmw(1), rmw(2)]), Some(3));
-        assert!(out.shutdown);
-        assert_eq!(out.accepted.len(), 0);
-        assert_eq!(out.rejected.len(), 2);
+        let mut queue = tagged(vec![rmw(1), rmw(2)]);
+        assert_eq!(session.try_submit_queue(&mut queue, 3), Err(EngineClosed));
+        assert_eq!(
+            queue,
+            tagged(vec![rmw(1), rmw(2)]),
+            "the queue is untouched"
+        );
         assert_eq!(s.accepted(), 0);
     }
 
+    /// Requests bound for two lanes enter in arrival order: tickets
+    /// follow the queue, and once one lane is full nothing behind its
+    /// refused request is taken, not even for the lane with room.
+    #[test]
+    fn queued_requests_for_two_lanes_enter_in_arrival_order() {
+        let (s, mut consumers) = shared(2, 2);
+        let session = Session::new(Arc::clone(&s));
+        // The `i`-th program bound for `lane`.
+        let to = |lane, i: u64| {
+            rmw((1_000 * i..)
+                .find(|&k| fx_hash_u64(k) % 2 == lane)
+                .unwrap_or(0))
+        };
+        let mut queue = tagged(vec![to(0, 1), to(0, 2), to(1, 1), to(0, 3), to(1, 2)]);
+        assert_eq!(session.try_submit_queue(&mut queue, 5), Ok(3));
+        let left: Vec<u64> = queue.iter().map(|r| r.0).collect();
+        assert_eq!(left, [103, 104], "lane 1 had room, but waits behind lane 0");
+        // Lane 0 drains one; the rest enters, still in order.
+        assert_eq!(consumers[0].try_pop().map(|sub| sub.reply.tag), Some(100));
+        assert_eq!(session.try_submit_queue(&mut queue, 5), Ok(2));
+        let lane = |c: &mut Consumer<Submission>| {
+            std::iter::from_fn(|| c.try_pop().map(|sub| (sub.reply.ticket.0, sub.reply.tag)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lane(&mut consumers[0]), [(1, 101), (3, 103)]);
+        assert_eq!(lane(&mut consumers[1]), [(2, 102), (4, 104)]);
+    }
+
     /// The return address is in the submission itself, as popped from
-    /// the lane: owner and tag for owned work (single and batch), nobody
+    /// the lane: owner and tag for owned work (single and queued), nobody
     /// for plain work.
     #[test]
     fn owned_submissions_carry_their_return_address() {
@@ -581,9 +653,8 @@ mod tests {
         let session = Session::new(Arc::clone(&s));
         let t = session.try_submit_owned(rmw(1), 42, || 5).unwrap();
         let t2 = session.try_submit(rmw(2)).unwrap();
-        let batch: Vec<Program> = (0..40).map(rmw).collect();
-        let out = session.try_submit_batch(tagged(batch), Some(7));
-        assert_eq!(out.accepted.len(), 40);
+        let mut queue = tagged((0..40).map(rmw).collect());
+        assert_eq!(session.try_submit_queue(&mut queue, 7), Ok(40));
 
         let mut pop = || {
             consumers[0]
@@ -598,10 +669,10 @@ mod tests {
         assert_eq!(pop().reply, owned(t, 42, 5));
         let plain = pop().reply;
         assert_eq!((plain.ticket, plain.client), (t2, None));
-        for &(i, ticket) in &out.accepted {
+        for i in 0..40 {
             let sub = pop();
-            assert_eq!(sub.reply, owned(ticket, 7, 100 + i as u64));
-            assert_eq!(sub.program, rmw(i as u64), "the tag rides its program");
+            assert_eq!(sub.reply, owned(Ticket(2 + i), 7, 100 + i));
+            assert_eq!(sub.program, rmw(i), "the tag rides its program");
         }
     }
 

@@ -236,6 +236,7 @@ mod tests {
 
     #[test]
     fn checkpoint_covers_the_durable_prefix_and_recovery_resumes_after_it() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("ckpt2");
         let db = Database::Flat(Table::new(8, 64));
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
@@ -264,6 +265,7 @@ mod tests {
 
     #[test]
     fn checkpoints_truncate_old_segments() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("ckptgc");
         let db = Database::Flat(Table::new(8, 64));
         // Tiny segments so appends roll over quickly.
@@ -294,6 +296,7 @@ mod tests {
 
     #[test]
     fn failed_checkpoint_fsync_recovers_from_previous_checkpoint_and_full_suffix() {
+        let _fp = crate::arm_failpoints();
         let t = TempDir::new("ckptsync");
         let db = Database::Flat(Table::new(8, 64));
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
@@ -327,6 +330,7 @@ mod tests {
 
     #[test]
     fn torn_checkpoint_write_falls_back_to_the_previous_one() {
+        let _fp = crate::arm_failpoints();
         let t = TempDir::new("ckpttorn");
         let db = Database::Flat(Table::new(8, 64));
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();

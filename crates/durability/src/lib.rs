@@ -92,3 +92,22 @@ pub use codec::LoggedCommit;
 pub use log::{AppendReceipt, CommandLog, DurabilityMode};
 pub use replay::{recover, recover_with, replay, ReplayReport};
 pub use sync::{run_sync_coordinator, SyncInterval};
+
+/// The failpoint registry is process-global: a one-shot point one test
+/// arms fires in whichever test passes that site first, and the arming
+/// test's `clear` disarms every other test's point. A test that arms a
+/// point holds this exclusively ([`arm_failpoints`]); a test that passes
+/// a failpoint site (a log append, `sync`, a group fsync, a checkpoint)
+/// holds it shared ([`pass_failpoints`]).
+#[cfg(test)]
+static FAILPOINTS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+#[cfg(test)]
+pub(crate) fn arm_failpoints() -> std::sync::RwLockWriteGuard<'static, ()> {
+    FAILPOINTS.write().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+pub(crate) fn pass_failpoints() -> std::sync::RwLockReadGuard<'static, ()> {
+    FAILPOINTS.read().unwrap_or_else(|e| e.into_inner())
+}

@@ -411,6 +411,7 @@ mod tests {
 
     #[test]
     fn append_run_drains_and_reports_bytes() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("cmdlog");
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         let mut batch = commits(0..3);
@@ -428,6 +429,7 @@ mod tests {
 
     #[test]
     fn open_refuses_a_torn_log() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("cmdlog");
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         log.append_run(&mut commits(0..2)).unwrap();
@@ -449,6 +451,7 @@ mod tests {
 
     #[test]
     fn fsync_mode_reports_the_flush() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("cmdlog");
         let log = CommandLog::open(t.path(), DurabilityMode::LogFsync).unwrap();
         let r = log.append_run(&mut commits(0..1)).unwrap();
@@ -457,6 +460,7 @@ mod tests {
 
     #[test]
     fn group_mode_coalesces_appends_into_one_fsync() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("cmdlog");
         let log = CommandLog::open(t.path(), DurabilityMode::LogFsync)
             .unwrap()
@@ -482,6 +486,7 @@ mod tests {
 
     #[test]
     fn group_sync_failure_raises_the_shared_flag() {
+        let _fp = crate::arm_failpoints();
         let t = TempDir::new("cmdlog");
         let log = CommandLog::open(t.path(), DurabilityMode::LogFsync)
             .unwrap()

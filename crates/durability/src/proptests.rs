@@ -81,6 +81,7 @@ proptest! {
         ),
         cut_back in 0u64..400,
     ) {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("durability-prop");
         // Tiny segments so crashes also land on segment boundaries/headers.
         let log = CommandLog::open_with_segment_bytes(t.path(), DurabilityMode::Log, 96).unwrap();
@@ -154,6 +155,7 @@ proptest! {
         ckpt_after in 1usize..5,
         cut_back in 0u64..300,
     ) {
+        let _fp = crate::pass_failpoints();
         let a = TempDir::new("ckpt-prop-a");
         let log = CommandLog::open(a.path(), DurabilityMode::Log).unwrap();
         let pristine = Database::Flat(Table::new(16, 64));
@@ -223,6 +225,7 @@ proptest! {
         ),
         threads in 2usize..5,
     ) {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("par-prop");
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         let mut ticket = 0u64;

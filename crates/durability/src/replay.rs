@@ -362,6 +362,7 @@ mod tests {
     /// both the per-key effects and the audit counters.
     #[test]
     fn replay_applies_each_commit_exactly_once() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("replay");
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         // Two fused runs + one singleton, tickets on some.
@@ -417,6 +418,7 @@ mod tests {
     /// future replay can get past.
     #[test]
     fn recover_cuts_away_undecodable_records() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("replay");
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         log.append_run(&mut vec![LoggedCommit {
@@ -469,6 +471,7 @@ mod tests {
     /// accepts new appends that replay seamlessly afterwards.
     #[test]
     fn recover_drops_torn_tail_and_reopens() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("replay");
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         log.append_run(&mut vec![LoggedCommit {
@@ -531,6 +534,7 @@ mod tests {
 
     #[test]
     fn boundary_crash_keeps_exactly_k_records() {
+        let _fp = crate::pass_failpoints();
         let (t, ends) = scripted_log(5);
         orthrus_storage::log::truncate_at(t.path(), ends[2]).unwrap();
         let db = Database::Flat(Table::new(8, 64));
@@ -544,6 +548,7 @@ mod tests {
 
     #[test]
     fn mid_record_crash_drops_only_the_torn_commit() {
+        let _fp = crate::pass_failpoints();
         let (t, ends) = scripted_log(4);
         orthrus_storage::log::truncate_at(t.path(), ends[3] - 1).unwrap(); // 1 byte short
         let db = Database::Flat(Table::new(8, 64));
@@ -556,6 +561,7 @@ mod tests {
     /// crashes against one log.
     #[test]
     fn descending_offsets_script_on_one_log() {
+        let _fp = crate::pass_failpoints();
         let (t, ends) = scripted_log(6);
         for &k in &[5usize, 3, 1] {
             orthrus_storage::log::truncate_at(t.path(), ends[k] - 2).unwrap(); // tear record k

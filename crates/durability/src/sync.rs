@@ -13,11 +13,12 @@
 //! (one record per fused run), lifted from the record layer to the
 //! *flush* layer.
 //!
-//! The sync cadence rides the existing power-of-two ladder: when a pass
-//! coalesces little (the log is idle or the coordinator is over-eager)
-//! the interval doubles; when a pass coalesces a lot (appends are
-//! piling up behind the flush) it halves, bounded to
-//! [`MIN_INTERVAL_US`]..[`MAX_INTERVAL_US`].
+//! The pause between passes walks: when a pass coalesces little (the log
+//! is idle or the coordinator is over-eager) it doubles; when a pass
+//! coalesces a lot (appends are piling up behind the flush) it halves,
+//! bounded to [`MIN_INTERVAL_US`]..[`MAX_INTERVAL_US`]. (Why it walks
+//! rather than fsyncing whenever anything is unsynced: DESIGN.md, "Every
+//! self-tuner and what it reads".)
 
 use std::fmt;
 use std::str::FromStr;
@@ -42,12 +43,10 @@ pub enum SyncInterval {
     /// Every exec thread fsyncs its own appends inline (durability
     /// rung 1). No coordinator thread is spawned.
     PerRun,
-    /// Group sync with the interval walked up/down the power-of-two
-    /// ladder from the per-pass coalescing count.
+    /// Group sync: a coordinator thread whose pause between passes
+    /// doubles or halves with the per-pass coalescing count.
     #[default]
     Adaptive,
-    /// Group sync at a fixed cadence (µs between coordinator passes).
-    FixedMicros(u64),
 }
 
 impl SyncInterval {
@@ -55,15 +54,6 @@ impl SyncInterval {
     /// inline per-run fsync).
     pub fn is_group(self) -> bool {
         self != SyncInterval::PerRun
-    }
-
-    /// The starting interval for the coordinator loop, in microseconds.
-    pub fn initial_micros(self) -> u64 {
-        match self {
-            SyncInterval::PerRun => 0,
-            SyncInterval::Adaptive => MIN_INTERVAL_US,
-            SyncInterval::FixedMicros(us) => us.clamp(1, MAX_INTERVAL_US),
-        }
     }
 }
 
@@ -74,12 +64,9 @@ impl FromStr for SyncInterval {
         match s.to_ascii_lowercase().as_str() {
             "perrun" | "per-run" | "per_run" => Ok(SyncInterval::PerRun),
             "adaptive" => Ok(SyncInterval::Adaptive),
-            other => other
-                .parse::<u64>()
-                .map(SyncInterval::FixedMicros)
-                .map_err(|_| {
-                    format!("unknown sync interval {s:?} (want per-run, adaptive, or <micros>)")
-                }),
+            _ => Err(format!(
+                "unknown sync interval {s:?} (want per-run or adaptive)"
+            )),
         }
     }
 }
@@ -89,7 +76,6 @@ impl fmt::Display for SyncInterval {
         match self {
             SyncInterval::PerRun => write!(f, "per-run"),
             SyncInterval::Adaptive => write!(f, "adaptive"),
-            SyncInterval::FixedMicros(us) => write!(f, "{us}"),
         }
     }
 }
@@ -102,11 +88,7 @@ impl fmt::Display for SyncInterval {
 /// hanging.
 ///
 /// Returns the coordinator's counters for merging into the run totals.
-pub fn run_sync_coordinator(
-    log: &CommandLog,
-    stop: &AtomicBool,
-    interval: SyncInterval,
-) -> ThreadStats {
+pub fn run_sync_coordinator(log: &CommandLog, stop: &AtomicBool) -> ThreadStats {
     // If this thread dies for *any* reason — an fsync error panic below,
     // or a simulated crash injected at one of its hooks — the watermark
     // will never advance again, and exec threads waiting on it must fail
@@ -121,8 +103,7 @@ pub fn run_sync_coordinator(
     }
     let _unwind_guard = FailOnUnwind(log);
     let mut stats = ThreadStats::default();
-    let adaptive = interval == SyncInterval::Adaptive;
-    let mut pause_us = interval.initial_micros().max(1);
+    let mut pause_us = MIN_INTERVAL_US;
     loop {
         let coalesced = match log.group_sync_now() {
             Ok(n) => n,
@@ -133,20 +114,16 @@ pub fn run_sync_coordinator(
             stats.log_synced_appends += coalesced;
             stats.log_flushes += 1;
         }
-        if adaptive {
-            // Same power-of-two ladder as the admission quantum,
-            // steering the per-pass coalescing count into [8, 32]:
-            // below it the flush cadence outpaces the append rate (each
-            // fsync is under-amortized *and* the coordinator steals
-            // cycles from the workers) — back off; above it appends
-            // pile up behind the flush and the append→durable wait
-            // grows — tighten. The band is a setpoint, not a dead
-            // zone: any pass outside it moves the pause.
-            if coalesced < 8 {
-                pause_us = (pause_us * 2).min(MAX_INTERVAL_US);
-            } else if coalesced > 32 {
-                pause_us = (pause_us / 2).max(MIN_INTERVAL_US);
-            }
+        // Steer the per-pass coalescing count into [8, 32]: below it
+        // the flush cadence outpaces the append rate (each fsync is
+        // under-amortized *and* the coordinator steals cycles from the
+        // workers) — back off; above it appends pile up behind the flush
+        // and the append→durable wait grows — tighten. The band is a
+        // setpoint, not a dead zone: any pass outside it moves the pause.
+        if coalesced < 8 {
+            pause_us = (pause_us * 2).min(MAX_INTERVAL_US);
+        } else if coalesced > 32 {
+            pause_us = (pause_us / 2).max(MIN_INTERVAL_US);
         }
         let st = log.sync_state();
         if stop.load(Ordering::Acquire) && st.appended() == st.synced() {
@@ -173,19 +150,23 @@ mod tests {
             ("per-run", SyncInterval::PerRun),
             ("perrun", SyncInterval::PerRun),
             ("adaptive", SyncInterval::Adaptive),
-            ("150", SyncInterval::FixedMicros(150)),
         ] {
             assert_eq!(s.parse::<SyncInterval>().unwrap(), v);
         }
         assert_eq!(SyncInterval::PerRun.to_string(), "per-run");
-        assert_eq!(SyncInterval::FixedMicros(150).to_string(), "150");
+        assert_eq!(SyncInterval::Adaptive.to_string(), "adaptive");
         assert!("sometimes".parse::<SyncInterval>().is_err());
+        assert!(
+            "150".parse::<SyncInterval>().is_err(),
+            "a fixed cadence is no longer a mode"
+        );
         assert!(!SyncInterval::PerRun.is_group());
         assert!(SyncInterval::Adaptive.is_group());
     }
 
     #[test]
     fn coordinator_drains_outstanding_appends_before_stopping() {
+        let _fp = crate::pass_failpoints();
         let t = TempDir::new("synccoord");
         let log = Arc::new(
             CommandLog::open(t.path(), DurabilityMode::LogFsync)
@@ -195,9 +176,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let coord = {
             let (log, stop) = (Arc::clone(&log), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                run_sync_coordinator(&log, &stop, SyncInterval::FixedMicros(50))
-            })
+            std::thread::spawn(move || run_sync_coordinator(&log, &stop))
         };
         for i in 0..20u64 {
             let mut batch = vec![LoggedCommit {

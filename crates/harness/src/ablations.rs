@@ -278,7 +278,7 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
 /// A7: **adaptive** admission across the A6 crossover. The in-engine
 /// controller starts FIFO, watches the grant-deferral rate flowing back
 /// with every lock grant, and promotes to conflict-class batching (with a
-/// ladder-walked batch depth) when the rate stays above threshold —
+/// batch depth that doubles and halves) when the rate stays above threshold —
 /// `ORTHRUS_ADMISSION=adaptive`. The claim under test: one configuration
 /// tracks the *better* static policy within ~10% at both ends of the skew
 /// sweep, instead of committing to either side of the crossover. The last
@@ -525,8 +525,8 @@ pub fn abl09_durability(bc: &BenchConfig) -> FigureResult {
 /// exec thread's critical path).
 ///
 /// Sweep (x): `0` = `per-run` inline fsync, `1` = `adaptive` group
-/// coordinator, `2` = fixed 100 µs coordinator pause, `3` = adaptive
-/// plus the fuzzy checkpointer (1 MiB cadence) — the full rung-2 stack.
+/// coordinator, `2` = adaptive plus the fuzzy checkpointer (1 MiB
+/// cadence) — the full rung-2 stack.
 ///
 /// Series: throughput; coalesced appends per fdatasync (the
 /// amortization factor — `per-run` is 1.0 by construction); and the
@@ -538,7 +538,7 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
     let mut fig = FigureResult::new(
         "abl10",
         "Durability rung 2: per-run fsync vs cross-thread group fsync (1 CC / 1 exec)".to_string(),
-        "sync mode (0=per-run 1=adaptive 2=fixed-100µs 3=adaptive+ckpt)",
+        "sync mode (0=per-run 1=adaptive 2=adaptive+ckpt)",
         "txns/sec (aux series: appends/fsync, fsync-wait p99 µs)",
     );
     let spec = MicroSpec::zipf(bc.n_records as u64, 10, 0.9, false);
@@ -548,8 +548,7 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
     for (x, interval, ckpt) in [
         (0.0, SyncInterval::PerRun, None),
         (1.0, SyncInterval::Adaptive, None),
-        (2.0, SyncInterval::FixedMicros(100), None),
-        (3.0, SyncInterval::Adaptive, Some(1 << 20)),
+        (2.0, SyncInterval::Adaptive, Some(1 << 20)),
     ] {
         let n = spec.n_records as usize;
         let db = Arc::new(Database::Flat(Table::new(n, bc.record_size)));

@@ -15,10 +15,9 @@
 //! [`tune_flush_threshold`] applies the same measure-in-epochs idea to the
 //! fabric batching degree (`OrthrusConfig::flush_threshold`): climb the
 //! power-of-two ladder while throughput keeps improving, stop once the
-//! curve turns down. The ladder itself lives in the engine
-//! ([`orthrus_core::ladder`]) — the in-engine adaptive admission
-//! controller walks the same rungs online from a live conflict signal,
-//! while this offline tuner climbs them over measured epochs.
+//! curve turns down (the climb is `ladder::Pow2Climb`).
+
+use crate::ladder::Pow2Climb;
 
 /// One measured allocation.
 #[derive(Debug, Clone, Copy)]
@@ -109,8 +108,7 @@ pub struct FlushTuneResult {
 }
 
 /// Tune the fabric batching degree over the power-of-two ladder
-/// `1, 2, 4, …, max_threshold` ([`orthrus_core::ladder::Pow2Climb`] — the
-/// same ladder the in-engine adaptive admission controller walks).
+/// `1, 2, 4, …, max_threshold`.
 ///
 /// `measure(t)` runs one epoch at `flush_threshold = t` and returns
 /// throughput. The expected curve rises while batching amortizes the
@@ -124,7 +122,7 @@ pub fn tune_flush_threshold(
     mut measure: impl FnMut(usize) -> f64,
 ) -> FlushTuneResult {
     assert!(max_threshold >= 1, "need at least threshold 1");
-    let mut climb = orthrus_core::ladder::Pow2Climb::new(max_threshold, 2);
+    let mut climb = Pow2Climb::new(max_threshold, 2);
     let mut trace: Vec<FlushTunePoint> = Vec::new();
     while let Some(t) = climb.rung() {
         let throughput = measure(t);

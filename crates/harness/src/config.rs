@@ -53,8 +53,7 @@ pub struct BenchConfig {
     pub durability: DurabilityMode,
     /// Fsync grouping under `log+fsync` (`ORTHRUS_SYNC_INTERVAL`, default
     /// `adaptive` — the rung-2 cross-thread group coordinator; `per-run`
-    /// restores the rung-1 inline fsync per admission run; a number is a
-    /// fixed coordinator pause in microseconds).
+    /// restores the rung-1 inline fsync per admission run).
     pub sync_interval: SyncInterval,
     /// Fuzzy-checkpoint cadence in appended log bytes
     /// (`ORTHRUS_CHECKPOINT`, default unset/`0` = no checkpointer).

@@ -1,39 +1,12 @@
-//! The shared power-of-two ladder: one implementation of "walk a knob
-//! through 1, 2, 4, …" used by both the in-engine adaptive admission
-//! controller ([`crate::admit::AdaptiveController`] walks the batch depth
-//! up and down as the observed conflict rate moves) and the harness's
-//! offline `tune_flush_threshold` search (which climbs the same ladder
-//! over measured epochs and early-stops past the knee).
-//!
-//! Both tuners share the *shape* of the walk — exponential steps bounded
-//! by an explicit ceiling, so a misbehaving signal can never push a knob
-//! to a pathological value — while differing in when they step: the
-//! controller steps once per epoch from a live signal; the climb measures
-//! every rung once, ascending, with a patience-based early stop.
-
-/// One rung up the ladder: double, clamped to `max`.
-///
-/// `v` is normally a power of two (both callers start at one and only move
-/// via these steps), but the clamp makes any value safe.
-#[inline]
-pub fn step_up(v: usize, max: usize) -> usize {
-    debug_assert!(v >= 1 && max >= 1);
-    v.saturating_mul(2).min(max)
-}
-
-/// One rung down the ladder: halve, clamped to `min`.
-#[inline]
-pub fn step_down(v: usize, min: usize) -> usize {
-    debug_assert!(min >= 1);
-    (v / 2).max(min)
-}
+//! The power-of-two climb [`crate::autotune::tune_flush_threshold`] runs:
+//! measure the rungs `1, 2, 4, …` in ascending order under an explicit
+//! ceiling, and stop once the curve has turned down.
 
 /// An ascending climb over the rungs `1, 2, 4, …, max`, early-stopping
-/// after `patience` consecutive regressions — the measured-epoch search
-/// `tune_flush_threshold` runs. Usage: while [`Self::rung`] is `Some`,
-/// measure that rung and [`Self::record`] the score.
+/// after `patience` consecutive regressions. Usage: while [`Self::rung`]
+/// is `Some`, measure that rung and [`Self::record`] the score.
 #[derive(Debug, Clone)]
-pub struct Pow2Climb {
+pub(crate) struct Pow2Climb {
     next: Option<usize>,
     max: usize,
     patience: usize,
@@ -45,7 +18,7 @@ impl Pow2Climb {
     /// A climb up to `max` (inclusive; the last rung may undershoot it if
     /// it is not a power of two), stopping after `patience` consecutive
     /// score regressions.
-    pub fn new(max: usize, patience: usize) -> Self {
+    pub(crate) fn new(max: usize, patience: usize) -> Self {
         assert!(max >= 1, "ladder needs at least rung 1");
         assert!(patience >= 1, "patience 0 would stop before measuring");
         Pow2Climb {
@@ -58,12 +31,12 @@ impl Pow2Climb {
     }
 
     /// The rung to measure next, or `None` when the climb is over.
-    pub fn rung(&self) -> Option<usize> {
+    pub(crate) fn rung(&self) -> Option<usize> {
         self.next
     }
 
     /// Record the current rung's score and advance.
-    pub fn record(&mut self, score: f64) {
+    pub(crate) fn record(&mut self, score: f64) {
         let Some(cur) = self.next else { return };
         if score < self.prev {
             self.declines += 1;
@@ -82,30 +55,6 @@ impl Pow2Climb {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn steps_clamp_at_both_ends() {
-        assert_eq!(step_up(1, 16), 2);
-        assert_eq!(step_up(8, 16), 16);
-        assert_eq!(step_up(16, 16), 16, "ceiling holds");
-        assert_eq!(step_up(usize::MAX, usize::MAX), usize::MAX, "no overflow");
-        assert_eq!(step_down(16, 2), 8);
-        assert_eq!(step_down(2, 2), 2, "floor holds");
-        assert_eq!(step_down(1, 1), 1);
-    }
-
-    #[test]
-    fn up_then_down_returns_to_the_start() {
-        let mut v = 2usize;
-        for _ in 0..10 {
-            v = step_up(v, 16);
-        }
-        assert_eq!(v, 16);
-        for _ in 0..10 {
-            v = step_down(v, 2);
-        }
-        assert_eq!(v, 2);
-    }
 
     #[test]
     fn climb_visits_every_rung_of_a_rising_curve() {

@@ -12,6 +12,7 @@ pub mod ablations;
 pub mod autotune;
 pub mod config;
 pub mod figures;
+mod ladder;
 pub mod netbench;
 pub mod report;
 pub mod systems;

@@ -14,9 +14,11 @@
 //!   `accept`.
 //! - **`netconn{i}`** (the *reader*, numbered in accept order) blocks in
 //!   `read` with no timeout — the kernel wakes it the moment request
-//!   bytes arrive — decodes request frames and submits each read's
-//!   worth through a cloned [`Session`] with
-//!   [`Session::try_submit_batch`], request ids riding along as tags.
+//!   bytes arrive — decodes request frames into its queue of parked
+//!   requests and submits from its front through a cloned [`Session`]
+//!   with [`Session::try_submit_queue`], request ids riding along as
+//!   tags: one lane lock and one ring publish per run of requests bound
+//!   for the same execution thread.
 //! - **`netconn{i}w`** (the *writer*) parks on its `ClientRx` doorbell,
 //!   which `route` rings once per call that delivered to it, and fills
 //!   one response frame at a time. When a frame's first completion
@@ -44,9 +46,10 @@
 //! ([`Completion::tag`]) rather than living in a per-connection map; the
 //! two halves share only counters (`Link`).
 //!
-//! Backpressure is end-to-end: when the engine's ingest rings reject
-//! part of a batch, the rejected requests stay parked in the reader and
-//! it **stops reading its socket** until they are accepted — a reader
+//! Backpressure is end-to-end: requests enter the engine in arrival
+//! order, and when an ingest ring refuses one, it and everything behind
+//! it stay parked in the reader, which **stops reading its socket**
+//! until they are accepted — a reader
 //! blocked in a timeout-less `read` could not retry them. It retries
 //! when one of its own completions comes back (the engine made room)
 //! or, failing that, every `ROOM_POLL`: the one timed wait a request
@@ -75,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use orthrus_common::failpoint::{global as failpoints, FailAction};
 use orthrus_common::{sim, Doorbell, ThreadStats};
-use orthrus_core::{ClientRx, Completion, CompletionHub, EngineHandle, Session};
+use orthrus_core::{ClientRx, Completion, CompletionHub, EngineClosed, EngineHandle, Session};
 use orthrus_txn::Program;
 
 use crate::codec::{encode_response, CompletionMsg, Frame, FrameDecoder, WireError};
@@ -90,10 +93,6 @@ pub const FP_NET_READ: &str = "net.read";
 /// complete (and a stalled peer to take its responses) before giving up
 /// and orphaning them.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Max parked requests re-offered to the engine per attempt (see
-/// [`Reader::offer`]).
-const RETRY_CHUNK: usize = 64;
 
 /// How often the listener polls `accept`, and so the upper bound on one
 /// listener park: how stale a connection attempt (or a stop request)
@@ -540,31 +539,20 @@ impl Reader<'_> {
         }
     }
 
-    /// Offer the head of the parked queue to the engine. Only the head:
-    /// the engine can accept at most a ring's worth anyway, and
-    /// re-offering a whole backlog per attempt (per-lane bucketing,
-    /// re-queueing) would cost CPU in proportion to the backlog instead
-    /// of the acceptance.
+    /// Offer the parked queue to the engine, front first: whatever it
+    /// takes leaves the front, and the first refusal leaves everything
+    /// from the refused request on parked, in order.
     fn offer(&mut self) -> Offer {
-        let chunk = self.pending.len().min(RETRY_CHUNK);
-        let batch: Vec<(u64, Program)> = self.pending.drain(..chunk).collect();
-        let out = self.session.try_submit_batch(batch, Some(self.client_id));
-        self.link
-            .accepted
-            .fetch_add(out.accepted.len() as u64, Ordering::Release);
-        let mut rejected = out.rejected;
-        rejected.sort_by_key(|(idx, _)| *idx);
-        // Back to the *front* (reversed, preserving order): the
-        // unoffered tail is still parked behind this chunk.
-        for (_, req) in rejected.into_iter().rev() {
-            self.pending.push_front(req);
-        }
-        if out.shutdown {
-            Offer::EngineClosed
-        } else if out.accepted.is_empty() {
-            Offer::Full
-        } else {
-            Offer::Accepted
+        match self
+            .session
+            .try_submit_queue(&mut self.pending, self.client_id)
+        {
+            Ok(0) => Offer::Full,
+            Ok(n) => {
+                self.link.accepted.fetch_add(n as u64, Ordering::Release);
+                Offer::Accepted
+            }
+            Err(EngineClosed) => Offer::EngineClosed,
         }
     }
 
@@ -833,10 +821,11 @@ mod tests {
         /// completions back. `publish` says whether the reader's
         /// `accepted` count learns of them.
         fn commit(&mut self, n: u64, publish: bool) {
-            let programs = (0..n).map(|i| (i, Program::Rmw { keys: vec![i] }));
-            let out =
-                (self.handle.session()).try_submit_batch(programs.collect(), Some(self.client));
-            assert_eq!(out.accepted.len() as u64, n);
+            let mut queue = (0..n)
+                .map(|i| (i, Program::Rmw { keys: vec![i] }))
+                .collect();
+            let taken = (self.handle.session()).try_submit_queue(&mut queue, self.client);
+            assert_eq!(taken, Ok(n as usize));
             if publish {
                 self.link.accepted.fetch_add(n, Ordering::Release);
             }

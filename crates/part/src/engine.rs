@@ -134,6 +134,21 @@ impl PartitionedConfig {
         }
         cfg
     }
+
+    /// Every thread the deployment runs, by the name it enrolls under:
+    /// each member engine's ([`OrthrusConfig::thread_names`]), partition
+    /// by partition, then the sequencer.
+    pub fn thread_names(&self) -> Vec<String> {
+        let members = (0..self.partitions()).flat_map(|i| {
+            let (workers, companions) = self.engine_for(i).thread_names();
+            workers.into_iter().chain(companions)
+        });
+        members.chain([self.sequencer_name()]).collect()
+    }
+
+    fn sequencer_name(&self) -> String {
+        format!("{}partseq", self.engine.sim_prefix)
+    }
 }
 
 /// The owner tag of an epoch's fused slices. Every other local ticket is
@@ -316,9 +331,9 @@ impl PartitionedEngine {
             inflight: None,
             max_batch: cfg.epoch_max_batch.max(1),
         };
-        let sim_prefix = cfg.engine.sim_prefix.clone();
+        let name = cfg.sequencer_name();
         let seq_thread = std::thread::spawn(move || {
-            let _sim = orthrus_common::sim::enroll(&format!("{sim_prefix}partseq"));
+            let _sim = orthrus_common::sim::enroll(&name);
             seq.run()
         });
 

@@ -47,7 +47,7 @@ use orthrus_core::{
 use orthrus_txn::Program;
 
 use crate::run::{build_db, digest, sim_lock, workload_spec, WorkloadKind, N_RECORDS};
-use crate::sched::{CrashSpec, FaultPlan, SchedReport, SimScheduler};
+use crate::sched::{client_names, CrashSpec, FaultPlan, SchedReport, SimScheduler};
 
 /// A crash-restart run configuration. Narrower than [`crate::SimConfig`]
 /// on purpose: micro workloads only (their submitted-effect model is
@@ -107,10 +107,12 @@ impl CrashSimConfig {
         } else {
             DurabilityMode::LogFsync
         };
+        // The third outcome was a fixed-cadence coordinator; it stays
+        // drawn so every seed derives the rest of its configuration from
+        // the same RNG stream.
         let sync_interval = match rng.next_below(3) {
             0 => SyncInterval::PerRun,
-            1 => SyncInterval::Adaptive,
-            _ => SyncInterval::FixedMicros(50),
+            _ => SyncInterval::Adaptive,
         };
         let has_sync = durability == DurabilityMode::LogFsync && sync_interval.is_group();
         let victim = if has_sync && rng.chance_percent(40) {
@@ -233,12 +235,13 @@ pub fn run_crash_sim(cfg: &CrashSimConfig, keep_trace: bool) -> CrashSimOutcome 
     ocfg = ocfg.with_durability(cfg.durability, scratch.path());
     ocfg.sync_interval = cfg.sync_interval;
 
-    let mut names = SimScheduler::engine_names(cfg.n_cc, 1);
-    let has_sync = ocfg.durability == DurabilityMode::LogFsync && ocfg.sync_interval.is_group();
-    if has_sync {
-        names.push("sync".to_string());
-    }
-    let engine_names: Vec<String> = names.iter().filter(|n| *n != "client").cloned().collect();
+    let (workers, companions) = ocfg.thread_names();
+    let engine_names: Vec<String> = workers.iter().chain(&companions).cloned().collect();
+    let names: Vec<String> = workers
+        .into_iter()
+        .chain(client_names(1))
+        .chain(companions)
+        .collect();
     if !engine_names.contains(&crash.victim) {
         violations.push(format!(
             "crash victim {:?} is not an engine participant",

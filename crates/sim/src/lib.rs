@@ -49,4 +49,4 @@ pub use explore::{explore, minimize, ExploreReport, FailureReport};
 pub use net::{run_net_sim, NetSimConfig, NetSimOutcome};
 pub use part::{run_part_sim, PartSimConfig, PartSimOutcome};
 pub use run::{run_sim, run_sim_guided, SimConfig, SimOutcome, WorkloadKind};
-pub use sched::{CrashSpec, FaultPlan, SchedReport, SimScheduler, Step, StepKind};
+pub use sched::{client_names, CrashSpec, FaultPlan, SchedReport, SimScheduler, Step, StepKind};

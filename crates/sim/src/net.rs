@@ -141,10 +141,10 @@ pub fn run_net_sim(cfg: &NetSimConfig) -> NetSimOutcome {
     ocfg.ingest_capacity = 16;
     ocfg.admission = cfg.admission.clone();
 
-    // Barrier = engine workers + the listener. No "client": the driver
-    // below free-runs, like the netconn threads (module docs).
-    let mut names: Vec<String> = (0..cfg.n_cc).map(|i| format!("cc{i}")).collect();
-    names.extend((0..cfg.n_exec).map(|i| format!("exec{i}")));
+    // Barrier = the engine's threads + the listener. No "client": the
+    // driver below free-runs, like the netconn threads (module docs).
+    let (mut names, companions) = ocfg.thread_names();
+    names.extend(companions);
     names.push("netlisten".to_string());
     let sched = Arc::new(SimScheduler::new(cfg.seed, names, cfg.plan.clone(), false));
     sim::install(Arc::<SimScheduler>::clone(&sched));

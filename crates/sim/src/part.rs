@@ -41,7 +41,7 @@ use orthrus_txn::{Database, Program};
 use orthrus_workload::{MicroSpec, PartitionConstraint};
 
 use crate::run::sim_lock;
-use crate::sched::{FaultPlan, SchedReport, SimScheduler};
+use crate::sched::{client_names, FaultPlan, SchedReport, SimScheduler};
 
 /// Keyspace per partition-mapped table — tiny, so the hot set collides
 /// and fused epochs repeat keys.
@@ -173,15 +173,10 @@ pub fn run_part_sim(cfg: &PartSimConfig) -> PartSimOutcome {
     };
     let pcfg = mk_pcfg();
 
-    // Barrier = every partition's workers (the engine enrolls them under
+    // Barrier = every partition's threads (the engine enrolls them under
     // its per-partition sim prefix) + the sequencer + the client.
-    let mut names: Vec<String> = Vec::new();
-    for p in 0..cfg.parts {
-        names.extend((0..cfg.n_cc).map(|i| format!("p{p}.cc{i}")));
-        names.extend((0..cfg.n_exec).map(|i| format!("p{p}.exec{i}")));
-    }
-    names.push("partseq".to_string());
-    names.push("client".to_string());
+    let mut names = pcfg.thread_names();
+    names.extend(client_names(1));
     let sched = Arc::new(SimScheduler::new(cfg.seed, names, cfg.plan.clone(), false));
     sim::install(Arc::<SimScheduler>::clone(&sched));
 

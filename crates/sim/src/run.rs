@@ -19,7 +19,7 @@ use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
 use orthrus_workload::{MicroSpec, Spec, TpccSpec};
 
-use crate::sched::{FaultPlan, SchedReport, SimScheduler};
+use crate::sched::{client_names, FaultPlan, SchedReport, SimScheduler};
 
 /// Flat-keyspace size for the micro workloads (small: more contention).
 pub(crate) const N_RECORDS: u64 = 32;
@@ -112,13 +112,14 @@ impl SimConfig {
             _ => DurabilityMode::LogFsync,
         };
         // Rung-2 knobs: LogFsync seeds split between inline per-run
-        // syncs and the group coordinator (both pause shapes); any
-        // durable seed may also run the fuzzy checkpointer. Tiny
-        // cadence so even short runs cross a checkpoint boundary.
+        // syncs and the group coordinator; any durable seed may also run
+        // the fuzzy checkpointer. Tiny cadence so even short runs cross
+        // a checkpoint boundary. (The third outcome was a fixed-cadence
+        // coordinator; it stays drawn so every seed keeps deriving the
+        // rest of its configuration from the same RNG stream.)
         let sync_interval = match rng.next_below(3) {
             0 => SyncInterval::PerRun,
-            1 => SyncInterval::Adaptive,
-            _ => SyncInterval::FixedMicros(50),
+            _ => SyncInterval::Adaptive,
         };
         let checkpoint_bytes = (durability.is_on() && rng.chance_percent(50)).then_some(192);
         // TPC-C keeps the paper's warehouse partitioning; the shared
@@ -304,17 +305,12 @@ pub fn run_sim_guided(
         ocfg.checkpoint_bytes = cfg.checkpoint_bytes;
     }
 
-    // The registration barrier must match the enrolled set exactly, so
-    // mirror the engine's aux-thread spawn conditions: the group-sync
-    // coordinator runs only under fsync durability with a grouped
-    // interval, the checkpointer whenever a cadence is configured.
-    let mut names = SimScheduler::engine_names_with_clients(cfg.n_cc, cfg.n_exec, cfg.n_clients);
-    if ocfg.durability == DurabilityMode::LogFsync && ocfg.sync_interval.is_group() {
-        names.push("sync".to_string());
-    }
-    if ocfg.durability.is_on() && ocfg.checkpoint_bytes.is_some() {
-        names.push("ckpt".to_string());
-    }
+    // The registration barrier must match the enrolled set exactly: the
+    // engine's own thread list, with the clients between its workers and
+    // its companions.
+    let (mut names, companions) = ocfg.thread_names();
+    names.extend(client_names(cfg.n_clients));
+    names.extend(companions);
     let mut sched = SimScheduler::new(cfg.seed, names, cfg.plan.clone(), keep_trace);
     if let Some(snap) = snapshot {
         sched = sched.with_coverage(snap);

@@ -413,6 +413,15 @@ fn fold_step(mut h: u64, thread: usize, kind: &StepKind) -> u64 {
     h
 }
 
+/// The names `n` driving client threads enroll under: `client`,
+/// `client1`, …. A participant list is an engine's own thread list
+/// (`OrthrusConfig::thread_names`) with these between its workers and
+/// its companions.
+pub fn client_names(n: usize) -> impl Iterator<Item = String> {
+    assert!(n >= 1, "a run needs a driving client");
+    std::iter::once("client".to_string()).chain((1..n).map(|i| format!("client{i}")))
+}
+
 /// The seeded scheduler. Install with `orthrus_common::sim::install`,
 /// then start the engine and enroll the client; see `crate::run_sim`.
 pub struct SimScheduler {
@@ -481,24 +490,6 @@ impl SimScheduler {
     pub fn with_coverage(mut self, snapshot: HashSet<u64>) -> Self {
         self.snapshot = Some(snapshot);
         self
-    }
-
-    /// The canonical participant list for an engine shape plus
-    /// `n_clients` driving client threads (`client`, `client1`, …).
-    pub fn engine_names_with_clients(n_cc: usize, n_exec: usize, n_clients: usize) -> Vec<String> {
-        assert!(n_clients >= 1, "a run needs a driving client");
-        let mut names = Vec::with_capacity(n_cc + n_exec + n_clients);
-        names.extend((0..n_cc).map(|i| format!("cc{i}")));
-        names.extend((0..n_exec).map(|i| format!("exec{i}")));
-        names.push("client".to_string());
-        names.extend((1..n_clients).map(|i| format!("client{i}")));
-        names
-    }
-
-    /// The canonical participant list for an engine shape plus the one
-    /// driving client thread.
-    pub fn engine_names(n_cc: usize, n_exec: usize) -> Vec<String> {
-        Self::engine_names_with_clients(n_cc, n_exec, 1)
     }
 
     /// The participant names, in id order.

@@ -151,52 +151,47 @@ fn delayed_grants_with_durability_replay_cleanly() {
 /// bit-identically from the seed.
 #[test]
 fn group_fsync_and_checkpoints_replay_deterministically_under_faults() {
-    for interval in [SyncInterval::Adaptive, SyncInterval::FixedMicros(50)] {
-        let cfg = SimConfig {
-            seed: 11,
-            txns: 32,
-            n_cc: 2,
-            n_exec: 2,
-            max_inflight: 3,
-            flush_threshold: 4,
-            ingest_capacity: 16,
-            admission: AdmissionPolicy::ConflictBatch {
-                classes: 4,
-                batch: 4,
-            },
-            durability: DurabilityMode::LogFsync,
-            sync_interval: interval,
-            checkpoint_bytes: Some(192),
-            shared_table: false,
-            forwarding: true,
-            workload: WorkloadKind::MicroHot,
-            n_clients: 1,
-            keep: None,
-            poison: None,
-            plan: FaultPlan {
-                delay_pct: 30,
-                deny_push_pct: 10,
-                shuffle_lanes: true,
-                ..FaultPlan::default()
-            },
-        };
-        let a = run_sim(&cfg, false);
-        assert!(a.violations.is_empty(), "{interval:?}: {:?}", a.violations);
-        assert!(
-            a.thread_names.iter().any(|n| n == "sync"),
-            "coordinator not enrolled"
-        );
-        assert!(
-            a.thread_names.iter().any(|n| n == "ckpt"),
-            "checkpointer not enrolled"
-        );
-        let b = run_sim(&cfg, false);
-        assert_eq!(
-            a.trace_hash, b.trace_hash,
-            "{interval:?}: schedule diverged"
-        );
-        assert_eq!(a.state_digest, b.state_digest);
-    }
+    let cfg = SimConfig {
+        seed: 11,
+        txns: 32,
+        n_cc: 2,
+        n_exec: 2,
+        max_inflight: 3,
+        flush_threshold: 4,
+        ingest_capacity: 16,
+        admission: AdmissionPolicy::ConflictBatch {
+            classes: 4,
+            batch: 4,
+        },
+        durability: DurabilityMode::LogFsync,
+        sync_interval: SyncInterval::Adaptive,
+        checkpoint_bytes: Some(192),
+        shared_table: false,
+        forwarding: true,
+        workload: WorkloadKind::MicroHot,
+        n_clients: 1,
+        keep: None,
+        poison: None,
+        plan: FaultPlan {
+            delay_pct: 30,
+            deny_push_pct: 10,
+            shuffle_lanes: true,
+            ..FaultPlan::default()
+        },
+    };
+    let a = run_sim(&cfg, false);
+    assert!(a.violations.is_empty(), "{:?}", a.violations);
+    assert!(
+        a.thread_names.iter().any(|n| n == "sync"),
+        "coordinator not enrolled"
+    );
+    assert!(
+        a.thread_names.iter().any(|n| n == "ckpt"),
+        "checkpointer not enrolled"
+    );
+    let b = run_sim(&cfg, false);
+    assert_eq!(a.trace_hash, b.trace_hash, "schedule diverged");
+    assert_eq!(a.state_digest, b.state_digest);
 }
 
 /// Above sixteen in flight the execution threads walk their depth from

@@ -15,11 +15,16 @@
 //! and dropped on the execution thread (DESIGN.md, "Nothing is allocated
 //! per transaction").
 //!
+//! The submitting thread's own allocations are counted apart, around the
+//! submit calls themselves: entering an ingest lane allocates nothing,
+//! one request or a queue of them.
+//!
 //! One `#[test]`, so that the harness's own threads sit still while it
 //! runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,12 +47,23 @@ thread_local! {
     /// Const-initialised and without a destructor: reading it never
     /// allocates, so the allocator may.
     static EXEMPT: Cell<bool> = const { Cell::new(false) };
+    /// What this thread allocated while exempt.
+    static OWN: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
-    if !EXEMPT.try_with(Cell::get).unwrap_or(true) {
+    if EXEMPT.try_with(Cell::get) == Ok(false) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    } else {
+        let _ = OWN.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// `f()`, and how many allocations the calling (exempt) thread made in it.
+fn own_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = OWN.with(Cell::get);
+    let out = f();
+    (out, OWN.with(Cell::get) - before)
 }
 
 // SAFETY: every request goes to `System` unchanged; counting touches an
@@ -158,6 +174,37 @@ fn windows(db: Database, cfg: OrthrusConfig, spec: Spec, at_most: usize) -> Vec<
     seen
 }
 
+/// `try_submit` and a queue submit allocate nothing: the lane push
+/// stages a queue's run in a buffer sized for a full lane, and moves the
+/// caller's programs, which it allocated beforehand.
+fn submit_calls_allocate_nothing() {
+    let cfg = OrthrusConfig::with_threads(1, 2, CcAssignment::KeyModulo);
+    let db = Arc::new(Database::Flat(Table::new(1_000, 64)));
+    let mut handle = OrthrusEngine::service(db, cfg).start(7);
+    let session = handle.session();
+    let rmw = |key: u64| Program::Rmw { keys: vec![key] };
+    let mut queue: VecDeque<(u64, Program)> = VecDeque::with_capacity(64);
+    let mut drained = Vec::with_capacity(1_024);
+    for round in 0..4 {
+        // Requests for both lanes, in runs of every length.
+        queue.extend((0..64).map(|i| (i, rmw(i * i % 97))));
+        let (taken, n) = own_allocations(|| session.try_submit_queue(&mut queue, 1));
+        assert_eq!((taken, n), (Ok(64), 0), "queue submit, round {round}");
+        let program = rmw(round);
+        let (ticket, n) = own_allocations(|| session.try_submit(program));
+        assert!(ticket.is_ok(), "round {round}: {ticket:?}");
+        assert_eq!(n, 0, "try_submit, round {round}");
+        // Both lanes drain before the next round.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while (drained.len() as u64) < session.accepted() {
+            assert!(Instant::now() < deadline, "the engine stopped answering");
+            handle.wait_completions(Duration::from_millis(10), || false);
+            handle.drain_completions(&mut drained);
+        }
+    }
+    handle.shutdown();
+}
+
 fn tpcc_config() -> TpccConfig {
     TpccConfig {
         customers_per_district: 300,
@@ -170,6 +217,7 @@ fn tpcc_config() -> TpccConfig {
 #[test]
 fn steady_state_allocates_nothing_on_engine_threads() {
     EXEMPT.with(|e| e.set(true));
+    submit_calls_allocate_nothing();
     type Case = (&'static str, fn() -> (Database, OrthrusConfig, Spec));
     let zero: [Case; 4] = [
         ("10-key Rmw, 2 CC + 1 exec, forwarding", || {

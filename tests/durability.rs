@@ -410,6 +410,44 @@ fn injected_append_failure_fails_a_closed_loop_run_without_leaking_threads() {
     assert_eq!(live_threads("leak."), Vec::<String>::new(), "leaked");
 }
 
+/// Fail-stop at two execution threads: every transaction locks the one
+/// record, and when one execution thread dies in its append holding it,
+/// its peer abandons its in-flight work instead of waiting forever for
+/// grants. A watchdog turns a hang into a failure.
+#[cfg(target_os = "linux")]
+#[test]
+fn injected_append_failure_fails_a_two_exec_run_on_one_key_without_leaking_threads() {
+    let _serial = common::serial();
+    let scratch = TempDir::new("append-fault-two-exec");
+    let db = Arc::new(Database::Flat(Table::new(1, 64)));
+    let mut cfg = OrthrusConfig::with_threads(1, 2, CcAssignment::KeyModulo)
+        .with_durability(DurabilityMode::LogFsync, scratch.path());
+    cfg.checkpoint_bytes = Some(1 << 30);
+    cfg.sim_prefix = "leak2.".to_string();
+    let (workers, companions) = cfg.thread_names();
+    assert_eq!(workers, ["leak2.cc0", "leak2.exec0", "leak2.exec1"]);
+    assert_eq!(companions, ["leak2.sync", "leak2.ckpt"]);
+    let spec = Spec::Micro(MicroSpec::uniform(1, 1, false));
+    let engine = OrthrusEngine::new(db, spec, cfg);
+
+    let _armed = ArmedRegistry::arm(FP_APPEND, FailAction::Err, Some(1));
+    let params = RunParams::quick(0);
+    let watchdog = params.warmup + params.measure + Duration::from_secs(10);
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.run(&params)));
+        let _ = done.send(outcome.map(drop));
+    });
+    let outcome = (outcome.recv_timeout(watchdog))
+        .expect("the run hangs: the live execution thread waits for its dead peer's locks");
+    let payload = outcome.expect_err("a run that lost an execution thread must not succeed");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("run fails with a formatted message");
+    assert!(msg.contains("append"), "should name the append: {msg:?}");
+    assert_eq!(live_threads("leak2."), Vec::<String>::new(), "leaked");
+}
+
 /// A torn append scripted mid-stream through the registry — the write
 /// lands only a 7-byte prefix of the frame, something the offline
 /// truncation harness cannot do against a *live* engine: recovery drops
