@@ -73,11 +73,17 @@ pub struct ThreadStats {
     /// amortization factor; post-stop drain appends happen but are not
     /// counted here.
     pub log_records: u64,
+    /// Command-log writes those records went out in (one per execution
+    /// thread's quantum, or per publish that had records behind it);
+    /// windowed like `log_records`, so `log_records / log_writes` is the
+    /// records per write.
+    pub log_writes: u64,
     /// Command-log bytes appended (record framing included).
     pub log_bytes: u64,
-    /// Command-log fsyncs issued (`log+fsync` mode only). Under the
-    /// group-sync coordinator this counts the *coordinator's* coalesced
-    /// fsyncs (merged into the run totals), not per-append flushes.
+    /// Command-log fsyncs issued (`log+fsync` mode only): one per write
+    /// under per-run sync. Under the group-sync coordinator this counts
+    /// the *coordinator's* coalesced fsyncs (merged into the run
+    /// totals), not per-write flushes.
     pub log_flushes: u64,
     /// Group fsyncs issued by the sync coordinator (0 under per-run
     /// sync). `log_synced_appends / log_group_syncs` is the
@@ -149,6 +155,7 @@ impl ThreadStats {
         self.admission_switches += other.admission_switches;
         self.cycles_found += other.cycles_found;
         self.log_records += other.log_records;
+        self.log_writes += other.log_writes;
         self.log_bytes += other.log_bytes;
         self.log_flushes += other.log_flushes;
         self.log_group_syncs += other.log_group_syncs;
@@ -382,6 +389,16 @@ impl RunStats {
         self.totals.log_fsync_wait.quantile_ns(0.99) as f64 / 1_000.0
     }
 
+    /// Command-log records per write — how many runs an execution
+    /// thread's write carries (0.0 when nothing was logged).
+    pub fn records_per_write(&self) -> f64 {
+        if self.totals.log_writes == 0 {
+            0.0
+        } else {
+            self.totals.log_records as f64 / self.totals.log_writes as f64
+        }
+    }
+
     /// Appended records per coordinator fsync — the group-commit
     /// coalescing factor (0.0 when no group syncs ran).
     pub fn coalesced_appends_per_sync(&self) -> f64 {
@@ -480,6 +497,7 @@ mod tests {
             admission_switches: 2,
             cycles_found: 1,
             log_records: 4,
+            log_writes: 2,
             log_bytes: 64,
             log_flushes: 3,
             log_group_syncs: 2,
@@ -508,6 +526,7 @@ mod tests {
         assert_eq!(b.inflight_cap_max, 32, "a maximum, not a sum");
         assert_eq!(b.admission_switches, 4);
         assert_eq!(b.log_records, 8);
+        assert_eq!(b.log_writes, 4);
         assert_eq!(b.log_bytes, 128);
         assert_eq!(b.log_flushes, 6);
         assert_eq!(b.log_group_syncs, 4);
@@ -555,6 +574,16 @@ mod tests {
         assert!((rs.coalesced_appends_per_sync() - 3.5).abs() < 1e-9);
         let empty = RunStats::collect(&[], Duration::from_secs(1));
         assert_eq!(empty.coalesced_appends_per_sync(), 0.0);
+        assert_eq!(empty.records_per_write(), 0.0);
+        let writes = RunStats::collect(
+            &[ThreadStats {
+                log_records: 12,
+                log_writes: 5,
+                ..Default::default()
+            }],
+            Duration::from_secs(1),
+        );
+        assert!((writes.records_per_write() - 2.4).abs() < 1e-9);
         assert_eq!(empty.fsync_wait_p50_us(), 0.0);
     }
 

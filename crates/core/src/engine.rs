@@ -165,9 +165,9 @@ struct CcEndpoints {
 }
 
 /// Endpoints handed to one execution thread at startup.
-struct ExecEndpoints {
-    fanin: FanIn<ExecResponse>,
-    to_cc: Vec<Producer<CcRequest>>,
+pub(crate) struct ExecEndpoints {
+    pub(crate) fanin: FanIn<ExecResponse>,
+    pub(crate) to_cc: Vec<Producer<CcRequest>>,
 }
 
 /// The assembled engine.
@@ -358,7 +358,11 @@ impl OrthrusEngine {
             (source, Some((done_tx, Arc::clone(&completion_bell))))
         });
         EngineHandle {
-            submit: Arc::new(SubmitShared::new(ingest, Arc::clone(&workers.bells.exec))),
+            submit: Arc::new(SubmitShared::new(
+                ingest,
+                Arc::clone(&workers.bells.exec),
+                Arc::clone(&workers.ctl),
+            )),
             workers,
             completions,
             completion_bell,
@@ -509,10 +513,10 @@ impl Workers {
                     ex as u16,
                     cfg.ollp_noise_pct,
                 );
-                crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, bells, admit)
+                crate::exec::ExecThread::new(ex as u16, &db, &cfg, &ctl, ep, bells, admit)
                     .with_completions(completions)
                     .with_log(log)
-                    .run(&ctl, &active)
+                    .run(&active)
             });
             threads.push((name, thread));
         }
@@ -976,6 +980,20 @@ fn run_cc(
     ctl: &RunCtl,
     active_execs: &AtomicUsize,
 ) -> ThreadStats {
+    // A dying CC thread grants and forwards nothing more, so an execution
+    // thread waiting on it, or publishing into its full inbox, would wait
+    // forever. Its unwind raises `RunCtl::mark_failed`, as an execution
+    // thread's does, and rings every bell: a parked peer polls nothing.
+    struct FailOnUnwind<'g>(&'g RunCtl, Bells);
+    impl Drop for FailOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.mark_failed();
+                self.1.ring_all();
+            }
+        }
+    }
+    let _unwind = FailOnUnwind(ctl, ep.bells.clone());
     let mut stats = ThreadStats::default();
     let mut out: Vec<OutMsg> = Vec::with_capacity(16);
     let drain_budget = flush_threshold;
@@ -1967,6 +1985,10 @@ mod tests {
             stats.totals.log_records <= stats.totals.committed_all,
             "group commit: at most one record per commit"
         );
+        assert!(
+            0 < stats.totals.log_writes && stats.totals.log_writes <= stats.totals.log_records,
+            "a write carries one record or more"
+        );
         assert!(stats.totals.log_bytes > 0);
         assert_eq!(stats.totals.log_flushes, 0, "`log` mode must not fsync");
         drop(engine); // release the writer before recovery repairs the log
@@ -1987,10 +2009,11 @@ mod tests {
     }
 
     /// `log+fsync` with per-run sync (durability rung 1): completions
-    /// release only after the inline fsync, and the fsync count equals
-    /// the record count (one group-commit flush per fused run).
+    /// release only after the inline fsync, and there is one fsync per
+    /// write — a write carries every run one quantum committed, so at
+    /// most one per record.
     #[test]
-    fn fsync_mode_flushes_once_per_record() {
+    fn fsync_mode_flushes_once_per_write() {
         let _serial = crate::test_serial();
         let scratch = TempDir::new("engine-fsync");
         let db = Arc::new(Database::Flat(Table::new(64, 64)));
@@ -2000,8 +2023,9 @@ mod tests {
         cfg.sync_interval = orthrus_durability::SyncInterval::PerRun;
         let stats = OrthrusEngine::new(Arc::clone(&db), spec, cfg).run(&quick());
         assert!(stats.totals.committed_all > 0);
-        assert_eq!(stats.totals.log_flushes, stats.totals.log_records);
-        assert!(stats.totals.log_records > 0);
+        assert!(stats.totals.log_writes > 0);
+        assert_eq!(stats.totals.log_flushes, stats.totals.log_writes);
+        assert!(stats.totals.log_writes <= stats.totals.log_records);
         assert_eq!(stats.totals.log_group_syncs, 0, "no coordinator spawned");
     }
 

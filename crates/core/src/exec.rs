@@ -31,13 +31,14 @@ use std::sync::Arc;
 
 use orthrus_common::runtime::RunCtl;
 use orthrus_common::{Backoff, Doorbell, Phase, PhaseTimer, ThreadStats};
+use orthrus_durability::codec::frame_run;
 use orthrus_durability::{CommandLog, LoggedCommit};
 use orthrus_spsc::{FanIn, Producer};
 use orthrus_txn::{execute_planned, AbortKind, AccessSet, Database};
 
 use crate::admit::{Admitted, Admitter, DEFAULT_CLASS_BATCH};
 use crate::config::OrthrusConfig;
-use crate::engine::{publish, Bells};
+use crate::engine::{publish, Bells, ExecEndpoints};
 use crate::msg::{CcRequest, ExecResponse, Token};
 use crate::plan::{LockPlan, PlanPool, PlanScratch};
 use crate::source::{Completion, Reply, TxnSource};
@@ -166,6 +167,9 @@ pub struct ExecThread<'a, S: TxnSource> {
     exec_id: u16,
     db: &'a Database,
     cfg: &'a OrthrusConfig,
+    /// The engine's run-control flags: stop, measure, and whether a peer
+    /// died (then a full ring to it is never drained again).
+    ctl: &'a RunCtl,
     to_cc: Vec<Producer<CcRequest>>,
     from_cc: FanIn<ExecResponse>,
     /// The engine's inbox doorbells: `bells.cc[cc]` is rung after every
@@ -187,18 +191,23 @@ pub struct ExecThread<'a, S: TxnSource> {
     /// closed-loop (synthetic) runs.
     completions: Option<CompletionSink>,
     /// The engine's command log (durability on): one record per fused
-    /// run, appended **while the run's locks are still held** — see
-    /// [`Self::on_response`] for the ordering contract. `None` when
+    /// run, written **before the run's lock releases leave this thread**
+    /// — see [`Self::write_log`] for the ordering contract. `None` when
     /// durability is off.
     log: Option<Arc<CommandLog>>,
-    /// Committed programs of the current run awaiting their group-commit
-    /// append (reused across runs; empty whenever `log` is `None`).
+    /// Committed programs of the current run awaiting their record
+    /// (reused across runs; empty whenever `log` is `None`).
     log_batch: Vec<LoggedCommit>,
-    /// The current run's commits awaiting latency stamping and (for
-    /// ticketed work) completion delivery. Latency is stamped — and the
-    /// completion released — only after the run's group-commit append
-    /// (and fsync, under `log+fsync`), so commit latency includes the
-    /// durability wait ("true commit latency").
+    /// The records of the runs this quantum committed, framed back to
+    /// back, not yet written ([`Self::write_log`]); reused across quanta.
+    log_buf: Vec<u8>,
+    /// How many records `log_buf` holds.
+    log_records: u64,
+    /// Commits awaiting latency stamping and (for ticketed work)
+    /// completion delivery. With the log on, they wait here until the
+    /// write carrying their records (and its fsync, under per-run
+    /// `log+fsync`), so commit latency includes the durability wait
+    /// ("true commit latency").
     commit_batch: Vec<(Option<Reply>, std::time::Instant)>,
     /// Group-sync mode (`log+fsync` with a sync coordinator): `true`
     /// when appends publish a watermark instead of fsyncing inline, and
@@ -245,8 +254,6 @@ pub struct ExecThread<'a, S: TxnSource> {
     plan_scratch: PlanScratch,
     /// The union footprint of a multi-transaction run, rebuilt per run.
     fused: AccessSet,
-    /// The command-log record of the current run, encoded here.
-    log_buf: Vec<u8>,
 }
 
 impl<'a, S: TxnSource> ExecThread<'a, S> {
@@ -254,20 +261,21 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         exec_id: u16,
         db: &'a Database,
         cfg: &'a OrthrusConfig,
-        to_cc: Vec<Producer<CcRequest>>,
-        from_cc: FanIn<ExecResponse>,
+        ctl: &'a RunCtl,
+        ep: ExecEndpoints,
         bells: Bells,
         admit: Admitter<S>,
     ) -> Self {
         let ceiling = cfg.max_inflight.max(1);
-        let n_cc = to_cc.len();
+        let n_cc = ep.to_cc.len();
         let flush = cfg.effective_flush_threshold();
         ExecThread {
             exec_id,
             db,
             cfg,
-            to_cc,
-            from_cc,
+            ctl,
+            to_cc: ep.to_cc,
+            from_cc: ep.fanin,
             bells,
             slots: (0..ceiling).map(|_| None).collect(),
             // Validated: the ceiling is at most 65 536, every slot a u16.
@@ -278,6 +286,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             completions: None,
             log: None,
             log_batch: Vec::new(),
+            log_buf: Vec::new(),
+            log_records: 0,
             commit_batch: Vec::new(),
             group_sync: false,
             pending_durable: std::collections::VecDeque::new(),
@@ -291,7 +301,6 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             plans: PlanPool::default(),
             plan_scratch: PlanScratch::new(),
             fused: AccessSet::default(),
-            log_buf: Vec::new(),
         }
     }
 
@@ -309,7 +318,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     }
 
     /// Attach the engine's command log (durability on): every committed
-    /// run appends one record before its locks and completions release.
+    /// run has one record written before its locks and completions
+    /// release.
     pub fn with_log(mut self, log: Option<Arc<CommandLog>>) -> Self {
         self.group_sync = log.as_ref().is_some_and(|l| l.group_sync());
         self.log = log;
@@ -373,10 +383,55 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         }
     }
 
-    /// Publish `cc`'s staged requests and ring its bell.
+    /// Publish `cc`'s staged requests and ring its bell — after writing
+    /// the log records they may release locks over ([`Self::write_log`]).
+    /// A dead CC thread never drains its ring again: once a peer has
+    /// died, what does not fit is dropped.
     fn publish_to(&mut self, cc: usize) {
-        let bell = &self.bells.cc[cc];
-        publish(&mut self.to_cc[cc], &mut self.send_buf[cc], bell, || false);
+        self.write_log();
+        let (bell, ctl) = (&self.bells.cc[cc], self.ctl);
+        publish(&mut self.to_cc[cc], &mut self.send_buf[cc], bell, || {
+            ctl.is_failed()
+        });
+    }
+
+    /// Write every record this thread has framed since its last write,
+    /// with one `write`, then stamp and hand out the commits waiting on
+    /// it. Called before anything that depends on those records leaves
+    /// the thread: before any publish (a lock release is a message in a
+    /// send buffer until then) and, once per quantum, before the
+    /// quantum's completions are handed out and before the loop decides
+    /// whether it is finished. So a run's record is written while its
+    /// locks are still held — not early lock release: the releases only
+    /// wait where they already waited, in the send buffers — and log
+    /// order is conflict order: a conflicting successor cannot be
+    /// granted, let alone write, before our release is published (see
+    /// DESIGN.md, "When a record reaches the OS").
+    ///
+    /// # Panics
+    /// When the write fails: the durability contract for these
+    /// already-executed commits just broke, and this thread has no way
+    /// to un-execute them. The panic surfaces as a typed
+    /// `EngineError::WorkerPanicked` at shutdown.
+    fn write_log(&mut self) {
+        let Some(log) = self.log.as_ref().filter(|_| self.log_records > 0) else {
+            return;
+        };
+        let receipt = (log.append_frames(&self.log_buf, self.log_records))
+            .unwrap_or_else(|e| panic!("command-log append failed: {e}"));
+        // Stat counters share the `committed` window (post-stop drain
+        // writes still happen — durability — but don't count), so
+        // `committed / log_records` is an unbiased amortization factor in
+        // both run modes.
+        if !self.post_stop {
+            self.stats.log_records += self.log_records;
+            self.stats.log_writes += 1;
+            self.stats.log_bytes += receipt.bytes;
+            self.stats.log_flushes += u64::from(receipt.synced);
+        }
+        self.log_buf.clear();
+        self.log_records = 0;
+        self.complete_batch(receipt.lsn);
     }
 
     /// Hand a ticketed commit's completion to the client, parking it in
@@ -490,7 +545,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// queued when shutdown began. Unless a peer thread died
     /// ([`RunCtl::is_failed`]): then this one leaves at once, abandoning
     /// what it has in flight (fail-stop).
-    pub fn run(mut self, ctl: &RunCtl, active_execs: &AtomicUsize) -> ThreadStats {
+    pub fn run(mut self, active_execs: &AtomicUsize) -> ThreadStats {
+        let ctl = self.ctl;
         // Decrement on every exit path, unwinding included: a panicking
         // exec thread must not leave CC threads waiting forever on an
         // `active_execs` count that can no longer reach zero. The same
@@ -548,6 +604,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                     self.cap.held_back();
                 }
             }
+            // The quantum's records go out before its completions do.
+            self.write_log();
             // Durable-release pass: commits whose covering group fsync
             // landed since the last quantum become client-visible now.
             progress |= self.release_durable() > 0;
@@ -593,6 +651,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             }
         }
         debug_assert!(self.send_buf.iter().all(|b| b.is_empty()));
+        debug_assert!(self.log_records == 0 && self.commit_batch.is_empty());
         timer.finish(&mut self.stats);
         // Lifetime counter (like `committed_all`): how often adaptive
         // admission switched policy over the whole run.
@@ -765,8 +824,9 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     }
 
     /// Execute `txns` back-to-back — their locks are held, or they need
-    /// none — then log the run and stamp and deliver its commits. Drains
-    /// `txns`; OLLP mismatches move to `retries`, everything else commits.
+    /// none — then frame the run's record for the quantum's write (log
+    /// on) or stamp and deliver its commits (log off). Drains `txns`;
+    /// OLLP mismatches move to `retries`, everything else commits.
     fn commit_run(
         &mut self,
         txns: &mut Vec<Admitted>,
@@ -802,53 +862,36 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             }
         }
         timer.switch(&mut self.stats, Phase::Locking);
-        // Group commit, ordered for crash consistency: the run's record
-        // is appended (and, in `log+fsync` mode, made durable) while the
-        // run's locks are still held and before any completion releases.
-        // Holding the locks across the append makes the log order
-        // conflict-consistent — a conflicting successor cannot execute,
-        // let alone log, until our releases land; gating the completions
-        // makes "client saw it commit" imply "record covers it".
-        let mut append_lsn = 0u64;
-        if let Some(log) = &self.log {
-            if !self.log_batch.is_empty() {
-                // Panic on failure: the durability contract for these
-                // already-executed commits just broke, and this thread
-                // has no way to un-execute them. The panic surfaces as a
-                // typed `EngineError::WorkerPanicked` at shutdown.
-                let receipt = log
-                    .append_run_into(&mut self.log_batch, &mut self.log_buf)
-                    .unwrap_or_else(|e| panic!("command-log append failed: {e}"));
-                append_lsn = receipt.lsn;
-                // Stat counters share the `committed` window (post-stop
-                // drain appends still happen — durability — but don't
-                // count), so `committed / log_records` is an unbiased
-                // amortization factor in both run modes.
-                if !self.post_stop {
-                    self.stats.log_records += 1;
-                    self.stats.log_bytes += receipt.bytes;
-                    self.stats.log_flushes += u64::from(receipt.synced);
-                }
-            }
+        if self.log.is_none() {
+            self.complete_batch(0);
+        } else if !self.log_batch.is_empty() {
+            // Group commit: one record for the run, framed now beside the
+            // quantum's others and written by `write_log` before the
+            // run's releases or completions leave this thread.
+            frame_run(&self.log_batch, &mut self.log_buf);
+            self.log_batch.clear();
+            self.log_records += 1;
         }
-        // Commit point: stamp latency and release completions *now* —
-        // after the append/fsync — so under `log+fsync` the histograms
-        // carry the durability wait. The clock is read once: every
-        // member of a run commits at the run's release point, which is
-        // when its completion becomes client-visible — run-mates'
-        // execution time is genuinely part of that latency.
-        //
-        // Group-sync mode inverts the flush: the append only published a
-        // watermark, so the run's completions park in `pending_durable`
-        // until the coordinator's fsync covers `append_lsn` — the lock
-        // releases still go out now (the paper's early lock release:
-        // successors may execute, they just can't report before their
-        // own later log position syncs).
+    }
+
+    /// Commit point of everything in `commit_batch`: stamp latency and
+    /// release completions *now* — after the write (and per-run fsync)
+    /// covering them, at log sequence number `lsn`, or at once with the
+    /// log off — so under `log+fsync` the histograms carry the durability
+    /// wait. The clock is read once: every commit in the batch becomes
+    /// client-visible here, and the wait for its run-mates' execution and
+    /// the write is genuinely part of its latency.
+    ///
+    /// Group-sync mode inverts the flush: the write only published a
+    /// watermark, so the completions park in `pending_durable` until the
+    /// coordinator's fsync covers `lsn`; the lock releases still go out
+    /// (successors may execute, they just can't report before their own
+    /// later log position syncs).
+    fn complete_batch(&mut self, lsn: u64) {
         let now = std::time::Instant::now();
         if self.group_sync {
             for (reply, started) in self.commit_batch.drain(..) {
-                self.pending_durable
-                    .push_back((reply, started, now, append_lsn));
+                self.pending_durable.push_back((reply, started, now, lsn));
             }
             self.release_durable();
         } else {

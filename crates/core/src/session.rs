@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use orthrus_common::runtime::RunCtl;
 use orthrus_common::{fx_hash_u64, Backoff, Doorbell};
 use orthrus_spsc::Producer;
 use orthrus_txn::Program;
@@ -105,8 +106,9 @@ impl std::fmt::Display for TrySubmitError {
     }
 }
 
-/// The engine has begun shutting down and accepts nothing more (what
-/// [`Session::try_submit_queue`] reports; the requests stay queued).
+/// The engine has begun shutting down, or one of its threads died, and
+/// it accepts nothing more (what [`Session::try_submit_queue`] reports;
+/// the requests stay queued).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineClosed;
 
@@ -119,6 +121,10 @@ pub(crate) struct SubmitShared {
     /// when idle; rung after every push into the lane.
     bells: Arc<[Doorbell]>,
     accepting: AtomicBool,
+    /// The engine's run-control flags: once a thread has died
+    /// ([`RunCtl::is_failed`]) nothing drains the lanes any more, so a
+    /// push is refused as if the engine were closed.
+    ctl: Arc<RunCtl>,
     /// Ticket-id mint, bumped only for *accepted* submissions (room is
     /// counted under the lane lock before minting), so ids are dense and
     /// the counter doubles as the conservation ledger completions are
@@ -128,7 +134,11 @@ pub(crate) struct SubmitShared {
 }
 
 impl SubmitShared {
-    pub(crate) fn new(lanes: Vec<Producer<Submission>>, bells: Arc<[Doorbell]>) -> Self {
+    pub(crate) fn new(
+        lanes: Vec<Producer<Submission>>,
+        bells: Arc<[Doorbell]>,
+        ctl: Arc<RunCtl>,
+    ) -> Self {
         assert!(!lanes.is_empty(), "validated by OrthrusConfig (n_exec ≥ 1)");
         assert_eq!(lanes.len(), bells.len(), "one bell per ingest lane");
         let lanes = lanes.into_iter().map(|ring| {
@@ -139,6 +149,7 @@ impl SubmitShared {
             lanes: lanes.collect(),
             bells,
             accepting: AtomicBool::new(true),
+            ctl,
             next_ticket: AtomicU64::new(0),
             round_robin: AtomicUsize::new(0),
         }
@@ -176,7 +187,7 @@ impl SubmitShared {
     }
 
     /// The one way into an ingest lane. Locks `lane`, refuses if the
-    /// engine is closed, and when the lane has room asks
+    /// engine is closed or failed, and when the lane has room asks
     /// `wanted(requests, room)` how many of the caller's `requests` it
     /// wants in (≥ 1). It takes `k = min(room, wanted)`: mints `k` dense
     /// tickets with one `fetch_add`, pushes the `k` requests
@@ -200,7 +211,7 @@ impl SubmitShared {
         // the ingest ring does.
         let submitted = Instant::now();
         let mut guard = lock_lane(&self.lanes[lane]);
-        if !self.accepting.load(Ordering::SeqCst) {
+        if !self.accepting.load(Ordering::SeqCst) || self.ctl.is_failed() {
             return Err(EngineClosed);
         }
         let Lane { ring, stage } = &mut *guard;
@@ -361,7 +372,8 @@ impl Session {
 
     /// Submit, backing off while the destination ring is full (the
     /// open-loop driver's saturation behaviour: offered load beyond
-    /// engine capacity queues here). Errors only on shutdown.
+    /// engine capacity queues here). Errors only on shutdown — or once an
+    /// engine thread has died, when the lanes will never drain again.
     ///
     /// Every fruitless attempt is one [`Backoff::snooze`]: a yield that
     /// hands a shared core to the engine thread that has to drain the
@@ -407,7 +419,8 @@ mod tests {
             consumers.push(c);
         }
         let bells = (0..lanes).map(|_| Doorbell::new()).collect();
-        (Arc::new(SubmitShared::new(producers, bells)), consumers)
+        let shared = SubmitShared::new(producers, bells, Arc::new(RunCtl::new()));
+        (Arc::new(shared), consumers)
     }
 
     fn rmw(key: u64) -> Program {
@@ -544,6 +557,24 @@ mod tests {
         }
         assert_eq!(s.accepted(), 1);
         assert_eq!(consumers.iter().map(Consumer::len).sum::<usize>(), 1);
+    }
+
+    /// A dead engine thread fences the lanes like a shutdown: a full
+    /// lane no longer means "wait", since nothing will drain it.
+    #[test]
+    fn a_failed_engine_refuses_every_submission() {
+        let (s, _consumers) = shared(1, 2);
+        let session = Session::new(Arc::clone(&s));
+        session.try_submit(rmw(0)).unwrap();
+        session.try_submit(rmw(1)).unwrap();
+        s.ctl.mark_failed();
+        match session.submit(rmw(2)) {
+            Err(TrySubmitError::Shutdown(p)) => assert_eq!(p, rmw(2)),
+            other => panic!("a blocking submit into a failed engine must fail, got {other:?}"),
+        }
+        let mut queue = tagged(vec![rmw(3)]);
+        assert_eq!(session.try_submit_queue(&mut queue, 1), Err(EngineClosed));
+        assert_eq!(s.accepted(), 2);
     }
 
     #[test]

@@ -28,8 +28,15 @@ pub struct LoggedCommit {
     pub program: Program,
 }
 
-/// Append a run's record payload to `out` (the caller frames and
-/// checksums it at the byte layer).
+/// Append a run's record — payload framed and checksummed as the byte
+/// layer stores it — to `out`, ready for
+/// [`crate::CommandLog::append_frames`]. Returns the framed byte count.
+pub fn frame_run(txns: &[LoggedCommit], out: &mut Vec<u8>) -> u64 {
+    orthrus_storage::log::frame_record(out, |payload| encode_run(txns, payload))
+}
+
+/// Append a run's record payload to `out` (unframed; see
+/// [`frame_run`]).
 pub fn encode_run(txns: &[LoggedCommit], out: &mut Vec<u8>) {
     out.extend_from_slice(&(txns.len() as u32).to_le_bytes());
     for t in txns {

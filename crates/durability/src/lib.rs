@@ -19,8 +19,8 @@
 //! - every program's writes are a deterministic function of its inputs
 //!   plus the records it reads under its locks (the engine's planned,
 //!   deadlock-free execution — proptest-pinned deterministic since PR 2);
-//! - execution threads append a run's record **while still holding the
-//!   run's locks** (before the releases are sent), so for any two
+//! - execution threads write a run's record **while still holding the
+//!   run's locks** (before the releases leave the thread), so for any two
 //!   conflicting transactions the one serialized first also logs first.
 //!   Non-conflicting transactions may interleave arbitrarily in the log —
 //!   replaying them in log order is one of their equivalent serial
@@ -39,10 +39,13 @@
 //! conflict-batched runs): the execution thread that just committed a
 //! run of N same-class transactions appends a single record holding all
 //! N programs — the same amortization the message fabric applies to lock
-//! traffic, applied to the write (and, under
+//! traffic, applied to the record (and, under
 //! [`DurabilityMode::LogFsync`], to the fsync). FIFO admission degrades
 //! to per-transaction records, exactly as it degrades to per-transaction
-//! lock rounds.
+//! lock rounds. The *write* amortizes one level further: a thread frames
+//! every record of one scheduling quantum into one buffer and writes them
+//! with one `write` ([`CommandLog::append_frames`]) just before the
+//! quantum's lock releases leave it.
 //!
 //! ## Crash points
 //!

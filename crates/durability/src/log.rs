@@ -10,10 +10,10 @@ use orthrus_common::sim;
 use orthrus_storage::log::{LogPos, SegmentedLog, DEFAULT_SEGMENT_BYTES};
 use parking_lot::Mutex;
 
-use crate::codec::{encode_run, LoggedCommit};
+use crate::codec::{frame_run, LoggedCommit};
 
-/// Failpoint consulted on every record append (`err` fails it, `torn:N`
-/// persists only the first N frame bytes before failing).
+/// Failpoint consulted on every write (`err` fails it, `torn:N` persists
+/// only the first N bytes of the write's frames before failing).
 pub const FP_APPEND: &str = "durability.append";
 /// Failpoint consulted on every fsync (`err` fails it).
 pub const FP_FSYNC: &str = "durability.fsync";
@@ -32,7 +32,7 @@ pub enum DurabilityMode {
     /// No log: the paper's main-memory-only semantics (default).
     #[default]
     Off,
-    /// Append each run's record before releasing its locks/completions;
+    /// Write each run's record before releasing its locks/completions;
     /// no fsync — a crash loses at most the OS-buffered suffix, and
     /// recovery replays the surviving prefix.
     Log,
@@ -74,19 +74,20 @@ impl std::str::FromStr for DurabilityMode {
     }
 }
 
-/// What one append cost — folded into the committing thread's
-/// `ThreadStats` (log bytes/records/flushes in `RunStats`).
+/// What one write cost — folded into the committing thread's
+/// `ThreadStats` (log bytes/records/writes/flushes in `RunStats`).
 #[derive(Debug, Clone, Copy)]
 pub struct AppendReceipt {
-    /// Framed bytes written for this record.
+    /// Framed bytes written.
     pub bytes: u64,
     /// Whether an fsync was issued inline (`log+fsync` with per-run
     /// sync). Group-mode appends return `false`; durability arrives
     /// later, when the coordinator's watermark passes `lsn`.
     pub synced: bool,
-    /// This record's log sequence number (1-based count of appended
-    /// records this process). Compare against
-    /// [`SyncState::synced`] to learn when the record is durable.
+    /// The log sequence number of the write's last record (LSNs are the
+    /// 1-based count of appended records this process; a write of `n`
+    /// records takes the next `n`). Compare against
+    /// [`SyncState::synced`] to learn when the write is durable.
     pub lsn: u64,
 }
 
@@ -147,12 +148,14 @@ impl SyncState {
 /// execution thread.
 ///
 /// The writer sits behind a mutex. That lock is **not** incidental — it
-/// is the ordering guarantee: a thread appends while still holding its
-/// run's locks, so for any two conflicting runs the lock fabric already
-/// serialized the appends; the mutex serializes the *non*-conflicting
-/// ones into some interleaving, which replay is free to use as its serial
-/// order. Contention on it is one acquisition per fused run, the same
-/// amortization schedule as the lock fabric's round trips.
+/// is the ordering guarantee: a thread writes a run's record before the
+/// run's lock releases leave it, so for any two conflicting runs the
+/// lock fabric already serialized the writes; the mutex serializes the
+/// *non*-conflicting ones into some interleaving, which replay is free to
+/// use as its serial order. Contention on it is one acquisition per
+/// write — an execution thread writes every run it committed in one
+/// scheduling quantum at once ([`Self::append_frames`]) — and no fsync
+/// runs under it except per-run sync's own.
 pub struct CommandLog {
     inner: Mutex<Writer>,
     mode: DurabilityMode,
@@ -254,35 +257,38 @@ impl CommandLog {
         self.appended_bytes.load(Ordering::Relaxed)
     }
 
-    /// Group commit: append one record covering the whole run, draining
-    /// `txns` on success. Under [`DurabilityMode::LogFsync`] the record
-    /// is fsynced before this returns — the caller releases locks and
-    /// completions only after, so "completed" implies "durable".
-    ///
-    /// On error (real I/O failure, or the [`FP_APPEND`]/[`FP_FSYNC`]
-    /// failpoints) the batch is left untouched and nothing counts as
-    /// committed; the committing thread decides how loudly to fail
-    /// (the engine panics — continuing past a broken durability contract
-    /// would be silent data loss).
+    /// Append one record covering the whole run, draining `txns` on
+    /// success: [`Self::append_frames`] of one record framed into a
+    /// fresh buffer. Tests, benches and one-off writers use it; a
+    /// committing execution thread frames every run of its quantum into
+    /// one buffer it keeps and writes them together.
     pub fn append_run(&self, txns: &mut Vec<LoggedCommit>) -> io::Result<AppendReceipt> {
-        self.append_run_into(txns, &mut Vec::with_capacity(64 * txns.len() + 8))
+        debug_assert!(!txns.is_empty(), "empty runs are not logged");
+        let mut frames = Vec::with_capacity(64 * txns.len() + 16);
+        frame_run(txns, &mut frames);
+        let receipt = self.append_frames(&frames, 1)?;
+        txns.clear();
+        Ok(receipt)
     }
 
-    /// [`Self::append_run`], encoding the record into a buffer the
-    /// caller keeps (whatever it held is overwritten): a committing
-    /// thread encodes every run in the same one.
-    pub fn append_run_into(
-        &self,
-        txns: &mut Vec<LoggedCommit>,
-        buf: &mut Vec<u8>,
-    ) -> io::Result<AppendReceipt> {
-        debug_assert!(!txns.is_empty(), "empty runs are not logged");
-        // Encode before taking the writer lock: the per-run CPU work is
-        // thread-local and must not lengthen the shared critical
-        // section, which should be the file write (plus the fsync)
-        // alone.
-        buf.clear();
-        encode_run(txns, buf);
+    /// Group commit: write `records` records, framed back to back in
+    /// `frames` ([`crate::codec::frame_run`]), with one `write`, and give
+    /// them the next `records` LSNs. Under [`DurabilityMode::LogFsync`]
+    /// with per-run sync they are fsynced before this returns — the
+    /// caller releases locks and completions only after, so "completed"
+    /// implies "durable"; under group sync the receipt's LSN is what the
+    /// coordinator's watermark must pass.
+    ///
+    /// The failpoints and the sim are consulted once per call. On error
+    /// (real I/O failure, or the [`FP_APPEND`]/[`FP_FSYNC`] failpoints)
+    /// no LSN is taken and nothing counts as committed; the committing
+    /// thread decides how loudly to fail (the engine panics — continuing
+    /// past a broken durability contract would be silent data loss).
+    pub fn append_frames(&self, frames: &[u8], records: u64) -> io::Result<AppendReceipt> {
+        debug_assert!(
+            records > 0 && !frames.is_empty(),
+            "empty writes are not made"
+        );
         let group = self.group_sync();
         let synced = self.mode == DurabilityMode::LogFsync && !group;
         // Sim yield point and failpoint consults happen *before* taking
@@ -299,21 +305,21 @@ impl CommandLog {
         match append_fault {
             Some(FailAction::Err) => return Err(failpoint::injected_io_error(FP_APPEND)),
             Some(FailAction::Torn(keep)) => {
-                // Persist a torn frame — the bytes a crash mid-append
+                // Persist a torn write — the bytes a crash mid-write
                 // leaves — then report the append as failed.
-                w.log.append_torn(buf, keep)?;
+                w.log.append_torn(frames, keep)?;
                 return Err(failpoint::injected_io_error(FP_APPEND));
             }
             _ => {}
         }
-        let bytes = w.log.append(buf)?;
+        let bytes = w.log.append_frames(frames)?;
         if synced {
             if let Some(FailAction::Err) = fsync_fault {
                 return Err(failpoint::injected_io_error(FP_FSYNC));
             }
             w.log.sync()?;
         }
-        let lsn = w.next_lsn + 1;
+        let lsn = w.next_lsn + records;
         w.next_lsn = lsn;
         // Publish the watermark while still holding the writer lock: the
         // plain store stays monotone because appends are serialized here.
@@ -329,21 +335,35 @@ impl CommandLog {
             // no-OS-lock contract).
             sim::on_point(POINT_WATERMARK);
         }
-        txns.clear();
         Ok(AppendReceipt { bytes, synced, lsn })
+    }
+
+    /// The appended watermark and a handle to `fdatasync` it through,
+    /// read together under the writer mutex — which the fsync itself then
+    /// does not hold, so appends proceed while the device flushes.
+    ///
+    /// Why the one handle covers the watermark: every record at or below
+    /// it was written before the handle was cloned, either into the
+    /// segment the handle is on or into an earlier one — and a roll
+    /// syncs the segment it closes before the next record is written.
+    /// Records appended after the clone may or may not be covered; the
+    /// watermark does not claim them.
+    fn sync_target(&self) -> io::Result<(u64, std::fs::File)> {
+        let w = self.inner.lock();
+        Ok((w.next_lsn, w.log.sync_handle()?))
     }
 
     /// One coordinator pass: fsync every record appended since the last
     /// pass and advance the synced watermark over all of them — the
-    /// cross-thread group commit. Returns how many appends the fsync
-    /// coalesced (0 = nothing outstanding, no fsync issued). Honors the
+    /// cross-thread group commit. Returns how many records the fsync
+    /// coalesced (0 = nothing outstanding, no fsync issued). The fsync
+    /// runs outside the writer mutex ([`Self::sync_target`]). Honors the
     /// [`FP_FSYNC`] failpoint. On failure the shared `failed` flag is
     /// raised **before** returning, so threads waiting on the watermark
     /// fail loudly instead of hanging.
     pub fn group_sync_now(&self) -> io::Result<u64> {
-        let target = self.sync_state.appended();
         let prev = self.sync_state.synced();
-        if target == prev {
+        if self.sync_state.appended() == prev {
             return Ok(0);
         }
         sim::on_point(POINT_SYNC);
@@ -354,9 +374,8 @@ impl CommandLog {
         if let Some(FailAction::Err) = failpoint::global().hit(FP_FSYNC) {
             return Err(fail(failpoint::injected_io_error(FP_FSYNC)));
         }
-        self.inner.lock().log.sync().map_err(fail)?;
-        // `target` was read before the fsync, so every record it covers
-        // was fully appended (and thus flushed) by that fsync.
+        let (target, file) = self.sync_target().map_err(fail)?;
+        file.sync_data().map_err(fail)?;
         self.sync_state.synced.store(target, Ordering::Release);
         self.sync_state.group_syncs.fetch_add(1, Ordering::Relaxed);
         self.sync_state
@@ -365,16 +384,16 @@ impl CommandLog {
         Ok(target - prev)
     }
 
-    /// Flush OS-buffered appends to stable storage. Called at engine
-    /// shutdown so a clean stop is always fully replayable even in
-    /// fsync-free [`DurabilityMode::Log`]. Honors the [`FP_FSYNC`]
-    /// failpoint.
+    /// Flush OS-buffered appends to stable storage, outside the writer
+    /// mutex as [`Self::group_sync_now`] does. Called at engine shutdown
+    /// so a clean stop is always fully replayable even in fsync-free
+    /// [`DurabilityMode::Log`]. Honors the [`FP_FSYNC`] failpoint.
     pub fn sync(&self) -> io::Result<()> {
         sim::on_point(FP_FSYNC);
         if let Some(FailAction::Err) = failpoint::global().hit(FP_FSYNC) {
             return Err(failpoint::injected_io_error(FP_FSYNC));
         }
-        self.inner.lock().log.sync()
+        self.sync_target()?.1.sync_data()
     }
 }
 
@@ -425,6 +444,43 @@ mod tests {
         assert_eq!(scan.payloads.len(), 1, "one record per run");
         let decoded = crate::codec::decode_run(&scan.payloads[0]).unwrap();
         assert_eq!(decoded, commits(0..3));
+    }
+
+    /// Several runs framed into one buffer go out in one write under one
+    /// LSN range, and read back as one record per run; a failed write
+    /// takes no LSN and leaves nothing behind.
+    #[test]
+    fn a_write_of_several_records_takes_one_lsn_range() {
+        let _fp = crate::arm_failpoints();
+        let t = TempDir::new("cmdlog");
+        let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
+        let mut frames = Vec::new();
+        for ids in [0..2, 2..3, 3..6] {
+            crate::codec::frame_run(&commits(ids), &mut frames);
+        }
+        let r = log.append_frames(&frames, 3).unwrap();
+        assert_eq!((r.bytes, r.lsn), (frames.len() as u64, 3));
+        assert_eq!(log.appended_bytes(), frames.len() as u64);
+
+        failpoint::global().configure(FP_APPEND, FailAction::Err, Some(1));
+        assert!(log.append_frames(&frames, 3).is_err());
+        failpoint::global().clear();
+        assert_eq!(
+            log.sync_state().appended(),
+            3,
+            "a failed write takes no LSN"
+        );
+        assert_eq!(log.append_frames(&frames, 3).unwrap().lsn, 6);
+        log.sync().unwrap();
+
+        let scan = orthrus_storage::log::scan(t.path()).unwrap();
+        let runs: Vec<Vec<LoggedCommit>> = scan
+            .payloads
+            .iter()
+            .map(|p| crate::codec::decode_run(p).unwrap())
+            .collect();
+        let once = [commits(0..2), commits(2..3), commits(3..6)];
+        assert_eq!(runs, [once.clone(), once].concat());
     }
 
     #[test]

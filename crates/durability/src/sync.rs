@@ -1,11 +1,11 @@
 //! Cross-thread group-fsync coordinator (durability rung 2).
 //!
 //! Under per-run sync every exec thread calls `fdatasync` for its own
-//! appends, serializing all of them behind the device's flush latency.
+//! writes, serializing all of them behind the device's flush latency.
 //! The coordinator inverts the protocol: exec threads only *publish*
-//! their appended-offset watermark (see
-//! [`CommandLog::append_run`](crate::CommandLog::append_run) in group
-//! mode) and queue the run's completions; one coordinator thread
+//! their appended watermark (see
+//! [`CommandLog::append_frames`](crate::CommandLog::append_frames) in
+//! group mode) and queue the write's completions; one coordinator thread
 //! coalesces every outstanding append across all threads into a single
 //! fsync, then the exec threads release every ticketed completion at or
 //! below the synced watermark. One flush pays for N appends — the same
@@ -40,8 +40,8 @@ pub const MAX_INTERVAL_US: u64 = 2_000;
 /// How `log+fsync` mode schedules its flushes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncInterval {
-    /// Every exec thread fsyncs its own appends inline (durability
-    /// rung 1). No coordinator thread is spawned.
+    /// Every exec thread fsyncs its own writes inline, one fsync per
+    /// write (durability rung 1). No coordinator thread is spawned.
     PerRun,
     /// Group sync: a coordinator thread whose pause between passes
     /// doubles or halves with the per-pass coalescing count.

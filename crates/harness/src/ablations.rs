@@ -528,10 +528,11 @@ pub fn abl09_durability(bc: &BenchConfig) -> FigureResult {
 /// coordinator, `2` = adaptive plus the fuzzy checkpointer (1 MiB
 /// cadence) — the full rung-2 stack.
 ///
-/// Series: throughput; coalesced appends per fdatasync (the
-/// amortization factor — `per-run` is 1.0 by construction); and the
-/// p99 append→durable wait, which is the latency the group commit
-/// charges each transaction in exchange.
+/// Series: throughput; records per fdatasync (the amortization factor
+/// — under `per-run`, one fsync per write, so the records a write
+/// carries); the p99 append→durable wait, which is the latency the
+/// group commit charges each transaction in exchange; and records per
+/// write (the runs an execution thread's quantum commits together).
 pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
     use orthrus_core::{DurabilityMode, SyncInterval};
 
@@ -539,12 +540,13 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
         "abl10",
         "Durability rung 2: per-run fsync vs cross-thread group fsync (1 CC / 1 exec)".to_string(),
         "sync mode (0=per-run 1=adaptive 2=adaptive+ckpt)",
-        "txns/sec (aux series: appends/fsync, fsync-wait p99 µs)",
+        "txns/sec (aux series: appends/fsync, fsync-wait p99 µs, records/write)",
     );
     let spec = MicroSpec::zipf(bc.n_records as u64, 10, 0.9, false);
     let mut tput = Series::new("txns/sec".to_string());
     let mut coalesce = Series::new("appends/fsync".to_string());
     let mut wait99 = Series::new("fsync-wait p99 µs".to_string());
+    let mut per_write = Series::new("records/write".to_string());
     for (x, interval, ckpt) in [
         (0.0, SyncInterval::PerRun, None),
         (1.0, SyncInterval::Adaptive, None),
@@ -562,23 +564,24 @@ pub fn abl10_durability2(bc: &BenchConfig) -> FigureResult {
         cfg.checkpoint_bytes = ckpt;
         let stats = OrthrusEngine::new(db, Spec::Micro(spec.clone()), cfg).run(&bc.params(2));
         tput.push(x, stats.throughput());
-        // Per-run mode flushes inline (one fsync per record, no
-        // coordinator); chart it as its definitional 1.0 so the group
-        // rows read directly as "× fewer device flushes".
+        // Per-run mode flushes inline, one fsync per write and no
+        // coordinator: its records per fsync are its records per write.
         coalesce.push(
             x,
             if interval == SyncInterval::PerRun {
-                1.0
+                stats.records_per_write()
             } else {
                 stats.coalesced_appends_per_sync()
             },
         );
         wait99.push(x, stats.fsync_wait_p99_us());
+        per_write.push(x, stats.records_per_write());
         drop(dir);
     }
     fig.series.push(tput);
     fig.series.push(coalesce);
     fig.series.push(wait99);
+    fig.series.push(per_write);
     fig
 }
 
@@ -772,13 +775,14 @@ mod tests {
         let _serial = crate::test_serial();
         let bc = BenchConfig::test_quick();
         let fig = abl10_durability2(&bc);
-        assert_eq!(fig.series.len(), 3);
+        assert_eq!(fig.series.len(), 4);
         // Every sync mode commits work...
         assert!(fig.series[0].points.iter().all(|&(_, y)| y > 0.0));
-        // ...and the group rows never amortize below per-run's 1.0 (the
-        // ≥2× separation itself is a release-run acceptance number, not
-        // a quick-test invariant).
+        // ...no fsync covers less than a record (the ≥2× separation of
+        // the group rows is a release-run acceptance number, not a
+        // quick-test invariant), and no write carries less than one.
         assert!(fig.series[1].points.iter().all(|&(_, y)| y >= 1.0));
+        assert!(fig.series[3].points.iter().all(|&(_, y)| y >= 1.0));
     }
 
     #[test]

@@ -65,6 +65,7 @@ fn main() {
     println!("engine_committed_all {}", r.committed_all);
     println!("inflight_cap_mean {:.1}", r.inflight_cap_mean);
     println!("inflight_cap_max {}", r.inflight_cap_max);
+    println!("log_records_per_write {:.2}", r.records_per_write);
     for (i, cc) in r.cc.iter().enumerate() {
         println!("cc{i}_busy_pct {:.1}", cc.busy_pct());
     }

@@ -92,6 +92,8 @@ pub struct NetLoadReport {
     /// grant-weighted mean, and maximum.
     pub inflight_cap_mean: f64,
     pub inflight_cap_max: u64,
+    /// Command-log records per write (0.0 with the log off).
+    pub records_per_write: f64,
 }
 
 impl NetLoadReport {
@@ -188,6 +190,7 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
         committed_all: engine_stats.totals.committed_all,
         inflight_cap_mean: engine_stats.mean_inflight_cap(),
         inflight_cap_max: engine_stats.max_inflight_cap(),
+        records_per_write: engine_stats.records_per_write(),
         cc: engine_stats.cc,
     }
 }

@@ -41,8 +41,8 @@ use std::sync::Arc;
 use orthrus_common::rng::XorShift64;
 use orthrus_common::{sim, TempDir};
 use orthrus_core::{
-    AdmissionPolicy, CcAssignment, CcMode, DurabilityMode, OrthrusConfig, OrthrusEngine,
-    SyncInterval, TrySubmitError,
+    AdmissionPolicy, CcAssignment, CcMode, DurabilityMode, EngineError, OrthrusConfig,
+    OrthrusEngine, SyncInterval, TrySubmitError,
 };
 use orthrus_txn::Program;
 
@@ -80,7 +80,8 @@ pub struct CrashSimConfig {
 impl CrashSimConfig {
     /// Derive a crash corpus entry from a seed: every knob including the
     /// victim (`exec0`, or the group-fsync coordinator when the seed
-    /// runs one) and the crash step.
+    /// runs one) and the crash step. Any engine thread can be named
+    /// instead (`cc0`: `crates/sim/tests/cc_crash.rs`).
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = XorShift64::new(seed ^ 0xC4A5_4B00_7AB1_E5E5);
         let workload = if rng.chance_percent(50) {
@@ -307,13 +308,18 @@ pub fn run_crash_sim(cfg: &CrashSimConfig, keep_trace: bool) -> CrashSimOutcome 
         }
     }
 
-    let crashed = sched.crash_fired();
     let delivered1: Vec<u64> = completions.iter().map(|c| c.ticket.0).collect();
 
     let outcome_digest;
     let mut replayed_count = 0usize;
-    match handle.try_shutdown() {
-        Err(_) if crashed => {} // expected: the victim's death must surface
+    let shutdown = handle.try_shutdown();
+    // Read after the shutdown: the victim runs until joined, and a crash
+    // scheduled late can fire while it drains.
+    let crashed = sched.crash_fired();
+    match shutdown {
+        // Expected: the victim's death surfaces as its panic.
+        Err(EngineError::WorkerPanicked(_)) if crashed => {}
+        Err(e) if crashed => violations.push(format!("a crash surfaced as {e}")),
         Err(e) => violations.push(format!("shutdown failed without a crash: {e}")),
         Ok(_) if crashed => {
             violations.push("crash fired but shutdown reported success".to_string())

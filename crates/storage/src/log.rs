@@ -18,8 +18,11 @@
 //! ```
 //!
 //! A writer rolls to a fresh segment once the current one reaches its
-//! byte budget (records are never split across segments). `std::fs`
-//! only — no external dependencies.
+//! byte budget (records are never split across segments). Records are
+//! framed by the caller ([`frame_record`]) and written a batch at a time
+//! ([`SegmentedLog::append_frames`]): one `write` per batch, cut between
+//! records only where a segment fills. `std::fs` only — no external
+//! dependencies.
 //!
 //! ## Crash semantics
 //!
@@ -50,32 +53,97 @@ const MAX_RECORD_BYTES: u32 = 1 << 30;
 /// Bytes of framing per record (length prefix + checksum).
 pub const RECORD_OVERHEAD: u64 = 8;
 
-/// CRC-32 (IEEE 802.3), table-driven. Vendored: the offline build
-/// environment has no registry access (see `crates/shims/`). Shared
-/// with the checkpoint framing (`checkpoint.rs`) and the TCP wire
-/// framing (`orthrus-net`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// The eight lookup tables of slice-by-8 CRC-32: `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table of the reflected IEEE polynomial, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table reads fold eight input bytes at once. Built at compile
+/// time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3), table-driven, eight bytes a step (slice-by-8;
+/// the tail of fewer than eight bytes goes one at a time). Same
+/// polynomial and output as the byte-at-a-time loop. Vendored: the
+/// offline build environment has no registry access (see
+/// `crates/shims/`). Shared with the checkpoint framing
+/// (`checkpoint.rs`) and the TCP wire framing (`orthrus-net`).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// Frame one record at the end of `out` — `[len][crc32(payload)]
+/// [payload]`, the on-disk record format — with the payload written in
+/// place by `encode` (no copy). Returns the framed byte count. A
+/// committing thread frames several records back to back into one
+/// buffer and hands them to [`SegmentedLog::append_frames`] in one write.
+pub fn frame_record(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; RECORD_OVERHEAD as usize]);
+    encode(out);
+    let body = start + RECORD_OVERHEAD as usize;
+    let len = out.len() - body;
+    assert!(
+        len <= MAX_RECORD_BYTES as usize,
+        "record payload exceeds the format cap"
+    );
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+    (out.len() - start) as u64
+}
+
+/// Framed length of the record that starts `frames` (its length prefix
+/// plus [`RECORD_OVERHEAD`]).
+fn framed_len(frames: &[u8]) -> u64 {
+    let len = u32::from_le_bytes([frames[0], frames[1], frames[2], frames[3]]);
+    RECORD_OVERHEAD + len as u64
 }
 
 /// Segment file name for `index`.
@@ -215,48 +283,62 @@ impl SegmentedLog {
         })
     }
 
-    /// Append one record; returns the framed byte count written. Rolls to
-    /// a fresh segment first when the current one is at budget (a record
-    /// never splits across segments; oversized records get a segment of
-    /// their own).
+    /// Append one record; returns the framed byte count written. One
+    /// `write`: the record is framed ([`frame_record`]) and handed to
+    /// [`Self::append_frames`].
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        assert!(
-            payload.len() <= MAX_RECORD_BYTES as usize,
-            "record payload exceeds the format cap"
-        );
-        let framed = RECORD_OVERHEAD + payload.len() as u64;
-        if self.seg_len > SEGMENT_MAGIC.len() as u64 && self.seg_len + framed > self.segment_bytes {
-            self.roll()?;
-        }
-        let mut header = [0u8; RECORD_OVERHEAD as usize];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.file.write_all(&header)?;
-        self.file.write_all(payload)?;
-        self.seg_len += framed;
-        Ok(framed)
+        let mut frame = Vec::with_capacity(RECORD_OVERHEAD as usize + payload.len());
+        frame_record(&mut frame, |out| out.extend_from_slice(payload));
+        self.append_frames(&frame)
     }
 
-    /// Append a **torn** record: write only the first `keep` bytes of the
-    /// frame (header + payload), exactly the physical state a crash
-    /// mid-append leaves behind. Fault-injection primitive — the resulting
-    /// tail fails the scan and must be repaired before further appends.
-    /// Returns how many bytes actually landed.
-    pub fn append_torn(&mut self, payload: &[u8], keep: u64) -> io::Result<u64> {
-        assert!(
-            payload.len() <= MAX_RECORD_BYTES as usize,
-            "record payload exceeds the format cap"
-        );
-        let framed = RECORD_OVERHEAD + payload.len() as u64;
-        if self.seg_len > SEGMENT_MAGIC.len() as u64 && self.seg_len + framed > self.segment_bytes {
+    /// Whether a record of `framed` bytes must start a fresh segment: the
+    /// current one already holds a record and would grow past its budget
+    /// (a record never splits across segments; an oversized one gets a
+    /// segment of its own).
+    fn must_roll_before(&self, seg_len: u64, framed: u64) -> bool {
+        seg_len > SEGMENT_MAGIC.len() as u64 && seg_len + framed > self.segment_bytes
+    }
+
+    /// Append records already framed back to back ([`frame_record`]);
+    /// returns the bytes written. One `write` for the whole batch while
+    /// it fits the current segment; where the budget runs out the batch
+    /// is cut **between** records, the segment is rolled, and the rest
+    /// continues in the next one — exactly the layout per-record
+    /// [`Self::append`] calls would leave.
+    pub fn append_frames(&mut self, frames: &[u8]) -> io::Result<u64> {
+        let (mut written, mut at) = (0usize, 0usize);
+        let mut seg_len = self.seg_len;
+        while at < frames.len() {
+            let framed = framed_len(&frames[at..]);
+            if self.must_roll_before(seg_len, framed) {
+                self.file.write_all(&frames[written..at])?;
+                self.seg_len = seg_len;
+                self.roll()?;
+                written = at;
+                seg_len = self.seg_len;
+            }
+            seg_len += framed;
+            at += framed as usize;
+        }
+        debug_assert_eq!(at, frames.len(), "a frame runs past the batch");
+        self.file.write_all(&frames[written..])?;
+        self.seg_len = seg_len;
+        Ok(frames.len() as u64)
+    }
+
+    /// Append a **torn** batch: write only the first `keep` bytes of
+    /// `frames` (records framed as for [`Self::append_frames`]), exactly
+    /// the physical state a crash mid-write leaves behind.
+    /// Fault-injection primitive — the resulting tail fails the scan and
+    /// must be repaired before further appends. Returns how many bytes
+    /// actually landed.
+    pub fn append_torn(&mut self, frames: &[u8], keep: u64) -> io::Result<u64> {
+        if !frames.is_empty() && self.must_roll_before(self.seg_len, framed_len(frames)) {
             self.roll()?;
         }
-        let mut frame = Vec::with_capacity(framed as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let keep = (keep.min(framed)) as usize;
-        self.file.write_all(&frame[..keep])?;
+        let keep = keep.min(frames.len() as u64) as usize;
+        self.file.write_all(&frames[..keep])?;
         self.seg_len += keep as u64;
         Ok(keep as u64)
     }
@@ -264,6 +346,13 @@ impl SegmentedLog {
     /// Force appended records to stable storage (`fdatasync`).
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    /// A second handle on the current segment, for an `fdatasync` that
+    /// must not hold up appends: syncing it covers every record appended
+    /// so far, since a roll syncs the segment it closes.
+    pub fn sync_handle(&self) -> io::Result<File> {
+        self.file.try_clone()
     }
 
     /// Close the current segment (syncing it) and start the next one.
@@ -935,5 +1024,11 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // One byte (the tail loop alone), and whole words plus a tail.
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 }

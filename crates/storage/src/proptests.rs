@@ -127,4 +127,80 @@ proptest! {
         prop_assert_eq!(repaired.payloads.len(), expect + 1);
         prop_assert_eq!(&repaired.payloads[expect][..], b"post-crash");
     }
+
+    /// Batched writes lay records out exactly as per-record appends do,
+    /// under budgets that roll every record or two: the same payloads,
+    /// the same physical record ends — so no record is split across
+    /// segments, and a crash offset means the same thing in both logs.
+    #[test]
+    fn append_frames_matches_per_record_appends(
+        batches in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..6),
+            1..8,
+        ),
+        segment_budget in 24u64..160,
+    ) {
+        let one = orthrus_common::TempDir::new("seglog-one");
+        let batched = orthrus_common::TempDir::new("seglog-batched");
+        let mut log = crate::log::SegmentedLog::open(one.path(), segment_budget).unwrap();
+        for p in batches.iter().flatten() {
+            log.append(p).unwrap();
+        }
+        drop(log);
+        let mut log = crate::log::SegmentedLog::open(batched.path(), segment_budget).unwrap();
+        let mut frames = Vec::new();
+        for batch in &batches {
+            frames.clear();
+            for p in batch {
+                crate::log::frame_record(&mut frames, |out| out.extend_from_slice(p));
+            }
+            prop_assert_eq!(log.append_frames(&frames).unwrap(), frames.len() as u64);
+        }
+        drop(log);
+
+        let (a, b) = (crate::log::scan(one.path()).unwrap(), crate::log::scan(batched.path()).unwrap());
+        prop_assert_eq!(b.tear, None);
+        let flat: Vec<Vec<u8>> = batches.iter().flatten().cloned().collect();
+        prop_assert_eq!(&b.payloads, &flat);
+        prop_assert_eq!(&b.payloads, &a.payloads);
+        prop_assert_eq!(&b.record_ends, &a.record_ends);
+        prop_assert_eq!(
+            crate::log::segment_paths(batched.path()).unwrap().len(),
+            crate::log::segment_paths(one.path()).unwrap().len()
+        );
+    }
+}
+
+/// CRC-32 one byte at a time: the definition slice-by-8 must agree with.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Slice-by-8 equals the bytewise CRC for every length up to 64 —
+    /// every tail length, every count of whole words — read at each
+    /// alignment a buffer can start at.
+    #[test]
+    fn crc32_matches_the_bytewise_definition(
+        bytes in prop::collection::vec(any::<u8>(), 72..73),
+        offset in 0usize..8,
+    ) {
+        for len in 0..=64 {
+            let s = &bytes[offset..offset + len];
+            prop_assert_eq!(crate::log::crc32(s), crc32_bytewise(s), "len {}", len);
+        }
+    }
 }

@@ -342,6 +342,98 @@ fn injected_append_failure_degrades_to_worker_panic() {
     }
 }
 
+/// An execution thread writes every run its quantum committed with one
+/// `write`, and hands out their completions only after it. When that
+/// write fails, every record in it is lost together — and none of them
+/// was reported: the replayed tickets are exactly the drained ones.
+/// Sixteen single-key transactions arrive at once, are granted in one
+/// batch and commit in one quantum, so the failed write carries several
+/// records; the live table, which they did update, says how many.
+#[test]
+fn a_failed_write_of_several_records_loses_only_unreported_commits() {
+    let _serial = common::serial();
+    let scratch = TempDir::new("append-fault-write");
+    let db = Arc::new(Database::Flat(Table::new(KEYS as usize, 64)));
+    let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo)
+        .with_durability(DurabilityMode::Log, scratch.path());
+    let engine = OrthrusEngine::service(Arc::clone(&db), cfg.clone());
+    let mut handle = engine.start(17);
+    let session = handle.session();
+    // Key `k` is touched by ticket `k` alone.
+    let queue = |keys: std::ops::Range<u64>| -> std::collections::VecDeque<(u64, Program)> {
+        keys.map(|k| (k, Program::Rmw { keys: vec![k] })).collect()
+    };
+    let mut done = Vec::new();
+    let mut first = queue(0..16);
+    assert_eq!(session.try_submit_queue(&mut first, 1), Ok(16));
+    while done.len() < 16 {
+        handle.drain_completions(&mut done);
+        std::thread::yield_now();
+    }
+    let _armed = ArmedRegistry::arm(FP_APPEND, FailAction::Err, Some(1));
+    let mut second = queue(16..48);
+    assert_eq!(session.try_submit_queue(&mut second, 1), Ok(32));
+    match handle.try_shutdown() {
+        Err(EngineError::WorkerPanicked(msg)) => assert!(msg.contains("append"), "{msg:?}"),
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    handle.drain_completions(&mut done);
+    drop(handle);
+    drop(engine);
+    drop(_armed);
+
+    let fresh = Arc::new(Database::Flat(Table::new(KEYS as usize, 64)));
+    let (_recovered, report) = OrthrusEngine::recover(Arc::clone(&fresh), cfg);
+    let mut replayed = report.tickets.clone();
+    replayed.sort_unstable();
+    let mut drained: Vec<u64> = done.iter().map(|c| c.ticket.0).collect();
+    drained.sort_unstable();
+    assert_eq!(replayed, drained, "replayed = reported, no more, no less");
+    // SAFETY: both engines are shut down; nothing touches the tables.
+    let counter = |db: &Database, k| unsafe { db.read_counter(k) };
+    let lost: Vec<u64> = (0..48)
+        .filter(|&k| counter(&db, k) == 1 && counter(&fresh, k) == 0)
+        .collect();
+    assert!(
+        lost.len() >= 2,
+        "the failed write carried one record or none: {lost:?}"
+    );
+    assert!(lost.iter().all(|t| replayed.binary_search(t).is_err()));
+}
+
+/// A failed engine accepts no more work: once its only execution thread
+/// has died, nothing drains the ingest lane, so a blocking `submit` that
+/// found it full would wait forever. It is refused instead, as after a
+/// shutdown. A watchdog turns a hang into a failure.
+#[test]
+fn a_failed_engine_refuses_submissions() {
+    let _serial = common::serial();
+    let scratch = TempDir::new("append-fault-refuse");
+    let db = Arc::new(Database::Flat(Table::new(KEYS as usize, 64)));
+    let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo)
+        .with_durability(DurabilityMode::Log, scratch.path());
+    cfg.ingest_capacity = 16;
+    let engine = OrthrusEngine::service(db, cfg);
+    let mut handle = engine.start(17);
+    let session = handle.session();
+    let _armed = ArmedRegistry::arm(FP_APPEND, FailAction::Err, Some(1));
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut gen = Spec::Micro(MicroSpec::hot_cold(KEYS, 8, 2, 3, false)).generator(41, 0);
+        // Far more than the lane holds, or the thread admits before its
+        // first write.
+        let refused = (0..256).find_map(|_| session.submit(gen.next_program()).err());
+        let _ = done.send(refused.map(|e| e.to_string()));
+    });
+    let refused = (outcome.recv_timeout(Duration::from_secs(10)))
+        .expect("submit spins on the dead engine's full lane");
+    assert_eq!(refused.as_deref(), Some("engine shutting down"));
+    match handle.try_shutdown() {
+        Err(EngineError::WorkerPanicked(msg)) => assert!(msg.contains("append"), "{msg:?}"),
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+}
+
 /// Names of this process's live threads that start with `prefix` (engine
 /// threads are named after their `sim_prefix` + role).
 #[cfg(target_os = "linux")]
