@@ -1,6 +1,6 @@
 //! Criterion microbenches for durability rung 2: the device-flush
-//! amortization of the cross-thread group-fsync coordinator, and the
-//! footprint-parallel replay path.
+//! amortization of the cross-thread group-fsync coordinator, and
+//! recovery's replay throughput.
 //!
 //! - `append_fsync_per_run`: rung 1's inline discipline — every
 //!   appended run pays its own `fdatasync` before returning.
@@ -8,18 +8,15 @@
 //!   a background coordinator coalesces outstanding appends into one
 //!   flush, and the bench waits for its record's LSN to be covered —
 //!   the full append→durable round trip a committing exec thread sees.
-//! - `replay_serial` / `replay_parallel_4`: recovery throughput over
-//!   the same pre-built log, serial vs four replay threads partitioned
-//!   by planned footprints.
+//! - `replay_serial`: recovery throughput over a pre-built log (one
+//!   serial pass in log order, the only replay there is).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use orthrus_common::TempDir;
-use orthrus_durability::{
-    recover_with, run_sync_coordinator, CommandLog, DurabilityMode, LoggedCommit,
-};
+use orthrus_durability::{recover, run_sync_coordinator, CommandLog, DurabilityMode, LoggedCommit};
 use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
 
@@ -99,8 +96,6 @@ fn bench_replay(c: &mut Criterion) {
     {
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
         for i in 0..RECORDS {
-            // Sparse overlaps: enough conflict edges to exercise the
-            // level-breaking logic without serializing everything.
             let mut batch = vec![commit(i, vec![i % 97, (i * 31) % 97])];
             log.append_run(&mut batch).unwrap();
         }
@@ -113,17 +108,14 @@ fn bench_replay(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.throughput(Throughput::Elements(RECORDS));
 
-    for (label, threads) in [("replay_serial", 1usize), ("replay_parallel_4", 4)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let db = Database::Flat(Table::new(128, 64));
-                let report = recover_with(&db, t.path(), threads).unwrap();
-                assert_eq!(report.txns, RECORDS);
-                std::hint::black_box(report);
-            });
+    g.bench_function("replay_serial", |b| {
+        b.iter(|| {
+            let db = Database::Flat(Table::new(128, 64));
+            let report = recover(&db, t.path()).unwrap();
+            assert_eq!(report.txns, RECORDS);
+            std::hint::black_box(report);
         });
-    }
-
+    });
     g.finish();
 }
 

@@ -133,11 +133,6 @@ pub struct OrthrusConfig {
     /// take a checkpoint every this many appended log bytes; `None`
     /// disables the checkpointer thread. Ignored when durability is off.
     pub checkpoint_bytes: Option<u64>,
-    /// Recovery parallelism (`ORTHRUS_REPLAY_THREADS` in the harness):
-    /// how many threads `OrthrusEngine::recover` replays the committed
-    /// suffix across (footprint-parallel leveling, bit-identical to
-    /// serial). 1 = serial.
-    pub replay_threads: usize,
     /// Prefix for the names this engine's threads run under and enroll
     /// with the deterministic-simulation scheduler (`cc0`, `exec1`,
     /// `sync`, ...; the list is [`Self::thread_names`]).
@@ -199,7 +194,6 @@ impl OrthrusConfig {
             log_dir: None,
             sync_interval: SyncInterval::default(),
             checkpoint_bytes: None,
-            replay_threads: 1,
             sim_prefix: String::new(),
         }
     }
@@ -224,7 +218,6 @@ impl OrthrusConfig {
             log_dir: None,
             sync_interval: SyncInterval::default(),
             checkpoint_bytes: None,
-            replay_threads: 1,
             sim_prefix: String::new(),
         }
     }
@@ -274,9 +267,6 @@ impl OrthrusConfig {
             );
         }
         self.admission.validate()?;
-        if self.replay_threads == 0 {
-            return Err("replay_threads must be ≥ 1: recovery needs a replay thread".into());
-        }
         if self.durability.is_on() && self.log_dir.is_none() {
             return Err(format!(
                 "durability mode {} needs a log_dir (OrthrusConfig::with_durability)",

@@ -215,21 +215,23 @@ impl OrthrusEngine {
 
     /// Crash recovery: replay the command log at [`OrthrusConfig::log_dir`]
     /// through the engine's own `execute_planned` path to rebuild `db`'s
-    /// table state, repair the log's torn tail in place, and return a
-    /// **service-mode** engine that continues appending where the valid
-    /// prefix ends — plus the replay's audit report.
+    /// table state, cut the log where the replay stopped, and return a
+    /// **service-mode** engine that continues appending where the
+    /// replayed prefix ends — plus the replay's audit report.
     ///
     /// `db` must be the same logical snapshot the log started from (for
     /// this reproduction: a freshly loaded database with the original
     /// seed). When the directory holds a valid fuzzy checkpoint, `db` is
     /// overwritten from its image and only the log suffix past it
-    /// replays — across [`OrthrusConfig::replay_threads`] when > 1
-    /// (footprint-parallel leveling, bit-identical to serial).
+    /// replays. Replay is one serial pass in log order that holds one log
+    /// segment in memory ([`orthrus_durability::recover`]).
     ///
     /// # Panics
     /// On an invalid configuration, a durability mode of `Off` (there is
-    /// nothing to recover from), or an unreadable log. Callers that need
-    /// to survive an unreadable log use [`Self::try_recover`].
+    /// nothing to recover from), or an unreadable log — including one
+    /// whose segment 0 is gone with no usable checkpoint to start from.
+    /// Callers that need to survive an unreadable log use
+    /// [`Self::try_recover`].
     pub fn recover(db: Arc<Database>, cfg: OrthrusConfig) -> (Self, ReplayReport) {
         Self::try_recover(db, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -250,8 +252,7 @@ impl OrthrusEngine {
             "recover() needs durability on; with DurabilityMode::Off there is no log"
         );
         let dir = cfg.log_dir.as_deref().expect("validated: log_dir is set");
-        let report = orthrus_durability::recover_with(&db, dir, cfg.replay_threads)
-            .map_err(EngineError::Recovery)?;
+        let report = orthrus_durability::recover(&db, dir).map_err(EngineError::Recovery)?;
         Ok((Self::service(db, cfg), report))
     }
 
@@ -2067,16 +2068,15 @@ mod tests {
     /// The engine-level checkpoint loop: a service run with a tiny
     /// checkpoint trigger writes checkpoints behind the workers' backs,
     /// truncates old segments, and recovery replays checkpoint + suffix
-    /// (parallel) to the exact live state with every ticket conserved.
+    /// to the exact live state with every ticket conserved.
     #[test]
-    fn service_checkpoints_truncate_and_recover_in_parallel() {
+    fn service_checkpoints_truncate_and_recover() {
         let _serial = crate::test_serial();
         let scratch = TempDir::new("engine-ckpt");
         let db = Arc::new(Database::Flat(Table::new(64, 64)));
         let mut cfg = OrthrusConfig::with_threads(1, 2, CcAssignment::KeyModulo)
             .with_durability(DurabilityMode::Log, scratch.path());
         cfg.checkpoint_bytes = Some(256); // aggressive: many checkpoints
-        cfg.replay_threads = 3;
         let engine = OrthrusEngine::service(Arc::clone(&db), cfg.clone());
         let mut gen = Spec::Micro(MicroSpec::hot_cold(64, 8, 2, 4, false)).generator(9, 0);
         let n = 800u64;
@@ -2147,8 +2147,8 @@ mod tests {
 
             let via_ckpt = Database::Flat(Table::new(64, 64));
             let full = Database::Flat(Table::new(64, 64));
-            let ra = orthrus_durability::recover_with(&via_ckpt, scratch.path(), 2).unwrap();
-            let rb = orthrus_durability::recover_with(&full, mirror.path(), 2).unwrap();
+            let ra = orthrus_durability::recover(&via_ckpt, scratch.path()).unwrap();
+            let rb = orthrus_durability::recover(&full, mirror.path()).unwrap();
             assert!(ra.checkpoint.is_some(), "{admission:?}");
             assert!(rb.checkpoint.is_none(), "{admission:?}");
             // SAFETY: both databases are quiesced (recovery returned).

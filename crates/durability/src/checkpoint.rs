@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use orthrus_common::failpoint::{self, FailAction};
-use orthrus_common::{sim, XorShift64};
+use orthrus_common::sim;
 use orthrus_storage::checkpoint::{
     checkpoint_files, load_newest_checkpoint, prune_checkpoints, read_checkpoint, write_checkpoint,
     write_torn_checkpoint,
@@ -54,9 +54,8 @@ use orthrus_storage::log::LogPos;
 use orthrus_storage::log::{remove_segments_below, LogReader};
 use orthrus_txn::Database;
 
-use crate::codec::decode_run;
 use crate::log::CommandLog;
-use crate::replay::apply;
+use crate::replay::replay_stream;
 use crate::snapshot::{build_db, serialize_db};
 
 /// Failpoint: the checkpoint file write (torn = crash mid-write, err =
@@ -107,32 +106,15 @@ pub fn checkpoint_once(log: &CommandLog, dir: &Path) -> io::Result<Option<u32>> 
         return Ok(None);
     }
 
-    // Shadow replica: previous image + durable suffix, via the same
-    // deterministic replay path recovery uses.
+    // Shadow replica: previous image + durable suffix, through the replay
+    // loop recovery runs. It stops before a record past the durable
+    // watermark (the next checkpoint picks that up) and before a record
+    // recovery would cut.
     let shadow = build_db(&base.image)?;
     let mut reader = LogReader::open_at(dir, base.pos)?;
-    let mut rng = XorShift64::new(0x434B_5054); // "CKPT" — inert, replay plans noise-free
-    let mut applied = 0u64;
-    let mut pos = base.pos;
-    while let Some(payload) = reader.next_record()? {
-        if reader.position() > durable_pos {
-            // The record extends past the durable watermark — it may
-            // still be in flight; the next checkpoint picks it up.
-            break;
-        }
-        let Ok(txns) = decode_run(&payload) else {
-            // Checksum-clean but unparseable: recovery will cut here;
-            // never checkpoint past it.
-            break;
-        };
-        for commit in txns {
-            apply(&shadow, &commit.program, &mut rng);
-            applied += 1;
-        }
-        pos = reader.position();
-    }
+    let (replayed, pos) = replay_stream(&shadow, &mut reader, Some(durable_pos))?;
     drop(reader);
-    if applied == 0 {
+    if replayed.txns == 0 {
         return Ok(None);
     }
 
@@ -213,7 +195,7 @@ pub fn run_checkpointer(
 mod tests {
     use super::*;
     use crate::log::DurabilityMode;
-    use crate::replay::recover_with;
+    use crate::replay::recover;
     use crate::LoggedCommit;
     use orthrus_common::TempDir;
     use orthrus_storage::log::indexed_segment_paths;
@@ -253,7 +235,7 @@ mod tests {
         drop(log);
 
         let target = Database::Flat(Table::new(8, 64));
-        let report = recover_with(&target, t.path(), 1).unwrap();
+        let report = recover(&target, t.path()).unwrap();
         assert_eq!(report.checkpoint, Some(1));
         assert_eq!(report.tickets, vec![2], "only the suffix replays");
         unsafe {
@@ -288,7 +270,7 @@ mod tests {
         drop(log);
         // The truncated log still recovers to full state.
         let target = Database::Flat(Table::new(8, 64));
-        let report = recover_with(&target, t.path(), 1).unwrap();
+        let report = recover(&target, t.path()).unwrap();
         let total: u64 = (0..8).map(|k| unsafe { target.read_counter(k) }).sum();
         assert_eq!(total, 64);
         assert!(report.checkpoint.is_some());
@@ -316,7 +298,7 @@ mod tests {
         drop(log);
 
         let target = Database::Flat(Table::new(8, 64));
-        let report = recover_with(&target, t.path(), 1).unwrap();
+        let report = recover(&target, t.path()).unwrap();
         assert_eq!(report.checkpoint, Some(1), "unsynced #2 skipped");
         // Ticket conservation: exactly the post-#1 suffix replays, and
         // the final state covers every appended commit exactly once.
@@ -346,7 +328,7 @@ mod tests {
         drop(log);
 
         let target = Database::Flat(Table::new(8, 64));
-        let report = recover_with(&target, t.path(), 1).unwrap();
+        let report = recover(&target, t.path()).unwrap();
         assert_eq!(report.checkpoint, Some(1), "torn #2 skipped");
         assert_eq!(report.tickets, vec![1], "full suffix after ckpt #1");
         unsafe {

@@ -74,10 +74,11 @@
 //!   `ckpt-NNNNNN` with the log position it covers; older log segments
 //!   are truncated afterwards, so [`recover`] loads the newest valid
 //!   checkpoint and replays only the suffix.
-//! - [`replay`] grows footprint-parallel replay: the committed suffix is
-//!   partitioned into levels of pairwise-disjoint planned footprints and
-//!   each level executes on multiple threads, falling back to serial
-//!   order at conflict edges (bit-identical to serial, proptest-pinned).
+//!
+//! Recovery reads the log once: [`replay`], [`recover`] and the shadow
+//! replay are one serial streaming loop in log order, and [`recover`]
+//! cuts the log where that stream stopped (the [`replay`] module docs
+//! say why there is no parallel replay).
 //!
 //! [`Database`]: orthrus_txn::Database
 
@@ -93,7 +94,7 @@ mod proptests;
 
 pub use codec::LoggedCommit;
 pub use log::{AppendReceipt, CommandLog, DurabilityMode};
-pub use replay::{recover, recover_with, replay, ReplayReport};
+pub use replay::{recover, replay, ReplayReport};
 pub use sync::{run_sync_coordinator, SyncInterval};
 
 /// The failpoint registry is process-global: a one-shot point one test

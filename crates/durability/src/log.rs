@@ -500,8 +500,9 @@ mod tests {
             Ok(_) => panic!("torn log must be refused"),
         };
         assert!(err.to_string().contains("recover"), "{err}");
-        // After repair, the log opens again.
-        orthrus_storage::log::truncate_torn_tail(t.path()).unwrap();
+        // After recovery cuts the tear, the log opens again.
+        let db = orthrus_txn::Database::Flat(orthrus_storage::Table::new(4, 64));
+        crate::recover(&db, t.path()).unwrap();
         CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
     }
 

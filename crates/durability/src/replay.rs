@@ -1,34 +1,36 @@
 //! Crash recovery: replay the committed stream through the engine's own
-//! execution path.
+//! execution path, one commit at a time, in log order.
 //!
-//! Two replay strategies share one report format:
+//! One loop does the replaying (`replay_stream`). It reads records from a
+//! [`LogReader`] — from the log's start or from a checkpoint's position,
+//! up to an optional cap — applies each commit with `apply`, and stops at
+//! the first tear or at the first record it cannot decode. [`replay`],
+//! [`recover`] and the checkpointer's shadow replay
+//! ([`crate::checkpoint::checkpoint_once`]) all run it. It holds one log
+//! segment in memory, never the decoded log, so recovery memory is bounded
+//! by the segment budget (plus the report's ticket audit trail), not by
+//! the log's length.
 //!
-//! - **Serial** ([`replay`], and [`recover_with`] at 1 thread): stream
-//!   the log and re-execute in log order. Memory-bounded, always
-//!   correct.
-//! - **Footprint-parallel** ([`recover_with`] at >1 thread): partition
-//!   the committed suffix into *levels* of transactions whose planned
-//!   footprints are pairwise key-disjoint, execute each level across
-//!   threads, and fall back to serial order at conflict edges (a new
-//!   level starts at the first transaction whose footprint intersects
-//!   the level under construction). Disjoint footprints commute — any
-//!   interleaving of a level is one of its equivalent serial orders —
-//!   so the result is bit-identical to serial replay (proptest-pinned).
-//!
-//!   Soundness leans on a property of the planner (verified against
-//!   `orthrus_txn::plan`): every reconnaissance-board word a plan reads
-//!   is covered by a key in that plan's own footprint, so executing
-//!   footprint-disjoint peers concurrently can never perturb a plan's
-//!   inputs — OLLP validation cannot newly fail inside a level. If a
-//!   mismatch fires anyway (defense in depth), the transaction is
-//!   deferred and re-planned serially after its level completes.
+//! - **Log order is a serial order.** A run's record is written while the
+//!   run's locks are held (crate docs), so of two conflicting
+//!   transactions the one serialized first is logged first, and
+//!   transactions that do not conflict commute. Re-executing the log in
+//!   order is one of the live run's equivalent serial orders.
+//! - **The cut comes from the reader.** [`recover`] repairs the log just
+//!   past the last record it applied ([`LogReader::position`], cut with
+//!   [`truncate_to`]), whatever stopped the stream. The prefix replayed is
+//!   the prefix kept, and a clean log is read once.
+//! - **There is no parallel replay.** A footprint-levelled replayer
+//!   measured 12–34× slower than this loop on a 2-core host, and no
+//!   workload ran it (DESIGN.md, "Recovery reads the log once").
 
 use std::io;
 use std::path::Path;
 
-use orthrus_common::{Key, XorShift64};
-use orthrus_storage::log::{LogPos, LogReader};
-use orthrus_txn::{execute_planned, plan_accesses, AbortKind, Database, Plan};
+use orthrus_common::XorShift64;
+use orthrus_storage::checkpoint::{checkpoint_files, read_checkpoint};
+use orthrus_storage::log::{truncate_to, LogPos, LogReader, RECORD_OVERHEAD};
+use orthrus_txn::{execute_planned, plan_accesses, AbortKind, Database};
 
 use crate::codec::{decode_run, LoggedCommit};
 
@@ -60,41 +62,90 @@ pub struct ReplayReport {
 ///
 /// The database must be the same logical snapshot the log started from
 /// (for the reproduction: a freshly loaded database with the run's
-/// original seed — the log covers the whole run). The log is streamed
-/// one segment at a time ([`orthrus_storage::log::LogReader`]), so
-/// memory is bounded by the segment budget, not the log size (the
-/// report's ticket audit trail still grows with ticketed commits).
+/// original seed — the log covers the whole run). A log whose segment 0
+/// is gone does not start there and is refused with `InvalidData`;
+/// [`recover`] starts from a checkpoint instead.
 pub fn replay(db: &Database, dir: &Path) -> io::Result<ReplayReport> {
-    Ok(replay_inner(db, dir)?.0)
+    let mut reader = LogReader::open_at(dir, LogPos::start())?;
+    Ok(replay_stream(db, &mut reader, None)?.0)
 }
 
-/// [`replay`], also returning the physical cut offset to repair a
-/// *decode* tear (`None` when every checksum-valid record parsed).
-fn replay_inner(db: &Database, dir: &Path) -> io::Result<(ReplayReport, Option<u64>)> {
-    let mut reader = orthrus_storage::log::LogReader::open(dir)?;
+/// Recover `db` from `dir`: restore the newest usable checkpoint, replay
+/// the log past it, and **repair** the log so it can be reopened for
+/// appending (the recovered engine continues logging where the replayed
+/// prefix ends). This is the entry point `OrthrusEngine::recover` uses.
+///
+/// Checkpoints are scanned newest to oldest; the first that is valid
+/// **and** whose log suffix is still openable is restored into `db` (an
+/// older checkpoint whose segments were collected is useless). Without
+/// one the whole log replays onto `db`, which must then be the snapshot
+/// checkpoint #0 was taken from (a freshly loaded database with the run's
+/// original seed), and the log must still start at segment 0: one that
+/// does not is refused with `InvalidData` before any file is touched.
+///
+/// Whatever stopped the replay — a torn record, a cut or missing
+/// segment, a checksum-valid record that does not decode — the log is
+/// cut just past the last applied record ([`truncate_to`]): nothing may
+/// sit between the replayable prefix and the append position. A clean
+/// log is not written.
+pub fn recover(db: &Database, dir: &Path) -> io::Result<ReplayReport> {
+    let mut resume = None;
+    for (idx, path) in checkpoint_files(dir)?.into_iter().rev() {
+        // Torn or corrupt checkpoints, and those whose suffix cannot be
+        // opened, are skipped — never an error, they only cost replay work.
+        let Some(ckpt) = read_checkpoint(idx, &path)? else {
+            continue;
+        };
+        let Ok(reader) = LogReader::open_at(dir, ckpt.pos) else {
+            continue;
+        };
+        // SAFETY: recovery runs before any worker starts; the database
+        // is quiesced by contract.
+        unsafe { crate::snapshot::restore_db(db, &ckpt.image)? };
+        resume = Some((idx, reader));
+        break;
+    }
+    let (checkpoint, mut reader) = match resume {
+        Some((idx, reader)) => (Some(idx), reader),
+        None => (None, LogReader::open_at(dir, LogPos::start())?),
+    };
+    let (mut report, end) = replay_stream(db, &mut reader, None)?;
+    report.checkpoint = checkpoint;
+    if reader.tear().is_some() || report.torn_bytes > 0 {
+        truncate_to(dir, end)?;
+    }
+    Ok(report)
+}
+
+/// The one replay loop: apply `reader`'s commits to `db` in log order
+/// until the log ends, a tear, a record that does not decode, or — under
+/// a cap — the first record that ends past `upto`. Returns the report and
+/// the position just past the last applied record; `torn_bytes` counts
+/// the undecodable record and whatever the reader left behind it.
+pub(crate) fn replay_stream(
+    db: &Database,
+    reader: &mut LogReader,
+    upto: Option<LogPos>,
+) -> io::Result<(ReplayReport, LogPos)> {
     let mut report = ReplayReport::default();
     // The RNG feeds plan_accesses' noise branch only; replay always plans
     // noise-free, so the seed is inert — any value yields the same plans.
     let mut rng = XorShift64::new(0x5245_504C_4159); // "REPLAY"
-    let mut decode_cut = None;
+    let mut end = reader.position();
     while let Some(payload) = reader.next_record()? {
-        let txns = match decode_run(&payload) {
-            Ok(txns) => txns,
-            Err(_) => {
-                // Checksum-clean but unparseable (version skew / codec
-                // bug): stop at the well-formed prefix and hand the
-                // repair a physical cut *before* this record, so a
-                // recovered engine never appends behind a record replay
-                // cannot consume.
-                let end = reader.last_record_end();
-                let framed = orthrus_storage::log::RECORD_OVERHEAD + payload.len() as u64;
-                decode_cut = Some(end - framed);
-                report.torn_bytes += framed;
-                break;
-            }
+        if upto.is_some_and(|cap| reader.position() > cap) {
+            // Past the cap (the checkpointer's durable watermark): the
+            // record may still be in flight.
+            break;
+        }
+        let framed = RECORD_OVERHEAD + payload.len() as u64;
+        let Ok(txns) = decode_run(&payload) else {
+            // Checksum-clean but unparseable (version skew / codec bug):
+            // stop before it, so a recovered engine never appends behind
+            // a record replay cannot consume.
+            report.torn_bytes += framed;
+            break;
         };
-        report.records += 1;
-        report.bytes += orthrus_storage::log::RECORD_OVERHEAD + payload.len() as u64;
         for LoggedCommit { ticket, program } in txns {
             apply(db, &program, &mut rng);
             report.txns += 1;
@@ -102,218 +153,12 @@ fn replay_inner(db: &Database, dir: &Path) -> io::Result<(ReplayReport, Option<u
                 report.tickets.push(t);
             }
         }
+        report.records += 1;
+        report.bytes += framed;
+        end = reader.position();
     }
     report.torn_bytes += reader.dropped_bytes()?;
-    Ok((report, decode_cut))
-}
-
-/// [`replay`] then **repair**: truncate the torn tail in place so the log
-/// can be reopened for appending (the recovered engine continues logging
-/// where the valid prefix ends). A decode tear — a checksum-valid record
-/// replay cannot parse — is cut away too, for the same reason a physical
-/// tear is: nothing may sit between the replayable prefix and the append
-/// position. This is the entry point `OrthrusEngine::recover` uses.
-pub fn recover(db: &Database, dir: &Path) -> io::Result<ReplayReport> {
-    recover_with(db, dir, 1)
-}
-
-/// [`recover`], checkpoint-aware and optionally parallel.
-///
-/// Scans `ckpt-*` files newest to oldest, restores the first one that is
-/// valid **and** whose log suffix is still openable (an older checkpoint
-/// whose segments were GC'd is useless), then replays only the suffix —
-/// across `replay_threads` when >1 (see module docs for why that is
-/// bit-identical to serial). Falls back to full-log replay when no
-/// usable checkpoint exists. The torn tail is repaired in place, as for
-/// [`recover`].
-///
-/// The database must be the same logical snapshot checkpoint #0 was
-/// taken from (a freshly loaded database with the run's original seed).
-pub fn recover_with(db: &Database, dir: &Path, replay_threads: usize) -> io::Result<ReplayReport> {
-    // Newest usable checkpoint wins; torn/corrupt files and checkpoints
-    // whose suffix cannot be opened are skipped (never an error — they
-    // only cost replay work).
-    let mut start = LogPos::start();
-    let mut checkpoint = None;
-    for (idx, path) in orthrus_storage::checkpoint::checkpoint_files(dir)?
-        .into_iter()
-        .rev()
-    {
-        let Some(ckpt) = orthrus_storage::checkpoint::read_checkpoint(idx, &path)? else {
-            continue;
-        };
-        if LogReader::open_at(dir, ckpt.pos).is_err() {
-            continue;
-        }
-        // SAFETY: recovery runs before any worker starts; the database
-        // is quiesced by contract.
-        unsafe { crate::snapshot::restore_db(db, &ckpt.image)? };
-        start = ckpt.pos;
-        checkpoint = Some(idx);
-        break;
-    }
-
-    // Collect the committed suffix. Unlike the streaming [`replay`],
-    // recovery materializes the suffix's programs: the parallel leveler
-    // needs look-ahead, and a checkpointed suffix is bounded anyway.
-    // Full-log replays open unpositioned: a crash may have truncated
-    // segment 0 below even the magic, which is a tear to report, not a
-    // resume-position error.
-    let mut reader = if checkpoint.is_some() {
-        LogReader::open_at(dir, start)?
-    } else {
-        LogReader::open(dir)?
-    };
-    let mut report = ReplayReport {
-        checkpoint,
-        ..ReplayReport::default()
-    };
-    let mut suffix: Vec<LoggedCommit> = Vec::new();
-    let mut decode_cut = None;
-    while let Some(payload) = reader.next_record()? {
-        match decode_run(&payload) {
-            Ok(txns) => {
-                report.records += 1;
-                report.bytes += orthrus_storage::log::RECORD_OVERHEAD + payload.len() as u64;
-                suffix.extend(txns);
-            }
-            Err(_) => {
-                let end = reader.last_record_end();
-                let framed = orthrus_storage::log::RECORD_OVERHEAD + payload.len() as u64;
-                decode_cut = Some(end - framed);
-                report.torn_bytes += framed;
-                break;
-            }
-        }
-    }
-    report.torn_bytes += reader.dropped_bytes()?;
-    drop(reader);
-
-    // Tickets are collected at flatten time, so the report's replay
-    // order is the log order regardless of execution strategy.
-    report.txns = suffix.len() as u64;
-    report.tickets = suffix.iter().filter_map(|c| c.ticket).collect();
-
-    if replay_threads > 1 {
-        replay_leveled(db, &suffix, replay_threads);
-    } else {
-        let mut rng = XorShift64::new(0x5245_504C_4159);
-        for commit in &suffix {
-            apply(db, &commit.program, &mut rng);
-        }
-    }
-
-    match decode_cut {
-        // The decode cut subsumes any later physical tear.
-        Some(offset) => orthrus_storage::log::truncate_at(dir, offset)?,
-        None => {
-            orthrus_storage::log::truncate_torn_tail(dir)?;
-        }
-    }
-    Ok(report)
-}
-
-/// Execute a committed suffix by contiguous-prefix leveling: greedily
-/// grow a level while every new footprint stays key-disjoint from the
-/// level's union, run the level across threads, barrier, repeat. The
-/// first conflicting transaction seeds the next level — the serial-order
-/// fallback at conflict edges.
-fn replay_leveled(db: &Database, suffix: &[LoggedCommit], threads: usize) {
-    let mut rng = XorShift64::new(0x5245_504C_4159);
-    let mut i = 0;
-    while i < suffix.len() {
-        // Build one level. Plans are computed here, against the state
-        // all previous levels produced — exactly what each transaction
-        // saw live, since everything before it in log order has run.
-        let mut plans: Vec<Plan> = Vec::new();
-        let mut level_keys: Vec<Key> = Vec::new();
-        let mut end = i;
-        while end < suffix.len() {
-            let plan = plan_accesses(&suffix[end].program, db, 0, &mut rng);
-            let keys: Vec<Key> = plan.accesses.entries().iter().map(|&(k, _)| k).collect();
-            if end > i && !disjoint(&level_keys, &keys) {
-                break;
-            }
-            let mut merged = Vec::with_capacity(level_keys.len() + keys.len());
-            merge_sorted(&level_keys, &keys, &mut merged);
-            level_keys = merged;
-            plans.push(plan);
-            end += 1;
-        }
-
-        let level = &suffix[i..end];
-        if level.len() == 1 || threads <= 1 {
-            for commit in level {
-                apply(db, &commit.program, &mut rng);
-            }
-        } else {
-            // Disjoint footprints: any thread assignment is one of the
-            // level's equivalent serial orders. Chunk contiguously.
-            let deferred = std::sync::Mutex::new(Vec::new());
-            let chunk = level.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for (c, (txns, plans)) in level.chunks(chunk).zip(plans.chunks(chunk)).enumerate() {
-                    let deferred = &deferred;
-                    s.spawn(move || {
-                        for (j, (commit, plan)) in txns.iter().zip(plans).enumerate() {
-                            match execute_planned(&commit.program, db, plan) {
-                                Ok(v) => {
-                                    std::hint::black_box(v);
-                                }
-                                // Defense in depth (see module docs): a
-                                // mismatch inside a level should be
-                                // impossible; never re-plan concurrently
-                                // — the new footprint could overlap a
-                                // peer. Defer to the serial tail.
-                                Err(AbortKind::OllpMismatch) => {
-                                    deferred.lock().unwrap().push(c * chunk + j);
-                                }
-                                Err(other) => {
-                                    unreachable!("planned replay abort: {other:?}")
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            let mut deferred = deferred.into_inner().unwrap();
-            deferred.sort_unstable();
-            for j in deferred {
-                apply(db, &level[j].program, &mut rng);
-            }
-        }
-        i = end;
-    }
-}
-
-/// Whether two ascending key slices share no element.
-fn disjoint(a: &[Key], b: &[Key]) -> bool {
-    let (mut x, mut y) = (0, 0);
-    while x < a.len() && y < b.len() {
-        match a[x].cmp(&b[y]) {
-            std::cmp::Ordering::Less => x += 1,
-            std::cmp::Ordering::Greater => y += 1,
-            std::cmp::Ordering::Equal => return false,
-        }
-    }
-    true
-}
-
-/// Merge two ascending key slices into `out` (duplicates impossible:
-/// callers check disjointness first).
-fn merge_sorted(a: &[Key], b: &[Key], out: &mut Vec<Key>) {
-    let (mut x, mut y) = (0, 0);
-    while x < a.len() && y < b.len() {
-        if a[x] <= b[y] {
-            out.push(a[x]);
-            x += 1;
-        } else {
-            out.push(b[y]);
-            y += 1;
-        }
-    }
-    out.extend_from_slice(&a[x..]);
-    out.extend_from_slice(&b[y..]);
+    Ok((report, end))
 }
 
 /// Bound on OLLP replan attempts during replay. Replay plans against
@@ -326,7 +171,7 @@ const MAX_REPLAY_RETRIES: u32 = 8;
 /// Re-execute one committed program: plan (noise-free reconnaissance
 /// against current state) + `execute_planned`, the same path the live
 /// engine ran it through.
-pub(crate) fn apply(db: &Database, program: &orthrus_txn::Program, rng: &mut XorShift64) {
+fn apply(db: &Database, program: &orthrus_txn::Program, rng: &mut XorShift64) {
     for _ in 0..MAX_REPLAY_RETRIES {
         let plan = plan_accesses(program, db, 0, rng);
         match execute_planned(program, db, &plan) {
@@ -569,5 +414,53 @@ mod tests {
             let report = recover(&db, t.path()).unwrap();
             assert_eq!(report.txns as usize, k, "crash inside record {k}");
         }
+    }
+
+    /// A missing segment is a tear: with segment 1 of six gone, replay
+    /// stops behind segment 0, and the repair drops every segment after
+    /// the gap — as for a bad checksum in an earlier segment — so the next
+    /// append is the next replayable record.
+    #[test]
+    fn a_missing_segment_is_a_tear_and_the_repair_drops_what_follows() {
+        let _fp = crate::pass_failpoints();
+        let t = TempDir::new("replay-gap");
+        // 32-byte segments hold one record each.
+        let log = CommandLog::open_with_segment_bytes(t.path(), DurabilityMode::Log, 32).unwrap();
+        for i in 0..6 {
+            log.append_run(&mut vec![LoggedCommit {
+                ticket: Some(i),
+                program: rmw(&[i]),
+            }])
+            .unwrap();
+        }
+        log.sync().unwrap();
+        drop(log);
+        let segments = || orthrus_storage::log::segment_indices(t.path()).unwrap();
+        assert_eq!(segments(), vec![0, 1, 2, 3, 4, 5]);
+        std::fs::remove_file(t.path().join("seg-000001.olog")).unwrap();
+
+        let db = Database::Flat(Table::new(8, 64));
+        let report = recover(&db, t.path()).unwrap();
+        assert_eq!(report.tickets, vec![0], "nothing behind the gap replays");
+        assert!(
+            report.torn_bytes > 0,
+            "the segments behind the gap are torn"
+        );
+        assert_eq!(segments(), vec![0]);
+        for k in 0..6u64 {
+            assert_eq!(unsafe { db.read_counter(k) }, u64::from(k == 0), "key {k}");
+        }
+
+        let log = CommandLog::open_with_segment_bytes(t.path(), DurabilityMode::Log, 32).unwrap();
+        log.append_run(&mut vec![LoggedCommit {
+            ticket: Some(9),
+            program: rmw(&[7]),
+        }])
+        .unwrap();
+        log.sync().unwrap();
+        drop(log);
+        let report = replay(&Database::Flat(Table::new(8, 64)), t.path()).unwrap();
+        assert_eq!(report.tickets, vec![0, 9]);
+        assert_eq!(report.torn_bytes, 0);
     }
 }

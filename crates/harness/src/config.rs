@@ -58,9 +58,6 @@ pub struct BenchConfig {
     /// Fuzzy-checkpoint cadence in appended log bytes
     /// (`ORTHRUS_CHECKPOINT`, default unset/`0` = no checkpointer).
     pub checkpoint_bytes: Option<u64>,
-    /// Replay parallelism during recovery (`ORTHRUS_REPLAY_THREADS`,
-    /// default 1 = serial).
-    pub replay_threads: usize,
     /// Partition count for partitioned-deployment runs
     /// (`ORTHRUS_PARTITIONS`, default 1 = the single shared-memory
     /// engine; ≥ 2 shards the engine behind the `orthrus-part` router —
@@ -173,7 +170,6 @@ impl BenchConfig {
             durability: durability_from_env(),
             sync_interval: sync_interval_from_env(),
             checkpoint_bytes: checkpoint_from_env(),
-            replay_threads: env_u64("ORTHRUS_REPLAY_THREADS", 1).max(1) as usize,
             partitions: env_u64("ORTHRUS_PARTITIONS", 1).max(1) as usize,
             xpart_pct: env_u64("ORTHRUS_XPART_FRACTION", 0).min(100) as u32,
         }
@@ -207,7 +203,6 @@ impl BenchConfig {
             durability: durability_from_env(),
             sync_interval: sync_interval_from_env(),
             checkpoint_bytes: checkpoint_from_env(),
-            replay_threads: env_u64("ORTHRUS_REPLAY_THREADS", 1).max(1) as usize,
             partitions: env_u64("ORTHRUS_PARTITIONS", 1).max(1) as usize,
             xpart_pct: env_u64("ORTHRUS_XPART_FRACTION", 0).min(100) as u32,
         }
@@ -228,7 +223,6 @@ impl BenchConfig {
         cfg.log_dir = Some(scratch.path().to_path_buf());
         cfg.sync_interval = self.sync_interval;
         cfg.checkpoint_bytes = self.checkpoint_bytes;
-        cfg.replay_threads = self.replay_threads;
         Some(scratch)
     }
 
@@ -331,7 +325,6 @@ mod tests {
         malformed_max_threads_panics: "ORTHRUS_MAX_THREADS" => BenchConfig::from_env();
         malformed_flush_threshold_panics: "ORTHRUS_FLUSH_THRESHOLD" => BenchConfig::from_env();
         malformed_checkpoint_panics: "ORTHRUS_CHECKPOINT" => BenchConfig::from_env();
-        malformed_replay_threads_panics: "ORTHRUS_REPLAY_THREADS" => BenchConfig::from_env();
         malformed_partitions_panics: "ORTHRUS_PARTITIONS" => BenchConfig::from_env();
         malformed_xpart_fraction_panics: "ORTHRUS_XPART_FRACTION" => BenchConfig::from_env();
         malformed_net_addr_panics: "ORTHRUS_NET_ADDR" => net_config_from_env();

@@ -346,10 +346,12 @@ impl PartitionedEngine {
     }
 
     /// Crash recovery: replay every partition's command log under
-    /// `<log_dir>/part-<i>` against its database (repairing torn tails
-    /// in place). Per-partition log order is epoch order (see the module
-    /// docs), so independent replays reconstruct a cross-partition-
-    /// consistent state for every fully-logged epoch.
+    /// `<log_dir>/part-<i>` against its database, one serial pass each,
+    /// and cut each log where its replay stopped
+    /// ([`orthrus_durability::recover`]). Per-partition log order is
+    /// epoch order (see the module docs), so independent replays
+    /// reconstruct a cross-partition-consistent state for every
+    /// fully-logged epoch.
     pub fn recover(
         dbs: &[Arc<Database>],
         cfg: &PartitionedConfig,
@@ -364,11 +366,7 @@ impl PartitionedEngine {
                     "recovery requires a log_dir base",
                 )
             })?;
-            reports.push(orthrus_durability::recover_with(
-                db,
-                &dir,
-                cfg.engine.replay_threads.max(1),
-            )?);
+            reports.push(orthrus_durability::recover(db, &dir)?);
         }
         Ok(reports)
     }

@@ -26,14 +26,16 @@
 //!
 //! ## Crash semantics
 //!
-//! The reader accepts the longest **valid prefix**: it stops at the first
-//! record whose length prefix is incomplete, whose payload is shorter
-//! than its length, or whose checksum mismatches — a *torn tail*, the
-//! signature of a crash mid-append. Everything before the tear is intact
-//! (checksummed), everything from it on is reported as dropped bytes.
-//! [`truncate_torn_tail`] repairs a log in place (truncates the torn
-//! segment at the tear, deletes later segments) so a recovered log can be
-//! appended to again.
+//! The reader ([`LogReader`]) accepts the longest **valid prefix**: it
+//! stops at the first record whose length prefix is incomplete, whose
+//! payload is shorter than its length, or whose checksum mismatches — a
+//! *torn tail*, the signature of a crash mid-append — and at the first
+//! segment whose header is cut or whose index does not follow its
+//! predecessor's (a segment file is missing). Everything before the tear
+//! is intact (checksummed), everything from it on is reported as dropped
+//! bytes. [`truncate_to`] repairs a log in place at the position where a
+//! reader stopped (truncates that segment, deletes every later one) so a
+//! recovered log can be appended to again.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -161,17 +163,24 @@ fn segment_index_of(path: &Path) -> Option<u32> {
         .ok()
 }
 
-/// List a log directory's segments with their indices, in index order.
-pub fn indexed_segment_paths(dir: &Path) -> io::Result<Vec<(u32, PathBuf)>> {
-    let mut indexed: Vec<(u32, PathBuf)> = Vec::new();
+/// The indices of a log directory's segments, in index order.
+pub fn segment_indices(dir: &Path) -> io::Result<Vec<u32>> {
+    let mut indices = Vec::new();
     for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(idx) = segment_index_of(&path) {
-            indexed.push((idx, path));
+        if let Some(idx) = segment_index_of(&entry?.path()) {
+            indices.push(idx);
         }
     }
-    indexed.sort_unstable_by_key(|&(idx, _)| idx);
-    Ok(indexed)
+    indices.sort_unstable();
+    Ok(indices)
+}
+
+/// List a log directory's segments with their indices, in index order.
+pub fn indexed_segment_paths(dir: &Path) -> io::Result<Vec<(u32, PathBuf)>> {
+    Ok(segment_indices(dir)?
+        .into_iter()
+        .map(|idx| (idx, dir.join(segment_name(idx))))
+        .collect())
 }
 
 /// List a log directory's segments in index order.
@@ -242,9 +251,9 @@ pub struct SegmentedLog {
 impl SegmentedLog {
     /// Open `dir` for appending, creating it (and the first segment) if
     /// needed. An existing log is continued at its physical end — callers
-    /// recovering after a crash must repair the torn tail first
-    /// ([`truncate_torn_tail`]), or new records would hide behind it
-    /// forever.
+    /// recovering after a crash must first cut it where a [`LogReader`]
+    /// stopped ([`truncate_to`]), or new records would hide behind the
+    /// tear forever.
     pub fn open(dir: &Path, segment_bytes: u64) -> io::Result<Self> {
         assert!(
             segment_bytes > SEGMENT_MAGIC.len() as u64 + RECORD_OVERHEAD,
@@ -412,6 +421,9 @@ pub enum TornTail {
     BadChecksum,
     /// A segment's magic header was missing or short.
     BadSegmentHeader,
+    /// A segment's index does not follow its predecessor's: the file
+    /// between them is gone, and nothing behind the gap replays in order.
+    MissingSegment,
 }
 
 /// The outcome of scanning a log directory.
@@ -439,9 +451,13 @@ pub struct LogScan {
 /// holding **one segment** in memory at a time, so recovery of a
 /// multi-gigabyte log needs `O(segment_bytes)` RAM, not `O(log)`.
 /// Stops at the first tear (see [`TornTail`]); [`Self::tear`] and
-/// [`Self::dropped_bytes`] describe the tail after the stream ends.
+/// [`Self::dropped_bytes`] describe the tail after the stream ends, and
+/// [`Self::position`] is where a repair ([`truncate_to`]) cuts.
 pub struct LogReader {
-    segments: Vec<(u32, PathBuf)>,
+    dir: PathBuf,
+    /// Segment indices in index order; a path is derived when a segment
+    /// loads, so what the reader keeps per segment is four bytes.
+    segments: Vec<u32>,
     /// Rank (in `segments`) of the next segment to load.
     next_seg: usize,
     /// The currently loaded segment's bytes (empty before the first
@@ -471,13 +487,14 @@ impl LogReader {
     /// Open `dir` for reading. A missing directory reads as an empty log
     /// (recovery from "never ran" is not an error).
     pub fn open(dir: &Path) -> io::Result<Self> {
-        let segments = match indexed_segment_paths(dir) {
+        let segments = match segment_indices(dir) {
             Ok(s) => s,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let first_index = segments.first().map(|&(i, _)| i).unwrap_or(0);
+        let first_index = segments.first().copied().unwrap_or(0);
         Ok(LogReader {
+            dir: dir.to_path_buf(),
             segments,
             next_seg: 0,
             bytes: Vec::new(),
@@ -501,28 +518,34 @@ impl LogReader {
     /// (they may already be GC'd); reading starts at `pos.offset` inside
     /// segment `pos.seg_index`. Errors with `InvalidData` when the log
     /// physically ends before `pos` (a checkpoint pointing past the log
-    /// is corrupt — callers fall back to an older checkpoint).
+    /// is corrupt — callers fall back to an older checkpoint) or has no
+    /// segment `pos.seg_index`: a full-log replay opens at
+    /// [`LogPos::start`], so a log whose segment 0 is gone is refused
+    /// here rather than replayed from a later segment. A segment's very
+    /// start stays a valid position when a crash cut its header; the
+    /// stream reports that as a tear.
     pub fn open_at(dir: &Path, pos: LogPos) -> io::Result<Self> {
         let mut reader = Self::open(dir)?;
         // Skip whole segments before the position, keeping the global
         // physical offset honest for `last_record_end`.
         let mut skipped_bytes = 0u64;
         let mut skip = 0usize;
-        for &(idx, ref path) in &reader.segments {
+        for &idx in &reader.segments {
             if idx >= pos.seg_index {
                 break;
             }
-            skipped_bytes += std::fs::metadata(path)?.len();
+            skipped_bytes += std::fs::metadata(reader.segment_path(idx))?.len();
             skip += 1;
         }
         let corrupt =
             |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("log suffix: {what}"));
         match reader.segments.get(skip) {
-            Some(&(idx, ref path)) => {
+            Some(&idx) => {
                 if idx != pos.seg_index {
                     return Err(corrupt("resume segment missing"));
                 }
-                if std::fs::metadata(path)?.len() < pos.offset {
+                let len = std::fs::metadata(reader.segment_path(idx))?.len();
+                if pos.offset > SEGMENT_MAGIC.len() as u64 && len < pos.offset {
                     return Err(corrupt("resume position past segment end"));
                 }
             }
@@ -553,19 +576,22 @@ impl LogReader {
             if self.pos == self.bytes.len() {
                 // Clean segment boundary (or first call): load the next.
                 self.consumed_prior += self.bytes.len() as u64;
-                let Some(&(idx, ref path)) = self.segments.get(self.next_seg) else {
+                let Some(&idx) = self.segments.get(self.next_seg) else {
                     self.done = true;
                     return Ok(None);
                 };
+                // A loaded segment is never empty (it has its header), so
+                // a non-empty buffer means this is not the first load.
+                if !self.bytes.is_empty() && idx != self.cur_index + 1 {
+                    return Ok(self.stop(TornTail::MissingSegment));
+                }
                 self.next_seg += 1;
                 self.bytes.clear();
-                File::open(path)?.read_to_end(&mut self.bytes)?;
+                File::open(self.segment_path(idx))?.read_to_end(&mut self.bytes)?;
                 if self.bytes.len() < SEGMENT_MAGIC.len()
                     || self.bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC
                 {
-                    self.tear = Some(TornTail::BadSegmentHeader);
-                    self.done = true;
-                    return Ok(None);
+                    return Ok(self.stop(TornTail::BadSegmentHeader));
                 }
                 self.cur_index = idx;
                 // A checkpoint resume position applies to the first
@@ -587,18 +613,21 @@ impl LogReader {
                     };
                     Some(payload)
                 }
-                Some((None, _)) => {
-                    self.tear = Some(TornTail::BadChecksum);
-                    self.done = true;
-                    None
-                }
-                None => {
-                    self.tear = Some(TornTail::Truncated);
-                    self.done = true;
-                    None
-                }
+                Some((None, _)) => self.stop(TornTail::BadChecksum),
+                None => self.stop(TornTail::Truncated),
             });
         }
+    }
+
+    /// End the stream at a tear.
+    fn stop(&mut self, tear: TornTail) -> Option<Vec<u8>> {
+        self.tear = Some(tear);
+        self.done = true;
+        None
+    }
+
+    fn segment_path(&self, idx: u32) -> PathBuf {
+        self.dir.join(segment_name(idx))
     }
 
     /// Why the stream stopped early, if it did.
@@ -632,11 +661,9 @@ impl LogReader {
         } else {
             (self.bytes.len() - self.pos) as u64
         };
-        let rest: Vec<PathBuf> = self.segments[self.next_seg.min(self.segments.len())..]
-            .iter()
-            .map(|(_, p)| p.clone())
-            .collect();
-        total += remaining_bytes(&rest)?;
+        for &idx in &self.segments[self.next_seg.min(self.segments.len())..] {
+            total += std::fs::metadata(self.segment_path(idx))?.len();
+        }
         Ok(total)
     }
 }
@@ -691,75 +718,29 @@ fn read_record(bytes: &[u8], pos: usize) -> Option<(Option<Vec<u8>>, usize)> {
     ))
 }
 
-/// Total size of `segments` in bytes.
-fn remaining_bytes(segments: &[PathBuf]) -> io::Result<u64> {
-    let mut total = 0;
-    for s in segments {
-        total += std::fs::metadata(s)?.len();
-    }
-    Ok(total)
-}
-
-/// Repair a crashed log in place: truncate the segment holding the first
-/// invalid record at the tear and delete every later segment, so the
-/// valid prefix is also the physical end and the log can be reopened for
-/// appending. Returns how many bytes were dropped (0 for a clean log).
-pub fn truncate_torn_tail(dir: &Path) -> io::Result<u64> {
-    let segments = match segment_paths(dir) {
-        Ok(s) => s,
-        // A log that never existed is already tear-free.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut dropped = 0u64;
-    for (i, path) in segments.iter().enumerate() {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let keep = valid_prefix_len(&bytes);
-        if !bytes.is_empty() && keep == bytes.len() as u64 {
-            continue; // wholly valid (an empty file is a headerless tear)
-        }
-        dropped += bytes.len() as u64 - keep;
-        if keep == 0 && i > 0 {
-            // Not even a header survived: drop the whole segment.
+/// Repair a crashed log in place: make `end` — where a [`LogReader`]
+/// stopped ([`LogReader::position`]) — the log's physical end. The
+/// segment holding `end` is cut there and every later segment is
+/// deleted, so nothing sits between the replayable prefix and the next
+/// append; segments below `end` are not touched. A cut at a segment's
+/// very start also rewrites its header, which the crash may have cut.
+pub fn truncate_to(dir: &Path, end: LogPos) -> io::Result<()> {
+    for (idx, path) in indexed_segment_paths(dir)? {
+        if idx > end.seg_index {
             std::fs::remove_file(path)?;
-        } else if keep == 0 {
-            // Segment 0 with a cut header: rewrite a fresh header so the
-            // (empty) log reopens cleanly.
-            let mut f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(0)?;
-            f.write_all(&SEGMENT_MAGIC)?;
-            f.sync_data()?;
-        } else {
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(keep)?;
-            f.sync_data()?;
-        }
-        for later in &segments[i + 1..] {
-            dropped += std::fs::metadata(later)?.len();
-            std::fs::remove_file(later)?;
-        }
-        // Make the unlinks durable: a resurrected segment would sit
-        // behind the repaired tail and hijack the append position.
-        sync_dir(dir)?;
-        break;
-    }
-    Ok(dropped)
-}
-
-/// Length of the valid prefix of one segment's bytes (header included).
-fn valid_prefix_len(bytes: &[u8]) -> u64 {
-    if bytes.len() < SEGMENT_MAGIC.len() || bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return 0;
-    }
-    let mut pos = SEGMENT_MAGIC.len();
-    while pos < bytes.len() {
-        match read_record(bytes, pos) {
-            Some((Some(_), next)) => pos = next,
-            _ => break,
         }
     }
-    pos as u64
+    let mut f = OpenOptions::new()
+        .write(true)
+        .open(dir.join(segment_name(end.seg_index)))?;
+    f.set_len(end.offset)?;
+    if end.offset == SEGMENT_MAGIC.len() as u64 {
+        f.write_all(&SEGMENT_MAGIC)?;
+    }
+    f.sync_data()?;
+    // Make the unlinks durable: a resurrected segment would sit behind
+    // the repaired tail and hijack the append position.
+    sync_dir(dir)
 }
 
 /// Cut the log at a **global physical byte offset** (concatenated
@@ -787,7 +768,7 @@ pub fn truncate_at(dir: &Path, offset: u64) -> io::Result<()> {
         start += len;
     }
     if cut {
-        // As in [`truncate_torn_tail`]: deleted segments must stay
+        // As in [`truncate_to`]: deleted segments must stay
         // deleted across power loss.
         sync_dir(dir)?;
     }
@@ -796,27 +777,31 @@ pub fn truncate_at(dir: &Path, offset: u64) -> io::Result<()> {
 
 /// Total physical bytes across the log's segments.
 pub fn total_bytes(dir: &Path) -> io::Result<u64> {
-    remaining_bytes(&segment_paths(dir)?)
+    let mut total = 0;
+    for path in segment_paths(dir)? {
+        total += std::fs::metadata(path)?.len();
+    }
+    Ok(total)
 }
 
-/// Whether the log's physical tail is clean — its last segment parses
-/// end to end (an empty log is clean). Cheap: reads one segment. The
-/// append layer checks this before continuing a log, because records
-/// appended behind a tear are unreachable to every future replay. A
-/// tear hiding in an *earlier* segment (possible only through external
-/// mutilation, never through a crash) is caught by replay itself.
+/// Whether the log's physical tail is clean — a reader started at its
+/// last segment reaches the end without a tear (an empty log is clean).
+/// Cheap: reads one segment. The append layer checks this before
+/// continuing a log, because records appended behind a tear are
+/// unreachable to every future replay. A tear hiding in an *earlier*
+/// segment, or a missing segment (possible only through external
+/// mutilation, never through a crash), is caught by replay itself.
 pub fn tail_is_clean(dir: &Path) -> io::Result<bool> {
-    let segments = match segment_paths(dir) {
-        Ok(s) => s,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(true),
-        Err(e) => return Err(e),
-    };
-    let Some(last) = segments.last() else {
+    let Some(&seg_index) = LogReader::open(dir)?.segments.last() else {
         return Ok(true);
     };
-    let mut bytes = Vec::new();
-    File::open(last)?.read_to_end(&mut bytes)?;
-    Ok(!bytes.is_empty() && valid_prefix_len(&bytes) == bytes.len() as u64)
+    let start = LogPos {
+        seg_index,
+        offset: SEGMENT_MAGIC.len() as u64,
+    };
+    let mut reader = LogReader::open_at(dir, start)?;
+    while reader.next_record()?.is_some() {}
+    Ok(reader.tear().is_none())
 }
 
 #[cfg(test)]
@@ -830,6 +815,13 @@ mod tests {
             log.append(p).unwrap();
         }
         log.sync().unwrap();
+    }
+
+    /// Cut the log where a reader stops — the repair recovery makes.
+    fn repair(dir: &Path) {
+        let mut reader = LogReader::open(dir).unwrap();
+        while reader.next_record().unwrap().is_some() {}
+        truncate_to(dir, reader.position()).unwrap();
     }
 
     #[test]
@@ -886,7 +878,7 @@ mod tests {
         assert_eq!(torn.tear, Some(TornTail::Truncated));
         assert!(torn.dropped_bytes > 0);
         // Repair, then append again: the log stitches cleanly.
-        truncate_torn_tail(t.path()).unwrap();
+        repair(t.path());
         write_log(t.path(), &[b"fourth"], DEFAULT_SEGMENT_BYTES);
         let stitched = scan(t.path()).unwrap();
         assert_eq!(
@@ -924,7 +916,7 @@ mod tests {
         let torn = scan(t.path()).unwrap();
         assert!(torn.payloads.len() < payloads.len());
         assert_eq!(torn.payloads, payloads[..torn.payloads.len()].to_vec());
-        truncate_torn_tail(t.path()).unwrap();
+        repair(t.path());
         let repaired = scan(t.path()).unwrap();
         assert_eq!(repaired.tear, None);
         assert_eq!(repaired.payloads.len(), torn.payloads.len());

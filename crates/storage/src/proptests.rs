@@ -116,8 +116,11 @@ proptest! {
         let expect = full.record_ends.iter().filter(|&&e| e <= offset).count();
         prop_assert_eq!(scan.payloads.len(), expect);
 
-        // Repair + append stitches cleanly after any tear.
-        crate::log::truncate_torn_tail(t.path()).unwrap();
+        // Repair where a reader stops, then append: the log stitches
+        // cleanly after any tear.
+        let mut reader = crate::log::LogReader::open(t.path()).unwrap();
+        while reader.next_record().unwrap().is_some() {}
+        crate::log::truncate_to(t.path(), reader.position()).unwrap();
         let mut log = crate::log::SegmentedLog::open(t.path(), segment_budget).unwrap();
         log.append(b"post-crash").unwrap();
         log.sync().unwrap();

@@ -30,6 +30,7 @@ use orthrus::core::{
     AdmissionPolicy, CcAssignment, DurabilityMode, EngineError, OrthrusConfig, OrthrusEngine,
 };
 use orthrus::durability::log::{FP_APPEND, FP_FSYNC};
+use orthrus::durability::{CommandLog, LoggedCommit};
 use orthrus::storage::log::{scan, truncate_at};
 use orthrus::storage::Table;
 use orthrus::txn::{Database, Program};
@@ -606,6 +607,57 @@ fn unreadable_log_is_a_typed_recovery_error() {
         Err(EngineError::Recovery(_)) => {}
         Ok(_) => panic!("recovering from a plain file must fail"),
         Err(other) => panic!("expected Recovery, got {other:?}"),
+    }
+}
+
+/// A log whose segment 0 is gone no longer starts from the snapshot a
+/// fresh database holds, and without a checkpoint nothing says where it
+/// does: recovery refuses it as a typed error and touches no file.
+#[test]
+fn a_log_without_segment_zero_needs_a_checkpoint() {
+    let _serial = common::serial();
+    let scratch = TempDir::new("recover-no-seg0");
+    // 32-byte segments hold one record each.
+    let log = CommandLog::open_with_segment_bytes(scratch.path(), DurabilityMode::Log, 32).unwrap();
+    for i in 0..6 {
+        log.append_run(&mut vec![LoggedCommit {
+            ticket: Some(i),
+            program: Program::Rmw { keys: vec![i] },
+        }])
+        .unwrap();
+    }
+    log.sync().unwrap();
+    drop(log);
+    std::fs::remove_file(scratch.path().join("seg-000000.olog")).unwrap();
+    let files = || {
+        let mut files: Vec<_> = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files();
+    assert_eq!(before.len(), 5);
+
+    let db = Arc::new(Database::Flat(Table::new(KEYS as usize, 64)));
+    let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo)
+        .with_durability(DurabilityMode::Log, scratch.path());
+    match OrthrusEngine::try_recover(Arc::clone(&db), cfg) {
+        Err(EngineError::Recovery(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}")
+        }
+        Ok((_, report)) => panic!("replayed {:?} onto a fresh table", report.tickets),
+        Err(other) => panic!("expected Recovery, got {other:?}"),
+    }
+    assert!(files() == before, "a refused recovery touches no file");
+    for k in 0..KEYS {
+        // SAFETY: quiesced test database.
+        assert_eq!(unsafe { db.read_counter(k) }, 0, "key {k}");
     }
 }
 
