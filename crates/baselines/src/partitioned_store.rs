@@ -12,9 +12,8 @@
 
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
 use orthrus_common::runtime::{timed_run, RunParams};
-use orthrus_common::{Phase, PhaseTimer, RunStats, ThreadStats};
+use orthrus_common::{CachePadded, Phase, PhaseTimer, RunStats, ThreadStats};
 use orthrus_txn::{execute, Database, Program, Unguarded};
 use orthrus_workload::Spec;
 

@@ -124,12 +124,12 @@ where
     let ctl = RunCtl::new();
     let mut per_thread: Vec<ThreadStats> = Vec::new();
     let mut elapsed = Duration::ZERO;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
             let ctl = &ctl;
             let worker = &worker;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 pin_to_core(i);
                 worker(i, ctl)
             }));
@@ -143,8 +143,7 @@ where
         for h in handles {
             per_thread.push(h.join().expect("worker panicked"));
         }
-    })
-    .expect("engine thread panicked");
+    });
     RunStats::collect(&per_thread, elapsed)
 }
 
@@ -179,6 +178,14 @@ mod tests {
             stats.totals.committed
         );
         assert!(stats.elapsed >= Duration::from_millis(95));
+    }
+
+    /// A worker's panic fails the whole run instead of being counted as
+    /// an empty thread.
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn a_panicking_worker_fails_the_run() {
+        timed_run(1, Duration::ZERO, Duration::ZERO, |_, _| panic!("boom"));
     }
 
     #[test]

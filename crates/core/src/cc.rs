@@ -8,6 +8,13 @@
 //! only the owning thread ever touches it. [`CcState`] is the pure state
 //! machine (unit-testable single-threadedly); the engine drives it from
 //! the message loop.
+//!
+//! This is the engine's only CC architecture: every key has exactly one
+//! owning CC thread ([`crate::OrthrusConfig::cc_of`]), and a waiter is
+//! woken by a release arriving in that thread's own inbox, so an idle CC
+//! thread always parks on its doorbell. Section 3.4's alternative, one
+//! latched table shared by every CC thread, was measured slower at every
+//! hot-set size and removed (DESIGN.md, "One CC architecture").
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -23,33 +30,6 @@ pub enum OutMsg {
     ToCc { cc: u32, req: CcRequest },
     /// Answer an execution thread.
     ToExec { exec: u16, resp: ExecResponse },
-}
-
-/// What a CC thread's message loop drives: this module's thread-local
-/// partition of the lock space, or [`crate::shared::SharedCcState`]'s
-/// handle onto the Section-3.4 shared latched table.
-pub trait CcTable {
-    /// Handle one request, appending any outgoing messages to `out`.
-    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>);
-
-    /// Re-poll acquisitions parked on locks that *other* CC threads
-    /// release (shared table only: a partition's waiters are woken by
-    /// requests arriving in its own inbox). Returns how many progressed.
-    fn poll_parked(&mut self, _out: &mut Vec<OutMsg>) -> usize {
-        0
-    }
-
-    /// How many acquisitions [`Self::poll_parked`] is still watching.
-    fn parked(&self) -> usize {
-        0
-    }
-}
-
-impl CcTable for CcState {
-    #[inline]
-    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>) {
-        CcState::handle(self, req, out);
-    }
 }
 
 /// A transaction whose span is partially granted: the countdown to

@@ -32,21 +32,6 @@ pub enum CcAssignment {
     Balanced(Arc<[u32]>),
 }
 
-/// Which concurrency-control architecture the CC threads run
-/// (Section 3.4: partitioning is "orthogonal to the design principle of
-/// separating functionality").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcMode {
-    /// Each CC thread owns a disjoint lock partition; latch-free state
-    /// (the main ORTHRUS design).
-    Partitioned,
-    /// All CC threads share one latched lock table; an execution thread
-    /// sends its whole plan to any one CC thread (Section 3.4's
-    /// alternative). Synchronization exists, but only among the small set
-    /// of CC threads.
-    SharedTable,
-}
-
 /// Engine shape and tuning.
 #[derive(Debug, Clone)]
 pub struct OrthrusConfig {
@@ -68,10 +53,6 @@ pub struct OrthrusConfig {
     pub forwarding: bool,
     /// OLLP estimate noise (see `orthrus_txn::plan_accesses`).
     pub ollp_noise_pct: u32,
-    /// CC architecture (Section 3.4).
-    pub cc_mode: CcMode,
-    /// Buckets of the shared lock table when `cc_mode == SharedTable`.
-    pub shared_table_buckets: usize,
     /// Override the exec→CC ring capacity (ablation A2). Only this ring
     /// may be shrunk safely: an execution thread blocked on a full input
     /// ring of a *live, draining* CC thread always makes progress, whereas
@@ -177,25 +158,7 @@ impl OrthrusConfig {
     /// the paper uses at 80 cores) and the rest to execution.
     pub fn for_cores(total: usize, assignment: CcAssignment) -> Self {
         let n_cc = (total / 5).max(1);
-        OrthrusConfig {
-            n_cc,
-            n_exec: (total - n_cc).max(1),
-            assignment,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
-            forwarding: true,
-            ollp_noise_pct: 0,
-            cc_mode: CcMode::Partitioned,
-            shared_table_buckets: 1 << 14,
-            exec_queue_capacity: None,
-            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
-            ingest_capacity: DEFAULT_INGEST_CAPACITY,
-            admission: AdmissionPolicy::Fifo,
-            durability: DurabilityMode::Off,
-            log_dir: None,
-            sync_interval: SyncInterval::default(),
-            checkpoint_bytes: None,
-            sim_prefix: String::new(),
-        }
+        Self::with_threads(n_cc, (total - n_cc).max(1), assignment)
     }
 
     /// Explicit CC/exec split.
@@ -208,8 +171,6 @@ impl OrthrusConfig {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             forwarding: true,
             ollp_noise_pct: 0,
-            cc_mode: CcMode::Partitioned,
-            shared_table_buckets: 1 << 14,
             exec_queue_capacity: None,
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             ingest_capacity: DEFAULT_INGEST_CAPACITY,
@@ -272,9 +233,6 @@ impl OrthrusConfig {
                 "durability mode {} needs a log_dir (OrthrusConfig::with_durability)",
                 self.durability
             ));
-        }
-        if self.cc_mode == CcMode::SharedTable && self.shared_table_buckets == 0 {
-            return Err("SharedTable mode needs shared_table_buckets ≥ 1".into());
         }
         if let CcAssignment::Balanced(table) = &self.assignment {
             if table.is_empty() || !table.len().is_power_of_two() {
@@ -467,11 +425,6 @@ mod tests {
         })
         .unwrap_err()
         .contains("max_batch"));
-
-        let mut c = good.clone();
-        c.cc_mode = CcMode::SharedTable;
-        c.shared_table_buckets = 0;
-        assert!(c.validate().is_err());
 
         // flush_threshold = 0 normalizes instead of erroring.
         let mut c = good.clone();

@@ -44,11 +44,10 @@ use orthrus_spsc::{channel_labeled, Consumer, FanIn, Producer};
 use orthrus_txn::Database;
 use orthrus_workload::Spec;
 
-use crate::cc::{CcState, CcTable, OutMsg};
-use crate::config::{CcMode, Companion, OrthrusConfig};
+use crate::cc::{CcState, OutMsg};
+use crate::config::{Companion, OrthrusConfig};
 use crate::msg::{CcRequest, ExecResponse};
 use crate::session::{Session, SubmitShared};
-use crate::shared::SharedCcState;
 use crate::source::{ClientSource, Completion, Submission, SyntheticSource, TxnSource};
 
 /// A typed shutdown/recovery failure: the error paths the fault injector
@@ -468,10 +467,6 @@ impl Workers {
         let fabric = build_fabric(&cfg);
         let ctl = Arc::new(RunCtl::new());
         let active_execs = Arc::new(AtomicUsize::new(cfg.n_exec));
-        // Shared-table mode (Section 3.4): one latched table serves every
-        // CC thread.
-        let shared_table = (cfg.cc_mode == CcMode::SharedTable)
-            .then(|| Arc::new(orthrus_lockmgr::LockTable::new(cfg.shared_table_buckets)));
         let companions_stop = Arc::new(AtomicBool::new(false));
         let (names, companion_names) = cfg.thread_names();
         let companions = spawn_companions(&cfg, &engine.log, &companions_stop, companion_names);
@@ -482,14 +477,10 @@ impl Workers {
             let ctl = Arc::clone(&ctl);
             let active = Arc::clone(&active_execs);
             let flush = cfg.effective_flush_threshold();
-            let shared = shared_table.clone().map(SharedCcState::new);
             let capacity = cc_table_capacity(&cfg);
             let thread = spawn_named(name.clone(), move || {
                 pin_to_core(cc);
-                match shared {
-                    None => run_cc(CcState::new(cc as u32, capacity), flush, ep, &ctl, &active),
-                    Some(state) => run_cc(state, flush, ep, &ctl, &active),
-                }
+                run_cc(CcState::new(cc as u32, capacity), flush, ep, &ctl, &active)
             });
             threads.push((name, thread));
         }
@@ -971,11 +962,12 @@ fn finish_cc(timer: PhaseTimer, mut stats: ThreadStats) -> ThreadStats {
 /// requests from the fan-in in one sweep, and the round's outgoing
 /// messages are coalesced per destination and flushed as slices. With
 /// `flush_threshold == 1` this degenerates to the seed's
-/// one-message-per-atomic-publish pump. Over the Section-3.4 shared
-/// table it also re-polls parked acquisitions each iteration (their
-/// grants arrive from *other* CC threads' releases, through the table).
+/// one-message-per-atomic-publish pump. The thread owns its partition
+/// of the lock space outright: every release that can wake one of its
+/// waiters arrives in its own inbox, so with nothing to drain it parks on
+/// its doorbell.
 fn run_cc(
-    mut state: impl CcTable,
+    mut state: CcState,
     flush_threshold: usize,
     mut ep: CcEndpoints,
     ctl: &RunCtl,
@@ -1009,31 +1001,17 @@ fn run_cc(
             timer = PhaseTimer::start(Phase::Locking);
             in_window = true;
         }
-        let mut progress = ep.fanin.drain_round(&mut in_buf, drain_budget) > 0;
-        if progress {
+        if ep.fanin.drain_round(&mut in_buf, drain_budget) > 0 {
             timer.switch(&mut stats, Phase::Locking);
             for req in in_buf.drain(..) {
                 state.handle(req, &mut out);
             }
-        }
-        if state.poll_parked(&mut out) > 0 {
-            timer.switch(&mut stats, Phase::Locking);
-            progress = true;
-        }
-        if progress {
             for msg in out.drain(..) {
                 out_bufs.stage(msg, &mut stats);
             }
             out_bufs.flush(&mut ep, ctl);
             backoff.reset();
-        } else if ctl.is_stopped()
-            && active_execs.load(Ordering::Acquire) == 0
-            // A dead exec thread never releases the locks its in-flight
-            // transactions hold, so its peers' parked acquisitions can
-            // never be granted — on failure, abandon them instead of
-            // polling forever.
-            && (state.parked() == 0 || ctl.is_failed())
-        {
+        } else if ctl.is_stopped() && active_execs.load(Ordering::Acquire) == 0 {
             // Every exec flushed its final sends before decrementing, and
             // forwards only exist while acquires are unresolved — one last
             // sweep and we are done.
@@ -1042,15 +1020,9 @@ fn run_cc(
             }
         } else {
             timer.switch(&mut stats, Phase::Waiting);
-            if state.parked() == 0 {
-                backoff.snooze_on(&ep.bells.cc[ep.id], || {
-                    cc_wake(&ep.fanin, ctl, active_execs, in_window)
-                });
-            } else {
-                // Parked acquisitions are granted through the shared
-                // table by other CC threads' releases, which ring nobody.
-                backoff.snooze();
-            }
+            backoff.snooze_on(&ep.bells.cc[ep.id], || {
+                cc_wake(&ep.fanin, ctl, active_execs, in_window)
+            });
         }
     }
     finish_cc(timer, stats)
@@ -1227,37 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_table_mode_exact_counts() {
-        let _serial = crate::test_serial();
-        let db = Arc::new(Database::Flat(Table::new(64, 64)));
-        // Hot contention, multi-key plans: the shared table must still
-        // serialize exactly.
-        let spec = Spec::Micro(MicroSpec::hot_cold(64, 8, 2, 4, false));
-        let mut cfg = OrthrusConfig::with_threads(2, 3, CcAssignment::KeyModulo);
-        cfg.cc_mode = crate::config::CcMode::SharedTable;
-        let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
-        let stats = engine.run(&quick());
-        assert!(stats.totals.committed > 0, "shared mode made no progress");
-        assert_eq!(stats.totals.aborts(), 0);
-        let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
-        assert_eq!(total, stats.totals.committed_all * 4);
-    }
-
-    #[test]
-    fn shared_table_mode_read_only() {
-        let _serial = crate::test_serial();
-        let db = Arc::new(Database::Flat(Table::new(64, 64)));
-        let spec = Spec::Micro(MicroSpec::hot_cold(64, 8, 2, 4, true));
-        let mut cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::KeyModulo);
-        cfg.cc_mode = crate::config::CcMode::SharedTable;
-        let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
-        let stats = engine.run(&quick());
-        assert!(stats.totals.committed > 0);
-        let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
-        assert_eq!(total, 0);
-    }
-
-    #[test]
     fn flush_threshold_one_reproduces_seed_semantics() {
         let _serial = crate::test_serial();
         // flush_threshold = 1: every send publishes immediately, exactly
@@ -1308,21 +1249,6 @@ mod tests {
         let mut cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::KeyModulo);
         cfg.flush_threshold = 32;
         cfg.exec_queue_capacity = Some(2);
-        let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
-        let stats = engine.run(&quick());
-        assert!(stats.totals.committed > 0);
-        let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
-        assert_eq!(total, stats.totals.committed_all * 4);
-    }
-
-    #[test]
-    fn shared_table_mode_respects_flush_threshold() {
-        let _serial = crate::test_serial();
-        let db = Arc::new(Database::Flat(Table::new(64, 64)));
-        let spec = Spec::Micro(MicroSpec::hot_cold(64, 8, 2, 4, false));
-        let mut cfg = OrthrusConfig::with_threads(2, 3, CcAssignment::KeyModulo);
-        cfg.cc_mode = crate::config::CcMode::SharedTable;
-        cfg.flush_threshold = 8;
         let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
         let stats = engine.run(&quick());
         assert!(stats.totals.committed > 0);
@@ -1729,24 +1655,6 @@ mod tests {
         assert_eq!(stats.totals.committed_all, n);
         let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
         assert_eq!(total, n * 2);
-    }
-
-    /// Service mode on the shared-table CC architecture: the source seam
-    /// is orthogonal to the CC mode.
-    #[test]
-    fn service_mode_works_on_shared_table_cc() {
-        let _serial = crate::test_serial();
-        let db = Arc::new(Database::Flat(Table::new(64, 64)));
-        let mut cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::KeyModulo);
-        cfg.cc_mode = crate::config::CcMode::SharedTable;
-        let engine = OrthrusEngine::service(Arc::clone(&db), cfg);
-        let mut gen = Spec::Micro(MicroSpec::hot_cold(64, 8, 2, 4, false)).generator(9, 0);
-        let n = 300;
-        let (done, stats) = drive_service(&engine, &mut gen, n);
-        assert_eq!(done.len() as u64, n);
-        assert_eq!(stats.totals.committed_all, n);
-        let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
-        assert_eq!(total, n * 4);
     }
 
     /// Ticket conservation through the OLLP abort/retry path: a retried

@@ -236,8 +236,6 @@ pub struct ExecThread<'a, S: TxnSource> {
     /// message-economics ratios are pinned against it.
     post_stop: bool,
     stats: ThreadStats,
-    /// Round-robin CC choice for `CcMode::SharedTable`.
-    next_cc: u32,
     /// Wrapping token-generation counter (see [`Inflight::gen`]).
     next_token_gen: u32,
     /// Per-destination send buffers: requests accumulated during one
@@ -294,7 +292,6 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             completion_overflow: Vec::new(),
             post_stop: false,
             stats: ThreadStats::default(),
-            next_cc: exec_id as u32,
             next_token_gen: 0,
             send_buf: (0..n_cc).map(|_| Vec::with_capacity(flush)).collect(),
             resp_buf: Vec::with_capacity(ceiling),
@@ -493,11 +490,11 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
 
     /// Build the lock plan of `run`: the union of its members' footprints
     /// — a run of several same-class transactions acquires it in one
-    /// round — grouped per owning CC thread (partitioned), or as one span
-    /// bound to a round-robin-chosen CC thread (Section 3.4 shared
-    /// table). Built in the buffers of a plan every CC thread has let go
-    /// of. `None` when the run touches no record at all (every member's
-    /// key list is empty): there is nothing to ask a CC thread for.
+    /// round — grouped into one span per owning CC thread
+    /// ([`OrthrusConfig::cc_of`]). Built in the buffers of a plan every CC
+    /// thread has let go of. `None` when the run touches no record at all
+    /// (every member's key list is empty): there is nothing to ask a CC
+    /// thread for.
     fn plan_locks(&mut self, run: &[Admitted]) -> Option<Arc<LockPlan>> {
         let footprint = match run {
             [single] => &single.plan.accesses,
@@ -520,16 +517,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         let mut shared = self.plans.take();
         // Unshared, as `take` hands them out: this borrows, never copies.
         let plan = Arc::make_mut(&mut shared);
-        match cfg.cc_mode {
-            crate::config::CcMode::Partitioned => {
-                plan.rebuild(footprint, &mut self.plan_scratch, |k| cfg.cc_of(db, k));
-            }
-            crate::config::CcMode::SharedTable => {
-                let pick = self.next_cc % cfg.n_cc as u32;
-                self.next_cc = self.next_cc.wrapping_add(1);
-                plan.rebuild(footprint, &mut self.plan_scratch, |_| pick);
-            }
-        }
+        plan.rebuild(footprint, &mut self.plan_scratch, |k| cfg.cc_of(db, k));
         Some(shared)
     }
 

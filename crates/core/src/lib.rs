@@ -120,14 +120,13 @@ pub mod msg;
 pub mod plan;
 pub mod rebalance;
 pub mod session;
-pub mod shared;
 pub mod source;
 
 #[cfg(test)]
 mod proptests;
 
 pub use admit::{AdaptiveController, AdmissionPolicy, Admitted, Admitter};
-pub use config::{CcAssignment, CcMode, OrthrusConfig};
+pub use config::{CcAssignment, OrthrusConfig};
 pub use engine::{EngineError, EngineHandle, OrthrusEngine};
 pub use hub::{ClientRx, CompletionHub};
 pub use orthrus_durability::{DurabilityMode, ReplayReport, SyncInterval};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use orthrus_common::{CcUtil, RunStats};
-use orthrus_core::{AdmissionPolicy, CcAssignment, CcMode, OrthrusConfig, OrthrusEngine};
+use orthrus_core::{AdmissionPolicy, CcAssignment, OrthrusConfig, OrthrusEngine};
 use orthrus_storage::Table;
 use orthrus_txn::Database;
 use orthrus_workload::{Gen, MicroSpec, PartitionConstraint, Spec};
@@ -154,42 +154,6 @@ pub fn abl03_inflight_cap(bc: &BenchConfig) -> FigureResult {
         max.push(depth as f64, stats.max_inflight_cap() as f64);
     }
     fig.series.extend([s, mean, max]);
-    fig
-}
-
-/// A4: the Section-3.4 architecture choice — partitioned CC threads
-/// (latch-free, message-forwarded) vs CC threads sharing one latched lock
-/// table — across hot-set contention levels.
-pub fn abl04_cc_architecture(bc: &BenchConfig) -> FigureResult {
-    let (n_cc, n_exec) = split(bc);
-    let mut fig = FigureResult::new(
-        "abl04",
-        format!("CC architecture: partitioned vs shared table ({n_cc} CC / {n_exec} exec)"),
-        "hot_records",
-        "txns/sec",
-    );
-    let hots: Vec<u64> = [1024u64, 256, 64]
-        .into_iter()
-        .filter(|&h| h <= bc.n_records as u64)
-        .collect();
-    for (label, mode) in [
-        ("partitioned CC", CcMode::Partitioned),
-        ("shared-table CC", CcMode::SharedTable),
-    ] {
-        let mut s = Series::new(label);
-        for &hot in &hots {
-            let spec = MicroSpec::hot_cold(bc.n_records as u64, hot, 2, 10, false);
-            let n = spec.n_records as usize;
-            let db = Arc::new(Database::Flat(Table::new(n, bc.record_size)));
-            let mut cfg = OrthrusConfig::with_threads(n_cc, n_exec, CcAssignment::KeyModulo);
-            cfg.cc_mode = mode;
-            let _log_dir = bc.apply_durability(&mut cfg);
-            let engine = OrthrusEngine::new(db, Spec::Micro(spec), cfg);
-            let stats = engine.run(&bc.params(n_cc + n_exec));
-            s.push(hot as f64, stats.throughput());
-        }
-        fig.series.push(s);
-    }
     fig
 }
 
@@ -822,17 +786,6 @@ mod tests {
         // Correctness under backpressure is the point: every capacity,
         // even 2, must finish and commit.
         assert!(fig.series[0].points.iter().all(|&(_, y)| y > 0.0));
-    }
-
-    #[test]
-    fn cc_architecture_ablation_runs_both_modes() {
-        let _serial = crate::test_serial();
-        let bc = BenchConfig::test_quick();
-        let fig = abl04_cc_architecture(&bc);
-        assert_eq!(fig.series.len(), 2);
-        for s in &fig.series {
-            assert!(s.points.iter().all(|&(_, y)| y > 0.0), "{}", s.label);
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use orthrus_harness::{ablations, figures, BenchConfig};
 
 const ALL: &[&str] = &[
     "fig01", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-    "abl01", "abl02", "abl03", "abl04", "abl05", "abl06", "abl07", "abl08", "abl09", "abl10",
-    "abl11", "abl12", "ext01", "ext02", "ext03", "ext04", "ext05", "ext06",
+    "abl01", "abl02", "abl03", "abl05", "abl06", "abl07", "abl08", "abl09", "abl10", "abl11",
+    "abl12", "ext01", "ext02", "ext03", "ext04", "ext05", "ext06",
 ];
 
 fn run_one(id: &str, bc: &BenchConfig) {
@@ -45,7 +45,6 @@ fn run_one(id: &str, bc: &BenchConfig) {
         "abl01" => ablations::abl01_forwarding(bc).print(),
         "abl02" => ablations::abl02_queue_capacity(bc).print(),
         "abl03" => ablations::abl03_inflight_cap(bc).print(),
-        "abl04" => ablations::abl04_cc_architecture(bc).print(),
         "abl05" => ablations::abl05_batching(bc).print(),
         "abl06" => ablations::abl06_admission(bc).print(),
         "abl07" => ablations::abl07_adaptive(bc).print(),

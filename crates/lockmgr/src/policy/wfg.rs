@@ -13,10 +13,8 @@
 //! partitions with a DFS; finding a path back to the waiter means a cycle,
 //! and the waiter aborts itself.
 
-use crossbeam::utils::CachePadded;
+use orthrus_common::{CachePadded, TxnId};
 use parking_lot::Mutex;
-
-use orthrus_common::TxnId;
 
 use super::DeadlockPolicy;
 

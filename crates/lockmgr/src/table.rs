@@ -16,10 +16,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
+use orthrus_common::{fx_hash_u64, CachePadded, FxHashMap, Key, LockMode, TxnId};
 use parking_lot::Mutex;
-
-use orthrus_common::{fx_hash_u64, FxHashMap, Key, LockMode, TxnId};
 
 use crate::waiter::LockWaiter;
 

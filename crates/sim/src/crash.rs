@@ -41,8 +41,8 @@ use std::sync::Arc;
 use orthrus_common::rng::XorShift64;
 use orthrus_common::{sim, TempDir};
 use orthrus_core::{
-    AdmissionPolicy, CcAssignment, CcMode, DurabilityMode, EngineError, OrthrusConfig,
-    OrthrusEngine, SyncInterval, TrySubmitError,
+    AdmissionPolicy, CcAssignment, DurabilityMode, EngineError, OrthrusConfig, OrthrusEngine,
+    SyncInterval, TrySubmitError,
 };
 use orthrus_txn::Program;
 
@@ -72,7 +72,6 @@ pub struct CrashSimConfig {
     pub admission: AdmissionPolicy,
     pub durability: DurabilityMode,
     pub sync_interval: SyncInterval,
-    pub shared_table: bool,
     pub forwarding: bool,
     pub plan: FaultPlan,
 }
@@ -133,8 +132,12 @@ impl CrashSimConfig {
             admission,
             durability,
             sync_interval,
-            shared_table: rng.chance_percent(25),
-            forwarding: rng.chance_percent(75),
+            forwarding: {
+                // Once the shared-lock-table CC variant's draw; kept so
+                // the rest of the seed's configuration is unchanged.
+                rng.chance_percent(25);
+                rng.chance_percent(75)
+            },
             plan: FaultPlan {
                 delay_pct: [0, 10, 30][rng.next_below(3) as usize],
                 deny_push_pct: [0, 10][rng.next_below(2) as usize],
@@ -227,10 +230,6 @@ pub fn run_crash_sim(cfg: &CrashSimConfig, keep_trace: bool) -> CrashSimOutcome 
     ocfg.flush_threshold = cfg.flush_threshold;
     ocfg.ingest_capacity = 16;
     ocfg.admission = cfg.admission.clone();
-    if cfg.shared_table {
-        ocfg.cc_mode = CcMode::SharedTable;
-        ocfg.shared_table_buckets = 64;
-    }
     assert!(cfg.durability.is_on(), "crash recovery needs a log");
     let scratch = TempDir::new("crashsim");
     ocfg = ocfg.with_durability(cfg.durability, scratch.path());

@@ -11,6 +11,8 @@
 //!    admitted stream — ticket conservation and the serializability
 //!    witnesses hold under schedules threaded tests cannot express.
 //! 3. **Explorer smoke**: a small seed sweep runs clean end to end.
+//! 4. **Pinned schedules**: the reproduction seeds 3, 17 and 42 keep
+//!    their trace hashes.
 
 use proptest::prelude::*;
 
@@ -44,6 +46,22 @@ fn capped_budget_replays_bit_identically() {
     assert_eq!(a.trace_hash, b.trace_hash);
     assert_eq!(a.report.trace, b.report.trace, "step-for-step replay");
     assert_eq!(a.state_digest, b.state_digest);
+}
+
+/// The reproduction lines `sim run --seed {3,17,42} --trace` print the
+/// same schedule from one tree to the next. A change that moves one of
+/// these schedules on purpose updates its hash here and says why in
+/// CHANGES.md.
+#[test]
+fn pinned_seeds_keep_their_schedules() {
+    for (seed, hash) in [
+        (3, 0x0ee1_4573_a3a8_0e08u64),
+        (17, 0xf14e_81b8_d57d_e88f),
+        (42, 0x8d97_fccf_e5b5_36f7),
+    ] {
+        let got = run_sim(&SimConfig::from_seed(seed), false).trace_hash;
+        assert_eq!(got, hash, "seed {seed}: {got:#018x}");
+    }
 }
 
 /// Heavy delay/reordering restricted to the CC→CC forwarding and CC→exec
@@ -82,7 +100,6 @@ fn delayed_and_reordered_grant_forwarding_conserves_admitted_stream() {
                 durability: DurabilityMode::Off,
                 sync_interval: SyncInterval::PerRun,
                 checkpoint_bytes: None,
-                shared_table: false,
                 forwarding: true,
                 workload: WorkloadKind::MicroHot,
                 n_clients: 1,
@@ -127,7 +144,6 @@ fn delayed_grants_with_durability_replay_cleanly() {
         durability: DurabilityMode::Log,
         sync_interval: SyncInterval::PerRun,
         checkpoint_bytes: None,
-        shared_table: false,
         forwarding: true,
         workload: WorkloadKind::MicroUniform,
         n_clients: 1,
@@ -166,7 +182,6 @@ fn group_fsync_and_checkpoints_replay_deterministically_under_faults() {
         durability: DurabilityMode::LogFsync,
         sync_interval: SyncInterval::Adaptive,
         checkpoint_bytes: Some(192),
-        shared_table: false,
         forwarding: true,
         workload: WorkloadKind::MicroHot,
         n_clients: 1,
@@ -353,7 +368,6 @@ fn multi_client_sessions_conserve_under_all_admission_policies() {
             durability: DurabilityMode::Log,
             sync_interval: SyncInterval::PerRun,
             checkpoint_bytes: None,
-            shared_table: false,
             forwarding: true,
             workload: WorkloadKind::MicroUniform,
             keep: None,

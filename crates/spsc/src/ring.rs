@@ -5,9 +5,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
-use orthrus_common::sim;
-use orthrus_common::Backoff;
+use orthrus_common::{sim, Backoff, CachePadded};
 
 /// Shared state between the two endpoints.
 struct Inner<T> {
