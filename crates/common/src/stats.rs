@@ -61,6 +61,10 @@ pub struct ThreadStats {
     pub inflight_cap_sum: u64,
     pub inflight_cap_grants: u64,
     pub inflight_cap_max: u64,
+    /// ORTHRUS execution threads: quanta whose staged lock releases were
+    /// published before admission planned new work (windowed like
+    /// `committed`).
+    pub releases_first: u64,
     /// Adaptive-admission policy switches over the thread's whole
     /// lifetime (a lifetime counter like `committed_all`; 0 for the
     /// static policies).
@@ -152,6 +156,7 @@ impl ThreadStats {
         self.inflight_cap_sum += other.inflight_cap_sum;
         self.inflight_cap_grants += other.inflight_cap_grants;
         self.inflight_cap_max = self.inflight_cap_max.max(other.inflight_cap_max);
+        self.releases_first += other.releases_first;
         self.admission_switches += other.admission_switches;
         self.cycles_found += other.cycles_found;
         self.log_records += other.log_records;
@@ -399,6 +404,16 @@ impl RunStats {
         }
     }
 
+    /// Quanta whose releases left before admission, per commit (0.0
+    /// when nothing committed in the window).
+    pub fn releases_first_per_commit(&self) -> f64 {
+        if self.totals.committed == 0 {
+            0.0
+        } else {
+            self.totals.releases_first as f64 / self.totals.committed as f64
+        }
+    }
+
     /// Appended records per coordinator fsync — the group-commit
     /// coalescing factor (0.0 when no group syncs ran).
     pub fn coalesced_appends_per_sync(&self) -> f64 {
@@ -494,6 +509,7 @@ mod tests {
             inflight_cap_sum: 160,
             inflight_cap_grants: 10,
             inflight_cap_max: 32,
+            releases_first: 6,
             admission_switches: 2,
             cycles_found: 1,
             log_records: 4,
@@ -524,6 +540,7 @@ mod tests {
         assert_eq!(b.lock_waits, 14);
         assert_eq!((b.inflight_cap_sum, b.inflight_cap_grants), (320, 20));
         assert_eq!(b.inflight_cap_max, 32, "a maximum, not a sum");
+        assert_eq!(b.releases_first, 12);
         assert_eq!(b.admission_switches, 4);
         assert_eq!(b.log_records, 8);
         assert_eq!(b.log_writes, 4);
@@ -584,6 +601,16 @@ mod tests {
             Duration::from_secs(1),
         );
         assert!((writes.records_per_write() - 2.4).abs() < 1e-9);
+        assert_eq!(empty.releases_first_per_commit(), 0.0);
+        let early = RunStats::collect(
+            &[ThreadStats {
+                committed: 40,
+                releases_first: 10,
+                ..Default::default()
+            }],
+            Duration::from_secs(1),
+        );
+        assert!((early.releases_first_per_commit() - 0.25).abs() < 1e-9);
         assert_eq!(empty.fsync_wait_p50_us(), 0.0);
     }
 

@@ -1457,6 +1457,21 @@ mod tests {
         assert_eq!(transfers.mean_inflight_cap(), 16.0);
     }
 
+    /// A quantum's releases leave before admission: transfers among ten
+    /// accounts queue on every hot lock, and releases are staged while
+    /// admission still has work.
+    #[test]
+    fn contended_releases_leave_before_admission() {
+        let _serial = crate::test_serial();
+        let db = Arc::new(Database::Flat(Table::new(10, 16)));
+        let spec = Spec::Micro(MicroSpec::uniform(10, 2, false).with_transfers(100));
+        let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        let stats = OrthrusEngine::new(db, spec, cfg).run(&quick());
+        assert!(stats.totals.lock_waits > 0);
+        assert!(stats.totals.releases_first > 0);
+        assert!(stats.releases_first_per_commit() > 0.0);
+    }
+
     #[test]
     #[should_panic(expected = "invalid OrthrusConfig")]
     fn engine_rejects_zero_conflict_classes() {

@@ -21,6 +21,11 @@
 //! `InflightCap` walks the depth between a floor and
 //! [`OrthrusConfig::max_inflight`] from the lock waits its grants report.
 //!
+//! A quantum drains grants, executes the runs they complete and stages
+//! their releases, publishes what it staged, then admits new work. So a
+//! hot lock is held for its run's execution, not for the planning of the
+//! next runs (DESIGN.md, "A release leaves before admission").
+//!
 //! Figure-10 accounting on this thread: `Execution` = running transaction
 //! logic; `Locking` = admission (generation + planning), building lock
 //! plans, sending/receiving lock messages; `Waiting` = idle polls with
@@ -399,9 +404,11 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// send buffer until then) and, once per quantum, before the
     /// quantum's completions are handed out and before the loop decides
     /// whether it is finished. So a run's record is written while its
-    /// locks are still held — not early lock release: the releases only
-    /// wait where they already waited, in the send buffers — and log
-    /// order is conflict order: a conflicting successor cannot be
+    /// locks are still held — not early lock release: a release is a
+    /// staged message until a publish, and every publish writes first,
+    /// whether it comes before admission ([`Self::release_first`]), at a
+    /// batching threshold or at the quantum's end — and log order is
+    /// conflict order: a conflicting successor cannot be
     /// granted, let alone write, before our release is published (see
     /// DESIGN.md, "When a record reaches the OS").
     ///
@@ -481,6 +488,26 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         }
     }
 
+    /// Publish the quantum's staged releases *before* admission plans new
+    /// work, when admission is about to run: then a hot lock's hand-off
+    /// to a queued successor does not wait behind planning and lock-plan
+    /// building for other transactions. When admission has nothing to do
+    /// the releases leave at the quantum's end, no later. The publish
+    /// writes the quantum's log records first ([`Self::publish_to`]), so
+    /// the log contract is unchanged.
+    fn release_first(&mut self) {
+        if self.inflight >= self.cap.get()
+            || !self.admit.has_backlog()
+            || self.send_buf.iter().all(|b| b.is_empty())
+        {
+            return;
+        }
+        self.flush_sends();
+        if !self.post_stop {
+            self.stats.releases_first += 1;
+        }
+    }
+
     /// A fresh token generation for a new acquire chain.
     fn fresh_gen(&mut self) -> u32 {
         let g = self.next_token_gen;
@@ -557,8 +584,10 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         let mut timer = PhaseTimer::start(Phase::Locking);
         let mut backoff = Backoff::new();
         let mut in_window = false;
-        // One quantum per iteration: drain grant batches, admit up to the
-        // in-flight cap, then flush every staged request as slices.
+        // One quantum per iteration: drain grant batches (executing the
+        // runs they complete and staging their releases), flush the
+        // releases (`release_first`), admit up to the in-flight cap, then
+        // flush every staged request as slices.
         let drain_budget = self.cfg.max_inflight.max(1);
         loop {
             if !in_window && ctl.is_measuring() {
@@ -585,6 +614,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             let stopped = ctl.is_stopped();
             let draining = stopped && self.admit.drain_on_stop();
             if !stopped || (draining && self.admit.has_backlog()) {
+                self.release_first();
                 while self.inflight < self.cap.get() && self.start_run(&mut timer) {
                     progress = true;
                 }

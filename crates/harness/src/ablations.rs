@@ -162,16 +162,21 @@ pub fn abl03_inflight_cap(bc: &BenchConfig) -> FigureResult {
 /// `head`/`tail` cache-line round trips of every ring transaction over
 /// whole scheduling quanta (slice publishes, drain rounds, coalesced
 /// grants). Throughput should be monotonically non-decreasing in the
-/// threshold on contended multi-core runs.
+/// threshold on contended multi-core runs. Beside it: how often per 100
+/// commits a quantum's releases left before admission. At threshold 1
+/// every message is published as it is sent, nothing is staged to leave
+/// early, and the rate is 0.
 pub fn abl05_batching(bc: &BenchConfig) -> FigureResult {
     let (n_cc, n_exec) = split(bc);
     let mut fig = FigureResult::new(
         "abl05",
         format!("Fabric batching: flush_threshold ({n_cc} CC / {n_exec} exec)"),
         "flush_threshold",
-        "txns/sec (cc series: % of the window spent handling requests)",
+        "txns/sec (cc series: % of the window spent handling requests; \
+         rel-first: quanta releasing before admission per 100 commits)",
     );
     let mut s = Series::new("ORTHRUS high-contention");
+    let mut early = Series::new("rel-first/100 txn");
     let mut cc_util = Vec::new();
     for threshold in [1usize, 4, 16] {
         // The paper's contention crucible: a small hot set touched by
@@ -182,10 +187,12 @@ pub fn abl05_batching(bc: &BenchConfig) -> FigureResult {
         bc_t.flush_threshold = threshold;
         let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, 16, &bc_t);
         s.push(threshold as f64, stats.throughput());
+        early.push(threshold as f64, 100.0 * stats.releases_first_per_commit());
         cc_util.push((threshold as f64, stats.cc));
     }
     fig.series.push(s);
     push_cc_util(&mut fig, "orthrus", &cc_util);
+    fig.series.push(early);
     fig
 }
 
@@ -963,8 +970,8 @@ mod tests {
         // threshold: a CC thread that handled requests was busy for some
         // of the window and idle for some of it.
         let (n_cc, _) = split(&bc);
-        assert_eq!(fig.series.len(), 1 + n_cc);
-        for s in &fig.series[1..] {
+        assert_eq!(fig.series.len(), 2 + n_cc);
+        for s in &fig.series[1..=n_cc] {
             assert_eq!(s.points.len(), 3, "{}", s.label);
             assert!(
                 s.points.iter().all(|&(_, y)| y > 0.0 && y < 100.0),
@@ -973,5 +980,18 @@ mod tests {
                 s.points
             );
         }
+        // The releases-first rate: 0 at threshold 1, where nothing is
+        // staged to leave early.
+        let early = &fig.series[1 + n_cc];
+        assert_eq!(
+            early
+                .points
+                .iter()
+                .map(|&(x, _)| x as usize)
+                .collect::<Vec<_>>(),
+            vec![1, 4, 16]
+        );
+        assert_eq!(early.points[0].1, 0.0);
+        assert!(early.points.iter().all(|&(_, y)| y >= 0.0));
     }
 }

@@ -66,6 +66,10 @@ fn main() {
     println!("inflight_cap_mean {:.1}", r.inflight_cap_mean);
     println!("inflight_cap_max {}", r.inflight_cap_max);
     println!("log_records_per_write {:.2}", r.records_per_write);
+    println!(
+        "releases_first_per_commit {:.3}",
+        r.releases_first_per_commit
+    );
     for (i, cc) in r.cc.iter().enumerate() {
         println!("cc{i}_busy_pct {:.1}", cc.busy_pct());
     }

@@ -94,6 +94,8 @@ pub struct NetLoadReport {
     pub inflight_cap_max: u64,
     /// Command-log records per write (0.0 with the log off).
     pub records_per_write: f64,
+    /// Quanta whose releases left before admission, per commit.
+    pub releases_first_per_commit: f64,
 }
 
 impl NetLoadReport {
@@ -191,6 +193,7 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
         inflight_cap_mean: engine_stats.mean_inflight_cap(),
         inflight_cap_max: engine_stats.max_inflight_cap(),
         records_per_write: engine_stats.records_per_write(),
+        releases_first_per_commit: engine_stats.releases_first_per_commit(),
         cc: engine_stats.cc,
     }
 }
