@@ -61,6 +61,13 @@ pub struct ThreadStats {
     pub inflight_cap_sum: u64,
     pub inflight_cap_grants: u64,
     pub inflight_cap_max: u64,
+    /// ORTHRUS execution threads: runs admitted — one lock round each,
+    /// however many transactions it fused — over the thread's whole
+    /// lifetime (like `committed_all`, which it divides).
+    pub runs: u64,
+    /// ORTHRUS execution threads: the most transactions in flight at once
+    /// over the thread's lifetime; never above `max_inflight`.
+    pub inflight_max: u64,
     /// ORTHRUS execution threads: quanta whose staged lock releases were
     /// published before admission planned new work (windowed like
     /// `committed`).
@@ -134,9 +141,12 @@ impl ThreadStats {
     /// Zero the window counters at measurement start, preserving lifetime
     /// counters.
     pub fn reset_window(&mut self) {
-        let committed_all = self.committed_all;
+        let (committed_all, runs, inflight_max) =
+            (self.committed_all, self.runs, self.inflight_max);
         *self = ThreadStats::default();
         self.committed_all = committed_all;
+        self.runs = runs;
+        self.inflight_max = inflight_max;
     }
 
     /// Merge another thread's counters into this one.
@@ -156,6 +166,8 @@ impl ThreadStats {
         self.inflight_cap_sum += other.inflight_cap_sum;
         self.inflight_cap_grants += other.inflight_cap_grants;
         self.inflight_cap_max = self.inflight_cap_max.max(other.inflight_cap_max);
+        self.runs += other.runs;
+        self.inflight_max = self.inflight_max.max(other.inflight_max);
         self.releases_first += other.releases_first;
         self.admission_switches += other.admission_switches;
         self.cycles_found += other.cycles_found;
@@ -468,6 +480,22 @@ impl RunStats {
         self.totals.inflight_cap_max
     }
 
+    /// Transactions per admitted run over the engine's lifetime — how
+    /// many transactions one lock round carried (exactly 1.0 under FIFO
+    /// admission; 0.0 when no run was admitted).
+    pub fn txns_per_run(&self) -> f64 {
+        if self.totals.runs == 0 {
+            0.0
+        } else {
+            self.totals.committed_all as f64 / self.totals.runs as f64
+        }
+    }
+
+    /// The most transactions any execution thread had in flight at once.
+    pub fn inflight_max(&self) -> u64 {
+        self.totals.inflight_max
+    }
+
     /// Figure-10 style breakdown over the three phase buckets.
     pub fn breakdown(&self) -> PhaseBreakdown {
         let total =
@@ -509,6 +537,8 @@ mod tests {
             inflight_cap_sum: 160,
             inflight_cap_grants: 10,
             inflight_cap_max: 32,
+            runs: 4,
+            inflight_max: 20,
             releases_first: 6,
             admission_switches: 2,
             cycles_found: 1,
@@ -540,6 +570,8 @@ mod tests {
         assert_eq!(b.lock_waits, 14);
         assert_eq!((b.inflight_cap_sum, b.inflight_cap_grants), (320, 20));
         assert_eq!(b.inflight_cap_max, 32, "a maximum, not a sum");
+        assert_eq!(b.runs, 8);
+        assert_eq!(b.inflight_max, 20, "a maximum, not a sum");
         assert_eq!(b.releases_first, 12);
         assert_eq!(b.admission_switches, 4);
         assert_eq!(b.log_records, 8);
@@ -619,13 +651,15 @@ mod tests {
         let mut s = ThreadStats {
             committed: 5,
             committed_all: 9,
+            runs: 3,
+            inflight_max: 7,
             waiting_ns: 100,
             ..Default::default()
         };
         s.reset_window();
         assert_eq!(s.committed, 0);
         assert_eq!(s.waiting_ns, 0);
-        assert_eq!(s.committed_all, 9);
+        assert_eq!((s.committed_all, s.runs, s.inflight_max), (9, 3, 7));
     }
 
     #[test]
@@ -762,6 +796,23 @@ mod tests {
         assert_eq!(rs.max_inflight_cap(), 64);
         let empty = RunStats::collect(&[], Duration::ZERO);
         assert_eq!(empty.mean_inflight_cap(), 0.0);
+    }
+
+    /// Runs divide lifetime commits; the peak depth is a maximum over
+    /// execution threads.
+    #[test]
+    fn txns_per_run_divides_lifetime_commits() {
+        let exec = |committed_all, runs, inflight_max| ThreadStats {
+            committed_all,
+            runs,
+            inflight_max,
+            ..Default::default()
+        };
+        let rs = RunStats::collect(&[exec(90, 20, 24), exec(30, 10, 40)], Duration::ZERO);
+        assert!((rs.txns_per_run() - 4.0).abs() < 1e-9);
+        assert_eq!(rs.inflight_max(), 40);
+        let empty = RunStats::collect(&[], Duration::ZERO);
+        assert_eq!(empty.txns_per_run(), 0.0);
     }
 
     #[test]

@@ -84,13 +84,13 @@ use crate::source::{Reply, TxnSource};
 /// `classes × batch`.
 pub const DEFAULT_CONFLICT_CLASSES: usize = 8;
 
-/// Default per-class drain batch for [`AdmissionPolicy::ConflictBatch`]:
-/// matched to the in-flight floor — an execution thread's depth never
-/// walks below `min(max_inflight, DEFAULT_CLASS_BATCH)` — so one class's
-/// run can always fuse into a single full-depth acquisition (runs are
-/// additionally clipped to the execution thread's in-flight headroom at
-/// admission time). Deeper batches amortize more round trips per fused
-/// run under contention.
+/// Default per-class drain batch for [`AdmissionPolicy::ConflictBatch`],
+/// and the floor an execution thread's in-flight cap never walks below
+/// (`min(max_inflight, DEFAULT_CLASS_BATCH)`). A run is clipped only to
+/// the headroom under the ceiling, `max_inflight − inflight`, not under
+/// the cap: at the default ceiling of 64 a class's run can fuse its full
+/// batch while the cap sits at its floor. Deeper batches amortize more
+/// round trips per fused run under contention.
 pub const DEFAULT_CLASS_BATCH: usize = 16;
 
 /// Default promote threshold for [`AdmissionPolicy::Adaptive`], in

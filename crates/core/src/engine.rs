@@ -1472,6 +1472,60 @@ mod tests {
         assert!(stats.releases_first_per_commit() > 0.0);
     }
 
+    /// A fused run is as long as its class's batch: transfers among ten
+    /// accounts keep the cap at its floor, yet a batched run is clipped
+    /// only by the headroom under the ceiling, so runs carry several
+    /// transactions each. FIFO admits one transaction per run.
+    #[test]
+    fn batched_runs_fuse_past_the_cap_and_fifo_runs_hold_one() {
+        let _serial = crate::test_serial();
+        let run = |admission| {
+            let db = Arc::new(Database::Flat(Table::new(10, 16)));
+            let spec = Spec::Micro(MicroSpec::uniform(10, 2, false).with_transfers(100));
+            let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+            cfg.admission = admission;
+            OrthrusEngine::new(db, spec, cfg).run(&quick())
+        };
+        let batched = run(crate::admit::AdmissionPolicy::conflict_batch());
+        assert!(batched.totals.lock_waits > 0);
+        assert!(
+            batched.txns_per_run() >= 3.0,
+            "{:.2} transactions per run",
+            batched.txns_per_run()
+        );
+        assert!(batched.inflight_max() <= 64);
+        let fifo = run(crate::admit::AdmissionPolicy::Fifo);
+        assert_eq!(fifo.txns_per_run(), 1.0);
+        assert!(
+            fifo.inflight_max() <= 16,
+            "runs of one never pass the cap, held at its floor here"
+        );
+    }
+
+    /// A ceiling between the floor and the cap plus a batch: a run that
+    /// starts just under the cap fills the headroom above it but never
+    /// passes the ceiling, and every ticket still completes.
+    #[test]
+    fn runs_never_pass_the_ceiling() {
+        let _serial = crate::test_serial();
+        let db = Arc::new(Database::Flat(Table::new(10, 16)));
+        let spec = MicroSpec::uniform(10, 2, false).with_transfers(100);
+        let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        cfg.admission = crate::admit::AdmissionPolicy::conflict_batch();
+        cfg.max_inflight = 20;
+        let engine = OrthrusEngine::service(Arc::clone(&db), cfg);
+        let n = 4000;
+        let mut gen = Spec::Micro(spec).generator(5, 0);
+        let (done, stats) = drive_service(&engine, &mut gen, n);
+        assert_eq!(done.len() as u64, n, "every ticket completes");
+        assert_eq!(stats.totals.committed_all, n);
+        assert!(stats.inflight_max() <= 20, "{}", stats.inflight_max());
+        assert!(
+            stats.inflight_max() > 16,
+            "a run filled the headroom above the cap"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "invalid OrthrusConfig")]
     fn engine_rejects_zero_conflict_classes() {

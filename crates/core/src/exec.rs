@@ -17,9 +17,14 @@
 //! plans produced at admission ride the slot to execution; only OLLP
 //! retries re-plan.
 //!
-//! **How many** transactions are in flight is the thread's own decision:
-//! `InflightCap` walks the depth between a floor and
+//! **How many** transactions are in flight is the thread's own decision,
+//! in two parts. Whether a run may start: only while fewer than the cap
+//! are in flight, and `InflightCap` walks the cap between a floor and
 //! [`OrthrusConfig::max_inflight`] from the lock waits its grants report.
+//! How long the run may be: up to the ceiling's headroom,
+//! `max_inflight − inflight`, so a class's run is as long as its batch
+//! budget and queue allow (DESIGN.md, "A run is as long as its class's
+//! batch").
 //!
 //! A quantum drains grants, executes the runs they complete and stages
 //! their releases, publishes what it staged, then admits new work. So a
@@ -71,10 +76,11 @@ struct Inflight {
     retries: Vec<Admitted>,
 }
 
-/// How many transactions an execution thread keeps in flight: Section
-/// 3.3's asynchrony depth, walked between a floor and a ceiling by the
-/// lock waits its own grants report (DESIGN.md, "How deep the pipeline
-/// is").
+/// Below how many transactions in flight an execution thread starts a
+/// run: Section 3.3's asynchrony depth, walked between a floor and a
+/// ceiling by the lock waits its own grants report (DESIGN.md, "How deep
+/// the pipeline is"). It does not clip the run it lets start: that may
+/// fill the headroom under the ceiling.
 ///
 /// The walk goes one window at a time, a window being as many grants as
 /// the cap was when it opened. A window in which no grant waited, while
@@ -185,8 +191,8 @@ pub struct ExecThread<'a, S: TxnSource> {
     slots: Vec<Option<Inflight>>,
     free: Vec<u16>,
     inflight: usize,
-    /// How many transactions `inflight` may reach; `slots` has room for
-    /// its ceiling.
+    /// Below how many transactions in flight a run may start; `slots`
+    /// has room for its ceiling, which `inflight` never passes.
     cap: InflightCap,
     /// The pluggable admission layer: transaction source + planning + any
     /// conflict-class run queues.
@@ -685,14 +691,24 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     /// serialization). Returns `false` when the source had nothing to
     /// admit (client ingest ring dry) — the caller parks instead of
     /// spinning.
+    ///
+    /// The caller starts a run only below the cap; the run itself may
+    /// take the whole headroom under the ceiling (`slots.len()`, which is
+    /// `max_inflight`), so a batched class fuses as deep as its budget
+    /// and queue allow. Runs in flight stay at most the cap, hence at
+    /// most the slots.
     fn start_run(&mut self, timer: &mut PhaseTimer) -> bool {
         timer.switch(&mut self.stats, Phase::Locking);
-        let headroom = self.cap.get().saturating_sub(self.inflight).max(1);
-        let run = self.admit.next_run(self.db, headroom);
+        let run = self
+            .admit
+            .next_run(self.db, self.slots.len() - self.inflight);
         if run.is_empty() {
             return false;
         }
         self.inflight += run.len();
+        debug_assert!(self.inflight <= self.slots.len());
+        self.stats.runs += 1;
+        self.stats.inflight_max = self.stats.inflight_max.max(self.inflight as u64);
         let slot = self.free.pop().expect("inflight cap exceeded");
         self.launch(slot, run, Vec::new(), timer);
         true

@@ -205,7 +205,8 @@ pub fn abl05_batching(bc: &BenchConfig) -> FigureResult {
 /// skew the fused unions hold more locks for longer and FIFO wins; past
 /// the contention crossover (θ ≈ 0.6 at bench scale) the amortized
 /// acquire/release round trips dominate and conflict batching wins,
-/// increasingly with skew.
+/// increasingly with skew. Beside each policy: transactions per fused
+/// run (1 under FIFO) and the most transactions in flight at once.
 pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
     let (n_cc, n_exec) = split(bc);
     let mut fig = FigureResult::new(
@@ -214,9 +215,11 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
             "Admission scheduling: FIFO vs conflict-class batching ({n_cc} CC / {n_exec} exec)"
         ),
         "zipf_theta",
-        "txns/sec (cc series: % of the window spent handling requests)",
+        "txns/sec (cc series: % of the window spent handling requests; \
+         txns/run: transactions per lock round; inflight max: peak in flight)",
     );
     let mut cc_util = Vec::new();
+    let mut shape = Vec::new();
     for (label, short, policy) in [
         ("FIFO admission", "fifo", AdmissionPolicy::Fifo),
         (
@@ -226,6 +229,8 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
         ),
     ] {
         let mut s = Series::new(label);
+        let mut per_run = Series::new(format!("{short} txns/run"));
+        let mut peak = Series::new(format!("{short} inflight max"));
         let mut points = Vec::new();
         for theta in [0.3f64, 0.6, 0.9, 0.99] {
             // Scrambled-Zipf 10RMW: the YCSB hot set, scattered across CC
@@ -235,14 +240,18 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
             bc_t.admission = policy.clone();
             let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, 16, &bc_t);
             s.push(theta, stats.throughput());
+            per_run.push(theta, stats.txns_per_run());
+            peak.push(theta, stats.inflight_max() as f64);
             points.push((theta, stats.cc));
         }
         fig.series.push(s);
+        shape.extend([per_run, peak]);
         cc_util.push((short, points));
     }
     for (short, points) in &cc_util {
         push_cc_util(&mut fig, short, points);
     }
+    fig.series.extend(shape);
     fig
 }
 
@@ -823,8 +832,8 @@ mod tests {
         let (n_cc, _) = split(&bc);
         assert_eq!(
             fig.series.len(),
-            2 + 2 * n_cc,
-            "2 policies + their CC threads"
+            2 + 2 * n_cc + 4,
+            "2 policies + their CC threads + their txns/run and inflight max"
         );
         for s in &fig.series {
             assert_eq!(
@@ -838,6 +847,11 @@ mod tests {
             // run, where windows are long enough to rank policies.
             assert!(s.points.iter().all(|&(_, y)| y > 0.0), "{}", s.label);
         }
+        let fifo_runs = fig.series.iter().find(|s| s.label == "fifo txns/run");
+        assert!(
+            fifo_runs.is_some_and(|s| s.points.iter().all(|&(_, y)| y == 1.0)),
+            "FIFO admits one transaction per run"
+        );
     }
 
     #[test]

@@ -65,6 +65,8 @@ fn main() {
     println!("engine_committed_all {}", r.committed_all);
     println!("inflight_cap_mean {:.1}", r.inflight_cap_mean);
     println!("inflight_cap_max {}", r.inflight_cap_max);
+    println!("txns_per_run {:.2}", r.txns_per_run);
+    println!("inflight_max {}", r.inflight_max);
     println!("log_records_per_write {:.2}", r.records_per_write);
     println!(
         "releases_first_per_commit {:.3}",

@@ -92,6 +92,10 @@ pub struct NetLoadReport {
     /// grant-weighted mean, and maximum.
     pub inflight_cap_mean: f64,
     pub inflight_cap_max: u64,
+    /// Transactions per admitted run, and the most transactions any
+    /// execution thread had in flight, over the engine's lifetime.
+    pub txns_per_run: f64,
+    pub inflight_max: u64,
     /// Command-log records per write (0.0 with the log off).
     pub records_per_write: f64,
     /// Quanta whose releases left before admission, per commit.
@@ -192,6 +196,8 @@ pub fn run_net_load(spec: &MicroSpec, load: &NetLoadConfig, bc: &BenchConfig) ->
         committed_all: engine_stats.totals.committed_all,
         inflight_cap_mean: engine_stats.mean_inflight_cap(),
         inflight_cap_max: engine_stats.max_inflight_cap(),
+        txns_per_run: engine_stats.txns_per_run(),
+        inflight_max: engine_stats.inflight_max(),
         records_per_write: engine_stats.records_per_write(),
         releases_first_per_commit: engine_stats.releases_first_per_commit(),
         cc: engine_stats.cc,

@@ -177,6 +177,11 @@ pub struct SimOutcome {
     /// the determinism/replay pin.
     pub state_digest: Vec<u64>,
     pub committed: u64,
+    /// Runs the execution threads admitted (one lock round each), and the
+    /// most transactions one of them had in flight: how admission shaped
+    /// the run.
+    pub runs: u64,
+    pub inflight_max: u64,
     /// Invariant violations; empty means the run passed.
     pub violations: Vec<String>,
     pub report: SchedReport,
@@ -413,10 +418,12 @@ pub fn run_sim_guided(
         ));
     }
 
-    let mut committed = 0;
+    let (mut committed, mut runs, mut inflight_max) = (0, 0, 0);
     let shutdown_ok = match handle.try_shutdown() {
         Ok(stats) => {
             committed = stats.totals.committed_all;
+            runs = stats.totals.runs;
+            inflight_max = stats.inflight_max();
             if committed != accepted {
                 violations.push(format!(
                     "commit conservation: {committed} committed vs {accepted} accepted"
@@ -523,6 +530,8 @@ pub fn run_sim_guided(
         perturbations: report.perturbations,
         state_digest,
         committed,
+        runs,
+        inflight_max,
         violations,
         report,
         thread_names,

@@ -210,27 +210,63 @@ fn group_fsync_and_checkpoints_replay_deterministically_under_faults() {
 }
 
 /// Above sixteen in flight the execution threads walk their depth from
-/// the grants they receive. Under the scheduler that walk must keep every
-/// invariant and replay bit-identically from the seed, like everything
-/// else. (The corpora derive `max_inflight` ≤ 4 from their seeds, where
-/// the depth is fixed; this runs beside them rather than re-deriving
-/// their streams.)
+/// the grants they receive, and a batched run may fill the headroom
+/// under the ceiling rather than under the cap. Under the scheduler both
+/// rules must keep every invariant and replay bit-identically from the
+/// seed, like everything else, under each admission policy. (The corpora
+/// derive `max_inflight` ≤ 4 from their seeds, where the depth is fixed;
+/// this runs beside them rather than re-deriving their streams.)
 #[test]
 fn a_walking_inflight_depth_conserves_and_replays() {
-    for seed in [4, 19, 58, 203] {
-        let mut cfg = SimConfig::from_seed(seed);
-        cfg.max_inflight = 32;
-        cfg.ingest_capacity = 64;
-        cfg.txns = 80;
-        let a = run_sim(&cfg, false);
-        assert!(a.violations.is_empty(), "seed {seed}: {:?}", a.violations);
-        assert_eq!(a.committed, 80, "seed {seed}");
-        let b = run_sim(&cfg, false);
-        assert_eq!(a.trace_hash, b.trace_hash, "seed {seed}: schedule diverged");
-        assert_eq!(a.steps, b.steps, "seed {seed}");
+    let policies = [
+        AdmissionPolicy::Fifo,
+        AdmissionPolicy::ConflictBatch {
+            classes: 4,
+            batch: 16,
+        },
+        AdmissionPolicy::Adaptive {
+            classes: 4,
+            max_batch: 16,
+            threshold_pct: 5,
+            hysteresis: 1,
+            epoch: 16,
+        },
+    ];
+    for admission in policies {
+        let mut fused = false;
+        for seed in [4, 19, 58, 203] {
+            let mut cfg = SimConfig::from_seed(seed);
+            cfg.admission = admission.clone();
+            cfg.max_inflight = 32;
+            cfg.ingest_capacity = 64;
+            cfg.txns = 80;
+            let a = run_sim(&cfg, false);
+            assert!(
+                a.violations.is_empty(),
+                "{admission} seed {seed}: {:?}",
+                a.violations
+            );
+            assert_eq!(a.committed, 80, "{admission} seed {seed}");
+            assert!(a.inflight_max <= 32, "{admission} seed {seed}");
+            if admission == AdmissionPolicy::Fifo {
+                assert_eq!(a.runs, 80, "seed {seed}: FIFO runs hold one");
+            }
+            fused |= a.runs < a.committed;
+            let b = run_sim(&cfg, false);
+            assert_eq!(
+                a.trace_hash, b.trace_hash,
+                "{admission} seed {seed}: schedule diverged"
+            );
+            assert_eq!(a.steps, b.steps, "{admission} seed {seed}");
+            assert_eq!(
+                a.state_digest, b.state_digest,
+                "{admission} seed {seed}: state diverged"
+            );
+        }
         assert_eq!(
-            a.state_digest, b.state_digest,
-            "seed {seed}: state diverged"
+            fused,
+            admission != AdmissionPolicy::Fifo,
+            "{admission}: whether some run fused"
         );
     }
 }

@@ -27,6 +27,11 @@ The verdict follows the benchmark's rules. Per workload and gated metric:
   bound, relative to the parent's median, is "unresolved" rather than
   unchanged, unless every change run reads better than every parent run.
 
+`index` prints the chain-linked trajectory: per workload and gated metric,
+the product of the stored change/parent median ratios over every
+`BENCH_*.json` in issue order. Each link was measured within one campaign,
+so links compare where absolute medians taken on different days do not.
+
 `layers` adds the traced pass's per-layer medians to a written file (a few
 alternated runs per side, from the same two commits: the end-to-end pass
 prints only the gated metrics). `check` validates existing files (CI runs
@@ -36,6 +41,7 @@ stored runs.
 """
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -398,6 +404,35 @@ def cmd_check(args):
     return 1 if bad else 0
 
 
+def cmd_index(args):
+    """Print, per workload and gated metric, the product of the stored
+    ratios over every ledger in issue order, and the issues multiplied (a
+    ledger whose ratio is missing, from a zero parent median, is left
+    out of that product and named)."""
+    spec = load_benchmark_spec()
+    reports = []
+    for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")):
+        with open(path) as f:
+            reports.append(json.load(f))
+    reports.sort(key=lambda r: r["issue"])
+    print(f"chain-linked index over issues {[r['issue'] for r in reports]}")
+    for w in (w["name"] for w in spec["workloads"]):
+        for m in spec["end_to_end"]:
+            product, used, missing = 1.0, [], []
+            for r in reports:
+                ratio = r["workloads"].get(w, {}).get("metrics", {}).get(m["name"], {}).get("ratio")
+                if ratio is None:
+                    missing.append(r["issue"])
+                else:
+                    product *= ratio
+                    used.append(r["issue"])
+            row = f"{w:<15} {m['name']:<14} x{product:.3f}  ({m['better']} is better)  issues {used}"
+            if missing:
+                row += f"  no ratio in {missing}"
+            print(row)
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -409,11 +444,12 @@ def main():
     run.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     check = sub.add_parser("check", help="validate BENCH_*.json files against BENCHMARK.json and their runs")
     check.add_argument("files", nargs="+")
+    sub.add_parser("index", help="print the chain-linked index: the product of every ledger's ratios")
     layers = sub.add_parser("layers", help="add traced per-layer medians to one BENCH_*.json")
     layers.add_argument("file")
     layers.add_argument("--runs", type=int, default=3, help="traced passes per workload and side")
     args = ap.parse_args()
-    return {"run": cmd_run, "check": cmd_check, "layers": cmd_layers}[args.cmd](args)
+    return {"run": cmd_run, "check": cmd_check, "index": cmd_index, "layers": cmd_layers}[args.cmd](args)
 
 
 if __name__ == "__main__":
