@@ -53,7 +53,7 @@ pub struct ThreadStats {
     pub messages_sent: u64,
     /// Grant-deferral events observed (ORTHRUS only): locks that could
     /// not be granted immediately, summed over every grant received —
-    /// the contention signal adaptive admission switches on.
+    /// the contention signal the in-flight depth walks on.
     pub lock_waits: u64,
     /// ORTHRUS execution threads: the in-flight cap in force at each
     /// grant, summed, and the grants summed over — their ratio is the
@@ -72,9 +72,9 @@ pub struct ThreadStats {
     /// published before admission planned new work (windowed like
     /// `committed`).
     pub releases_first: u64,
-    /// Adaptive-admission policy switches over the thread's whole
-    /// lifetime (a lifetime counter like `committed_all`; 0 for the
-    /// static policies).
+    /// Always 0: it counted switches of an adaptive admission policy
+    /// that no longer exists. Kept (and merged) only because the
+    /// benchmark still reports it as `core.admit.switches`.
     pub admission_switches: u64,
     /// Deadlock-detection passes that found a cycle (wait-for graph).
     pub cycles_found: u64,

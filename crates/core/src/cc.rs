@@ -517,7 +517,7 @@ mod tests {
     fn deferred_grants_report_their_waiter_count() {
         // Two of the second transaction's three locks conflict with the
         // holder; the eventual grant must carry waiters = 2 (the
-        // contention signal adaptive admission consumes).
+        // contention signal the in-flight depth walks on).
         let mut cc = CcState::new(0, 64);
         let holder = plan_on_cc0(&[(1, LockMode::Exclusive), (2, LockMode::Exclusive)]);
         let contender = plan_on_cc0(&[

@@ -68,10 +68,8 @@ pub struct OrthrusConfig {
     /// (every send publishes immediately), which keeps an apples-to-apples
     /// ablation baseline. Buffered messages are always flushed before the
     /// thread polls or parks, so batching never delays a message behind an
-    /// idle quantum. `0` is tolerated and **normalizes to 1** — every
-    /// hot-loop consumer reads the knob through
-    /// [`Self::effective_flush_threshold`], since a literal zero would
-    /// make every drain round a no-op (livelock).
+    /// idle quantum. Must be ≥ 1: a zero would make every drain round a
+    /// no-op (livelock), so [`Self::validate`] refuses it.
     pub flush_threshold: usize,
     /// Capacity of each per-execution-thread client ingest ring in
     /// service mode ([`crate::OrthrusEngine::start`]); rounded up to a
@@ -82,14 +80,11 @@ pub struct OrthrusConfig {
     /// the in-flight cap, so a draining client can never wedge the
     /// engine.
     pub ingest_capacity: usize,
-    /// Admission scheduling policy (ablations A6/A7).
+    /// Admission scheduling policy (ablation A6), one of two:
     /// [`AdmissionPolicy::Fifo`] is the seed's admission order;
     /// `ConflictBatch` batches transactions by conflict class before
     /// admission (Prasaad et al.), planning each transaction once at
-    /// admission and draining per-class run queues back-to-back;
-    /// `Adaptive` switches between the two online from the observed
-    /// grant-deferral rate (hysteresis-controlled, see
-    /// [`crate::admit::AdaptiveController`]).
+    /// admission and draining per-class run queues back-to-back.
     pub admission: AdmissionPolicy,
     /// Durability (`ORTHRUS_DURABILITY` in the harness): `Off` is the
     /// paper's main-memory-only semantics; `Log` appends one command-log
@@ -194,9 +189,6 @@ impl OrthrusConfig {
     /// Validate the engine shape. [`crate::OrthrusEngine::new`] rejects
     /// invalid configurations at construction — a zero thread count or
     /// in-flight cap would otherwise hang or starve silently at run time.
-    ///
-    /// `flush_threshold = 0` is deliberately *not* an error: it normalizes
-    /// to `1` in [`Self::effective_flush_threshold`].
     pub fn validate(&self) -> Result<(), String> {
         if self.n_cc == 0 {
             return Err("n_cc must be ≥ 1: no CC thread would own the lock space".into());
@@ -221,6 +213,12 @@ impl OrthrusConfig {
                  indices; got {}",
                 self.max_inflight
             ));
+        }
+        if self.flush_threshold == 0 {
+            return Err(
+                "flush_threshold must be ≥ 1: a zero batch would make every drain round a no-op"
+                    .into(),
+            );
         }
         if self.ingest_capacity == 0 {
             return Err(
@@ -284,15 +282,6 @@ impl OrthrusConfig {
         (cc.chain(exec).collect(), companions.collect())
     }
 
-    /// The batching degree the fabric actually runs at: `flush_threshold`
-    /// normalized to ≥ 1. A zero would make every drain round a no-op
-    /// (livelock), so every hot-loop consumer reads the knob through
-    /// this accessor.
-    #[inline]
-    pub fn effective_flush_threshold(&self) -> usize {
-        self.flush_threshold.max(1)
-    }
-
     /// Resolve the CC thread owning `key`.
     #[inline]
     pub fn cc_of(&self, db: &Database, key: Key) -> u32 {
@@ -327,18 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_flush_threshold_never_zero() {
-        let mut c = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
-        assert_eq!(c.effective_flush_threshold(), DEFAULT_FLUSH_THRESHOLD);
-        c.flush_threshold = 0;
-        assert_eq!(
-            c.effective_flush_threshold(),
-            1,
-            "zero must clamp, not livelock"
-        );
-    }
-
-    #[test]
     fn validate_rejects_degenerate_shapes() {
         let good = OrthrusConfig::with_threads(2, 2, CcAssignment::KeyModulo);
         assert!(good.validate().is_ok());
@@ -365,72 +342,20 @@ mod tests {
             batch: 16,
         };
         assert!(c.validate().unwrap_err().contains("ConflictBatch"));
+    }
 
-        // A well-formed adaptive shape passes…
-        let mut c = good.clone();
-        c.admission = AdmissionPolicy::adaptive();
-        assert!(c.validate().is_ok());
-
-        // …and each degenerate adaptive knob is rejected with a message
-        // naming it.
-        let adaptive = |f: &dyn Fn(&mut AdmissionPolicy)| {
-            let mut p = AdmissionPolicy::adaptive();
-            f(&mut p);
-            let mut c = good.clone();
-            c.admission = p;
-            c.validate()
-        };
-        let set = |field: fn(&mut AdmissionPolicy) -> &mut u32, v: u32| {
-            move |p: &mut AdmissionPolicy| *field(p) = v
-        };
-        fn threshold(p: &mut AdmissionPolicy) -> &mut u32 {
-            let AdmissionPolicy::Adaptive { threshold_pct, .. } = p else {
-                unreachable!()
-            };
-            threshold_pct
-        }
-        fn hyst(p: &mut AdmissionPolicy) -> &mut u32 {
-            let AdmissionPolicy::Adaptive { hysteresis, .. } = p else {
-                unreachable!()
-            };
-            hysteresis
-        }
-        fn epoch(p: &mut AdmissionPolicy) -> &mut u32 {
-            let AdmissionPolicy::Adaptive { epoch, .. } = p else {
-                unreachable!()
-            };
-            epoch
-        }
-        assert!(adaptive(&set(threshold, 0))
-            .unwrap_err()
-            .contains("threshold_pct"));
-        assert!(adaptive(&set(hyst, 0)).unwrap_err().contains("hysteresis"));
-        // Epoch length 1 (and 0) make the per-epoch rate degenerate.
-        assert!(adaptive(&set(epoch, 1)).unwrap_err().contains("epoch"));
-        assert!(adaptive(&set(epoch, 0)).unwrap_err().contains("epoch"));
-        assert!(adaptive(&set(epoch, 2)).is_ok(), "2 is the minimum");
-        assert!(adaptive(&|p| {
-            let AdmissionPolicy::Adaptive { classes, .. } = p else {
-                unreachable!()
-            };
-            *classes = 0;
-        })
-        .unwrap_err()
-        .contains("classes"));
-        assert!(adaptive(&|p| {
-            let AdmissionPolicy::Adaptive { max_batch, .. } = p else {
-                unreachable!()
-            };
-            *max_batch = 0;
-        })
-        .unwrap_err()
-        .contains("max_batch"));
-
-        // flush_threshold = 0 normalizes instead of erroring.
-        let mut c = good.clone();
+    /// The fabric never runs at a zero batch: the default is ≥ 1, and a
+    /// zero is refused at validation, naming the field, instead of
+    /// livelocking every drain round.
+    #[test]
+    fn effective_flush_threshold_never_zero() {
+        let mut c = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+        assert_eq!(c.flush_threshold, DEFAULT_FLUSH_THRESHOLD);
+        assert!(c.flush_threshold >= 1 && c.validate().is_ok());
         c.flush_threshold = 0;
-        assert!(c.validate().is_ok());
-        assert_eq!(c.effective_flush_threshold(), 1);
+        assert!(c.validate().unwrap_err().contains("flush_threshold"));
+        c.flush_threshold = 1;
+        assert!(c.validate().is_ok(), "1 is per-message, the seed's fabric");
     }
 
     /// A slot index is a `u16`: 65 536 slots fit, one more does not, and

@@ -321,7 +321,7 @@ impl OrthrusEngine {
     /// `seed` seeds the planning RNGs (the OLLP reconnaissance stream),
     /// exactly as a closed-loop run's `params.seed` would.
     ///
-    /// All three admission policies operate unchanged over the client
+    /// Both admission policies operate unchanged over the client
     /// source; statistics accumulate until [`EngineHandle::shutdown`]
     /// (open a measurement window with
     /// [`EngineHandle::begin_measurement`]).
@@ -354,7 +354,7 @@ impl OrthrusEngine {
                 channel_labeled::<Completion>(completion_capacity, "completion");
             ingest.push(submit_tx);
             completions.push(done_rx);
-            let source = ClientSource::new(submit_rx, cfg.effective_flush_threshold());
+            let source = ClientSource::new(submit_rx, cfg.flush_threshold);
             (source, Some((done_tx, Arc::clone(&completion_bell))))
         });
         EngineHandle {
@@ -476,7 +476,7 @@ impl Workers {
         for ((cc, ep), name) in fabric.cc.into_iter().enumerate().zip(names.by_ref()) {
             let ctl = Arc::clone(&ctl);
             let active = Arc::clone(&active_execs);
-            let flush = cfg.effective_flush_threshold();
+            let flush = cfg.flush_threshold;
             let capacity = cc_table_capacity(&cfg);
             let thread = spawn_named(name.clone(), move || {
                 pin_to_core(cc);
@@ -1277,6 +1277,44 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_admission_keeps_exact_counts_on_both_fabrics() {
+        let _serial = crate::test_serial();
+        // A hot workload at the default ceiling, so the in-flight cap
+        // walks its admission depth between floor and ceiling on the lock
+        // waits its grants report. Under both policies, serializability
+        // (exact counter sums — every admitted transaction commits exactly
+        // once) must hold on the batched fabric and on the seed's
+        // per-message fabric alike, and the waits the cap reads must show.
+        for flush_threshold in [DEFAULT_FLUSH_THRESHOLD, 1] {
+            for policy in every_policy() {
+                let db = Arc::new(Database::Flat(Table::new(64, 64)));
+                let spec = Spec::Micro(MicroSpec::hot_cold(64, 4, 2, 4, false));
+                let mut cfg = OrthrusConfig::with_threads(2, 3, CcAssignment::KeyModulo);
+                assert!(cfg.max_inflight > crate::admit::DEFAULT_CLASS_BATCH);
+                cfg.flush_threshold = flush_threshold;
+                cfg.admission = policy.clone();
+                let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
+                let stats = engine.run(&quick());
+                assert!(
+                    stats.totals.committed > 0,
+                    "flush {flush_threshold}, {policy}: admission stalled"
+                );
+                assert_eq!(stats.totals.aborts(), 0);
+                let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
+                assert_eq!(
+                    total,
+                    stats.totals.committed_all * 4,
+                    "flush {flush_threshold}, {policy}: counter sums diverged"
+                );
+                assert!(
+                    stats.totals.lock_waits > 0,
+                    "flush {flush_threshold}, {policy}: hot workload must report deferrals"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn conflict_batch_admission_runs_tpcc_with_ollp() {
         let _serial = crate::test_serial();
         // The plan produced at admission must survive the OLLP abort/retry
@@ -1299,95 +1337,6 @@ mod tests {
             .map(|d| unsafe { t.districts.read_with(d, |r| r.ytd_cents) } - 3_000_000)
             .sum();
         assert_eq!(w_delta, d_delta);
-    }
-
-    #[test]
-    fn adaptive_admission_keeps_exact_counts_on_both_fabrics() {
-        let _serial = crate::test_serial();
-        // A hot workload with a promotion-friendly controller (tiny epoch,
-        // K = 1, low threshold): policy switches happen live inside the
-        // run, and serializability (exact counter sums — every admitted
-        // transaction commits exactly once, none lost or duplicated
-        // across a switch) must hold on the batched fabric and on the
-        // seed's per-message fabric alike.
-        for flush_threshold in [DEFAULT_FLUSH_THRESHOLD, 1] {
-            let db = Arc::new(Database::Flat(Table::new(64, 64)));
-            let spec = Spec::Micro(MicroSpec::hot_cold(64, 4, 2, 4, false));
-            let mut cfg = OrthrusConfig::with_threads(2, 3, CcAssignment::KeyModulo);
-            cfg.flush_threshold = flush_threshold;
-            cfg.admission = crate::admit::AdmissionPolicy::Adaptive {
-                classes: 4,
-                max_batch: 8,
-                threshold_pct: 5,
-                hysteresis: 1,
-                epoch: 32,
-            };
-            let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
-            let stats = engine.run(&quick());
-            assert!(
-                stats.totals.committed > 0,
-                "flush {flush_threshold}: adaptive admission stalled"
-            );
-            assert_eq!(stats.totals.aborts(), 0);
-            let total: u64 = (0..64).map(|k| unsafe { db.read_counter(k) }).sum();
-            assert_eq!(
-                total,
-                stats.totals.committed_all * 4,
-                "flush {flush_threshold}: counter sums diverged"
-            );
-            assert!(
-                stats.totals.lock_waits > 0,
-                "flush {flush_threshold}: hot workload must report deferrals"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_admission_runs_tpcc_with_ollp() {
-        let _serial = crate::test_serial();
-        // Adaptive admission must survive the OLLP abort/retry path in
-        // both of its modes: conservation holds across re-planned retries
-        // and any live policy switches.
-        let cfg_t = TpccConfig::tiny(2);
-        let db = Arc::new(Database::Tpcc(TpccDb::load(cfg_t, 17)));
-        let spec = Spec::Tpcc(TpccSpec::paper_mix(cfg_t));
-        let mut cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::Warehouse);
-        cfg.admission = crate::admit::AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 8,
-            threshold_pct: 5,
-            hysteresis: 1,
-            epoch: 32,
-        };
-        cfg.ollp_noise_pct = 50;
-        let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
-        let stats = engine.run(&quick());
-        assert!(stats.totals.committed > 0);
-        assert!(stats.totals.aborts_ollp > 0, "noise must hit the OLLP path");
-        let t = db.tpcc();
-        let w_delta: u64 = (0..t.warehouses.len())
-            .map(|w| unsafe { t.warehouses.read_with(w, |r| r.ytd_cents) } - 30_000_000)
-            .sum();
-        let d_delta: u64 = (0..t.districts.len())
-            .map(|d| unsafe { t.districts.read_with(d, |r| r.ytd_cents) } - 3_000_000)
-            .sum();
-        assert_eq!(w_delta, d_delta);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid OrthrusConfig")]
-    fn engine_rejects_adaptive_epoch_of_one() {
-        let db = Arc::new(Database::Flat(Table::new(16, 64)));
-        let spec = Spec::Micro(MicroSpec::uniform(16, 2, false));
-        let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
-        cfg.admission = crate::admit::AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 8,
-            threshold_pct: 40,
-            hysteresis: 2,
-            epoch: 1,
-        };
-        let _ = OrthrusEngine::new(db, spec, cfg);
     }
 
     #[test]
@@ -1568,24 +1517,17 @@ mod tests {
         (done, stats)
     }
 
-    fn every_policy() -> [crate::admit::AdmissionPolicy; 3] {
+    fn every_policy() -> [crate::admit::AdmissionPolicy; 2] {
         [
             crate::admit::AdmissionPolicy::Fifo,
             crate::admit::AdmissionPolicy::ConflictBatch {
                 classes: 4,
                 batch: 8,
             },
-            crate::admit::AdmissionPolicy::Adaptive {
-                classes: 4,
-                max_batch: 8,
-                threshold_pct: 5,
-                hysteresis: 1,
-                epoch: 32,
-            },
         ]
     }
 
-    /// Every accepted ticket completes exactly once, across all three
+    /// Every accepted ticket completes exactly once, under both
     /// admission policies, with the serializability witness intact —
     /// including tickets still queued in ingest rings at shutdown
     /// (`submit` never waits for completions, so at `shutdown()` up to
@@ -2096,7 +2038,6 @@ mod tests {
         for admission in [
             crate::admit::AdmissionPolicy::Fifo,
             crate::admit::AdmissionPolicy::conflict_batch(),
-            crate::admit::AdmissionPolicy::adaptive(),
         ] {
             let scratch = TempDir::new("engine-ckpt-pol");
             let db = Arc::new(Database::Flat(Table::new(64, 64)));

@@ -277,7 +277,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     ) -> Self {
         let ceiling = cfg.max_inflight.max(1);
         let n_cc = ep.to_cc.len();
-        let flush = cfg.effective_flush_threshold();
+        let flush = cfg.flush_threshold;
         ExecThread {
             exec_id,
             db,
@@ -386,7 +386,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
     fn send(&mut self, cc: usize, req: CcRequest) {
         self.send_buf[cc].push(req);
         self.stats.messages_sent += 1;
-        if self.send_buf[cc].len() >= self.cfg.effective_flush_threshold() {
+        if self.send_buf[cc].len() >= self.cfg.flush_threshold {
             self.publish_to(cc);
         }
     }
@@ -677,9 +677,6 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         debug_assert!(self.send_buf.iter().all(|b| b.is_empty()));
         debug_assert!(self.log_records == 0 && self.commit_batch.is_empty());
         timer.finish(&mut self.stats);
-        // Lifetime counter (like `committed_all`): how often adaptive
-        // admission switched policy over the whole run.
-        self.stats.admission_switches = self.admit.switches();
         self.stats
     }
 
@@ -806,10 +803,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             waiters,
         } = resp;
         // The grant's deferral count is the contention signal: fold it
-        // into the adaptive epoch counters (no-op for static policies)
-        // and the run stats. Without forwarding each span reports its own
+        // into the run stats. Without forwarding each span reports its own
         // share, so summing per-grant stays correct in both modes.
-        self.admit.note_lock_waits(waiters);
         self.stats.lock_waits += waiters as u64;
         // The same signal sets how deep this thread's pipeline runs.
         let cap = self.cap.get() as u64;

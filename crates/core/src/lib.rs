@@ -65,16 +65,7 @@
 //!   one fused lock acquisition — one acquire/release round per run
 //!   instead of per transaction (Prasaad et al., "Improving High
 //!   Contention OLTP Performance via Transaction Scheduling"; ablation
-//!   A6, `abl06_admission`, shows the low-skew/high-skew crossover);
-//! - [`AdmissionPolicy::Adaptive`] picks between the two **online**: every
-//!   lock grant reports how many of its locks had to wait, execution
-//!   threads fold those grant-deferral counts into per-epoch conflict
-//!   counters, and a deterministic hysteresis controller
-//!   ([`admit::AdaptiveController`]) promotes to conflict batching when
-//!   the rate stays above a threshold, demotes when it stays below half
-//!   of it, and doubles or halves the batch depth in between (ablation
-//!   A7, `abl07_adaptive`, tracks the better static policy across the
-//!   crossover).
+//!   A6, `abl06_admission`, compares the two across skew).
 //!
 //! ## Transaction sources and the open loop ([`source`], [`session`])
 //!
@@ -89,7 +80,7 @@
 //! is backpressure ([`TrySubmitError::Full`]), and every accepted
 //! ticket completes exactly once through a completion ring carrying
 //! submit→commit latency (folded into `RunStats` as per-thread latency
-//! histograms). All three admission policies operate unchanged over
+//! histograms). Both admission policies operate unchanged over
 //! either source; shutdown drains client backlogs dry before stopping
 //! (ablation A8, `abl08_openloop`, sweeps offered load against
 //! delivered throughput and latency).
@@ -125,7 +116,7 @@ pub mod source;
 #[cfg(test)]
 mod proptests;
 
-pub use admit::{AdaptiveController, AdmissionPolicy, Admitted, Admitter};
+pub use admit::{AdmissionPolicy, Admitted, Admitter};
 pub use config::{CcAssignment, OrthrusConfig};
 pub use engine::{EngineError, EngineHandle, OrthrusEngine};
 pub use hub::{ClientRx, CompletionHub};

@@ -52,7 +52,7 @@ pub enum CcRequest {
         /// forwarding chain. Execution threads send `0`; each CC thread
         /// adds its span's deferrals before forwarding, so the final
         /// grant carries the transaction's whole conflict footprint — the
-        /// contention signal adaptive admission feeds on.
+        /// contention signal the in-flight depth walks on.
         waiters: u32,
     },
     /// Release the locks of `plan.span(span_idx)`. "Lock release requests
@@ -77,8 +77,9 @@ pub enum ExecResponse {
         /// its locks had to wait behind a holder or a queued waiter. With
         /// forwarding, the count spans the whole CC chain; without it,
         /// each per-span grant reports its own span's deferrals (the sum
-        /// over spans is the same signal). Execution threads aggregate
-        /// these into per-epoch conflict counters for adaptive admission.
+        /// over spans is the same signal). Execution threads count them
+        /// (`ThreadStats::lock_waits`) and walk their in-flight depth on
+        /// them.
         waiters: u32,
     },
 }

@@ -14,7 +14,7 @@ use orthrus_storage::Table;
 use orthrus_txn::{plan_accesses, AccessSet, Database};
 use orthrus_workload::{MicroSpec, Spec, TpccSpec};
 
-use crate::admit::{AdaptiveController, AdmissionPolicy, Admitter};
+use crate::admit::{AdmissionPolicy, Admitter};
 use crate::cc::{CcState, OutMsg};
 use crate::msg::{CcRequest, ExecResponse, Token};
 use crate::plan::{LockPlan, PlanScratch, Span};
@@ -227,87 +227,6 @@ proptest! {
             prop_assert_eq!(&a.program, &program);
             prop_assert_eq!(&a.plan, &plan);
         }
-    }
-}
-
-// ---- Adaptive admission determinism --------------------------------------
-//
-// The adaptive controller must be a pure function of the conflict-signal
-// trace: same epoch counter sequence ⇒ same policy-switch schedule. The
-// pin has the same role as the Fifo bit-equivalence pin above — it keeps
-// anyone from sneaking a clock, a random tiebreak, or cross-thread state
-// into the switching decision, which would make runs irreproducible.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Replaying a fixed epoch-counter trace yields the identical
-    /// (mode, batch-depth) schedule — and the schedule is *online*: a
-    /// longer trace only appends to it. The hysteresis depth also bounds
-    /// the switch count structurally (no flapping faster than one switch
-    /// per K epochs).
-    #[test]
-    fn adaptive_controller_schedule_is_a_pure_function_of_the_trace(
-        trace in prop::collection::vec((0u64..512, 1u64..256), 1..128),
-        threshold in 1u32..120,
-        k in 1u32..5,
-        max_batch in 1usize..64,
-    ) {
-        let replay = |ctl: &mut AdaptiveController, n: usize| -> Vec<(bool, usize)> {
-            trace[..n].iter().map(|&(w, a)| ctl.observe_epoch(w, a)).collect()
-        };
-        let mut a = AdaptiveController::new(threshold, k, max_batch);
-        let mut b = AdaptiveController::new(threshold, k, max_batch);
-        let sa = replay(&mut a, trace.len());
-        let sb = replay(&mut b, trace.len());
-        prop_assert_eq!(&sa, &sb, "same trace must yield the same schedule");
-        prop_assert!(
-            a.switches() <= trace.len() as u64 / k as u64,
-            "{} switches over {} epochs breaks the 1-per-{k}-epochs bound",
-            a.switches(), trace.len()
-        );
-        let mut c = AdaptiveController::new(threshold, k, max_batch);
-        let half = trace.len() / 2;
-        let prefix = replay(&mut c, half);
-        prop_assert_eq!(&sa[..half], &prefix[..], "schedule must be online");
-    }
-
-    /// End to end through the admitter: two admitters with the same seed
-    /// and the same injected per-run conflict signal admit the identical
-    /// transaction stream and switch at the identical points.
-    #[test]
-    fn adaptive_admission_is_deterministic_given_a_signal_trace(
-        seed in any::<u64>(),
-        exec_id in 0u16..4,
-        signal in prop::collection::vec(0u32..12, 64..160),
-    ) {
-        let spec = MicroSpec::hot_cold(512, 4, 2, 4, false);
-        let policy = AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 8,
-            threshold_pct: 40,
-            hysteresis: 1,
-            epoch: 8,
-        };
-        let db = Database::Flat(Table::new(512, 8));
-        let replay = || -> Vec<(Vec<orthrus_txn::Program>, bool)> {
-            let mut admit = Admitter::new(
-                &policy,
-                SyntheticSource::new(Spec::Micro(spec.clone()).generator(seed, exec_id as usize)),
-                seed,
-                exec_id,
-                0,
-            );
-            signal
-                .iter()
-                .map(|&s| {
-                    let run = admit.next_run(&db, 4);
-                    admit.note_lock_waits(s * run.len() as u32);
-                    (run.into_iter().map(|a| a.program).collect(), admit.batching())
-                })
-                .collect()
-        };
-        prop_assert_eq!(replay(), replay(), "same signal trace, same admission schedule");
     }
 }
 
@@ -529,21 +448,15 @@ proptest! {
             prop::collection::vec(0u64..48, 1..5),
             20..120,
         ),
-        policy in 0usize..3,
+        batched in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let _serial = crate::test_serial();
         let scratch = orthrus_common::TempDir::new("replay-pin");
-        let admission = match policy {
-            0 => AdmissionPolicy::Fifo,
-            1 => AdmissionPolicy::ConflictBatch { classes: 4, batch: 8 },
-            _ => AdmissionPolicy::Adaptive {
-                classes: 4,
-                max_batch: 8,
-                threshold_pct: 5,
-                hysteresis: 1,
-                epoch: 32,
-            },
+        let admission = if batched {
+            AdmissionPolicy::ConflictBatch { classes: 4, batch: 8 }
+        } else {
+            AdmissionPolicy::Fifo
         };
         let db = Arc::new(Database::Flat(Table::new(48, 64)));
         let mut cfg = crate::config::OrthrusConfig::with_threads(

@@ -255,56 +255,6 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
     fig
 }
 
-/// A7: **adaptive** admission across the A6 crossover. The in-engine
-/// controller starts FIFO, watches the grant-deferral rate flowing back
-/// with every lock grant, and promotes to conflict-class batching (with a
-/// batch depth that doubles and halves) when the rate stays above threshold —
-/// `ORTHRUS_ADMISSION=adaptive`. The claim under test: one configuration
-/// tracks the *better* static policy within ~10% at both ends of the skew
-/// sweep, instead of committing to either side of the crossover. The last
-/// series plots where switching actually happened (policy switches per
-/// run, summed over execution threads): ~0 at θ = 0.3 (stays FIFO), ≥ 1
-/// per thread past the crossover.
-pub fn abl07_adaptive(bc: &BenchConfig) -> FigureResult {
-    let (n_cc, n_exec) = split(bc);
-    let mut fig = FigureResult::new(
-        "abl07",
-        format!("Adaptive admission vs static policies ({n_cc} CC / {n_exec} exec)"),
-        "zipf_theta",
-        "txns/sec (switch series: count)",
-    );
-    let thetas = [0.3f64, 0.6, 0.9];
-    let mut switch_points: Vec<(f64, f64)> = Vec::new();
-    for (label, policy) in [
-        ("FIFO admission", AdmissionPolicy::Fifo),
-        (
-            "conflict-batch admission",
-            AdmissionPolicy::conflict_batch(),
-        ),
-        ("adaptive admission", AdmissionPolicy::adaptive()),
-    ] {
-        let adaptive = matches!(policy, AdmissionPolicy::Adaptive { .. });
-        let mut s = Series::new(label);
-        for theta in thetas {
-            let spec = MicroSpec::zipf(bc.n_records as u64, 10, theta, false);
-            let mut bc_t = bc.clone();
-            bc_t.admission = policy.clone();
-            let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, 16, &bc_t);
-            s.push(theta, stats.throughput());
-            if adaptive {
-                switch_points.push((theta, stats.totals.admission_switches as f64));
-            }
-        }
-        fig.series.push(s);
-    }
-    let mut s = Series::new("adaptive policy switches (count)");
-    for (theta, switches) in switch_points {
-        s.push(theta, switches);
-    }
-    fig.series.push(s);
-    fig
-}
-
 /// One point of the A8 offered-load sweep: drive a service-mode engine
 /// open-loop at `rate` transactions/sec for `warmup + measure`, with
 /// the measurement window opened after the warmup. Returns the run's
@@ -393,7 +343,7 @@ pub fn abl08_openloop(bc: &BenchConfig) -> FigureResult {
         "offered_fraction_of_fifo_capacity",
         "txns/sec (latency series: µs)",
     );
-    // The contention crucible, matched to A6/A7's high-skew point.
+    // The contention crucible, matched to A6's high-skew point.
     let spec = MicroSpec::zipf(bc.n_records as u64, 10, 0.9, false);
     // Capacity calibration: one closed-loop FIFO run.
     let mut bc_fifo = bc.clone();
@@ -404,7 +354,6 @@ pub fn abl08_openloop(bc: &BenchConfig) -> FigureResult {
     for (label, policy) in [
         ("FIFO", AdmissionPolicy::Fifo),
         ("conflict-batch", AdmissionPolicy::conflict_batch()),
-        ("adaptive", AdmissionPolicy::adaptive()),
     ] {
         let mut tput = Series::new(format!("{label} txns/sec"));
         let mut p50 = Series::new(format!("{label} p50 µs"));
@@ -424,7 +373,7 @@ pub fn abl08_openloop(bc: &BenchConfig) -> FigureResult {
 
 /// A9: the durability tax and the group-commit amortization that pays
 /// it. The engine is main-memory in the paper; `abl09` measures what
-/// command logging costs under the A6/A7 contention crucible
+/// command logging costs under the A6 contention crucible
 /// (scrambled-Zipf θ = 0.9 10RMW) across the `ORTHRUS_DURABILITY` knob:
 ///
 /// - `off` — the paper's semantics (baseline);
@@ -855,32 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_ablation_runs_all_series() {
-        let _serial = crate::test_serial();
-        let bc = BenchConfig::test_quick();
-        let fig = abl07_adaptive(&bc);
-        assert_eq!(fig.series.len(), 4, "3 policies + the switch series");
-        for s in &fig.series[..3] {
-            assert_eq!(
-                s.points.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
-                vec![0.3, 0.6, 0.9],
-                "{}",
-                s.label
-            );
-            // Correctness at every skew level is the gate here; the
-            // within-10%-of-the-better-static-policy claim is for the
-            // timed bench run (see EXPERIMENTS.md for recorded numbers).
-            assert!(s.points.iter().all(|&(_, y)| y > 0.0), "{}", s.label);
-        }
-        let switches = &fig.series[3];
-        assert_eq!(switches.points.len(), 3);
-        assert!(
-            switches.points.iter().all(|&(_, y)| y >= 0.0),
-            "switch counts are non-negative"
-        );
-    }
-
-    #[test]
     fn durability_ablation_sweeps_modes_and_policies() {
         let _serial = crate::test_serial();
         let bc = BenchConfig::test_quick();
@@ -916,8 +839,8 @@ mod tests {
         let fig = abl08_openloop(&bc);
         assert_eq!(
             fig.series.len(),
-            9,
-            "3 policies × (throughput, p50, p99) series"
+            6,
+            "2 policies × (throughput, p50, p99) series"
         );
         for s in &fig.series {
             assert_eq!(

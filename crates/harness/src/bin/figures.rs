@@ -12,8 +12,8 @@ use orthrus_harness::{ablations, figures, BenchConfig};
 
 const ALL: &[&str] = &[
     "fig01", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-    "abl01", "abl02", "abl03", "abl05", "abl06", "abl07", "abl08", "abl09", "abl10", "abl11",
-    "abl12", "ext01", "ext02", "ext03", "ext04", "ext05", "ext06",
+    "abl01", "abl02", "abl03", "abl05", "abl06", "abl08", "abl09", "abl10", "abl11", "abl12",
+    "ext01", "ext02", "ext03", "ext04", "ext05", "ext06",
 ];
 
 fn run_one(id: &str, bc: &BenchConfig) {
@@ -47,7 +47,6 @@ fn run_one(id: &str, bc: &BenchConfig) {
         "abl03" => ablations::abl03_inflight_cap(bc).print(),
         "abl05" => ablations::abl05_batching(bc).print(),
         "abl06" => ablations::abl06_admission(bc).print(),
-        "abl07" => ablations::abl07_adaptive(bc).print(),
         "abl08" => ablations::abl08_openloop(bc).print(),
         "abl09" => ablations::abl09_durability(bc).print(),
         "abl10" => ablations::abl10_durability2(bc).print(),

@@ -41,9 +41,7 @@ pub struct BenchConfig {
     /// Admission policy applied to every ORTHRUS run
     /// (`ORTHRUS_ADMISSION`, default `fifo` — the seed's admission order;
     /// `batch` or `batch:<classes>:<batch>` enables conflict-class
-    /// batched admission, see ablation A6; `adaptive` or
-    /// `adaptive:<threshold>:<k>:<epoch>[:<classes>:<max_batch>]` enables
-    /// in-engine conflict-driven policy switching, see ablation A7).
+    /// batched admission, see ablation A6).
     pub admission: AdmissionPolicy,
     /// Durability mode applied to every ORTHRUS run
     /// (`ORTHRUS_DURABILITY`, default `off`; `log` appends one
@@ -164,8 +162,7 @@ impl BenchConfig {
             flush_threshold: env_u64(
                 "ORTHRUS_FLUSH_THRESHOLD",
                 orthrus_core::config::DEFAULT_FLUSH_THRESHOLD as u64,
-            )
-            .max(1) as usize,
+            ) as usize,
             admission: admission_from_env(),
             durability: durability_from_env(),
             sync_interval: sync_interval_from_env(),
@@ -180,8 +177,7 @@ impl BenchConfig {
     /// Scales are fixed, but the three semantics knobs —
     /// `ORTHRUS_FLUSH_THRESHOLD`, `ORTHRUS_ADMISSION`, and
     /// `ORTHRUS_DURABILITY` — are still read from the environment, so the
-    /// CI matrix legs (seed semantics, adaptive admission, command-log
-    /// durability) exercise their paths through the whole harness test
+    /// CI matrix legs (seed semantics, command-log durability) exercise their paths through the whole harness test
     /// suite.
     pub fn test_quick() -> Self {
         BenchConfig {
@@ -197,8 +193,7 @@ impl BenchConfig {
             flush_threshold: env_u64(
                 "ORTHRUS_FLUSH_THRESHOLD",
                 orthrus_core::config::DEFAULT_FLUSH_THRESHOLD as u64,
-            )
-            .max(1) as usize,
+            ) as usize,
             admission: admission_from_env(),
             durability: durability_from_env(),
             sync_interval: sync_interval_from_env(),

@@ -79,12 +79,12 @@ impl NetSimConfig {
                 classes: 4,
                 batch: 4,
             },
-            _ => AdmissionPolicy::Adaptive {
-                classes: 4,
-                max_batch: 4,
-                threshold_pct: 5,
-                hysteresis: 1,
-                epoch: 16,
+            // One class: every transaction shares a run queue. (This draw
+            // was a deleted adaptive policy; it stays three-way so every
+            // seed keeps the rest of its stream.)
+            _ => AdmissionPolicy::ConflictBatch {
+                classes: 1,
+                batch: 4,
             },
         };
         let net = NetConfig {

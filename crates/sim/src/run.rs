@@ -38,8 +38,9 @@ pub enum WorkloadKind {
 }
 
 /// A full simulated-run configuration. [`SimConfig::from_seed`] derives
-/// every knob from the seed, so the explorer's space covers all three
-/// admission policies × durability modes × 1–3 CC threads.
+/// every knob from the seed, so the explorer's space covers both
+/// admission policies (batched with four classes or one) × durability
+/// modes × 1–3 CC threads.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub seed: u64,
@@ -95,12 +96,12 @@ impl SimConfig {
                 classes: 4,
                 batch: 4,
             },
-            _ => AdmissionPolicy::Adaptive {
-                classes: 4,
-                max_batch: 4,
-                threshold_pct: 5,
-                hysteresis: 1,
-                epoch: 16,
+            // One class: every transaction shares a run queue. (This draw
+            // was a deleted adaptive policy; it stays three-way so every
+            // seed keeps the rest of its stream.)
+            _ => AdmissionPolicy::ConflictBatch {
+                classes: 1,
+                batch: 4,
             },
         };
         let durability = match rng.next_below(3) {

@@ -65,7 +65,7 @@ fn pinned_seeds_keep_their_schedules() {
 }
 
 /// Heavy delay/reordering restricted to the CC→CC forwarding and CC→exec
-/// grant rings, across all three admission policies.
+/// grant rings, under both admission policies.
 #[test]
 fn delayed_and_reordered_grant_forwarding_conserves_admitted_stream() {
     let policies = [
@@ -73,13 +73,6 @@ fn delayed_and_reordered_grant_forwarding_conserves_admitted_stream() {
         AdmissionPolicy::ConflictBatch {
             classes: 4,
             batch: 4,
-        },
-        AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 4,
-            threshold_pct: 5,
-            hysteresis: 1,
-            epoch: 16,
         },
     ];
     for (i, admission) in policies.into_iter().enumerate() {
@@ -224,13 +217,6 @@ fn a_walking_inflight_depth_conserves_and_replays() {
             classes: 4,
             batch: 16,
         },
-        AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 16,
-            threshold_pct: 5,
-            hysteresis: 1,
-            epoch: 16,
-        },
     ];
     for admission in policies {
         let mut fused = false;
@@ -371,9 +357,8 @@ fn sync_coordinator_crash_recovers_in_sim() {
 }
 
 /// Multiple enrolled client threads submitting interleaved slices of one
-/// workload: ticket conservation and the exact per-key model hold across
-/// all three admission policies, and the whole thing replays from the
-/// seed.
+/// workload: ticket conservation and the exact per-key model hold under
+/// both admission policies, and the whole thing replays from the seed.
 #[test]
 fn multi_client_sessions_conserve_under_all_admission_policies() {
     let policies = [
@@ -381,13 +366,6 @@ fn multi_client_sessions_conserve_under_all_admission_policies() {
         AdmissionPolicy::ConflictBatch {
             classes: 4,
             batch: 4,
-        },
-        AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 4,
-            threshold_pct: 5,
-            hysteresis: 1,
-            epoch: 16,
         },
     ];
     for (i, admission) in policies.into_iter().enumerate() {

@@ -110,7 +110,7 @@ fn recover_and_audit(dir: &std::path::Path, by_ticket: &HashMap<u64, Program>) -
 /// The scripted crash-point sweep: clean log first (no loss at all),
 /// then ≥3 truncation offsets — a mid-record tear near the end, an exact
 /// record boundary, and a deep cut — scripted in descending order
-/// against one log (truncation is monotone), under all three admission
+/// against one log (truncation is monotone), under both admission
 /// policies.
 #[test]
 fn crash_points_conserve_tickets_under_every_policy() {
@@ -120,13 +120,6 @@ fn crash_points_conserve_tickets_under_every_policy() {
         AdmissionPolicy::ConflictBatch {
             classes: 4,
             batch: 8,
-        },
-        AdmissionPolicy::Adaptive {
-            classes: 4,
-            max_batch: 8,
-            threshold_pct: 5,
-            hysteresis: 1,
-            epoch: 32,
         },
     ] {
         let n = 250u64;
