@@ -1,9 +1,8 @@
 //! ORTHRUS engine configuration.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use orthrus_common::{fx_hash_u64, Key};
+use orthrus_common::Key;
 use orthrus_durability::{DurabilityMode, SyncInterval};
 use orthrus_txn::Database;
 
@@ -12,6 +11,12 @@ use crate::admit::AdmissionPolicy;
 /// How lockable keys map to CC threads ("ORTHRUS partitions
 /// responsibility for database objects across concurrency control threads
 /// such that each database object is controlled by a single thread").
+///
+/// Both mappings are fixed, so under skew the CC thread that owns the hot
+/// keys does more of the work. The paper leaves that to "prior
+/// techniques" (Section 3.3) and builds no planner; neither does this
+/// engine. `figures ext04` measures what Zipfian skew costs the modulo
+/// mapping against the shared-table baselines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CcAssignment {
     /// `key % n_cc` — the flat-keyspace experiments. Aligned with the
@@ -22,14 +27,6 @@ pub enum CcAssignment {
     /// concurrency control threads based on each row's warehouse_id
     /// attribute", Section 4.4).
     Warehouse,
-    /// Skew-aware two-level mapping: `table[fx_hash(key) & (len − 1)]`
-    /// names the owning CC thread. Tables come from
-    /// [`crate::rebalance::balanced_assignment`], which packs sampled
-    /// bucket load evenly across CC threads — the paper's answer to
-    /// "concurrency control threads may be subject to over- and
-    /// under-utilization due to workload skew" (Section 3.3). The table
-    /// length must be a power of two.
-    Balanced(Arc<[u32]>),
 }
 
 /// Engine shape and tuning.
@@ -232,19 +229,19 @@ impl OrthrusConfig {
                 self.durability
             ));
         }
-        if let CcAssignment::Balanced(table) = &self.assignment {
-            if table.is_empty() || !table.len().is_power_of_two() {
-                return Err(format!(
-                    "Balanced assignment table length must be a nonzero power of two, got {}",
-                    table.len()
-                ));
-            }
-            if let Some(&cc) = table.iter().find(|&&cc| cc as usize >= self.n_cc) {
-                return Err(format!(
-                    "Balanced assignment routes to CC {cc}, but n_cc is {}",
-                    self.n_cc
-                ));
-            }
+        Ok(())
+    }
+
+    /// [`Self::validate`], then the checks that need the database the
+    /// engine will serve: [`CcAssignment::Warehouse`] reads each key's
+    /// warehouse from the TPC-C layout, so it is refused over any other
+    /// database here rather than at the first plan on a CC route.
+    pub fn validate_for(&self, db: &Database) -> Result<(), String> {
+        self.validate()?;
+        if self.assignment == CcAssignment::Warehouse && !matches!(db, Database::Tpcc(_)) {
+            return Err(
+                "assignment Warehouse needs a TPC-C database: it maps keys by warehouse".into(),
+            );
         }
         Ok(())
     }
@@ -290,10 +287,6 @@ impl OrthrusConfig {
             CcAssignment::Warehouse => {
                 let layout = &db.tpcc().layout;
                 layout.warehouse_of(key) % self.n_cc as u32
-            }
-            CcAssignment::Balanced(table) => {
-                debug_assert!(table.len().is_power_of_two());
-                table[(fx_hash_u64(key) as usize) & (table.len() - 1)]
             }
         }
     }
@@ -372,21 +365,6 @@ mod tests {
             assert!(why.contains("max_inflight"), "{why}");
             assert!(why.contains(&too_deep.to_string()), "{why}");
         }
-    }
-
-    #[test]
-    fn validate_checks_balanced_tables() {
-        let mut c = OrthrusConfig::with_threads(2, 2, CcAssignment::Balanced(Arc::from(vec![])));
-        assert!(c.validate().unwrap_err().contains("power of two"));
-        c.assignment = CcAssignment::Balanced(Arc::from(vec![0u32, 1, 0]));
-        assert!(c.validate().is_err(), "length 3 is not a power of two");
-        c.assignment = CcAssignment::Balanced(Arc::from(vec![0u32, 5, 0, 1]));
-        assert!(
-            c.validate().unwrap_err().contains("CC 5"),
-            "out-of-range CC id must be rejected"
-        );
-        c.assignment = CcAssignment::Balanced(Arc::from(vec![0u32, 1, 0, 1]));
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -188,10 +188,11 @@ impl OrthrusEngine {
     /// (self-driving: each execution thread generates its own work).
     ///
     /// # Panics
-    /// Rejects configurations [`OrthrusConfig::validate`] flags (zero
-    /// thread counts, zero in-flight cap, degenerate admission or
-    /// assignment shapes) — better a loud construction failure than an
-    /// engine that silently hangs or starves at run time.
+    /// Rejects configurations [`OrthrusConfig::validate_for`] flags (zero
+    /// thread counts, zero in-flight cap, a degenerate admission shape, a
+    /// warehouse assignment over a database that is not TPC-C) — better
+    /// a loud construction failure than an engine that silently hangs or
+    /// starves at run time.
     pub fn new(db: Arc<Database>, spec: Spec, cfg: OrthrusConfig) -> Self {
         Self::build(db, Some(spec), cfg)
     }
@@ -204,7 +205,7 @@ impl OrthrusEngine {
     }
 
     fn build(db: Arc<Database>, spec: Option<Spec>, cfg: OrthrusConfig) -> Self {
-        if let Err(why) = cfg.validate() {
+        if let Err(why) = cfg.validate_for(&db) {
             panic!("invalid OrthrusConfig: {why}");
         }
         let log = open_log(&cfg);
@@ -243,7 +244,7 @@ impl OrthrusEngine {
         db: Arc<Database>,
         cfg: OrthrusConfig,
     ) -> Result<(Self, ReplayReport), EngineError> {
-        if let Err(why) = cfg.validate() {
+        if let Err(why) = cfg.validate_for(&db) {
             panic!("invalid OrthrusConfig: {why}");
         }
         assert!(
@@ -1859,6 +1860,17 @@ mod tests {
         let db = Arc::new(Database::Flat(Table::new(16, 64)));
         let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
         let _ = OrthrusEngine::service(db, cfg).run(&RunParams::quick(0));
+    }
+
+    /// A warehouse assignment over a flat table is refused when the
+    /// engine is built, naming the field, instead of killing a worker
+    /// at the first plan ("not a TPC-C database").
+    #[test]
+    #[should_panic(expected = "assignment Warehouse needs a TPC-C database")]
+    fn service_rejects_a_warehouse_assignment_over_a_flat_table() {
+        let db = Arc::new(Database::Flat(Table::new(16, 64)));
+        let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::Warehouse);
+        let _ = OrthrusEngine::service(db, cfg);
     }
 
     #[test]

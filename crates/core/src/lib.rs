@@ -109,7 +109,6 @@ pub mod exec;
 pub mod hub;
 pub mod msg;
 pub mod plan;
-pub mod rebalance;
 pub mod session;
 pub mod source;
 
@@ -122,7 +121,6 @@ pub use engine::{EngineError, EngineHandle, OrthrusEngine};
 pub use hub::{ClientRx, CompletionHub};
 pub use orthrus_durability::{DurabilityMode, ReplayReport, SyncInterval};
 pub use plan::LockPlan;
-pub use rebalance::{balanced_assignment, LoadHistogram};
 pub use session::{EngineClosed, Session, TrySubmitError};
 pub use source::{ClientSource, Completion, Reply, Sourced, SyntheticSource, Ticket, TxnSource};
 

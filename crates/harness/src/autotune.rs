@@ -11,13 +11,6 @@
 //! bracket. Too few CC threads and they saturate (Figure 5's plateaus);
 //! too many and execution starves — the tuner finds the knee without
 //! sweeping every split.
-//!
-//! [`tune_flush_threshold`] applies the same measure-in-epochs idea to the
-//! fabric batching degree (`OrthrusConfig::flush_threshold`): climb the
-//! power-of-two ladder while throughput keeps improving, stop once the
-//! curve turns down (the climb is `ladder::Pow2Climb`).
-
-use crate::ladder::Pow2Climb;
 
 /// One measured allocation.
 #[derive(Debug, Clone, Copy)]
@@ -89,56 +82,6 @@ pub fn tune_cc_split(total_threads: usize, mut measure: impl FnMut(usize) -> f64
     TuneResult { best, trace }
 }
 
-/// One measured fabric batching degree.
-#[derive(Debug, Clone, Copy)]
-pub struct FlushTunePoint {
-    /// The `flush_threshold` measured.
-    pub flush_threshold: usize,
-    /// Measured throughput (txns/sec).
-    pub throughput: f64,
-}
-
-/// The flush-threshold tuner's outcome.
-#[derive(Debug, Clone)]
-pub struct FlushTuneResult {
-    pub best: FlushTunePoint,
-    /// Measurement trace in evaluation order (ascending thresholds; the
-    /// ladder may be cut short by the early-stop rule).
-    pub trace: Vec<FlushTunePoint>,
-}
-
-/// Tune the fabric batching degree over the power-of-two ladder
-/// `1, 2, 4, …, max_threshold`.
-///
-/// `measure(t)` runs one epoch at `flush_threshold = t` and returns
-/// throughput. The expected curve rises while batching amortizes the
-/// ring's `head`/`tail` cache-line round trips and flattens or declines
-/// once batches exceed a scheduling quantum's message volume, so rungs
-/// are measured in ascending order and the climb stops early after two
-/// consecutive regressions. The best rung is the argmax of everything
-/// measured (noise-robust: no stronger guarantee is possible).
-pub fn tune_flush_threshold(
-    max_threshold: usize,
-    mut measure: impl FnMut(usize) -> f64,
-) -> FlushTuneResult {
-    assert!(max_threshold >= 1, "need at least threshold 1");
-    let mut climb = Pow2Climb::new(max_threshold, 2);
-    let mut trace: Vec<FlushTunePoint> = Vec::new();
-    while let Some(t) = climb.rung() {
-        let throughput = measure(t);
-        trace.push(FlushTunePoint {
-            flush_threshold: t,
-            throughput,
-        });
-        climb.record(throughput);
-    }
-    let best = *trace
-        .iter()
-        .max_by(|a, b| a.throughput.total_cmp(&b.throughput))
-        .expect("at least one rung measured");
-    FlushTuneResult { best, trace }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,56 +143,6 @@ mod tests {
     #[should_panic(expected = "at least one CC and one exec")]
     fn rejects_budget_of_one() {
         let _ = tune_cc_split(1, |_| 0.0);
-    }
-
-    #[test]
-    fn flush_tuner_climbs_a_rising_curve_to_the_top_rung() {
-        // Monotone improvement: every rung of the ladder is measured and
-        // the deepest wins.
-        let r = tune_flush_threshold(64, |t| (t as f64).ln() + 1.0);
-        assert_eq!(r.best.flush_threshold, 64);
-        let rungs: Vec<usize> = r.trace.iter().map(|p| p.flush_threshold).collect();
-        assert_eq!(rungs, vec![1, 2, 4, 8, 16, 32, 64]);
-    }
-
-    #[test]
-    fn flush_tuner_stops_early_past_the_knee() {
-        // Peak at 4, steady decline after: the climb must stop after two
-        // consecutive regressions (8 and 16) instead of sweeping to 1024.
-        let mut epochs = 0usize;
-        let r = tune_flush_threshold(1024, |t| {
-            epochs += 1;
-            1000.0 - (t as f64 - 4.0).abs() * 10.0
-        });
-        assert_eq!(r.best.flush_threshold, 4);
-        assert_eq!(epochs, 5, "1,2,4 rise; 8,16 decline; stop");
-    }
-
-    #[test]
-    fn flush_tuner_handles_a_single_rung() {
-        let r = tune_flush_threshold(1, |t| {
-            assert_eq!(t, 1);
-            42.0
-        });
-        assert_eq!(r.best.flush_threshold, 1);
-        assert_eq!(r.trace.len(), 1);
-    }
-
-    #[test]
-    fn flush_tuner_best_is_trace_argmax_under_noise() {
-        let r = tune_flush_threshold(32, |t| 500.0 + ((t * 7919) % 13) as f64);
-        let max = r
-            .trace
-            .iter()
-            .map(|p| p.throughput)
-            .fold(f64::MIN, f64::max);
-        assert_eq!(r.best.throughput, max);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least threshold 1")]
-    fn flush_tuner_rejects_zero_ladder() {
-        let _ = tune_flush_threshold(0, |_| 0.0);
     }
 
     #[test]

@@ -61,12 +61,7 @@ fn run_one(id: &str, bc: &BenchConfig) {
             figures::ext03_deadlock_policies(bc, 80).print();
         }
         "ext04" => figures::ext04_skew(bc).print(),
-        "ext05" => {
-            println!("== panel (a): CC/exec split tuner ==");
-            figures::ext05_cc_split(bc).print();
-            println!("== panel (b): flush_threshold tuner ==");
-            figures::ext05_flush_threshold(bc).print();
-        }
+        "ext05" => figures::ext05_cc_split(bc).print(),
         "ext06" => {
             let rows = figures::ext06_latency(bc);
             print!(
@@ -74,7 +69,7 @@ fn run_one(id: &str, bc: &BenchConfig) {
                 figures::LatencyRow::render(&rows, "commit latency, high-contention 10RMW")
             );
         }
-        other => eprintln!("unknown figure id {other:?}; known: {ALL:?} or 'all'"),
+        other => unreachable!("{other:?} was checked against ALL before any run"),
     }
     println!();
 }
@@ -85,6 +80,16 @@ fn main() {
     if args.is_empty() {
         eprintln!("usage: figures <figNN|ablNN|all> ...");
         eprintln!("known ids: {ALL:?}");
+        std::process::exit(2);
+    }
+    // Every id is checked before anything runs: a script that names a
+    // removed figure fails at once instead of printing the others and
+    // exiting 0.
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "all" && !ALL.contains(&a.as_str()))
+    {
+        eprintln!("unknown figure id {bad:?}; known: {ALL:?} or 'all'");
         std::process::exit(2);
     }
     for arg in &args {

@@ -10,7 +10,7 @@
 
 use crate::config::BenchConfig;
 use crate::report::{FigureResult, Series};
-use crate::systems::{run_micro, run_orthrus_balanced, run_tpcc_full, SystemKind};
+use crate::systems::{run_micro, run_tpcc_full, SystemKind};
 
 const SYSTEMS: [SystemKind; 3] = [
     SystemKind::Orthrus,
@@ -95,20 +95,20 @@ pub fn ext03_deadlock_policies(bc: &BenchConfig, threads: usize) -> FigureResult
     fig
 }
 
-/// Extension 4: Zipfian skew (YCSB's scrambled-Zipfian model) with the
-/// skew-aware CC assignment of Section 3.3.
+/// Extension 4: Zipfian skew (YCSB's scrambled-Zipfian model) against
+/// ORTHRUS's fixed CC assignment.
 ///
 /// Under scrambled-Zipfian popularity the hot keys land on arbitrary CC
-/// threads, so ORTHRUS's modulo assignment over- and under-utilizes CC
-/// threads. The `rebalance` planner samples the workload and packs bucket
-/// load evenly (greedy LPT); the series compare ORTHRUS with and without
-/// the planner against the shared-table baselines (which have no
-/// partition to imbalance).
+/// threads, so the modulo assignment over- and under-utilizes CC threads
+/// ("concurrency control threads may be subject to over- and
+/// under-utilization due to workload skew", Section 3.3). The series
+/// compare ORTHRUS against the shared-table baselines, which have no
+/// partition to imbalance.
 pub fn ext04_skew(bc: &BenchConfig) -> FigureResult {
     let threads = bc.clamp_threads(80);
     let mut fig = FigureResult::new(
         "ext04",
-        format!("Zipfian skew and skew-aware CC assignment ({threads} threads)"),
+        format!("Zipfian skew under modulo CC assignment ({threads} threads)"),
         "zipf_theta",
         "txns/sec",
     );
@@ -124,15 +124,6 @@ pub fn ext04_skew(bc: &BenchConfig) -> FigureResult {
     }
     fig.series.push(s);
 
-    let mut s = Series::new("ORTHRUS (balanced)");
-    for theta in thetas {
-        s.push(
-            theta,
-            run_orthrus_balanced(mk(theta), threads, bc).throughput(),
-        );
-    }
-    fig.series.push(s);
-
     for kind in [SystemKind::DeadlockFree, SystemKind::TwoPlWaitDie] {
         let mut s = Series::new(kind.label());
         for theta in thetas {
@@ -143,8 +134,8 @@ pub fn ext04_skew(bc: &BenchConfig) -> FigureResult {
     fig
 }
 
-/// Extension 5, panel (a): the SEDA-style CC/exec split tuner
-/// (Section 4.2) — the measurement trace and the pick, as a figure.
+/// Extension 5: the SEDA-style CC/exec split tuner (Section 4.2) — the
+/// measurement trace and the pick, as a figure.
 pub fn ext05_cc_split(bc: &BenchConfig) -> FigureResult {
     let threads = bc.clamp_threads(20).max(2);
     let spec = orthrus_workload::MicroSpec::uniform(bc.n_records as u64, 10, false);
@@ -152,7 +143,7 @@ pub fn ext05_cc_split(bc: &BenchConfig) -> FigureResult {
         crate::systems::run_orthrus_split(spec.clone(), n_cc, threads - n_cc, bc).throughput()
     });
     let mut fig = FigureResult::new(
-        "ext05a",
+        "ext05",
         format!(
             "CC/exec split tuning ({threads} threads; pick: {} CC in {} epochs)",
             result.best.n_cc,
@@ -164,41 +155,6 @@ pub fn ext05_cc_split(bc: &BenchConfig) -> FigureResult {
     let mut s = Series::new("measured epochs");
     for p in &result.trace {
         s.push(p.n_cc as f64, p.throughput);
-    }
-    fig.series.push(s);
-    fig
-}
-
-/// Extension 5, panel (b): the fabric-batching tuner
-/// ([`crate::autotune::tune_flush_threshold`]) on the high-contention
-/// microbenchmark — climbs the power-of-two ladder, stops past the knee.
-pub fn ext05_flush_threshold(bc: &BenchConfig) -> FigureResult {
-    let (n_cc, n_exec) = {
-        let total = bc.clamp_threads(80);
-        let n_cc = (total / 5).max(1);
-        (n_cc, (total - n_cc).max(1))
-    };
-    let hot = 64u64.min(bc.n_records as u64 / 2).max(2);
-    let spec = orthrus_workload::MicroSpec::hot_cold(bc.n_records as u64, hot, 2, 10, false);
-    let result = crate::autotune::tune_flush_threshold(64, |threshold| {
-        let mut bc_t = bc.clone();
-        bc_t.flush_threshold = threshold;
-        crate::ablations::run_orthrus_custom(spec.clone(), n_cc, n_exec, true, None, 16, &bc_t)
-            .throughput()
-    });
-    let mut fig = FigureResult::new(
-        "ext05b",
-        format!(
-            "flush_threshold tuning ({n_cc} CC / {n_exec} exec; pick: {} in {} epochs)",
-            result.best.flush_threshold,
-            result.trace.len()
-        ),
-        "flush_threshold",
-        "txns/sec",
-    );
-    let mut s = Series::new("measured epochs");
-    for p in &result.trace {
-        s.push(p.flush_threshold as f64, p.throughput);
     }
     fig.series.push(s);
     fig
@@ -281,29 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn ext05_flush_tuner_produces_a_valid_pick() {
-        let _serial = crate::test_serial();
-        let mut bc = BenchConfig::test_quick();
-        bc.measure = std::time::Duration::from_millis(60);
-        bc.warmup = std::time::Duration::from_millis(20);
-        let fig = ext05_flush_threshold(&bc);
-        let points = &fig.series[0].points;
-        assert!(!points.is_empty());
-        assert!(points.iter().all(|&(x, y)| x >= 1.0 && y > 0.0));
-        // Ladder rungs ascend.
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-    }
-
-    #[test]
     fn ext04_runs_all_series() {
         let _serial = crate::test_serial();
         let mut bc = BenchConfig::test_quick();
         bc.measure = std::time::Duration::from_millis(60);
         bc.warmup = std::time::Duration::from_millis(20);
         let fig = ext04_skew(&bc);
-        assert_eq!(fig.series.len(), 4);
+        assert_eq!(fig.series.len(), 3);
         for s in &fig.series {
             assert_eq!(s.points.len(), 4);
             assert!(s.points.iter().all(|&(_, y)| y > 0.0), "{}", s.label);

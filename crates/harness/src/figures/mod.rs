@@ -11,7 +11,7 @@ mod tpcc;
 
 pub use ext::{
     ext01_tpcc_fullmix, ext02_fullmix_scalability, ext03_deadlock_policies, ext04_skew,
-    ext05_cc_split, ext05_flush_threshold, ext06_latency, LatencyRow,
+    ext05_cc_split, ext06_latency, LatencyRow,
 };
 pub use micro::{
     fig01_2pl_readonly, fig04_deadlock_overhead, fig05_thread_allocation, fig11_ycsb_readonly,

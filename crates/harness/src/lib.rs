@@ -12,14 +12,11 @@ pub mod ablations;
 pub mod autotune;
 pub mod config;
 pub mod figures;
-mod ladder;
 pub mod netbench;
 pub mod report;
 pub mod systems;
 
-pub use autotune::{
-    tune_cc_split, tune_flush_threshold, FlushTunePoint, FlushTuneResult, TunePoint, TuneResult,
-};
+pub use autotune::{tune_cc_split, TunePoint, TuneResult};
 pub use config::BenchConfig;
 pub use report::{FigureResult, Series};
 pub use systems::SystemKind;

@@ -21,6 +21,15 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
+
+    /// The value at `x`, if this series measured one there: a series may
+    /// skip an x where its quantity is undefined.
+    pub fn at(&self, x: f64) -> Option<f64> {
+        self.points
+            .iter()
+            .find(|&&(px, _)| px == x)
+            .map(|&(_, y)| y)
+    }
 }
 
 /// One reproduced figure: series over a shared x-axis.
@@ -49,7 +58,8 @@ impl FigureResult {
         }
     }
 
-    /// Render the figure as an aligned table, series as columns.
+    /// Render the figure as an aligned table, series as columns: one row
+    /// per x of the first series, `-` where a series has no point.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {} — {}", self.id, self.title);
@@ -64,11 +74,11 @@ impl FigureResult {
             let _ = write!(out, "{:>18}", s.label);
         }
         let _ = writeln!(out);
-        for (i, &x) in xs.iter().enumerate() {
+        for &x in &xs {
             let _ = write!(out, "{:<14}", trim_float(x));
             for s in &self.series {
-                match s.points.get(i) {
-                    Some(&(_, y)) => {
+                match s.at(x) {
+                    Some(y) => {
                         let _ = write!(out, "{:>18}", trim_float(y));
                     }
                     None => {
@@ -102,11 +112,11 @@ impl FigureResult {
             .first()
             .map(|s| s.points.iter().map(|&(x, _)| x).collect())
             .unwrap_or_default();
-        for (i, &x) in xs.iter().enumerate() {
+        for &x in &xs {
             write!(f, "{x}")?;
             for s in &self.series {
-                match s.points.get(i) {
-                    Some(&(_, y)) => write!(f, "\t{y:.1}")?,
+                match s.at(x) {
+                    Some(y) => write!(f, "\t{y:.1}")?,
                     None => write!(f, "\t")?,
                 }
             }
@@ -161,5 +171,35 @@ mod tests {
         fig.series.push(b);
         let text = fig.render();
         assert!(text.lines().last().unwrap().trim_end().ends_with('-'));
+    }
+
+    /// A series that skips the first x shows `-` on that row and each of
+    /// its values on the row of its own x, not shifted up by one.
+    #[test]
+    fn a_series_missing_the_first_x_keeps_its_rows() {
+        let mut fig = FigureResult::new("figZ", "demo", "x", "y");
+        let mut a = Series::new("a");
+        for x in [1.0, 4.0, 16.0] {
+            a.push(x, 100.0 * x);
+        }
+        let mut b = Series::new("b");
+        b.push(4.0, 7.0);
+        b.push(16.0, 9.0);
+        fig.series.push(a);
+        fig.series.push(b);
+        let text = fig.render();
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip(3)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec!["1", "100", "-"],
+                vec!["4", "400", "7"],
+                vec!["16", "1600", "9"]
+            ]
+        );
     }
 }

@@ -166,23 +166,6 @@ pub fn run_orthrus_split(
     OrthrusEngine::new(db, Spec::Micro(spec), cfg).run(&params)
 }
 
-/// Extension (ext04): ORTHRUS with the skew-aware Balanced CC assignment
-/// computed by the Section-3.3 planner (`orthrus-core::rebalance`) from a
-/// sample of the same workload.
-pub fn run_orthrus_balanced(spec: MicroSpec, threads: usize, bc: &BenchConfig) -> RunStats {
-    let n = spec.n_records as usize;
-    let db = Arc::new(Database::Flat(Table::new(n, bc.record_size)));
-    let mut cfg = OrthrusConfig::for_cores(threads, CcAssignment::KeyModulo);
-    let params = bc.params(cfg.total_threads());
-    cfg.flush_threshold = bc.flush_threshold;
-    cfg.admission = bc.admission.clone();
-    let spec = Spec::Micro(spec);
-    cfg.assignment =
-        orthrus_core::rebalance::balanced_assignment(&spec, &db, cfg.n_cc, 1024, 4096, bc.seed);
-    let _log_dir = bc.apply_durability(&mut cfg);
-    OrthrusEngine::new(db, spec, cfg).run(&params)
-}
-
 /// Build the bench-scale TPC-C configuration.
 pub fn tpcc_config(bc: &BenchConfig, warehouses: u32) -> TpccConfig {
     let mut cfg = TpccConfig::with_warehouses(warehouses);

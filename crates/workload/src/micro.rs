@@ -72,7 +72,7 @@ impl MicroSpec {
     }
 
     /// Scrambled-Zipfian workload: `ops` distinct keys drawn with YCSB's
-    /// skew model (extension; the skew experiment of `ext04`).
+    /// skew model (extension; `ext04` runs it against modulo CC assignment).
     pub fn zipf(n_records: u64, ops: usize, theta: f64, read_only: bool) -> Self {
         let mut spec = Self::uniform(n_records, ops, read_only);
         assert!(

@@ -9,8 +9,8 @@
 //! clustered at the low end. Scrambling is what makes skew interesting
 //! for ORTHRUS: hot keys land on arbitrary CC threads, so CC-thread load
 //! becomes imbalanced (Section 3.3's "over- and under-utilization due to
-//! workload skew"), which the skew-aware assignment planner
-//! (`orthrus-core::rebalance`) exists to fix.
+//! workload skew"). The engine keeps its fixed assignment under skew, as
+//! the paper does; `figures ext04` measures what that costs.
 
 use orthrus_common::{fx_hash_u64, XorShift64};
 
