@@ -25,7 +25,7 @@
 //! the predicate.
 
 use std::sync::atomic::{fence, AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
@@ -57,7 +57,8 @@ pub struct Doorbell {
     /// that takes responsibility for waking it (or by the waiter itself
     /// when its re-check succeeds).
     parked: AtomicBool,
-    /// The thread to unpark, recorded before `parked` is set.
+    /// The thread to unpark, recorded before `parked` is set. Poison is
+    /// ignored: a plain assignment is the only update ever made under it.
     waiter: Mutex<Option<Thread>>,
 }
 
@@ -81,9 +82,7 @@ impl Doorbell {
     fn wake(&self) {
         // The swap elects one ringer among several to pay the unpark.
         if self.parked.swap(false, Ordering::SeqCst) {
-            // A plain assignment is the only update ever made under this
-            // lock, so a poisoned guard still holds a valid value.
-            let waiter = self.waiter.lock().unwrap_or_else(|e| e.into_inner());
+            let waiter = self.waiter.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(t) = waiter.as_ref() {
                 t.unpark();
             }
@@ -126,7 +125,7 @@ impl Doorbell {
         mut ready: impl FnMut() -> bool,
         deadline: Option<Instant>,
     ) -> bool {
-        *self.waiter.lock().unwrap_or_else(|e| e.into_inner()) = Some(thread::current());
+        *self.waiter.lock().unwrap_or_else(PoisonError::into_inner) = Some(thread::current());
         let ready = loop {
             self.parked.store(true, Ordering::SeqCst);
             fence(Ordering::SeqCst);

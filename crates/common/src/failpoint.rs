@@ -23,7 +23,7 @@
 //! its own (deterministic, in the simulator) RNG.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment variable consulted on first [`global`] access.
 pub const FAILPOINTS_ENV: &str = "ORTHRUS_FAILPOINTS";
@@ -53,6 +53,8 @@ struct PointState {
 /// shared by the engine; tests may also build private registries.
 #[derive(Debug, Default)]
 pub struct FailpointRegistry {
+    /// Poison is ignored: every update is one field store, insert or
+    /// clear, and a hit site must not die of another thread's panic.
     points: Mutex<HashMap<String, PointState>>,
 }
 
@@ -61,10 +63,14 @@ impl FailpointRegistry {
         Self::default()
     }
 
+    fn points(&self) -> MutexGuard<'_, HashMap<String, PointState>> {
+        self.points.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Arm `name` with `action`, firing at most `count` times (`None` =
     /// every hit until cleared).
     pub fn configure(&self, name: &str, action: FailAction, count: Option<u64>) {
-        let mut points = self.points.lock().unwrap();
+        let mut points = self.points();
         let p = points.entry(name.to_string()).or_default();
         p.action = Some(action);
         p.remaining = count;
@@ -72,7 +78,7 @@ impl FailpointRegistry {
 
     /// Disarm a single point (its hit counter survives).
     pub fn disarm(&self, name: &str) {
-        let mut points = self.points.lock().unwrap();
+        let mut points = self.points();
         if let Some(p) = points.get_mut(name) {
             p.action = None;
             p.remaining = None;
@@ -81,14 +87,14 @@ impl FailpointRegistry {
 
     /// Disarm every point and forget all hit counters.
     pub fn clear(&self) {
-        self.points.lock().unwrap().clear();
+        self.points().clear();
     }
 
     /// Record a hit on `name` and return the armed action, if any. A
     /// count-limited point decrements per returned action and disarms at
     /// zero.
     pub fn hit(&self, name: &str) -> Option<FailAction> {
-        let mut points = self.points.lock().unwrap();
+        let mut points = self.points();
         // The name is copied once, when the point is first seen: a hit
         // site on a commit path allocates nothing afterwards.
         let p = match points.get_mut(name) {
@@ -115,7 +121,7 @@ impl FailpointRegistry {
 
     /// How many times `name` has been hit (armed or not).
     pub fn hits(&self, name: &str) -> u64 {
-        self.points.lock().unwrap().get(name).map_or(0, |p| p.hits)
+        self.points().get(name).map_or(0, |p| p.hits)
     }
 
     /// Parse and apply a script like

@@ -619,7 +619,8 @@ fn ensure_initial_checkpoint(cfg: &OrthrusConfig, db: &Database, log: &Option<Ar
         .is_some();
     if !have {
         // SAFETY: construction time — no engine thread exists yet.
-        unsafe { write_initial_checkpoint(dir, db, log.position()) }
+        log.position()
+            .and_then(|pos| unsafe { write_initial_checkpoint(dir, db, pos) })
             .unwrap_or_else(|e| panic!("cannot write initial checkpoint: {e}"));
     }
 }

@@ -30,17 +30,22 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use orthrus_common::Doorbell;
 use orthrus_spsc::{channel_labeled, Consumer, Producer};
-use parking_lot::Mutex;
 
 use crate::source::Completion;
+
+fn lock_spill(spill: &Mutex<VecDeque<Completion>>) -> MutexGuard<'_, VecDeque<Completion>> {
+    spill.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Engine-side slot for one registered client.
 struct Slot {
     ring: Producer<Completion>,
+    /// Poison is ignored: every update is one `extend` or `drain` of
+    /// plain values.
     overflow: Arc<Mutex<VecDeque<Completion>>>,
     bell: Arc<Doorbell>,
 }
@@ -68,7 +73,7 @@ impl ClientRx {
     pub fn drain_into(&mut self, out: &mut Vec<Completion>, max: usize) -> usize {
         let mut n = self.ring.drain_into(out, max);
         if n < max {
-            let mut spill = self.overflow.lock();
+            let mut spill = lock_spill(&self.overflow);
             let k = spill.len().min(max - n);
             out.extend(spill.drain(..k));
             n += k;
@@ -78,7 +83,7 @@ impl ClientRx {
 
     /// Whether nothing is waiting to be drained.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty() && self.overflow.lock().is_empty()
+        self.ring.is_empty() && lock_spill(&self.overflow).is_empty()
     }
 
     /// Rung by [`CompletionHub::route`] once per call that delivered to
@@ -95,7 +100,10 @@ impl ClientRx {
 #[derive(Default)]
 pub struct CompletionHub {
     /// Held for a whole [`route`](Self::route) call, which also
-    /// serializes pumps — the per-client SPSC rings require it.
+    /// serializes pumps — the per-client SPSC rings require it. Poison
+    /// is ignored: a registration is one map insert or remove, and
+    /// `route` calls nothing that panics between filling its scratch and
+    /// emptying it.
     slots: Mutex<Slots>,
     next_id: AtomicU32,
     routed: AtomicU64,
@@ -121,6 +129,10 @@ impl CompletionHub {
         Self::default()
     }
 
+    fn slots(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a client; `capacity` bounds its completion ring (rounded
     /// up to a power of two). Returns the receive half.
     pub fn register(&self, capacity: usize) -> ClientRx {
@@ -128,7 +140,7 @@ impl CompletionHub {
         let (p, c) = channel_labeled(capacity, "client-completion");
         let overflow = Arc::new(Mutex::new(VecDeque::new()));
         let bell = Arc::new(Doorbell::new());
-        self.slots.lock().by_client.insert(
+        self.slots().by_client.insert(
             id,
             Slot {
                 ring: p,
@@ -148,7 +160,7 @@ impl CompletionHub {
     /// are counted as orphaned when they arrive — the abrupt-disconnect
     /// path; conservation accounting stays intact.
     pub fn unregister(&self, id: u32) {
-        self.slots.lock().by_client.remove(&id);
+        self.slots().by_client.remove(&id);
     }
 
     /// Route a drained batch — a pure function of the batch and of who
@@ -159,7 +171,7 @@ impl CompletionHub {
         if completions.is_empty() {
             return;
         }
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots();
         let Slots {
             by_client,
             owned,
@@ -184,7 +196,7 @@ impl CompletionHub {
             stage.extend_from_slice(group);
             slot.ring.try_push_slice(stage);
             if !stage.is_empty() {
-                slot.overflow.lock().extend(stage.drain(..));
+                lock_spill(&slot.overflow).extend(stage.drain(..));
             }
             slot.bell.ring();
         }

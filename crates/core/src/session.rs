@@ -41,14 +41,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 use orthrus_common::runtime::RunCtl;
 use orthrus_common::{fx_hash_u64, Backoff, Doorbell};
 use orthrus_spsc::Producer;
 use orthrus_txn::Program;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::source::{Reply, Submission, Ticket};
 
@@ -68,8 +67,10 @@ struct Lane {
 /// loop is the plain try-spin a short critical section tolerates.
 fn lock_lane(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
     loop {
-        if let Some(g) = lane.try_lock() {
-            return g;
+        match lane.try_lock() {
+            Ok(g) => return g,
+            Err(TryLockError::Poisoned(e)) => return e.into_inner(),
+            Err(TryLockError::WouldBlock) => {}
         }
         if !orthrus_common::sim::on_park() {
             std::thread::yield_now();
@@ -116,6 +117,8 @@ pub struct EngineClosed;
 /// the ingest lanes (one per execution thread), the ticket counter, and
 /// the accepting flag the shutdown fence flips.
 pub(crate) struct SubmitShared {
+    /// Poison is ignored: a ring push publishes whole or not at all, and
+    /// a push clears the stage before filling it.
     lanes: Vec<Mutex<Lane>>,
     /// Lane `i`'s consumer — execution thread `i` — parks on `bells[i]`
     /// when idle; rung after every push into the lane.
@@ -169,7 +172,7 @@ impl SubmitShared {
     pub(crate) fn close(&self) {
         self.accepting.store(false, Ordering::SeqCst);
         for lane in &self.lanes {
-            drop(lane.lock());
+            drop(lane.lock().unwrap_or_else(PoisonError::into_inner));
         }
     }
 
@@ -245,6 +248,9 @@ impl SubmitShared {
                 .next()
                 .map_or(0, |s| usize::from(ring.try_push(s).is_ok()))
         } else {
+            // Empty unless a caller's `fill` panicked mid-extend, which
+            // poisons the lane: what that push staged never counts.
+            stage.clear();
             stage.extend(submissions);
             ring.try_push_slice(stage)
         };

@@ -100,7 +100,7 @@ pub fn checkpoint_once(log: &CommandLog, dir: &Path) -> io::Result<Option<u32>> 
     // Durable-prefix cap (see module docs): snapshot the position FIRST,
     // then fsync — everything at or below the snapshot is durable once
     // the sync returns.
-    let durable_pos = log.position();
+    let durable_pos = log.position()?;
     log.sync()?;
     if durable_pos <= base.pos {
         return Ok(None);
@@ -222,7 +222,7 @@ mod tests {
         let t = TempDir::new("ckpt2");
         let db = Database::Flat(Table::new(8, 64));
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
-        unsafe { write_initial_checkpoint(t.path(), &db, log.position()).unwrap() };
+        unsafe { write_initial_checkpoint(t.path(), &db, log.position().unwrap()).unwrap() };
 
         append(&log, 0, &[1]);
         append(&log, 1, &[1, 2]);
@@ -252,7 +252,7 @@ mod tests {
         let db = Database::Flat(Table::new(8, 64));
         // Tiny segments so appends roll over quickly.
         let log = CommandLog::open_with_segment_bytes(t.path(), DurabilityMode::Log, 256).unwrap();
-        unsafe { write_initial_checkpoint(t.path(), &db, log.position()).unwrap() };
+        unsafe { write_initial_checkpoint(t.path(), &db, log.position().unwrap()).unwrap() };
         for i in 0..32 {
             append(&log, i, &[i % 8]);
         }
@@ -282,7 +282,7 @@ mod tests {
         let t = TempDir::new("ckptsync");
         let db = Database::Flat(Table::new(8, 64));
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
-        unsafe { write_initial_checkpoint(t.path(), &db, log.position()).unwrap() };
+        unsafe { write_initial_checkpoint(t.path(), &db, log.position().unwrap()).unwrap() };
         append(&log, 0, &[1]);
         append(&log, 1, &[2, 3]);
         checkpoint_once(&log, t.path()).unwrap().unwrap();
@@ -316,7 +316,7 @@ mod tests {
         let t = TempDir::new("ckpttorn");
         let db = Database::Flat(Table::new(8, 64));
         let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
-        unsafe { write_initial_checkpoint(t.path(), &db, log.position()).unwrap() };
+        unsafe { write_initial_checkpoint(t.path(), &db, log.position().unwrap()).unwrap() };
         append(&log, 0, &[1]);
         checkpoint_once(&log, t.path()).unwrap().unwrap();
         append(&log, 1, &[2]);

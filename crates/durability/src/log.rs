@@ -4,11 +4,11 @@
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use orthrus_common::failpoint::{self, FailAction};
 use orthrus_common::sim;
 use orthrus_storage::log::{LogPos, SegmentedLog, DEFAULT_SEGMENT_BYTES};
-use parking_lot::Mutex;
 
 use crate::codec::{frame_run, LoggedCommit};
 
@@ -101,8 +101,11 @@ pub struct SyncState {
     appended: AtomicU64,
     /// LSN through which records are known durable.
     synced: AtomicU64,
-    /// A group fsync failed: waiters must stop waiting and fail loudly
-    /// (the watermark will never advance again).
+    /// The log is broken: a group fsync failed (waiters must stop
+    /// waiting and fail loudly — the watermark will never advance
+    /// again), or a write failed after it touched the file, so whatever
+    /// it left could sit ahead of any later record (appends and syncs
+    /// refuse from then on).
     failed: AtomicBool,
     /// Group fsyncs issued.
     group_syncs: AtomicU64,
@@ -121,14 +124,16 @@ impl SyncState {
         self.synced.load(Ordering::Acquire)
     }
 
-    /// Whether a group fsync failed (waiters must panic, not hang).
+    /// Whether a group fsync or a write failed (waiters must panic, not
+    /// hang; the log takes no more appends or syncs).
     pub fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
     }
 
-    /// Raise the failure flag without an fsync error — used when the
-    /// coordinator thread itself dies (panic or injected crash), which
-    /// also means the watermark will never advance again.
+    /// Raise the failure flag: when a write fails after touching the
+    /// file, when the writer mutex is poisoned, and when the coordinator
+    /// thread itself dies (panic or injected crash), which also means the
+    /// watermark will never advance again.
     pub fn mark_failed(&self) {
         self.failed.store(true, Ordering::Release);
     }
@@ -157,6 +162,8 @@ impl SyncState {
 /// scheduling quantum at once ([`Self::append_frames`]) — and no fsync
 /// runs under it except per-run sync's own.
 pub struct CommandLog {
+    /// Poison fails the log ([`Self::writer`]): a holder that panicked
+    /// mid-write left the segment and `next_lsn` in an unknown state.
     inner: Mutex<Writer>,
     mode: DurabilityMode,
     /// `log+fsync` sync discipline: `false` = each append fsyncs inline
@@ -247,8 +254,27 @@ impl CommandLog {
 
     /// Current physical append position (all records end at or before
     /// it). Takes the writer lock; checkpoint-rate, not commit-rate.
-    pub fn position(&self) -> LogPos {
-        self.inner.lock().log.position()
+    pub fn position(&self) -> io::Result<LogPos> {
+        Ok(self.writer()?.log.position())
+    }
+
+    /// The writer. A poisoned mutex fails the log and is an error: a
+    /// later write would land behind whatever the panicking one left.
+    fn writer(&self) -> io::Result<MutexGuard<'_, Writer>> {
+        self.inner.lock().map_err(|_| {
+            self.sync_state.mark_failed();
+            io::Error::other("command-log writer poisoned by a panic mid-write")
+        })
+    }
+
+    /// The error every append and sync returns once the log has failed.
+    fn refuse_if_failed(&self) -> io::Result<()> {
+        if self.sync_state.is_failed() {
+            return Err(io::Error::other(
+                "command log failed earlier; recover it before writing again",
+            ));
+        }
+        Ok(())
     }
 
     /// Total framed bytes appended by this process — the checkpointer's
@@ -283,7 +309,10 @@ impl CommandLog {
     /// (real I/O failure, or the [`FP_APPEND`]/[`FP_FSYNC`] failpoints)
     /// no LSN is taken and nothing counts as committed; the committing
     /// thread decides how loudly to fail (the engine panics — continuing
-    /// past a broken durability contract would be silent data loss).
+    /// past a broken durability contract would be silent data loss). An
+    /// error after the file was touched — a torn or short write, a failed
+    /// roll or per-run fsync — also fails the log: a later record would
+    /// sit behind bytes no replay gets past, so every later call refuses.
     pub fn append_frames(&self, frames: &[u8], records: u64) -> io::Result<AppendReceipt> {
         debug_assert!(
             records > 0 && !frames.is_empty(),
@@ -301,23 +330,28 @@ impl CommandLog {
         } else {
             None
         };
-        let mut w = self.inner.lock();
+        let mut w = self.writer()?;
+        self.refuse_if_failed()?;
+        let fail = |e: io::Error| {
+            self.sync_state.mark_failed();
+            e
+        };
         match append_fault {
             Some(FailAction::Err) => return Err(failpoint::injected_io_error(FP_APPEND)),
             Some(FailAction::Torn(keep)) => {
                 // Persist a torn write — the bytes a crash mid-write
                 // leaves — then report the append as failed.
-                w.log.append_torn(frames, keep)?;
-                return Err(failpoint::injected_io_error(FP_APPEND));
+                w.log.append_torn(frames, keep).map_err(fail)?;
+                return Err(fail(failpoint::injected_io_error(FP_APPEND)));
             }
             _ => {}
         }
-        let bytes = w.log.append_frames(frames)?;
+        let bytes = w.log.append_frames(frames).map_err(fail)?;
         if synced {
             if let Some(FailAction::Err) = fsync_fault {
-                return Err(failpoint::injected_io_error(FP_FSYNC));
+                return Err(fail(failpoint::injected_io_error(FP_FSYNC)));
             }
-            w.log.sync()?;
+            w.log.sync().map_err(fail)?;
         }
         let lsn = w.next_lsn + records;
         w.next_lsn = lsn;
@@ -349,7 +383,7 @@ impl CommandLog {
     /// Records appended after the clone may or may not be covered; the
     /// watermark does not claim them.
     fn sync_target(&self) -> io::Result<(u64, std::fs::File)> {
-        let w = self.inner.lock();
+        let w = self.writer()?;
         Ok((w.next_lsn, w.log.sync_handle()?))
     }
 
@@ -387,12 +421,14 @@ impl CommandLog {
     /// Flush OS-buffered appends to stable storage, outside the writer
     /// mutex as [`Self::group_sync_now`] does. Called at engine shutdown
     /// so a clean stop is always fully replayable even in fsync-free
-    /// [`DurabilityMode::Log`]. Honors the [`FP_FSYNC`] failpoint.
+    /// [`DurabilityMode::Log`]. Honors the [`FP_FSYNC`] failpoint, and
+    /// refuses once the log has failed.
     pub fn sync(&self) -> io::Result<()> {
         sim::on_point(FP_FSYNC);
         if let Some(FailAction::Err) = failpoint::global().hit(FP_FSYNC) {
             return Err(failpoint::injected_io_error(FP_FSYNC));
         }
+        self.refuse_if_failed()?;
         self.sync_target()?.1.sync_data()
     }
 }
@@ -481,6 +517,48 @@ mod tests {
             .collect();
         let once = [commits(0..2), commits(2..3), commits(3..6)];
         assert_eq!(runs, [once.clone(), once].concat());
+    }
+
+    /// A torn write fails the log: the next append is refused rather
+    /// than acknowledged behind bytes no replay gets past.
+    #[test]
+    fn a_torn_write_refuses_every_later_append() {
+        let _fp = crate::arm_failpoints();
+        let t = TempDir::new("cmdlog");
+        let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
+        assert_eq!(log.append_run(&mut commits(0..2)).unwrap().lsn, 1);
+        failpoint::global().configure(FP_APPEND, FailAction::Torn(7), Some(1));
+        assert!(log.append_run(&mut commits(2..4)).is_err());
+        failpoint::global().clear();
+        assert!(
+            log.append_run(&mut commits(4..6)).is_err(),
+            "a record behind the tear would be acknowledged yet unreplayable"
+        );
+        assert!(log.sync_state().is_failed());
+        assert!(log.sync().is_err());
+        assert_eq!(
+            orthrus_storage::log::scan(t.path()).unwrap().payloads.len(),
+            1
+        );
+    }
+
+    /// A writer poisoned by a panic mid-write is an error, never reused.
+    #[test]
+    fn a_poisoned_writer_fails_the_log() {
+        let _fp = crate::pass_failpoints();
+        let t = TempDir::new("cmdlog");
+        let log = CommandLog::open(t.path(), DurabilityMode::Log).unwrap();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _writer = log.inner.lock();
+                panic!("dies holding the writer");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(log.position().is_err());
+        assert!(log.sync_state().is_failed());
+        assert!(log.append_run(&mut commits(0..1)).is_err());
+        assert!(log.sync().is_err());
     }
 
     #[test]

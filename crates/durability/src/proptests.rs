@@ -176,7 +176,7 @@ proptest! {
         let pristine = Database::Flat(Table::new(16, 64));
         // SAFETY: quiesced, single-threaded.
         unsafe {
-            crate::checkpoint::write_initial_checkpoint(a.path(), &pristine, log.position())
+            crate::checkpoint::write_initial_checkpoint(a.path(), &pristine, log.position().unwrap())
                 .unwrap()
         };
         let mut ticket = 0u64;

@@ -41,7 +41,7 @@ pub fn run_orthrus_custom(
 /// sweep point's [`RunStats::cc`]: Section 3.3's over- and
 /// under-utilised CC threads as a number, beside the throughput they
 /// explain.
-fn push_cc_util(fig: &mut FigureResult, label: &str, points: &[(f64, Vec<CcUtil>)]) {
+pub(crate) fn push_cc_util(fig: &mut FigureResult, label: &str, points: &[(f64, Vec<CcUtil>)]) {
     let n_cc = points.iter().map(|(_, cc)| cc.len()).max().unwrap_or(0);
     for i in 0..n_cc {
         let mut s = Series::new(format!("{label} cc{i} busy%"));

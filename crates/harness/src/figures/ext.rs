@@ -8,9 +8,10 @@
 //! the paper's headline ordering (ORTHRUS > Deadlock-free > 2PL) survives
 //! the heavier, deadlock-prone mix.
 
+use crate::ablations::push_cc_util;
 use crate::config::BenchConfig;
 use crate::report::{FigureResult, Series};
-use crate::systems::{run_micro, run_tpcc_full, SystemKind};
+use crate::systems::{run_micro, run_orthrus_split, run_tpcc_full, SystemKind};
 
 const SYSTEMS: [SystemKind; 3] = [
     SystemKind::Orthrus,
@@ -101,14 +102,22 @@ pub fn ext03_deadlock_policies(bc: &BenchConfig, threads: usize) -> FigureResult
 /// Under scrambled-Zipfian popularity the hot keys land on arbitrary CC
 /// threads, so the modulo assignment over- and under-utilizes CC threads
 /// ("concurrency control threads may be subject to over- and
-/// under-utilization due to workload skew", Section 3.3). The series
-/// compare ORTHRUS against the shared-table baselines, which have no
-/// partition to imbalance.
+/// under-utilization due to workload skew", Section 3.3). Each CC
+/// thread's busy share shows that imbalance beside ORTHRUS's throughput,
+/// and the shared-table baselines, which have no partition to imbalance,
+/// are the comparison.
 pub fn ext04_skew(bc: &BenchConfig) -> FigureResult {
     let threads = bc.clamp_threads(80);
+    // At least two CC threads, or there is no partition for skew to
+    // unbalance (the paper's 1:4 split gives one below 10 threads).
+    let n_cc = (threads / 5).max(2);
+    let n_exec = threads.saturating_sub(n_cc).max(1);
     let mut fig = FigureResult::new(
         "ext04",
-        format!("Zipfian skew under modulo CC assignment ({threads} threads)"),
+        format!(
+            "Zipfian skew under modulo CC assignment ({threads} threads; \
+             ORTHRUS {n_cc} CC / {n_exec} exec; cc series: % of the window busy)"
+        ),
         "zipf_theta",
         "txns/sec",
     );
@@ -116,13 +125,14 @@ pub fn ext04_skew(bc: &BenchConfig) -> FigureResult {
     let mk = |theta: f64| orthrus_workload::MicroSpec::zipf(bc.n_records as u64, 10, theta, false);
 
     let mut s = Series::new("ORTHRUS (modulo)");
+    let mut cc_util = Vec::new();
     for theta in thetas {
-        s.push(
-            theta,
-            run_micro(SystemKind::Orthrus, mk(theta), threads, bc).throughput(),
-        );
+        let stats = run_orthrus_split(mk(theta), n_cc, n_exec, bc);
+        s.push(theta, stats.throughput());
+        cc_util.push((theta, stats.cc));
     }
     fig.series.push(s);
+    push_cc_util(&mut fig, "orthrus", &cc_util);
 
     for kind in [SystemKind::DeadlockFree, SystemKind::TwoPlWaitDie] {
         let mut s = Series::new(kind.label());
@@ -243,7 +253,10 @@ mod tests {
         bc.measure = std::time::Duration::from_millis(60);
         bc.warmup = std::time::Duration::from_millis(20);
         let fig = ext04_skew(&bc);
-        assert_eq!(fig.series.len(), 3);
+        // Throughput, one busy% per CC thread (2 at 4 threads), two
+        // baselines.
+        assert_eq!(fig.series.len(), 5);
+        assert_eq!(fig.series[1].label, "orthrus cc0 busy%");
         for s in &fig.series {
             assert_eq!(s.points.len(), 4);
             assert!(s.points.iter().all(|&(_, y)| y > 0.0), "{}", s.label);

@@ -75,7 +75,9 @@ impl FigureResult {
         }
         let _ = writeln!(out);
         for &x in &xs {
-            let _ = write!(out, "{:<14}", trim_float(x));
+            // `{x}` is the shortest decimal that reads back as `x`: a
+            // θ of 0.95 prints as 0.95, not rounded to one place.
+            let _ = write!(out, "{x:<14}");
             for s in &self.series {
                 match s.at(x) {
                     Some(y) => {
@@ -147,16 +149,25 @@ mod tests {
         let mut b = Series::new("sys-b");
         b.push(10.0, 900.0);
         b.push(20.0, 950.0);
+        for x in [0.5, 0.95, 0.99] {
+            a.push(x, 1.0);
+            b.push(x, 2.0);
+        }
         fig.series.push(a);
         fig.series.push(b);
         let text = fig.render();
         assert!(text.contains("figX"));
         assert!(text.contains("sys-a"));
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2 + 1 + 2); // 2 headers + column row + 2 xs
+        assert_eq!(lines.len(), 2 + 1 + 5); // 2 headers + column row + 5 xs
         assert!(lines[3].starts_with("10"));
         assert!(lines[3].contains("1000"));
         assert!(lines[4].contains("1800.5"));
+        let xs: Vec<&str> = lines[5..]
+            .iter()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(xs, ["0.5", "0.95", "0.99"], "each x names its own point");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! partitions with a DFS; finding a path back to the waiter means a cycle,
 //! and the waiter aborts itself.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use orthrus_common::{CachePadded, TxnId};
-use parking_lot::Mutex;
 
 use super::DeadlockPolicy;
 
@@ -28,6 +29,8 @@ struct Partition {
 
 /// Thread-partitioned wait-for graph.
 pub struct WaitForGraph {
+    /// Poison is ignored: every update is one assignment or refill of a
+    /// partition's edge list.
     partitions: Box<[CachePadded<Mutex<Partition>>]>,
 }
 
@@ -42,13 +45,14 @@ impl WaitForGraph {
         }
     }
 
-    fn slot(&self, txn: TxnId) -> &Mutex<Partition> {
-        &self.partitions[txn.thread().as_usize() % self.partitions.len()]
+    fn slot(&self, txn: TxnId) -> MutexGuard<'_, Partition> {
+        let slot = &self.partitions[txn.thread().as_usize() % self.partitions.len()];
+        slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record/refresh the out-edges of `txn`.
     fn set_edges(&self, txn: TxnId, blockers: &[TxnId]) {
-        let mut p = self.slot(txn).lock();
+        let mut p = self.slot(txn);
         match &mut p.edge {
             Some((t, edges)) if *t == txn => {
                 edges.clear();
@@ -60,7 +64,7 @@ impl WaitForGraph {
 
     /// Remove the out-edges of `txn`.
     fn clear_edges(&self, txn: TxnId) {
-        let mut p = self.slot(txn).lock();
+        let mut p = self.slot(txn);
         if matches!(&p.edge, Some((t, _)) if *t == txn) {
             p.edge = None;
         }
@@ -69,7 +73,7 @@ impl WaitForGraph {
     /// Copy the out-edges of `txn` (empty if it is not waiting).
     fn edges_of(&self, txn: TxnId, out: &mut Vec<TxnId>) {
         out.clear();
-        let p = self.slot(txn).lock();
+        let p = self.slot(txn);
         if let Some((t, edges)) = &p.edge {
             if *t == txn {
                 out.extend_from_slice(edges);

@@ -14,10 +14,9 @@
 //! requests are granted together.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use orthrus_common::{fx_hash_u64, CachePadded, FxHashMap, Key, LockMode, TxnId};
-use parking_lot::Mutex;
 
 use crate::waiter::LockWaiter;
 
@@ -91,7 +90,8 @@ impl LockEntry {
 /// Hash lock table with per-bucket latches.
 pub struct LockTable {
     // One latched map per bucket; the nesting *is* the design (per-bucket
-    // latches, Section 4), not incidental complexity.
+    // latches, Section 4), not incidental complexity. Poison is ignored:
+    // each holder's grant, queue and release steps leave the entry whole.
     #[allow(clippy::type_complexity)]
     buckets: Box<[CachePadded<Mutex<FxHashMap<Key, LockEntry>>>]>,
     mask: usize,
@@ -116,9 +116,11 @@ impl LockTable {
         self.mask + 1
     }
 
+    /// Latch `key`'s bucket.
     #[inline]
-    fn bucket(&self, key: Key) -> &Mutex<FxHashMap<Key, LockEntry>> {
-        &self.buckets[(fx_hash_u64(key) as usize) & self.mask]
+    fn bucket(&self, key: Key) -> MutexGuard<'_, FxHashMap<Key, LockEntry>> {
+        let bucket = &self.buckets[(fx_hash_u64(key) as usize) & self.mask];
+        bucket.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Attempt to acquire `key` in `mode` for `txn`.
@@ -135,7 +137,7 @@ impl LockTable {
         waiter: &Arc<LockWaiter>,
         may_wait: impl FnOnce(&[TxnId]) -> bool,
     ) -> AcquireOutcome {
-        let mut bucket = self.bucket(key).lock();
+        let mut bucket = self.bucket(key);
         let entry = bucket.entry(key).or_default();
         debug_assert!(
             !entry.holders.iter().any(|&(h, _)| h == txn),
@@ -161,7 +163,7 @@ impl LockTable {
 
     /// Release a held lock and grant any newly compatible waiters.
     pub fn release(&self, key: Key, txn: TxnId) {
-        let mut bucket = self.bucket(key).lock();
+        let mut bucket = self.bucket(key);
         let entry = bucket
             .get_mut(&key)
             .expect("release of a key with no lock entry");
@@ -183,7 +185,7 @@ impl LockTable {
     /// cancelled; `false` if a concurrent grant won the race (the caller
     /// then *holds* the lock and must release it normally).
     pub fn cancel_wait(&self, key: Key, txn: TxnId) -> bool {
-        let mut bucket = self.bucket(key).lock();
+        let mut bucket = self.bucket(key);
         let entry = match bucket.get_mut(&key) {
             Some(e) => e,
             None => return false,
@@ -208,7 +210,7 @@ impl LockTable {
     /// (granted or cancelled concurrently).
     pub fn blockers_for_waiter(&self, key: Key, txn: TxnId, mode: LockMode, out: &mut Vec<TxnId>) {
         out.clear();
-        let bucket = self.bucket(key).lock();
+        let bucket = self.bucket(key);
         if let Some(entry) = bucket.get(&key) {
             if entry.waiters.iter().any(|w| w.txn == txn) {
                 entry.blockers_of(txn, mode, out);
@@ -218,7 +220,7 @@ impl LockTable {
 
     /// Snapshot the holders of a key (tests / diagnostics).
     pub fn holders_of(&self, key: Key) -> Vec<(TxnId, LockMode)> {
-        let bucket = self.bucket(key).lock();
+        let bucket = self.bucket(key);
         bucket
             .get(&key)
             .map(|e| e.holders.clone())
@@ -227,7 +229,7 @@ impl LockTable {
 
     /// Number of queued (ungranted) requests on a key (tests).
     pub fn queue_len(&self, key: Key) -> usize {
-        let bucket = self.bucket(key).lock();
+        let bucket = self.bucket(key);
         bucket.get(&key).map(|e| e.waiters.len()).unwrap_or(0)
     }
 }

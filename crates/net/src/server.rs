@@ -72,7 +72,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -252,7 +252,8 @@ fn listen_loop(
     cfg: NetConfig,
 ) -> (EngineHandle, ThreadStats) {
     let _sim = sim::enroll("netlisten");
-    let conn_stats: Arc<parking_lot::Mutex<ThreadStats>> = Arc::default();
+    // Poison is ignored: a half-merged total is still a total of counters.
+    let conn_stats: Arc<Mutex<ThreadStats>> = Arc::default();
     // Each live connection's reader thread and its socket, kept so a
     // stop request can end the reader's timeout-less `read`.
     let mut conns: Vec<(JoinHandle<()>, Arc<TcpStream>)> = Vec::new();
@@ -307,7 +308,9 @@ fn listen_loop(
                             let _leave = leave;
                             let _sim = sim::enroll(&name);
                             let local = conn.serve(rx, &name);
-                            stats.lock().merge(&local);
+                            (stats.lock())
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .merge(&local);
                         });
                     match spawned {
                         Ok(jh) => conns.push((jh, stream)),
@@ -352,7 +355,10 @@ fn listen_loop(
     if handle.drain_completions(&mut drained) > 0 {
         hub.route(&drained);
     }
-    let stats = conn_stats.lock().clone();
+    let stats = conn_stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     (handle, stats)
 }
 

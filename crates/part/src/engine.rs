@@ -68,7 +68,7 @@
 //! log order *is* epoch order.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use orthrus_common::{Backoff, Doorbell, HubBreakdown, RunStats};
@@ -78,7 +78,6 @@ use orthrus_core::{
 };
 use orthrus_durability::ReplayReport;
 use orthrus_txn::{Database, Program};
-use parking_lot::Mutex;
 
 use crate::map::{route, slice, PartitionMap, Route};
 
@@ -194,9 +193,12 @@ struct PartShared {
     emitted: AtomicU64,
     sessions: Vec<Session>,
     /// Cross-partition backlog, drained by the sequencer into epochs.
+    /// Poison is ignored: every update is one push or drain of plain
+    /// values.
     xp: Mutex<Vec<XpEntry>>,
     xp_capacity: usize,
     /// Fan-in: translated global completions awaiting the client.
+    /// Poison is ignored, as for `xp`.
     fanin: Mutex<Vec<Completion>>,
     /// The sequencer's doorbell: every member engine's completion bell
     /// (see [`OrthrusEngine::start_with_bell`]), also rung when
@@ -205,6 +207,14 @@ struct PartShared {
 }
 
 impl PartShared {
+    fn xp(&self) -> MutexGuard<'_, Vec<XpEntry>> {
+        self.xp.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn fanin(&self) -> MutexGuard<'_, Vec<Completion>> {
+        self.fanin.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn accepted(&self) -> u64 {
         self.next_global.load(Ordering::SeqCst)
     }
@@ -252,7 +262,7 @@ impl PartSession {
                 Ok(Ticket(global))
             }
             Route::Cross(_) => {
-                let mut q = shared.xp.lock();
+                let mut q = shared.xp();
                 if q.len() >= shared.xp_capacity {
                     return Err(TrySubmitError::Full(program));
                 }
@@ -399,7 +409,7 @@ impl PartitionedHandle {
     /// how many. Tickets are the *global* ids [`PartSession::try_submit`]
     /// returned.
     pub fn drain_completions(&mut self, out: &mut Vec<Completion>) -> usize {
-        let mut fanin = self.shared.fanin.lock();
+        let mut fanin = self.shared.fanin();
         let n = fanin.len();
         out.append(&mut fanin);
         n
@@ -485,7 +495,7 @@ impl Sequencer {
             if self.inflight.as_ref().is_some_and(|e| e.outstanding == 0) {
                 let done = self.inflight.take().expect("checked above");
                 let k = done.globals.len() as u64;
-                let mut fanin = self.shared.fanin.lock();
+                let mut fanin = self.shared.fanin();
                 fanin.extend(done.globals.iter().map(|(global, enqueued)| {
                     global_completion(*global, enqueued.elapsed().as_nanos() as u64)
                 }));
@@ -495,7 +505,7 @@ impl Sequencer {
             }
             if self.inflight.is_none() {
                 let batch: Vec<XpEntry> = {
-                    let mut q = self.shared.xp.lock();
+                    let mut q = self.shared.xp();
                     let k = q.len().min(self.max_batch);
                     q.drain(..k).collect()
                 };
@@ -513,7 +523,7 @@ impl Sequencer {
                 quiesced = quiesced || self.shared.submitting.load(Ordering::SeqCst) == 0;
                 let done = quiesced
                     && self.inflight.is_none()
-                    && self.shared.xp.lock().is_empty()
+                    && self.shared.xp().is_empty()
                     && self.shared.emitted.load(Ordering::SeqCst) == self.shared.accepted();
                 if done {
                     break;
@@ -527,7 +537,7 @@ impl Sequencer {
                 // no epoch is in flight, a stop request.
                 backoff.snooze_on(&self.shared.bell, || {
                     self.handles.iter().any(EngineHandle::has_completions)
-                        || (self.inflight.is_none() && !self.shared.xp.lock().is_empty())
+                        || (self.inflight.is_none() && !self.shared.xp().is_empty())
                         || (!quiesced && self.shared.stop.load(Ordering::SeqCst))
                 });
             }
@@ -578,7 +588,7 @@ impl Sequencer {
     /// under one `fanin` lock and one `emitted` bump.
     fn observe(&mut self, part: usize, batch: &[Completion]) {
         let ledger = &mut self.ledgers[part];
-        let mut fanin = self.shared.fanin.lock();
+        let mut fanin = self.shared.fanin();
         let held = fanin.len();
         for c in batch {
             if c.client.is_none() {
