@@ -18,7 +18,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Identifies one SPSC ring for tracing. `0` means "allocated while no
 /// scheduler was installed" and is never traced.
@@ -91,6 +91,19 @@ pub trait Scheduler: Send + Sync {
 
     /// Assign a trace id to a newly created ring.
     fn alloc_chan(&self, label: &'static str) -> ChanId;
+
+    /// Isolation oracle: a CC thread granted the last lock of `token`'s
+    /// lock set (see [`on_grant`]).
+    fn on_grant(&self, token: u64) {
+        let _ = token;
+    }
+
+    /// Isolation oracle: `ticket` committed under `token`'s lock set
+    /// (`None`: it asked for no lock), and its reads fold to `digest`
+    /// (see [`on_commit`]).
+    fn on_commit(&self, token: Option<u64>, ticket: u64, digest: u64) {
+        let _ = (token, ticket, digest);
+    }
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -254,6 +267,48 @@ pub fn fanin_start(lanes: usize) -> Option<usize> {
     let me = SIM_THREAD.with(|t| t.get())?;
     let guard = SCHEDULER.read().unwrap();
     guard.as_ref()?.fanin_start(me, lanes)
+}
+
+/// Isolation-oracle hook, called by a CC thread when it grants the last
+/// lock a lock set asked for: every lock of `token` (a packed exec
+/// token) is held from here until its releases. The scheduler stamps
+/// the grant with the next number of one global sequence. The stamp is
+/// taken at the grant, not at execution, on purpose: under the
+/// scheduler a run executes between two hooks, so runs never interleave
+/// and any execution order replays its own reads. Whether the locks did
+/// their job shows in whether *grant* order replays them. Not a
+/// scheduling point.
+#[inline]
+pub fn on_grant(token: u64) {
+    if is_active() {
+        record(|s| s.on_grant(token));
+    }
+}
+
+/// Isolation-oracle hook, called by an execution thread for every
+/// ticketed transaction it commits, in execution order: the lock set it
+/// ran under (`None` when it asked for none) and a digest of what it
+/// read (the value `orthrus_txn::execute` returns). Not a scheduling
+/// point.
+#[inline]
+pub fn on_commit(token: Option<u64>, ticket: u64, digest: u64) {
+    if is_active() {
+        record(|s| s.on_commit(token, ticket, digest));
+    }
+}
+
+/// Hand an oracle record to the installed scheduler. The slot is
+/// written only by [`install`] and [`uninstall`], so a poisoned lock
+/// still holds a whole value.
+#[cold]
+fn record(f: impl FnOnce(&dyn Scheduler)) {
+    if let Some(s) = SCHEDULER
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .as_ref()
+    {
+        f(s.as_ref());
+    }
 }
 
 /// Allocate a trace id for a new ring (0 when not simulating).

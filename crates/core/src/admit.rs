@@ -29,14 +29,25 @@
 //!   convoy that cost FIFO admission one fabric round trip per waiting
 //!   transaction costs one per *run* instead.
 //!
-//! The tradeoff was measured in ablation A6 (`abl06_admission`) at an
-//! in-flight depth of 16, with every run clipped to the cap: there,
-//! under low skew the fused unions held more locks for longer than
-//! independent acquisitions and FIFO won; past the contention crossover
-//! the amortized round trips dominated and `ConflictBatch` won,
-//! increasingly with skew. Runs now fuse up to their class's batch
-//! under the `max_inflight` ceiling, so where (or whether) that
-//! crossover sits at the default depth is open.
+//! `ConflictBatch` is the engine's default. Ablation A6
+//! (`abl06_admission`) measured the tradeoff at the default ceiling of
+//! 64 in flight, closed loop, Zipf 10-RMW over 200 000 records, on two
+//! cores (EXPERIMENTS.md, "Batched admission at the default depth"). At
+//! 1 CC + 3 exec threads a crossover is left: batching ties FIFO at
+//! θ ≤ 0.3 (median batch/FIFO throughput 1.04 and 1.02 over seven runs),
+//! loses at θ = 0.6 (median 0.91, 0.78–1.08, two runs of seven won) and
+//! wins from θ = 0.9 on (1.48–2.37, every run). The depth rule is not
+//! why: counting a fused grant as its run's transactions lets the
+//! batched depth reach the ceiling there too, and that lowered batched
+//! throughput at θ ≤ 0.3 with two and three exec threads. The default
+//! flips anyway on the benchmark's workloads, service mode with one
+//! execution thread each: three gain throughput, ×1.18–1.60, and no
+//! median is worse than its bound (EXPERIMENTS.md, "Batched admission
+//! is the default"). A transaction that arrives alone is a window of one
+//! and so a run of one; its class queue round trip costs a fraction of
+//! a microsecond that `examples/lone_txn.rs` does not resolve end to
+//! end. `Fifo` stays the paper's admission and the seed pin, named where
+//! that is what is measured.
 //!
 //! Starvation-freedom of `ConflictBatch` is structural: the admitter only
 //! refills its run queues when **every** class queue is empty, and the

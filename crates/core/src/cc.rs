@@ -394,6 +394,11 @@ impl CcState {
                 },
             });
         } else {
+            if next == plan.spans().len() {
+                // The whole lock set is held: the isolation oracle's
+                // serialization point.
+                orthrus_common::sim::on_grant(token.pack());
+            }
             out.push(OutMsg::ToExec {
                 exec: token.exec,
                 resp: ExecResponse::Granted {

@@ -77,11 +77,16 @@ pub struct OrthrusConfig {
     /// the in-flight cap, so a draining client can never wedge the
     /// engine.
     pub ingest_capacity: usize,
-    /// Admission scheduling policy (ablation A6), one of two:
-    /// [`AdmissionPolicy::Fifo`] is the seed's admission order;
-    /// `ConflictBatch` batches transactions by conflict class before
-    /// admission (Prasaad et al.), planning each transaction once at
-    /// admission and draining per-class run queues back-to-back.
+    /// Admission scheduling policy (ablation A6), one of two. The
+    /// default, [`AdmissionPolicy::conflict_batch`], batches transactions
+    /// by conflict class before admission (Prasaad et al.): it plans each
+    /// transaction once at admission, drains per-class run queues
+    /// back-to-back, and each drained run takes one fused lock round; a
+    /// transaction that arrives alone is a run of one. `Fifo` is the
+    /// paper's and the seed's admission order, one lock round per
+    /// transaction: the paper figures, the seed-semantics pins and the
+    /// FIFO ablation cells name it (DESIGN.md, "Batched admission is the
+    /// default").
     pub admission: AdmissionPolicy,
     /// Durability (`ORTHRUS_DURABILITY` in the harness): `Off` is the
     /// paper's main-memory-only semantics; `Log` appends one command-log
@@ -166,7 +171,7 @@ impl OrthrusConfig {
             exec_queue_capacity: None,
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             ingest_capacity: DEFAULT_INGEST_CAPACITY,
-            admission: AdmissionPolicy::Fifo,
+            admission: AdmissionPolicy::conflict_batch(),
             durability: DurabilityMode::Off,
             log_dir: None,
             sync_interval: SyncInterval::default(),

@@ -1094,7 +1094,9 @@ mod tests {
             MicroSpec::uniform(256, 8, false)
                 .with_constraint(PartitionConstraint::Exact { count: 4, of: 4 }),
         );
-        let cfg = OrthrusConfig::with_threads(4, 2, CcAssignment::KeyModulo);
+        // One lock round per transaction: the paper's message economics.
+        let mut cfg = OrthrusConfig::with_threads(4, 2, CcAssignment::KeyModulo);
+        cfg.admission = crate::admit::AdmissionPolicy::Fifo;
         let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
         let stats = engine.run(&quick());
         assert!(stats.totals.committed > 0);
@@ -1119,6 +1121,7 @@ mod tests {
                     .with_constraint(PartitionConstraint::Exact { count: 4, of: 4 }),
             );
             let mut cfg = OrthrusConfig::with_threads(4, 2, CcAssignment::KeyModulo);
+            cfg.admission = crate::admit::AdmissionPolicy::Fifo;
             cfg.forwarding = forwarding;
             let engine = OrthrusEngine::new(db, spec, cfg);
             let stats = engine.run(&quick());
@@ -1213,6 +1216,7 @@ mod tests {
         );
         let mut cfg = OrthrusConfig::with_threads(4, 2, CcAssignment::KeyModulo);
         cfg.flush_threshold = 1;
+        cfg.admission = crate::admit::AdmissionPolicy::Fifo;
         let engine = OrthrusEngine::new(Arc::clone(&db), spec, cfg);
         let stats = engine.run(&quick());
         assert!(stats.totals.committed > 0);
@@ -1390,8 +1394,10 @@ mod tests {
         let _serial = crate::test_serial();
         let run = |n_records: u64, spec: MicroSpec| {
             let db = Arc::new(Database::Flat(Table::new(n_records as usize, 16)));
-            let cfg = OrthrusConfig::with_threads(2, 1, CcAssignment::KeyModulo);
+            let mut cfg = OrthrusConfig::with_threads(2, 1, CcAssignment::KeyModulo);
             assert_eq!(cfg.max_inflight, 64, "the default ceiling");
+            // One grant per transaction: the windows the rule walks by.
+            cfg.admission = crate::admit::AdmissionPolicy::Fifo;
             OrthrusEngine::new(db, Spec::Micro(spec), cfg).run(&quick())
         };
         let uniform = run(200_000, MicroSpec::uniform(200_000, 10, false));
@@ -2325,7 +2331,8 @@ mod tests {
             MicroSpec::uniform(64, 4, false)
                 .with_constraint(PartitionConstraint::Exact { count: 1, of: 2 }),
         );
-        let cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::KeyModulo);
+        let mut cfg = OrthrusConfig::with_threads(2, 2, CcAssignment::KeyModulo);
+        cfg.admission = crate::admit::AdmissionPolicy::Fifo;
         let engine = OrthrusEngine::new(db, spec, cfg);
         let stats = engine.run(&quick());
         let per_commit = stats.totals.messages_sent as f64 / stats.totals.committed as f64;

@@ -745,7 +745,7 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
                 txns.push(txn);
             }
             let Some(lock_plan) = self.plan_locks(&txns) else {
-                self.commit_run(&mut txns, &mut retries, timer);
+                self.commit_run(&mut txns, &mut retries, None, timer);
                 continue;
             };
             let gen = self.fresh_gen();
@@ -844,7 +844,12 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         } = self.slots[slot as usize]
             .take()
             .expect("grant for free slot");
-        self.commit_run(&mut txns, &mut retries, timer);
+        let token = Token {
+            exec: self.exec_id,
+            slot,
+            gen,
+        };
+        self.commit_run(&mut txns, &mut retries, Some(token), timer);
         self.send_releases(&lock_plan, slot, gen);
         // Lent to the CC threads until the last release is handled; this
         // thread keeps its own clone, so theirs is never the last.
@@ -852,14 +857,15 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
         self.launch(slot, txns, retries, timer);
     }
 
-    /// Execute `txns` back-to-back — their locks are held, or they need
-    /// none — then frame the run's record for the quantum's write (log
-    /// on) or stamp and deliver its commits (log off). Drains `txns`;
-    /// OLLP mismatches move to `retries`, everything else commits.
+    /// Execute `txns` back-to-back — their locks are held under `token`,
+    /// or they need none — then frame the run's record for the quantum's
+    /// write (log on) or stamp and deliver its commits (log off). Drains
+    /// `txns`; OLLP mismatches move to `retries`, everything else commits.
     fn commit_run(
         &mut self,
         txns: &mut Vec<Admitted>,
         retries: &mut Vec<Admitted>,
+        token: Option<Token>,
         timer: &mut PhaseTimer,
     ) {
         timer.switch(&mut self.stats, Phase::Execution);
@@ -867,6 +873,9 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             match execute_planned(&txn.program, self.db, &txn.plan) {
                 Ok(v) => {
                     std::hint::black_box(v);
+                    if let Some(reply) = txn.reply {
+                        orthrus_common::sim::on_commit(token.map(Token::pack), reply.ticket.0, v);
+                    }
                     self.stats.committed_all += 1;
                     self.commit_batch.push((txn.reply, txn.started));
                     self.admit.recycle_plan(txn.plan);

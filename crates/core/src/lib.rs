@@ -54,10 +54,8 @@
 //! only serialize. Admission is therefore a pluggable policy layer
 //! ([`admit`]) rather than code inlined in the execution thread:
 //!
-//! - [`AdmissionPolicy::Fifo`] (default) admits in generator order —
-//!   proptest-pinned identical (programs *and* plans) to the seed's
-//!   inlined admission;
-//! - [`AdmissionPolicy::ConflictBatch`] plans each transaction once at
+//! - [`AdmissionPolicy::ConflictBatch`] (default,
+//!   [`AdmissionPolicy::conflict_batch`]) plans each transaction once at
 //!   admission, derives a conflict class from the hottest key of its
 //!   planned footprint (a decaying frequency sketch over recent
 //!   footprints), and drains per-class run queues back-to-back; each
@@ -65,7 +63,11 @@
 //!   one fused lock acquisition — one acquire/release round per run
 //!   instead of per transaction (Prasaad et al., "Improving High
 //!   Contention OLTP Performance via Transaction Scheduling"; ablation
-//!   A6, `abl06_admission`, compares the two across skew).
+//!   A6, `abl06_admission`, compares the two across skew). A
+//!   transaction that arrives alone is admitted as a run of one;
+//! - [`AdmissionPolicy::Fifo`] admits in generator order, one lock
+//!   round per transaction, as the paper does — proptest-pinned
+//!   identical (programs *and* plans) to the seed's inlined admission.
 //!
 //! ## Transaction sources and the open loop ([`source`], [`session`])
 //!

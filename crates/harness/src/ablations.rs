@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use orthrus_common::{CcUtil, RunStats};
+use orthrus_core::config::DEFAULT_MAX_INFLIGHT;
 use orthrus_core::{AdmissionPolicy, CcAssignment, OrthrusConfig, OrthrusEngine};
 use orthrus_storage::Table;
 use orthrus_txn::Database;
@@ -200,17 +201,20 @@ pub fn abl05_batching(bc: &BenchConfig) -> FigureResult {
     fig
 }
 
+/// A6's skews: uniform, then Zipf from mild to YCSB's default.
+const ABL06_THETAS: [f64; 5] = [0.0, 0.3, 0.6, 0.9, 0.99];
+
 /// A6: admission scheduling under skew (Prasaad et al., "Improving High
 /// Contention OLTP Performance via Transaction Scheduling"). FIFO admits
 /// hot-key transactions blindly, piling waiters into CC queues;
 /// conflict-class batching plans at admission, drains per-class run
 /// queues back-to-back, and serializes each run locally under one fused
-/// lock acquisition. The sweep crosses the policy's break-even: at low
-/// skew the fused unions hold more locks for longer and FIFO wins; past
-/// the contention crossover (θ ≈ 0.6 at bench scale) the amortized
-/// acquire/release round trips dominate and conflict batching wins,
-/// increasingly with skew. Beside each policy: transactions per fused
-/// run (1 under FIFO) and the most transactions in flight at once.
+/// lock acquisition. The sweep runs at the engine's default in-flight
+/// ceiling ([`DEFAULT_MAX_INFLIGHT`]) from uniform (θ = 0) to YCSB's
+/// θ = 0.99, to show whether FIFO wins anywhere at the depth every
+/// workload runs (EXPERIMENTS.md, "Batched admission at the default
+/// depth"). Beside each policy: transactions per fused run (1 under
+/// FIFO) and the most transactions in flight at once.
 pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
     let (n_cc, n_exec) = split(bc);
     let mut fig = FigureResult::new(
@@ -236,13 +240,14 @@ pub fn abl06_admission(bc: &BenchConfig) -> FigureResult {
         let mut per_run = Series::new(format!("{short} txns/run"));
         let mut peak = Series::new(format!("{short} inflight max"));
         let mut points = Vec::new();
-        for theta in [0.3f64, 0.6, 0.9, 0.99] {
+        for theta in ABL06_THETAS {
             // Scrambled-Zipf 10RMW: the YCSB hot set, scattered across CC
             // threads, with the skew knob as the x-axis.
             let spec = MicroSpec::zipf(bc.n_records as u64, 10, theta, false);
             let mut bc_t = bc.clone();
             bc_t.admission = policy.clone();
-            let stats = run_orthrus_custom(spec, n_cc, n_exec, true, None, 16, &bc_t);
+            let stats =
+                run_orthrus_custom(spec, n_cc, n_exec, true, None, DEFAULT_MAX_INFLIGHT, &bc_t);
             s.push(theta, stats.throughput());
             per_run.push(theta, stats.txns_per_run());
             peak.push(theta, stats.inflight_max() as f64);
@@ -791,7 +796,7 @@ mod tests {
         for s in &fig.series {
             assert_eq!(
                 s.points.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
-                vec![0.3, 0.6, 0.9, 0.99],
+                ABL06_THETAS,
                 "{}",
                 s.label
             );

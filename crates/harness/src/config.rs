@@ -39,10 +39,16 @@ pub struct BenchConfig {
     /// pre-batching per-message fabric, see ablation A5).
     pub flush_threshold: usize,
     /// Admission policy applied to every ORTHRUS run
-    /// (`ORTHRUS_ADMISSION`, default `fifo` — the seed's admission order;
-    /// `batch` or `batch:<classes>:<batch>` enables conflict-class
-    /// batched admission, see ablation A6).
+    /// (`ORTHRUS_ADMISSION`, default `batch` — the engine's default,
+    /// conflict-class batched admission with fused lock rounds;
+    /// `batch:<classes>:<batch>` reshapes it, `fifo` is the paper's and
+    /// the seed's admission order, see ablation A6). The paper figures
+    /// run `fifo` unless the knob is set ([`Self::paper`]).
     pub admission: AdmissionPolicy,
+    /// Whether `ORTHRUS_ADMISSION` named [`Self::admission`]: if not, the
+    /// paper figures run FIFO whatever `admission` holds. Code that sets
+    /// `admission` for a paper figure sets this too.
+    pub admission_named: bool,
     /// Durability mode applied to every ORTHRUS run
     /// (`ORTHRUS_DURABILITY`, default `off`; `log` appends one
     /// command-log record per fused admission run, `log+fsync` also
@@ -109,13 +115,12 @@ pub fn net_config_from_env() -> orthrus_net::NetConfig {
 
 /// Parse `ORTHRUS_ADMISSION`; a present-but-invalid value is a hard error
 /// (silently benchmarking the wrong policy would corrupt comparisons).
-fn admission_from_env() -> AdmissionPolicy {
-    match std::env::var("ORTHRUS_ADMISSION") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("ORTHRUS_ADMISSION: {e}")),
-        Err(_) => AdmissionPolicy::Fifo,
-    }
+/// `None` when unset.
+fn admission_from_env() -> Option<AdmissionPolicy> {
+    std::env::var("ORTHRUS_ADMISSION").ok().map(|v| {
+        v.parse()
+            .unwrap_or_else(|e| panic!("ORTHRUS_ADMISSION: {e}"))
+    })
 }
 
 /// Parse `ORTHRUS_DURABILITY`; a present-but-invalid value is a hard
@@ -149,6 +154,7 @@ fn checkpoint_from_env() -> Option<u64> {
 impl BenchConfig {
     /// Read overrides from the environment.
     pub fn from_env() -> Self {
+        let admission = admission_from_env();
         BenchConfig {
             measure: Duration::from_millis(env_u64("ORTHRUS_MEASURE_MS", 250)),
             warmup: Duration::from_millis(env_u64("ORTHRUS_WARMUP_MS", 100)),
@@ -163,7 +169,10 @@ impl BenchConfig {
                 "ORTHRUS_FLUSH_THRESHOLD",
                 orthrus_core::config::DEFAULT_FLUSH_THRESHOLD as u64,
             ) as usize,
-            admission: admission_from_env(),
+            admission: admission
+                .clone()
+                .unwrap_or_else(AdmissionPolicy::conflict_batch),
+            admission_named: admission.is_some(),
             durability: durability_from_env(),
             sync_interval: sync_interval_from_env(),
             checkpoint_bytes: checkpoint_from_env(),
@@ -180,6 +189,7 @@ impl BenchConfig {
     /// CI matrix legs (seed semantics, command-log durability) exercise their paths through the whole harness test
     /// suite.
     pub fn test_quick() -> Self {
+        let admission = admission_from_env();
         BenchConfig {
             measure: Duration::from_millis(120),
             warmup: Duration::from_millis(40),
@@ -194,13 +204,28 @@ impl BenchConfig {
                 "ORTHRUS_FLUSH_THRESHOLD",
                 orthrus_core::config::DEFAULT_FLUSH_THRESHOLD as u64,
             ) as usize,
-            admission: admission_from_env(),
+            admission: admission
+                .clone()
+                .unwrap_or_else(AdmissionPolicy::conflict_batch),
+            admission_named: admission.is_some(),
             durability: durability_from_env(),
             sync_interval: sync_interval_from_env(),
             checkpoint_bytes: checkpoint_from_env(),
             partitions: env_u64("ORTHRUS_PARTITIONS", 1).max(1) as usize,
             xpart_pct: env_u64("ORTHRUS_XPART_FRACTION", 0).min(100) as u32,
         }
+    }
+
+    /// This configuration as the paper figures run it: FIFO admission,
+    /// the paper's (one lock round per transaction), unless
+    /// `ORTHRUS_ADMISSION` named a policy ([`Self::admission_named`]).
+    /// Every `figures::fig*` entry point runs under it.
+    pub fn paper(&self) -> Self {
+        let mut bc = self.clone();
+        if !bc.admission_named {
+            bc.admission = AdmissionPolicy::Fifo;
+        }
+        bc
     }
 
     /// Apply the env-selected durability mode to an engine config,
@@ -275,10 +300,23 @@ mod tests {
         if std::env::var("ORTHRUS_ADMISSION").is_err() {
             assert_eq!(
                 bc.admission,
+                AdmissionPolicy::conflict_batch(),
+                "default must be the engine's: conflict-batched admission"
+            );
+            assert_eq!(
+                bc.paper().admission,
                 AdmissionPolicy::Fifo,
-                "default must be the seed's admission order"
+                "the paper figures run the paper's admission order"
             );
         }
+        let mut named = bc.clone();
+        named.admission = AdmissionPolicy::conflict_batch();
+        named.admission_named = true;
+        assert_eq!(
+            named.paper().admission,
+            AdmissionPolicy::conflict_batch(),
+            "a policy the knob names holds for the paper figures too"
+        );
     }
 
     /// A present-but-malformed numeric knob must abort with the knob's

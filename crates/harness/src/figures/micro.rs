@@ -10,6 +10,7 @@ use crate::systems::{run_micro, SystemKind};
 /// high-contention workload (2 hot of 64 + 8 cold reads). The paper shows
 /// throughput collapsing past 40 cores despite zero logical conflicts.
 pub fn fig01_2pl_readonly(bc: &BenchConfig) -> FigureResult {
+    let bc = &bc.paper();
     let mut fig = FigureResult::new(
         "fig01",
         "Read-only scalability under 2PL, high contention",
@@ -40,6 +41,7 @@ fn hot_sweep(bc: &BenchConfig) -> Vec<u64> {
 /// Figure 4: deadlock-handling overhead while varying the number of hot
 /// records; panel (a) is 10 cores, panel (b) 80 cores — pass `threads`.
 pub fn fig04_deadlock_overhead(bc: &BenchConfig, threads: usize) -> FigureResult {
+    let bc = &bc.paper();
     let threads = bc.clamp_threads(threads);
     let mut fig = FigureResult::new(
         "fig04",
@@ -69,6 +71,7 @@ pub fn fig04_deadlock_overhead(bc: &BenchConfig, threads: usize) -> FigureResult
 /// allocations (4/8/16 CC threads; uniform 10-RMW; every transaction's
 /// locks on a single CC thread).
 pub fn fig05_thread_allocation(bc: &BenchConfig) -> FigureResult {
+    let bc = &bc.paper();
     let (cc_list, exec_list): (Vec<usize>, Vec<usize>) = if bc.max_threads == 0 {
         (vec![4, 8, 16], vec![4, 8, 16, 24, 32, 48, 64])
     } else {
@@ -159,6 +162,7 @@ fn ycsb_figure(bc: &BenchConfig, read_only: bool, high_contention: bool) -> Vec<
 /// Figure 11: YCSB read-only scalability; `high_contention` selects panel
 /// (b) (2 hot of 64) over panel (a) (uniform).
 pub fn fig11_ycsb_readonly(bc: &BenchConfig, high_contention: bool) -> FigureResult {
+    let bc = &bc.paper();
     let panel = if high_contention { "high" } else { "low" };
     let mut fig = FigureResult::new(
         "fig11",
@@ -172,6 +176,7 @@ pub fn fig11_ycsb_readonly(bc: &BenchConfig, high_contention: bool) -> FigureRes
 
 /// Figure 12: YCSB 10-RMW scalability; panels as in Figure 11.
 pub fn fig12_ycsb_rmw(bc: &BenchConfig, high_contention: bool) -> FigureResult {
+    let bc = &bc.paper();
     let panel = if high_contention { "high" } else { "low" };
     let mut fig = FigureResult::new(
         "fig12",

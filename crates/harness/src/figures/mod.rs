@@ -2,7 +2,9 @@
 //!
 //! Every function returns a [`crate::report::FigureResult`] (or breakdown
 //! rows for Figure 10) containing the same series the paper plots, at the
-//! scales configured by [`crate::BenchConfig`].
+//! scales configured by [`crate::BenchConfig`]. Each `fig*` function
+//! runs [`crate::BenchConfig::paper`]: FIFO admission, the paper's, unless
+//! `ORTHRUS_ADMISSION` names a policy.
 
 mod ext;
 mod micro;

@@ -19,6 +19,7 @@ const SYSTEMS: [SystemKind; 5] = [
 /// threads for ORTHRUS, aligned per system by
 /// [`SystemKind::partition_of`].
 pub fn fig06_multipartition_count(bc: &BenchConfig) -> FigureResult {
+    let bc = &bc.paper();
     let threads = bc.clamp_threads(80);
     // Every chosen span must be realizable on every system's partition
     // count (the CC count is the binding one on capped hosts).
@@ -55,6 +56,7 @@ pub fn fig06_multipartition_count(bc: &BenchConfig) -> FigureResult {
 /// Figure 7: throughput as the share of multi-partition (2-partition)
 /// transactions grows from 0% to 100%.
 pub fn fig07_multipartition_fraction(bc: &BenchConfig) -> FigureResult {
+    let bc = &bc.paper();
     let threads = bc.clamp_threads(80);
     let mut fig = FigureResult::new(
         "fig07",

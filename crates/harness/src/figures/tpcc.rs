@@ -13,6 +13,7 @@ const SYSTEMS: [SystemKind; 3] = [
 /// Figure 8: NewOrder+Payment throughput vs warehouse count (contention
 /// decreases left to right), all systems at the full thread budget.
 pub fn fig08_tpcc_warehouses(bc: &BenchConfig) -> FigureResult {
+    let bc = &bc.paper();
     let threads = bc.clamp_threads(80);
     let mut fig = FigureResult::new(
         "fig08",
@@ -34,6 +35,7 @@ pub fn fig08_tpcc_warehouses(bc: &BenchConfig) -> FigureResult {
 /// Figure 9: TPC-C scalability at 16 warehouses (high contention) while
 /// the thread count grows.
 pub fn fig09_tpcc_scalability(bc: &BenchConfig) -> FigureResult {
+    let bc = &bc.paper();
     let mut fig = FigureResult::new(
         "fig09",
         "TPC-C scalability, 16 warehouses",
@@ -83,6 +85,7 @@ impl BreakdownRow {
 /// Figure 10: CPU-time breakdown of execution threads at 128 warehouses
 /// (low contention) and 16 warehouses (high contention).
 pub fn fig10_breakdown(bc: &BenchConfig) -> Vec<BreakdownRow> {
+    let bc = &bc.paper();
     let threads = bc.clamp_threads(80);
     let mut rows = Vec::new();
     for (contention, wh) in [("low(128WH)", 128u32), ("high(16WH)", 16u32)] {

@@ -59,7 +59,9 @@ impl FigureResult {
     }
 
     /// Render the figure as an aligned table, series as columns: one row
-    /// per x of the first series, `-` where a series has no point.
+    /// per x of the first series, `-` where a series has no point. A
+    /// column is 18 wide, or one wider than its label, so a label is
+    /// always set off from its neighbour.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {} — {}", self.id, self.title);
@@ -69,22 +71,25 @@ impl FigureResult {
             .first()
             .map(|s| s.points.iter().map(|&(x, _)| x).collect())
             .unwrap_or_default();
+        let widths: Vec<usize> = (self.series.iter())
+            .map(|s| (s.label.chars().count() + 1).max(18))
+            .collect();
         let _ = write!(out, "{:<14}", self.x_label);
-        for s in &self.series {
-            let _ = write!(out, "{:>18}", s.label);
+        for (s, &w) in self.series.iter().zip(&widths) {
+            let _ = write!(out, "{:>w$}", s.label);
         }
         let _ = writeln!(out);
         for &x in &xs {
             // `{x}` is the shortest decimal that reads back as `x`: a
             // θ of 0.95 prints as 0.95, not rounded to one place.
             let _ = write!(out, "{x:<14}");
-            for s in &self.series {
+            for (s, &w) in self.series.iter().zip(&widths) {
                 match s.at(x) {
                     Some(y) => {
-                        let _ = write!(out, "{:>18}", trim_float(y));
+                        let _ = write!(out, "{:>w$}", trim_float(y));
                     }
                     None => {
-                        let _ = write!(out, "{:>18}", "-");
+                        let _ = write!(out, "{:>w$}", "-");
                     }
                 }
             }
@@ -149,13 +154,39 @@ mod tests {
         let mut b = Series::new("sys-b");
         b.push(10.0, 900.0);
         b.push(20.0, 950.0);
+        // Labels of 18 characters and more (`abl06`'s) stay apart.
+        let mut c = Series::new("conflict-batch admission");
+        c.push(10.0, 3.0);
+        c.push(20.0, 4.0);
+        let mut d = Series::new("eighteen-chars-abc");
+        d.push(10.0, 5.0);
+        d.push(20.0, 6.0);
         for x in [0.5, 0.95, 0.99] {
             a.push(x, 1.0);
             b.push(x, 2.0);
+            c.push(x, 3.0);
+            d.push(x, 4.0);
         }
-        fig.series.push(a);
-        fig.series.push(b);
+        fig.series.extend([a, b, c, d]);
         let text = fig.render();
+        let header: Vec<&str> = text.lines().nth(2).unwrap().split_whitespace().collect();
+        assert_eq!(
+            header,
+            [
+                "threads",
+                "sys-a",
+                "sys-b",
+                "conflict-batch",
+                "admission",
+                "eighteen-chars-abc"
+            ]
+        );
+        // Each value ends where its label ends.
+        let (head, row) = (text.lines().nth(2).unwrap(), text.lines().nth(3).unwrap());
+        for (label, value) in [("sys-b", "900"), ("admission", "3"), ("-abc", "5")] {
+            let end = head.find(label).unwrap() + label.len();
+            assert!(row[..end].ends_with(value), "{label}: {row:?}");
+        }
         assert!(text.contains("figX"));
         assert!(text.contains("sys-a"));
         let lines: Vec<&str> = text.lines().collect();

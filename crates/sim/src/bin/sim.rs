@@ -101,10 +101,11 @@ fn main() {
             };
             if report.ok() {
                 println!(
-                    "explored {} seeds ({base}..{}, {mode}): all invariants held, \
-                     {} transitions covered{plateau}",
+                    "explored {} seeds ({base}..{}, {mode}, {} at depth ≥ 16): all invariants \
+                     held, {} transitions covered{plateau}",
                     report.seeds_run,
                     base + count,
+                    report.deep_seeds,
                     report.transitions_covered,
                 );
             } else {
@@ -150,10 +151,10 @@ fn main() {
         }
         "crash" => {
             let count = seeds.unwrap_or_else(|| usage());
-            let mut failed = 0u64;
-            let mut fired = 0u64;
+            let (mut failed, mut fired, mut deep) = (0u64, 0u64, 0u64);
             for seed in base..base + count {
                 let cfg = CrashSimConfig::from_seed(seed);
+                deep += u64::from(cfg.max_inflight >= 16);
                 let victim = cfg
                     .plan
                     .crash
@@ -175,8 +176,8 @@ fn main() {
                 std::process::exit(1);
             }
             println!(
-                "crash corpus: {count} seeds ({base}..{}): {fired} crashes fired \
-                 and recovered, all invariants held",
+                "crash corpus: {count} seeds ({base}..{}, {deep} at depth ≥ 16): {fired} \
+                 crashes fired and recovered, all invariants held",
                 base + count
             );
         }
@@ -214,9 +215,10 @@ fn main() {
         }
         "net" => {
             let count = seeds.unwrap_or_else(|| usage());
-            let mut failed = 0u64;
+            let (mut failed, mut deep) = (0u64, 0u64);
             for seed in base..base + count {
                 let cfg = NetSimConfig::from_seed(seed);
+                deep += u64::from(cfg.max_inflight >= 16);
                 let out = run_net_sim(&cfg);
                 println!(
                     "seed {seed}: {} steps, {} faults, {} committed, {} delivered over TCP, \
@@ -237,15 +239,17 @@ fn main() {
                 std::process::exit(1);
             }
             println!(
-                "net corpus: {count} seeds ({base}..{}): all invariants held",
+                "net corpus: {count} seeds ({base}..{}, {deep} at depth ≥ 16): \
+                 all invariants held",
                 base + count
             );
         }
         "part" => {
             let count = seeds.unwrap_or_else(|| usage());
-            let mut failed = 0u64;
+            let (mut failed, mut deep) = (0u64, 0u64);
             for seed in base..base + count {
                 let cfg = PartSimConfig::from_seed(seed);
+                deep += u64::from(cfg.max_inflight >= 16);
                 let out = run_part_sim(&cfg);
                 println!(
                     "seed {seed}: {} steps, {} faults, {} accepted ({} cross-partition), \
@@ -267,7 +271,8 @@ fn main() {
                 std::process::exit(1);
             }
             println!(
-                "part corpus: {count} seeds ({base}..{}): all invariants held",
+                "part corpus: {count} seeds ({base}..{}, {deep} at depth ≥ 16): \
+                 all invariants held",
                 base + count
             );
         }

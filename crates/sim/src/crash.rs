@@ -46,7 +46,7 @@ use orthrus_core::{
 };
 use orthrus_txn::Program;
 
-use crate::run::{build_db, digest, sim_lock, workload_spec, WorkloadKind, N_RECORDS};
+use crate::run::{build_db, digest, draw_depth, sim_lock, workload_spec, WorkloadKind, N_RECORDS};
 use crate::sched::{client_names, CrashSpec, FaultPlan, SchedReport, SimScheduler};
 
 /// A crash-restart run configuration. Narrower than [`crate::SimConfig`]
@@ -121,7 +121,7 @@ impl CrashSimConfig {
             "exec0".to_string()
         };
         let at_step = 20 + rng.next_below(381);
-        CrashSimConfig {
+        let mut cfg = CrashSimConfig {
             seed,
             workload,
             txns_pre: 12 + rng.next_below(13) as usize,
@@ -145,7 +145,9 @@ impl CrashSimConfig {
                 crash: Some(CrashSpec { victim, at_step }),
                 ..FaultPlan::default()
             },
-        }
+        };
+        cfg.max_inflight = draw_depth(&mut rng, cfg.max_inflight, &mut cfg.admission);
+        cfg
     }
 }
 

@@ -72,6 +72,8 @@ pub struct ExploreReport {
     pub plateau: bool,
     /// Whether the sweep biased its schedulers by accumulated coverage.
     pub guided: bool,
+    /// Seeds that ran at least 16 in flight per execution thread.
+    pub deep_seeds: u64,
 }
 
 impl ExploreReport {
@@ -95,11 +97,13 @@ pub fn explore(
     let mut map = CoverageMap::new();
     let mut growth = Vec::with_capacity(count as usize);
     let mut last_novel = 0usize;
+    let mut deep_seeds = 0;
     for (idx, seed) in (base..base.saturating_add(count)).enumerate() {
         let mut cfg = SimConfig::from_seed(seed);
         if let Some(t) = txns {
             cfg.txns = t;
         }
+        deep_seeds += u64::from(cfg.max_inflight >= 16);
         // Guidance sees only seeds *before* this one — the snapshot is a
         // pure function of the sweep prefix, which is what makes guided
         // failures reproducible.
@@ -136,6 +140,7 @@ pub fn explore(
         growth,
         plateau,
         guided,
+        deep_seeds,
     }
 }
 

@@ -22,6 +22,9 @@
 //! - [`explore`] — the explorer loop: sweep seeds, and on failure
 //!   binary-search the smallest fault budget that still reproduces it,
 //!   printing a replayable trace;
+//! - [`isolation`] — the isolation oracle behind `explore`'s runs: every
+//!   committed ticket's reads must match a serial replay in lock-grant
+//!   order;
 //! - [`net`] — the same treatment for the TCP front door: engine +
 //!   `orthrus-net` listener under the scheduler, connection threads
 //!   free-running, asserting convergence and conservation (not trace
@@ -38,6 +41,7 @@
 pub mod cover;
 pub mod crash;
 pub mod explore;
+pub mod isolation;
 pub mod net;
 pub mod part;
 pub mod run;
@@ -49,4 +53,6 @@ pub use explore::{explore, minimize, ExploreReport, FailureReport};
 pub use net::{run_net_sim, NetSimConfig, NetSimOutcome};
 pub use part::{run_part_sim, PartSimConfig, PartSimOutcome};
 pub use run::{run_sim, run_sim_guided, SimConfig, SimOutcome, WorkloadKind};
-pub use sched::{client_names, CrashSpec, FaultPlan, SchedReport, SimScheduler, Step, StepKind};
+pub use sched::{
+    client_names, Committed, CrashSpec, FaultPlan, SchedReport, SimScheduler, Step, StepKind,
+};

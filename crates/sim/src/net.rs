@@ -39,7 +39,7 @@ use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
 use orthrus_workload::{MicroSpec, Spec};
 
-use crate::run::sim_lock;
+use crate::run::{draw_depth, sim_lock};
 use crate::sched::{FaultPlan, SchedReport, SimScheduler};
 
 /// Keyspace for the net corpus — tiny, so conflicts are the norm.
@@ -61,6 +61,8 @@ pub struct NetSimConfig {
     pub txns_per_conn: usize,
     pub n_cc: usize,
     pub n_exec: usize,
+    /// In-flight ceiling per execution thread (4, 16 or 64).
+    pub max_inflight: usize,
     pub admission: AdmissionPolicy,
     pub plan: FaultPlan,
     /// Front-end tuning (small rings/caps so the backpressure and
@@ -93,7 +95,7 @@ impl NetSimConfig {
             backpressure_cap: [4, 16][rng.next_below(2) as usize],
             ..NetConfig::default()
         };
-        NetSimConfig {
+        let mut cfg = NetSimConfig {
             seed,
             conns: 1 + rng.next_below(2) as usize,
             txns_per_conn: 16 + rng.next_below(17) as usize,
@@ -107,7 +109,10 @@ impl NetSimConfig {
                 ..FaultPlan::default()
             },
             net,
-        }
+            max_inflight: 4,
+        };
+        cfg.max_inflight = draw_depth(&mut rng, cfg.max_inflight, &mut cfg.admission);
+        cfg
     }
 }
 
@@ -137,7 +142,7 @@ pub fn run_net_sim(cfg: &NetSimConfig) -> NetSimOutcome {
     let spec = Spec::Micro(MicroSpec::hot_cold(N_RECORDS, 8, 2, 3, false));
 
     let mut ocfg = OrthrusConfig::with_threads(cfg.n_cc, cfg.n_exec, CcAssignment::KeyModulo);
-    ocfg.max_inflight = 4;
+    ocfg.max_inflight = cfg.max_inflight;
     ocfg.ingest_capacity = 16;
     ocfg.admission = cfg.admission.clone();
 

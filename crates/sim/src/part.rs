@@ -40,7 +40,7 @@ use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
 use orthrus_workload::{MicroSpec, PartitionConstraint};
 
-use crate::run::sim_lock;
+use crate::run::{draw_depth, sim_lock};
 use crate::sched::{client_names, FaultPlan, SchedReport, SimScheduler};
 
 /// Keyspace per partition-mapped table — tiny, so the hot set collides
@@ -66,6 +66,8 @@ pub struct PartSimConfig {
     pub multi_pct: u32,
     /// Epoch batch bound — small values force many short epochs.
     pub epoch_max_batch: usize,
+    /// In-flight ceiling per execution thread (4, 16 or 64).
+    pub max_inflight: usize,
     pub admission: AdmissionPolicy,
     pub plan: FaultPlan,
 }
@@ -89,7 +91,7 @@ impl PartSimConfig {
                 batch: 4,
             },
         };
-        PartSimConfig {
+        let mut cfg = PartSimConfig {
             seed,
             parts: 2 + rng.next_below(2) as usize,
             txns: 24 + rng.next_below(25) as usize,
@@ -105,7 +107,10 @@ impl PartSimConfig {
                 ..FaultPlan::default()
             },
             admission,
-        }
+            max_inflight: 4,
+        };
+        cfg.max_inflight = draw_depth(&mut rng, cfg.max_inflight, &mut cfg.admission);
+        cfg
     }
 }
 
@@ -160,7 +165,7 @@ pub fn run_part_sim(cfg: &PartSimConfig) -> PartSimOutcome {
     let scratch = TempDir::new("sim-part");
     let mk_pcfg = || {
         let mut ocfg = OrthrusConfig::with_threads(cfg.n_cc, cfg.n_exec, CcAssignment::KeyModulo);
-        ocfg.max_inflight = 4;
+        ocfg.max_inflight = cfg.max_inflight;
         ocfg.ingest_capacity = 16;
         ocfg.admission = cfg.admission.clone();
         // Always `Log`: the replay pin needs the journal, and plain log

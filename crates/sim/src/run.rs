@@ -5,11 +5,13 @@
 //! Violations are *collected*, not asserted: the explorer wants to report
 //! a failing seed (and minimize its fault budget) rather than unwind.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use orthrus_common::rng::XorShift64;
 use orthrus_common::{sim, TempDir};
+use orthrus_core::admit::DEFAULT_CLASS_BATCH;
+use orthrus_core::config::DEFAULT_MAX_INFLIGHT;
 use orthrus_core::{
     AdmissionPolicy, CcAssignment, DurabilityMode, OrthrusConfig, OrthrusEngine, SyncInterval,
 };
@@ -18,6 +20,7 @@ use orthrus_storage::Table;
 use orthrus_txn::{Database, Program};
 use orthrus_workload::{MicroSpec, Spec, TpccSpec};
 
+use crate::isolation;
 use crate::sched::{client_names, FaultPlan, SchedReport, SimScheduler};
 
 /// Flat-keyspace size for the micro workloads (small: more contention).
@@ -153,6 +156,7 @@ impl SimConfig {
         // Drawn last so the knob rides along without re-deriving any
         // earlier field for pre-existing seeds.
         cfg.n_clients = if rng.chance_percent(25) { 2 } else { 1 };
+        cfg.max_inflight = draw_depth(&mut rng, cfg.max_inflight, &mut cfg.admission);
         cfg
     }
 
@@ -163,6 +167,28 @@ impl SimConfig {
             Some(keep) => (0..self.txns as u32).filter(|i| keep.contains(i)).count(),
         }
     }
+}
+
+/// The in-flight ceiling a corpus seed runs: the depth it drew before
+/// this draw existed (`seed_depth`, 2–4), 16 (the depth rule's floor, so
+/// a fixed depth) or 64 (the engine's default ceiling, where the depth
+/// walks between 16 and 64, as every ledger workload runs). A deep seed
+/// with batched admission drains the default batch per class, so its
+/// fused runs grow as long as the ledger's. Every `from_seed` calls this
+/// after its last other draw: a seed that keeps its depth keeps its
+/// whole configuration, and its schedule.
+pub(crate) fn draw_depth(
+    rng: &mut XorShift64,
+    seed_depth: usize,
+    admission: &mut AdmissionPolicy,
+) -> usize {
+    let depth = [seed_depth, 16, DEFAULT_MAX_INFLIGHT][rng.next_below(3) as usize];
+    if let AdmissionPolicy::ConflictBatch { batch, .. } = admission {
+        if depth > seed_depth {
+            *batch = DEFAULT_CLASS_BATCH;
+        }
+    }
+    depth
 }
 
 /// Everything a finished simulated run exposes to the explorer and to
@@ -336,6 +362,7 @@ pub fn run_sim_guided(
             let _sim = sim::enroll(&format!("client{k}"));
             let mut model = vec![0u64; N_RECORDS as usize];
             let mut errors = Vec::new();
+            let mut submitted = Vec::new();
             for i in (k..txns).step_by(n_clients) {
                 let program = generator.next_program();
                 if keep.as_ref().is_some_and(|ks| !ks.contains(&(i as u32))) {
@@ -346,12 +373,15 @@ pub fn run_sim_guided(
                         model[key as usize] += 1;
                     }
                 }
-                if let Err(e) = session.submit(program) {
-                    errors.push(format!("client{k} submit #{i} rejected: {e:?}"));
-                    break;
+                match session.submit(program.clone()) {
+                    Ok(ticket) => submitted.push((ticket.0, program)),
+                    Err(e) => {
+                        errors.push(format!("client{k} submit #{i} rejected: {e:?}"));
+                        break;
+                    }
                 }
             }
-            (model, errors)
+            (model, errors, submitted)
         }));
     }
 
@@ -362,6 +392,9 @@ pub fn run_sim_guided(
     // Expected effect model for the micro workloads: each Rmw increments
     // each of its keys once (multi-mentions count multiply).
     let mut expected = vec![0u64; N_RECORDS as usize];
+    // Every accepted program by its ticket: what the isolation oracle
+    // replays.
+    let mut programs: HashMap<u64, Program> = HashMap::new();
     let mut generator = workload_spec(cfg.workload).generator(cfg.seed, 0);
     let session = handle.session();
     let mut completions = Vec::new();
@@ -380,9 +413,14 @@ pub fn run_sim_guided(
                 expected[k as usize] += 1;
             }
         }
-        if let Err(e) = session.submit(program) {
-            violations.push(format!("submit #{i} rejected: {e:?}"));
-            break;
+        match session.submit(program.clone()) {
+            Ok(ticket) => {
+                programs.insert(ticket.0, program);
+            }
+            Err(e) => {
+                violations.push(format!("submit #{i} rejected: {e:?}"));
+                break;
+            }
         }
         drains += 1;
         if drains % 8 == 7 {
@@ -404,11 +442,12 @@ pub fn run_sim_guided(
             }
             handle.drain_completions(&mut completions);
         }
-        let (model, errors) = h.join().expect("client thread panicked");
+        let (model, errors, submitted) = h.join().expect("client thread panicked");
         for (k, n) in model.into_iter().enumerate() {
             expected[k] += n;
         }
         violations.extend(errors);
+        programs.extend(submitted);
     }
 
     let submitted = cfg.submitted_txns() as u64;
@@ -487,6 +526,16 @@ pub fn run_sim_guided(
             "unexpected sim participants: {:?}",
             report.unknown_registrations
         ));
+    }
+    if shutdown_ok {
+        if report.commits.len() as u64 != committed {
+            violations.push(format!(
+                "isolation: {} commits recorded for {committed} committed",
+                report.commits.len()
+            ));
+        } else if let Err(v) = isolation::check(&report.commits, &programs, cfg.workload) {
+            violations.push(v);
+        }
     }
 
     // Replay-determinism pin: recover a fresh database from the command

@@ -62,7 +62,7 @@
 //! the driver (which holds the token throughout) says so, keeping the
 //! candidate sets, and therefore the schedule, deterministic.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::str::FromStr;
 use std::sync::{Condvar, Mutex};
 
@@ -260,6 +260,9 @@ pub struct SchedReport {
     pub transitions: HashSet<u64>,
     /// Whether the plan's [`CrashSpec`] fired.
     pub crashed: bool,
+    /// Every ticketed commit, in execution order, with the grant stamp
+    /// and read digest the isolation oracle checks ([`crate::isolation`]).
+    pub commits: Vec<Committed>,
 }
 
 impl SchedReport {
@@ -436,6 +439,8 @@ pub struct SimScheduler {
     snapshot: Option<HashSet<u64>>,
     state: Mutex<State>,
     cv: Condvar,
+    /// The isolation oracle's records (not part of the schedule).
+    isolation: Mutex<Isolation>,
 }
 
 impl SimScheduler {
@@ -481,6 +486,7 @@ impl SimScheduler {
             crash_victim,
             snapshot: None,
             cv: Condvar::new(),
+            isolation: Mutex::default(),
         }
     }
 
@@ -559,6 +565,7 @@ impl SimScheduler {
             unknown_registrations: s.unknown.clone(),
             transitions: s.run_seen.clone(),
             crashed: s.crash_fired,
+            commits: self.isolation.lock().unwrap().commits.clone(),
         }
     }
 
@@ -792,6 +799,47 @@ impl Scheduler for SimScheduler {
         s.chan_labels.push(label);
         s.chan_labels.len() as ChanId
     }
+
+    fn on_grant(&self, token: u64) {
+        let mut iso = self.isolation.lock().unwrap();
+        let stamp = iso.next_stamp;
+        iso.next_stamp += 1;
+        iso.stamps.insert(token, stamp);
+    }
+
+    fn on_commit(&self, token: Option<u64>, ticket: u64, digest: u64) {
+        let mut iso = self.isolation.lock().unwrap();
+        let stamp = token.map(|t| iso.stamps.get(&t).copied());
+        iso.commits.push(Committed {
+            ticket,
+            stamp,
+            digest,
+        });
+    }
+}
+
+/// One ticketed commit as the isolation oracle records it
+/// ([`orthrus_common::sim::on_commit`]); [`SchedReport::commits`] lists
+/// them in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Committed {
+    pub ticket: u64,
+    /// The stamp of the grant that completed the lock set it ran under:
+    /// `None` when it asked for no lock, `Some(None)` when no CC thread
+    /// ever granted that lock set.
+    pub stamp: Option<Option<u64>>,
+    /// What its execution returned: a digest of the values it read.
+    pub digest: u64,
+}
+
+/// The isolation oracle's records: one global grant sequence, and every
+/// ticketed commit.
+#[derive(Default)]
+struct Isolation {
+    next_stamp: u64,
+    /// Grant stamp per packed exec token.
+    stamps: HashMap<u64, u64>,
+    commits: Vec<Committed>,
 }
 
 #[cfg(test)]

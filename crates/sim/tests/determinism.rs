@@ -13,11 +13,16 @@
 //! 3. **Explorer smoke**: a small seed sweep runs clean end to end.
 //! 4. **Pinned schedules**: the reproduction seeds 3, 17 and 42 keep
 //!    their trace hashes.
+//! 5. **Corpus depth**: every corpus runs a third of its seeds at the
+//!    ledger's in-flight depth.
 
 use proptest::prelude::*;
 
 use orthrus_core::{AdmissionPolicy, DurabilityMode, SyncInterval};
-use orthrus_sim::{explore, run_sim, FaultPlan, SimConfig, WorkloadKind};
+use orthrus_sim::{
+    explore, run_sim, CrashSimConfig, FaultPlan, NetSimConfig, PartSimConfig, SimConfig,
+    WorkloadKind,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -61,6 +66,58 @@ fn pinned_seeds_keep_their_schedules() {
     ] {
         let got = run_sim(&SimConfig::from_seed(seed), false).trace_hash;
         assert_eq!(got, hash, "seed {seed}: {got:#018x}");
+    }
+}
+
+/// Every corpus runs at least a third of its CI seeds at the depth the
+/// ledger's workloads run (16, or 64 walking from 16), and its batched
+/// deep seeds drain the default batch.
+#[test]
+fn every_corpus_runs_a_third_of_its_seeds_deep() {
+    let corpora: [(&str, Vec<(usize, AdmissionPolicy)>); 4] = [
+        (
+            "explore",
+            (1..=50)
+                .map(SimConfig::from_seed)
+                .map(|c| (c.max_inflight, c.admission))
+                .collect(),
+        ),
+        (
+            "crash",
+            (1..=40)
+                .map(CrashSimConfig::from_seed)
+                .map(|c| (c.max_inflight, c.admission))
+                .collect(),
+        ),
+        (
+            "net",
+            (1..=25)
+                .map(NetSimConfig::from_seed)
+                .map(|c| (c.max_inflight, c.admission))
+                .collect(),
+        ),
+        (
+            "part",
+            (1..=50)
+                .map(PartSimConfig::from_seed)
+                .map(|c| (c.max_inflight, c.admission))
+                .collect(),
+        ),
+    ];
+    for (corpus, seeds) in corpora {
+        let deep: Vec<_> = seeds.iter().filter(|(depth, _)| *depth >= 16).collect();
+        assert!(
+            3 * deep.len() >= seeds.len(),
+            "{corpus}: {} of {} seeds deep",
+            deep.len(),
+            seeds.len()
+        );
+        for (depth, admission) in deep {
+            assert!([16, 64].contains(depth), "{corpus}: depth {depth}");
+            if let AdmissionPolicy::ConflictBatch { batch, .. } = admission {
+                assert_eq!(*batch, 16, "{corpus}: a deep seed drains the default batch");
+            }
+        }
     }
 }
 
@@ -206,9 +263,9 @@ fn group_fsync_and_checkpoints_replay_deterministically_under_faults() {
 /// the grants they receive, and a batched run may fill the headroom
 /// under the ceiling rather than under the cap. Under the scheduler both
 /// rules must keep every invariant and replay bit-identically from the
-/// seed, like everything else, under each admission policy. (The corpora
-/// derive `max_inflight` ≤ 4 from their seeds, where the depth is fixed;
-/// this runs beside them rather than re-deriving their streams.)
+/// seed, like everything else, under each admission policy. (About a
+/// third of the corpora's seeds run each of 2–4, 16 and 64 in flight;
+/// this pins 32 under both policies at a fixed transaction count.)
 #[test]
 fn a_walking_inflight_depth_conserves_and_replays() {
     let policies = [

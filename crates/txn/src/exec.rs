@@ -86,7 +86,13 @@ pub fn execute_planned(program: &Program, db: &Database, plan: &Plan) -> Result<
 ///
 /// `plan` carries OLLP annotations for planned engines; dynamic engines
 /// pass `None` and resolve data-dependent accesses inline. Returns an
-/// opaque result value so the computation cannot be optimized away.
+/// opaque result value so the computation cannot be optimized away. The
+/// counter programs, NewOrder and Payment fold every value they read or
+/// wrote under a lock into it (NewOrder: the taxes, the district's next
+/// order id and delivery cursor, the discount, each stock row's quantity
+/// and ytd; Payment: the warehouse and district ytd, the history slot,
+/// the customer's balance), which the simulator's isolation oracle
+/// compares against a serial replay.
 ///
 /// # Safety contract (enforced by the caller's guard)
 /// The guard must ensure the locking discipline before each access; see
@@ -108,13 +114,13 @@ pub fn execute(
             Ok(sum)
         }
         Program::Rmw { keys } => {
-            let mut last = 0u64;
+            let mut read = 0u64;
             for &k in keys {
                 guard.access(k, LockMode::Exclusive)?;
                 // SAFETY: guard established exclusive access.
-                last = unsafe { db.rmw(k) };
+                read = fold(read, unsafe { db.rmw(k) });
             }
-            Ok(last)
+            Ok(read)
         }
         Program::NewOrder(input) => execute_new_order(input, db, guard),
         Program::Payment(input) => execute_payment(input, db, guard, plan),
@@ -128,8 +134,8 @@ pub fn execute(
             // endpoints. Debit + credit wrap, so the sum of all counters
             // is conserved modulo 2⁶⁴ (money invariant).
             unsafe {
-                db.add_counter(*from, amount.wrapping_neg());
-                Ok(db.add_counter(*to, *amount))
+                let debited = db.add_counter(*from, amount.wrapping_neg());
+                Ok(fold(debited, db.add_counter(*to, *amount)))
             }
         }
         Program::Adjust { key, delta } => {
@@ -141,13 +147,21 @@ pub fn execute(
             // One partition's epoch slice: the constituents run
             // back-to-back under the union plan, in sequencer order —
             // the same order every other partition uses for this epoch.
-            let mut last = 0u64;
+            let mut read = 0u64;
             for part in parts {
-                last = execute(part, db, guard, plan)?;
+                read = fold(read, execute(part, db, guard, plan)?);
             }
-            Ok(last)
+            Ok(read)
         }
     }
+}
+
+/// Fold one value a program read into its result, order-sensitively
+/// (FNV-1a over 64-bit words): the result digests every value read, so
+/// two executions that read different values return different results.
+#[inline]
+fn fold(acc: u64, value: u64) -> u64 {
+    (acc ^ value).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
 /// Resolve a by-last-name customer during execution and validate it
@@ -194,6 +208,7 @@ fn execute_new_order(
         tpcc.warehouses
             .read_with(orthrus_storage::tpcc::TpccLayout::slot(wk), |r| r.tax_bp)
     };
+    let mut read = fold(0, w_tax as u64);
 
     // District: read tax, allocate o_id. Publish the advanced cursor to
     // the reconnaissance board (still under the district X lock).
@@ -208,6 +223,10 @@ fn execute_new_order(
                 (r.tax_bp, o_id, r.next_deliv_o_id)
             })
     };
+    read = fold(
+        fold(fold(read, d_tax as u64), o_id as u64),
+        next_deliv as u64,
+    );
     let dn = TpccLayout::slot(dk);
     tpcc.recon.publish_district(
         dn,
@@ -227,6 +246,7 @@ fn execute_new_order(
                 r.discount_bp
             })
     };
+    read = fold(read, discount as u64);
 
     // Lines: read item (read-only table: no CC), update stock.
     let mut total = 0u64;
@@ -241,9 +261,10 @@ fn execute_new_order(
         let remote = line.supply_w != input.w;
         all_local &= !remote;
         // SAFETY: exclusive access established by the guard.
-        unsafe {
+        let (quantity, ytd) = unsafe {
             tpcc.stock
                 .write_with(orthrus_storage::tpcc::TpccLayout::slot(sk), |s| {
+                    let read = (s.quantity, s.ytd);
                     if s.quantity >= line.qty + 10 {
                         s.quantity -= line.qty;
                     } else {
@@ -254,8 +275,10 @@ fn execute_new_order(
                     if remote {
                         s.remote_cnt += 1;
                     }
+                    read
                 })
         };
+        read = fold(fold(read, quantity as u64), ytd as u64);
         let amount = line.qty as u64 * price as u64;
         total += amount;
 
@@ -321,7 +344,7 @@ fn execute_new_order(
     // total * (1 - discount) * (1 + w_tax + d_tax), in basis points.
     let after_discount = total * (10_000 - discount as u64) / 10_000;
     let with_tax = after_discount * (10_000 + w_tax as u64 + d_tax as u64) / 10_000;
-    Ok(with_tax)
+    Ok(fold(read, with_tax))
 }
 
 fn execute_payment(
@@ -342,10 +365,11 @@ fn execute_payment(
     let wk = l.warehouse_key(input.w);
     guard.access(wk, LockMode::Exclusive)?;
     // SAFETY: exclusive access established by the guard.
-    unsafe {
+    let w_ytd = unsafe {
         tpcc.warehouses
             .write_with(orthrus_storage::tpcc::TpccLayout::slot(wk), |w| {
                 w.ytd_cents += input.amount_cents;
+                w.ytd_cents
             })
     };
 
@@ -353,13 +377,13 @@ fn execute_payment(
     let dk = l.district_key(input.w, input.d);
     guard.access(dk, LockMode::Exclusive)?;
     // SAFETY: exclusive access established by the guard.
-    let h_slot = unsafe {
+    let (d_ytd, h_slot) = unsafe {
         tpcc.districts
             .write_with(orthrus_storage::tpcc::TpccLayout::slot(dk), |d| {
                 d.ytd_cents += input.amount_cents;
                 let h = d.history_ctr;
                 d.history_ctr = d.history_ctr.wrapping_add(1);
-                h
+                (d.ytd_cents, h)
             })
     };
 
@@ -367,7 +391,7 @@ fn execute_payment(
     let ck = l.customer_key(c_w, c_d, c);
     guard.access(ck, LockMode::Exclusive)?;
     // SAFETY: exclusive access established by the guard.
-    unsafe {
+    let balance = unsafe {
         tpcc.customers
             .write_with(orthrus_storage::tpcc::TpccLayout::slot(ck), |cust| {
                 cust.balance_cents -= input.amount_cents as i64;
@@ -381,6 +405,7 @@ fn execute_payment(
                         *b = tag;
                     }
                 }
+                cust.balance_cents
             })
     };
 
@@ -397,7 +422,10 @@ fn execute_payment(
             })
     };
 
-    Ok(input.amount_cents)
+    Ok(fold(
+        fold(fold(fold(w_ytd, d_ytd), h_slot as u64), balance as u64),
+        input.amount_cents,
+    ))
 }
 
 /// OrderStatus (TPC-C 2.6): read the customer's balance and their most

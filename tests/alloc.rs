@@ -227,8 +227,8 @@ fn steady_state_allocates_nothing_on_engine_threads() {
             (Database::Flat(Table::new(20_000, 64)), cfg, spec)
         }),
         ("Transfer on ten accounts, fused runs", || {
-            let mut cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
-            cfg.admission = AdmissionPolicy::conflict_batch();
+            let cfg = OrthrusConfig::with_threads(1, 1, CcAssignment::KeyModulo);
+            assert_eq!(cfg.admission, AdmissionPolicy::conflict_batch());
             let spec = Spec::Micro(MicroSpec::uniform(10, 2, false).with_transfers(100));
             (Database::Flat(Table::new(20_000, 64)), cfg, spec)
         }),
@@ -241,7 +241,7 @@ fn steady_state_allocates_nothing_on_engine_threads() {
             || {
                 let mut cfg = OrthrusConfig::with_threads(1, 4, CcAssignment::KeyModulo);
                 cfg.max_inflight = 256;
-                assert_eq!(cfg.admission, AdmissionPolicy::Fifo);
+                cfg.admission = AdmissionPolicy::Fifo;
                 let spec = Spec::Micro(MicroSpec::uniform(10, 2, false).with_transfers(100));
                 (Database::Flat(Table::new(20_000, 64)), cfg, spec)
             },
