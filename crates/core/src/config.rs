@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 
+use orthrus_common::affinity::Placement;
 use orthrus_common::Key;
 use orthrus_durability::{DurabilityMode, SyncInterval};
 use orthrus_txn::Database;
@@ -118,6 +119,12 @@ pub struct OrthrusConfig {
     /// each member engine a distinct prefix (`p0.`, `p1.`, ...) so N
     /// engines under one seeded scheduler don't collide on names.
     pub sim_prefix: String,
+    /// Which engine of its deployment this is, which decides the cores
+    /// its CC and execution threads pin to ([`Placement`]). A standalone
+    /// engine is the whole deployment ([`Placement::ALONE`]); a
+    /// partitioned deployment numbers its member engines, so that no two
+    /// partitions stack their threads on the same cores.
+    pub placement: Placement,
 }
 
 /// A thread that runs beside the workers when the command log is on: the
@@ -177,6 +184,7 @@ impl OrthrusConfig {
             sync_interval: SyncInterval::default(),
             checkpoint_bytes: None,
             sim_prefix: String::new(),
+            placement: Placement::ALONE,
         }
     }
 
@@ -226,6 +234,12 @@ impl OrthrusConfig {
             return Err(
                 "ingest_capacity must be ≥ 1: a zero ring could never accept a submission".into(),
             );
+        }
+        if self.placement.partition >= self.placement.partitions {
+            return Err(format!(
+                "placement partition {} must be below its deployment's {} partitions",
+                self.placement.partition, self.placement.partitions
+            ));
         }
         self.admission.validate()?;
         if self.durability.is_on() && self.log_dir.is_none() {
@@ -340,6 +354,13 @@ mod tests {
             batch: 16,
         };
         assert!(c.validate().unwrap_err().contains("ConflictBatch"));
+
+        let mut c = good.clone();
+        c.placement = Placement {
+            partition: 2,
+            partitions: 2,
+        };
+        assert!(c.validate().unwrap_err().contains("placement"));
     }
 
     /// The fabric never runs at a zero batch: the default is ≥ 1, and a

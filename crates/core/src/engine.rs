@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use orthrus_common::affinity::pin_to_core;
+use orthrus_common::affinity::{pin_to_cpu, CpuSet};
 use orthrus_common::runtime::{RunCtl, RunParams};
 use orthrus_common::sim;
 use orthrus_common::{Backoff, Doorbell, Phase, PhaseTimer, RunStats, ThreadStats};
@@ -377,8 +377,9 @@ impl OrthrusEngine {
 /// Spawn one engine thread under `name`: its OS thread name and, under a
 /// sim scheduler, its enrollment — which blocks until every participant
 /// has enrolled, and whose guard retires the thread on drop, panics
-/// included. A no-op enrollment otherwise.
-fn spawn_named<T: Send + 'static>(
+/// included. A no-op enrollment otherwise. The partition sequencer is
+/// spawned through here too.
+pub fn spawn_named<T: Send + 'static>(
     name: String,
     body: impl FnOnce() -> T + Send + 'static,
 ) -> JoinHandle<T> {
@@ -473,14 +474,21 @@ impl Workers {
         let companions = spawn_companions(&cfg, &engine.log, &companions_stop, companion_names);
         let mut threads = Vec::with_capacity(cfg.total_threads());
         let mut names = names.into_iter();
+        // The spawning thread's CPU set, read once: every worker pins to
+        // the CPU its place in the deployment names within it.
+        let cpus = CpuSet::of_this_thread();
+        let place = cfg.placement;
 
         for ((cc, ep), name) in fabric.cc.into_iter().enumerate().zip(names.by_ref()) {
             let ctl = Arc::clone(&ctl);
             let active = Arc::clone(&active_execs);
             let flush = cfg.flush_threshold;
             let capacity = cc_table_capacity(&cfg);
+            let cpu = cpus.cpu(place.cc_core(cfg.n_cc, cc, cpus.len()));
             let thread = spawn_named(name.clone(), move || {
-                pin_to_core(cc);
+                if let Some(cpu) = cpu {
+                    pin_to_cpu(cpu);
+                }
                 run_cc(CcState::new(cc as u32, capacity), flush, ep, &ctl, &active)
             });
             threads.push((name, thread));
@@ -494,8 +502,11 @@ impl Workers {
             let active = Arc::clone(&active_execs);
             let log = engine.log.clone();
             let bells = fabric.bells.clone();
+            let cpu = cpus.cpu(place.exec_core(cfg.n_cc, cfg.n_exec, ex, cpus.len()));
             let thread = spawn_named(name.clone(), move || {
-                pin_to_core(cfg.n_cc + ex);
+                if let Some(cpu) = cpu {
+                    pin_to_cpu(cpu);
+                }
                 // Admission is thread-local: each execution thread owns
                 // its policy state (source, planning RNG, any
                 // conflict-class run queues).

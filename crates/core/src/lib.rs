@@ -119,7 +119,7 @@ mod proptests;
 
 pub use admit::{AdmissionPolicy, Admitted, Admitter};
 pub use config::{CcAssignment, OrthrusConfig};
-pub use engine::{EngineError, EngineHandle, OrthrusEngine};
+pub use engine::{spawn_named, EngineError, EngineHandle, OrthrusEngine};
 pub use hub::{ClientRx, CompletionHub};
 pub use orthrus_durability::{DurabilityMode, ReplayReport, SyncInterval};
 pub use plan::LockPlan;

@@ -71,10 +71,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use orthrus_common::affinity::Placement;
 use orthrus_common::{Backoff, Doorbell, HubBreakdown, RunStats};
 use orthrus_core::{
-    Completion, EngineError, EngineHandle, OrthrusConfig, OrthrusEngine, Session, Ticket,
-    TrySubmitError,
+    spawn_named, Completion, EngineError, EngineHandle, OrthrusConfig, OrthrusEngine, Session,
+    Ticket, TrySubmitError,
 };
 use orthrus_durability::ReplayReport;
 use orthrus_txn::{Database, Program};
@@ -124,10 +125,16 @@ impl PartitionedConfig {
     }
 
     /// The member-engine configuration for partition `i`: the template
-    /// with a partition-scoped sim-enrollment prefix and log directory.
+    /// with a partition-scoped sim-enrollment prefix, log directory and
+    /// place in the deployment (its threads pin after the partitions
+    /// before it, [`Placement`]).
     pub fn engine_for(&self, i: usize) -> OrthrusConfig {
         let mut cfg = self.engine.clone();
         cfg.sim_prefix = format!("{}p{i}.", self.engine.sim_prefix);
+        cfg.placement = Placement {
+            partition: i,
+            partitions: self.partitions(),
+        };
         if let Some(base) = &self.engine.log_dir {
             cfg.log_dir = Some(base.join(format!("part-{i}")));
         }
@@ -341,11 +348,7 @@ impl PartitionedEngine {
             inflight: None,
             max_batch: cfg.epoch_max_batch.max(1),
         };
-        let name = cfg.sequencer_name();
-        let seq_thread = std::thread::spawn(move || {
-            let _sim = orthrus_common::sim::enroll(&name);
-            seq.run()
-        });
+        let seq_thread = spawn_named(cfg.sequencer_name(), move || seq.run());
 
         PartitionedHandle {
             shared,
